@@ -30,7 +30,8 @@ from .oracle import (cancellation_scale, interaction_total_jet, max_rel_diff,
                      numeric_oracle)
 from .orders import standard_claims
 from .report import Report
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import (Scenario, ScenarioError, check_oracle_rho,
+                       load_scenario)
 from .tensor import MINKOWSKI, rank_one, sym_outer
 
 USAGE_EXIT = 2
@@ -347,9 +348,12 @@ def suite_total(report: Report, scenario: Scenario):
     s.verdict("total-vanishes", zero,
               "the exact sum of all interaction terms vanishes identically "
               "for the rank-one polarization choice (pure-gauge waves)")
-    for name, matched in sorted(tot["leading_form_matches"].items()):
-        s.value(f"matches-{name}", str(matched).lower())
-    if not scenario.custom_config:
+    if scenario.custom_config:
+        s.trace("published leading forms are defined on the standard "
+                "configuration only; no comparison reported")
+    else:
+        for name, matched in sorted(tot["leading_form_matches"].items()):
+            s.value(f"matches-{name}", str(matched).lower())
         s.verdict("published-forms",
                   not any(tot["leading_form_matches"].values()),
                   "the exact total matches neither published leading form "
@@ -459,6 +463,9 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
         err = max_rel_diff(exact_at, got,
                            floor=cancellation_scale(cfg, rho_v))
         s.value(f"total-float-max-rel-diff-rho-{rho_v}", f"{err:.3e}")
+        s.verdict(f"total-float-dual-path-rho-{rho_v}", err <= 1e-9,
+                  f"floating-point jet total agrees with the enumerated "
+                  f"total to 1e-9 relative at rho = {rho_v}")
         jet = interaction_total_jet(cfg, rho_v, exact=True)
         agree = all(jet[i][j].im == 0
                     and Fraction(exact_at[i][j]) == jet[i][j].re
@@ -546,6 +553,11 @@ def run(argv=None) -> int:
                     return USAGE_EXIT
                 if rho <= 1:
                     print("rho must exceed 1", file=sys.stderr)
+                    return USAGE_EXIT
+                try:
+                    check_oracle_rho(scenario.config, (rho,))
+                except ScenarioError as exc:
+                    print(f"bad rho value: {exc}", file=sys.stderr)
                     return USAGE_EXIT
             suite_oracle(report, scenario, rho=rho)
     except Exception as exc:  # surface engine failures as verdicts

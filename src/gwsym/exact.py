@@ -11,6 +11,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
+_FRACTION_ONE = Fraction(1)
+
 #: Sentinel degree of the zero element (compares below every integer).
 NEG_INF = float("-inf")
 
@@ -41,6 +43,18 @@ class RhoPoly:
         raise AttributeError("RhoPoly is immutable")
 
     # -- constructors -------------------------------------------------
+    @staticmethod
+    def _of(terms: dict) -> "RhoPoly":
+        """Trusted constructor for ring-operation results.
+
+        ``terms`` must map int exponents >= 0 to nonzero Fractions and must
+        not be shared with any other polynomial.
+        """
+        self = object.__new__(RhoPoly)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     @staticmethod
     def const(c) -> "RhoPoly":
         return RhoPoly({0: Fraction(c)})
@@ -76,47 +90,71 @@ class RhoPoly:
                 terms[e] = v
             else:
                 terms.pop(e, None)
-        return RhoPoly(terms)
+        return RhoPoly._of(terms)
 
     def __neg__(self) -> "RhoPoly":
-        return RhoPoly({e: -c for e, c in self.terms.items()})
+        return RhoPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "RhoPoly") -> "RhoPoly":
         return self + (-other)
 
     def __mul__(self, other: "RhoPoly") -> "RhoPoly":
-        if not self.terms or not other.terms:
-            return RhoPoly()
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # shift and scale: a product of nonzero coefficients is nonzero
+            (eb, cb), = b.items()
+            if cb == 1:
+                return RhoPoly._of({e + eb: c for e, c in a.items()})
+            return RhoPoly._of({e + eb: c * cb for e, c in a.items()})
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                v = terms.get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
-        return RhoPoly(terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return RhoPoly._of({e: c for e, c in terms.items() if c})
 
     def scale(self, c) -> "RhoPoly":
         c = Fraction(c)
         if not c:
-            return RhoPoly()
-        return RhoPoly({e: co * c for e, co in self.terms.items()})
+            return RhoPoly._of({})
+        return RhoPoly._of({e: co * c for e, co in self.terms.items()})
 
     def __divmod__(self, other: "RhoPoly"):
-        if other.is_zero():
+        dterms = other.terms
+        if not dterms:
             raise ZeroDivisionError("polynomial division by zero")
+        ddeg = max(dterms)
+        dlc = dterms[ddeg]
+        monic = dlc == 1
         q: dict = {}
-        rem = self
-        dlc = other.lc
-        ddeg = other.degree
-        while not rem.is_zero() and rem.degree >= ddeg:
-            e = rem.degree - ddeg
-            c = rem.lc / dlc
-            q[e] = q.get(e, 0) + c
-            rem = rem - other * RhoPoly.monomial(c, e)
-        return RhoPoly(q), rem
+        rem = dict(self.terms)
+        if len(dterms) == 1:
+            # monomial divisor: shift and scale, no elimination steps
+            for e in [e for e in rem if e >= ddeg]:
+                c = rem.pop(e)
+                q[e - ddeg] = c if monic else c / dlc
+            return RhoPoly._of(q), RhoPoly._of(rem)
+        lower = [(e - ddeg, c) for e, c in dterms.items() if e != ddeg]
+        # Each step cancels the leading term of ``rem`` in place; quotient
+        # exponents strictly decrease, so each is written once.
+        while rem:
+            top = max(rem)
+            if top < ddeg:
+                break
+            c = rem.pop(top)
+            if not monic:
+                c = c / dlc
+            q[top - ddeg] = c
+            for de, dc in lower:
+                k = top + de
+                v = rem.get(k, 0) - c * dc
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+        return RhoPoly._of(q), RhoPoly._of(rem)
 
     def __mod__(self, other: "RhoPoly") -> "RhoPoly":
         return divmod(self, other)[1]
@@ -147,19 +185,24 @@ class RhoPoly:
         return f"RhoPoly({format_poly(self)})"
 
 
-_POLY_ONE = None
+_POLY_ONE = RhoPoly.const(1)
 
 
 def _poly_gcd(a: RhoPoly, b: RhoPoly) -> RhoPoly:
-    global _POLY_ONE
-    if _POLY_ONE is None:
-        _POLY_ONE = RhoPoly.const(1)
-    # A degree-0 argument makes the gcd trivial.
-    if (not a.is_zero() and a.degree == 0) or (not b.is_zero() and b.degree == 0):
-        return _POLY_ONE
-    while not b.is_zero():
+    """Monic gcd; the zero polynomial only when both arguments are zero."""
+    while True:
+        # A single-term argument c*rho^k shares only a power of rho with the
+        # other: the gcd is rho^min(k, lowest exponent of the other).  This
+        # also ends the Euclidean loop once a remainder is a constant.
+        for single, other in ((a, b), (b, a)):
+            if len(single.terms) == 1:
+                k = min(single.terms)
+                if other.terms:
+                    k = min(k, min(other.terms))
+                return _POLY_ONE if k == 0 else RhoPoly._of({k: _FRACTION_ONE})
+        if not b.terms:
+            return a.monic()
         a, b = b, a % b
-    return a.monic()
 
 
 class RhoRational:
@@ -175,13 +218,13 @@ class RhoRational:
         if isinstance(num, (int, Fraction)):
             num = RhoPoly.const(num)
         if den is None:
-            den = RhoPoly.const(1)
+            den = _POLY_ONE
         elif isinstance(den, (int, Fraction)):
             den = RhoPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if num.is_zero():
-            den = RhoPoly.const(1)
+            den = _POLY_ONE
         else:
             g = _poly_gcd(num, den)
             if g.degree > 0 or g.lc != 1:
@@ -254,8 +297,22 @@ class RhoRational:
             if g.degree == 0:
                 return RhoRational._raw(num, self.den)
             return RhoRational._raw(num // g, self.den // g)
-        return RhoRational(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
+        # a/d1 + c/d2 with g = gcd(d1, d2): the sum's numerator can share a
+        # factor with g only, so reduce by gcd(numerator, g) rather than by
+        # a gcd against the whole product of the denominators.
+        d1, d2 = self.den, other.den
+        g = _poly_gcd(d1, d2)
+        if g.degree == 0:
+            return RhoRational._raw(self.num * d2 + other.num * d1, d1 * d2)
+        d1g, d2g = d1 // g, d2 // g
+        num = self.num * d2g + other.num * d1g
+        if num.is_zero():
+            return ZERO
+        den = d1 * d2g
+        g = _poly_gcd(num, g)
+        if g.degree == 0:
+            return RhoRational._raw(num, den)
+        return RhoRational._raw(num // g, den // g)
 
     __radd__ = __add__
 

@@ -435,15 +435,6 @@ class SlotValue:
     covector: CoVec4
     outer: tuple = None
 
-    @property
-    def root(self):
-        """Rank-one root when the decomposition is a single v (x) v term."""
-        if (self.outer is not None and len(self.outer) == 1
-                and self.outer[0][1] == self.outer[0][2]
-                and self.outer[0][0] == RhoRational.const(1)):
-            return self.outer[0][1]
-        return None
-
     @staticmethod
     def wave(zeta: CoVec4) -> "SlotValue":
         from .tensor import rank_one

@@ -16,8 +16,7 @@ from .exact import NEG_INF, RhoRational, ZERO
 from .forms import (SlotValue, build_form_family, entry_order_bound,
                     matrix_of_outer, merge_outer, symbol_outer_of_form)
 from .nullcone import NullConfig
-from .tensor import (CoVec4, Metric4, Sym2T, chain_sandwich, norm_sq,
-                     rank_one)
+from .tensor import CoVec4, Metric4, Sym2T, norm_sq, rank_one
 
 # ---------------------------------------------------------------------------
 # AST
@@ -89,10 +88,6 @@ def mat_eval_at(a, rho):
     return [[x.eval_at(rho) for x in row] for row in a]
 
 
-def mat_as_sym2t(a) -> Sym2T:
-    return Sym2T(a)
-
-
 def mat_of(tensor) -> tuple:
     if isinstance(tensor, Sym2T):
         return tensor.m
@@ -160,6 +155,8 @@ class Evaluator:
             else:
                 self.slots[i] = SlotValue.wave(config.zeta(i))
         self.cache = {}
+        #: ``total_symbol`` of the configuration, once computed
+        self.total = None
 
     def eval(self, ast) -> SymbolValue:
         hit = self.cache.get(ast)
@@ -202,19 +199,6 @@ class Evaluator:
                 c.leaves for c in children))
             return SymbolValue(cov, i_power, leaves, outer)
         raise TypeError(f"not a term node: {ast!r}")
-
-    def eval_p_closed(self, k: int, children) -> tuple:
-        """Closed quasilinear chain value, used as an internal cross-check.
-
-        (-1)^(k+1) (H M1 H ... M_{k-1} H)^{pq} xi_p xi_q M_k, the extra
-        minus being the folded i^2 of the two derivatives.
-        """
-        xi = children[-1].covector
-        scalar = chain_sandwich(self.metric, [c.matrix for c in children[:-1]],
-                                xi)
-        sign = (-1) ** (k + 1)
-        return mat_scale(children[-1].matrix,
-                         scalar * RhoRational.const(sign))
 
 
 def eval_term(ast, config: NullConfig, metric: Metric4 = None,
@@ -559,8 +543,14 @@ def total_symbol(config: NullConfig):
     Also compares the result against the two candidate closed leading forms
     built from the wave-1/wave-2 against wave-4 outer products:
     (3/8) rho^30 (A14 - A24) and (3/8) rho^30 (A14 + A24), up to sign.
+    The comparison uses the standard configuration's entry order 40.
+
+    The result is computed once per configuration and kept on its shared
+    evaluator; callers must not modify it.
     """
     ev = shared_evaluator(config)
+    if ev.total is not None:
+        return ev.total
     total = ZERO_MAT
     per_class = {}
     for hclass in range(1, 6):
@@ -583,9 +573,10 @@ def total_symbol(config: NullConfig):
             diff = mat_sub(total, mat_scale(
                 cand, RhoRational.const(sign)))
             matches[f"{tag}{name}"] = mat_max_degree(diff) < 40
-    return {
+    ev.total = {
         "matrix": total,
         "per_class": per_class,
         "entry_order": mat_max_degree(total),
         "leading_form_matches": matches,
     }
+    return ev.total

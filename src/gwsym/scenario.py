@@ -12,16 +12,19 @@ with ``#`` are ignored.  Keys:
   out            optional output path
 
 Custom covectors must pass the configuration validation (each light-like,
-independent, light-like sum) before use.
+independent, light-like sum) before use.  Every oracle rho value must keep
+the configuration regular: each covector component defined there, and no
+pair or triple of covectors summing to a light-like covector there.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import parse_rho_rational
 from .nullcone import ConfigError, NullConfig, standard_config
-from .tensor import CoVec4
+from .tensor import CoVec4, norm_sq
 
 
 class ScenarioError(ValueError):
@@ -49,6 +52,31 @@ def _parse_covector(text: str) -> CoVec4:
         return CoVec4(tuple(parse_rho_rational(p) for p in parts))
     except ValueError as exc:
         raise ScenarioError(f"bad covector component: {exc}") from exc
+
+
+def check_oracle_rho(config: NullConfig, rho_values) -> None:
+    """Reject sample values where the oracles would divide by zero.
+
+    At each value every covector component must be defined, and every pair
+    and triple subset sum must have nonzero squared norm (the causal-inverse
+    nodes divide by it).
+    """
+    for rho in rho_values:
+        for i, zeta in enumerate(config.zetas, start=1):
+            for k, x in enumerate(zeta, start=1):
+                if x.den.eval_at(rho) == 0:
+                    raise ScenarioError(
+                        f"oracle rho {rho}: component {k} of zeta{i} is "
+                        "undefined")
+    for size in (2, 3):
+        for subset in itertools.combinations(range(1, 5), size):
+            norm = norm_sq(config.metric, config.subset_sum(subset))
+            for rho in rho_values:
+                if norm.eval_at(rho) == 0:
+                    name = "+".join(f"zeta{i}" for i in subset)
+                    raise ScenarioError(
+                        f"oracle rho {rho}: |{name}|^2 vanishes (waves "
+                        f"{list(subset)})")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -91,6 +119,7 @@ def parse_scenario(text: str) -> Scenario:
         for v in rho_values:
             if v <= 1:
                 raise ScenarioError("oracle rho values must exceed 1")
+    check_oracle_rho(config, rho_values)
 
     fmt = pairs.get("format", "text")
     if fmt not in ("text", "machine"):

@@ -275,10 +275,3 @@ def rank_one(zeta: CoVec4) -> Sym2T:
     """The tensor zeta_mu zeta_nu (wave polarization of a null covector)."""
     return Sym2T(tuple(tuple(zeta[i] * zeta[j] for j in range(4))
                        for i in range(4)))
-
-
-def raise_index(metric: Metric4, zeta: CoVec4) -> tuple:
-    """Components of the vector m^{ab} zeta_b."""
-    inv = metric.inv
-    return tuple(sum((inv[a][b] * zeta[b] for b in range(4)), ZERO)
-                 for a in range(4))

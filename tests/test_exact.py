@@ -146,3 +146,98 @@ def test_parser_rejects_garbage():
     for bad in ("rho +", "1 ** 2", "(rho", "x + 1", "rho^^2"):
         with pytest.raises(ValueError):
             parse_rho_rational(bad)
+
+
+# -- polynomial ring operations ------------------------------------------------
+
+poly_terms = st.dictionaries(st.integers(0, 12), coeffs, max_size=5)
+single_terms = st.dictionaries(st.integers(0, 12), coeffs.filter(bool),
+                               min_size=1, max_size=1)
+
+
+def _is_canonical(p):
+    return all(type(e) is int and e >= 0 and type(c) is Fraction and c != 0
+               for e, c in p.terms.items())
+
+
+def _product(a, b):
+    """Term-by-term product through the validating constructor."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return RhoPoly(out)
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd by the plain Euclidean algorithm."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a if a.is_zero() else a.scale(1 / a.lc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_terms, poly_terms.filter(lambda t: any(t.values())))
+def test_poly_divmod(a_terms, d_terms):
+    a, d = RhoPoly(a_terms), RhoPoly(d_terms)
+    q, r = divmod(a, d)
+    assert q * d + r == a
+    assert r.degree < d.degree
+    assert _is_canonical(q) and _is_canonical(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_terms, poly_terms)
+def test_poly_gcd_is_monic_common_divisor(a_terms, b_terms):
+    from gwsym.exact import _poly_gcd
+    a, b = RhoPoly(a_terms), RhoPoly(b_terms)
+    g = _poly_gcd(a, b)
+    assert _is_canonical(g)
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.lc == 1
+    assert (a % g).is_zero() and (b % g).is_zero()
+    assert g == _euclid_gcd(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_terms, poly_terms)
+def test_poly_gcd_single_term_matches_euclid(single, other):
+    from gwsym.exact import _poly_gcd
+    s, p = RhoPoly(single), RhoPoly(other)
+    assert _poly_gcd(s, p) == _poly_gcd(p, s) == _euclid_gcd(p, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_terms, poly_terms)
+def test_single_term_product_matches_general(single, other):
+    s, p = RhoPoly(single), RhoPoly(other)
+    assert s * p == p * s == _product(s, p)
+    assert _is_canonical(s * p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_terms, poly_terms, coeffs)
+def test_ring_results_are_canonical(a_terms, b_terms, c):
+    a, b = RhoPoly(a_terms), RhoPoly(b_terms)
+    results = [a + b, a - b, -a, a * b, a.scale(c), a.monic()]
+    if not b.is_zero():
+        results.extend(divmod(a, b))
+    for p in results:
+        assert _is_canonical(p)
+    assert a * b == _product(a, b)
+    assert (a - b) + b == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho_rationals(), rho_rationals())
+def test_field_results_are_canonical(a, b):
+    results = [a + b, a - b, a * b, -a]
+    if not b.is_zero():
+        results.append(a / b)
+    for x in results:
+        assert _is_canonical(x.num) and _is_canonical(x.den)
+        # canonical: monic denominator sharing no factor with the numerator
+        assert x.den.lc == 1
+        assert _euclid_gcd(x.num, x.den) == RhoPoly.const(1)

@@ -2,7 +2,7 @@
 import pytest
 
 from gwsym.cli import run
-from gwsym.report import Report, parse_machine
+from gwsym.report import Report, Verdict, parse_machine
 from gwsym.scenario import ScenarioError, parse_scenario
 
 
@@ -65,6 +65,34 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             parse_scenario("zeta1 = 1, 0, 1, 0\n")
 
+    # zeta3 = rho(rho-2)/(2rho+1) (1,1,0,0) solves the light-like-sum
+    # condition and vanishes at rho = 2
+    DEGENERATE_AT_2 = ("zeta1 = rho, 0, rho, 0\n"
+                       "zeta2 = -(rho-1), 0, 0, -(rho-1)\n"
+                       "zeta3 = rho*(rho-2)/(2*rho+1), "
+                       "rho*(rho-2)/(2*rho+1), 0, 0\n"
+                       "zeta4 = rho, -rho, 0, 0\n")
+
+    def test_degenerate_oracle_rho_rejected(self):
+        with pytest.raises(ScenarioError, match=r"rho 2: \|zeta1\+zeta3\|"):
+            parse_scenario(self.DEGENERATE_AT_2 + "oracle_rho = 3 2\n")
+        # the default sample values include 2 as well
+        with pytest.raises(ScenarioError, match="rho 2"):
+            parse_scenario(self.DEGENERATE_AT_2)
+        assert parse_scenario(self.DEGENERATE_AT_2 + "oracle_rho = 3\n")
+
+    def test_undefined_component_rejected(self):
+        # the standard covectors divided by rho - 3: still a valid
+        # configuration, undefined at rho = 3
+        text = ("zeta1 = 1/(rho-3), 0, 1/(rho-3), 0\n"
+                "zeta2 = -1/(rho-3), 0, 0, -1/(rho-3)\n"
+                "zeta3 = 1/(2*rho^10*(rho-3)), 1/(2*rho^10*(rho-3)), 0, 0\n"
+                "zeta4 = rho^10/(rho-3), -rho^10/(rho-3), 0, 0\n")
+        with pytest.raises(ScenarioError,
+                           match="rho 3: component 1 of zeta1 is undefined"):
+            parse_scenario(text + "oracle_rho = 2 3\n")
+        assert parse_scenario(text + "oracle_rho = 2\n")
+
     def test_bad_lines(self):
         with pytest.raises(ScenarioError):
             parse_scenario("just words\n")
@@ -123,6 +151,33 @@ class TestCli:
         assert run(["oracle", "--rho", "abc"]) == 2
         assert run(["oracle", "--rho", "1"]) == 2
 
+    def test_degenerate_rho_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.txt"
+        path.write_text(TestScenario.DEGENERATE_AT_2 + "oracle_rho = 2\n")
+        assert run(["--scenario", str(path), "verify", "total"]) == 2
+        assert "rho 2: |zeta1+zeta3|^2 vanishes" in capsys.readouterr().err
+        path.write_text(TestScenario.DEGENERATE_AT_2 + "oracle_rho = 3\n")
+        assert run(["--scenario", str(path), "oracle", "--rho", "2"]) == 2
+        assert "waves [1, 3]" in capsys.readouterr().err
+
+    def test_oracle_float_total_verdict(self, monkeypatch, capsys):
+        import gwsym.cli as cli
+        real = cli.numeric_oracle
+
+        def off_total(ast, rho, config):
+            got = real(ast, rho, config)
+            if ast == "total":
+                # far beyond 1e-9 of the scale the verdict is relative to
+                got[0][0] += cli.cancellation_scale(config, rho)
+            return got
+        monkeypatch.setattr(cli, "numeric_oracle", off_total)
+        code, out = _run(["--format", "machine", "oracle", "--rho", "2"],
+                         capsys)
+        assert code == 1
+        failing = [v.name for s in parse_machine(out).sections
+                   for v in s.entries if isinstance(v, Verdict) and not v.passed]
+        assert failing == ["total-float-dual-path-rho-2"]
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.txt"
         code, out = _run(["--out", str(path), "verify", "orders"], capsys)
@@ -150,6 +205,23 @@ class TestCli:
         assert code == 0
         assert "term-a-coefficient" in out
         assert "term-a-leading" not in out
+
+    def test_custom_scenario_total_skips_published_forms(self, tmp_path,
+                                                         capsys):
+        # the leading-form comparison is tied to the standard entry order
+        path = tmp_path / "scaled.txt"
+        path.write_text(
+            "zeta1 = 2, 0, 2, 0\n"
+            "zeta2 = -2, 0, 0, -2\n"
+            "zeta3 = 1/rho^10, 1/rho^10, 0, 0\n"
+            "zeta4 = 2*rho^10, -2*rho^10, 0, 0\n"
+            "oracle_rho = 2\n")
+        code, out = _run(["--scenario", str(path), "--format", "machine",
+                          "verify", "total"], capsys)
+        assert code == 0
+        assert "matches-" not in out and "published-forms" not in out
+        assert "published leading forms are defined on the standard " \
+               "configuration only" in out
 
     def test_no_command(self, capsys):
         assert run([]) == 2
