@@ -23,8 +23,8 @@ from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, 
 from .interaction import (classify_rho40_terms,
                           eval_I_cancellation, form_family, item_value,
                           mat_eval_at, mat_max_degree, mat_of, mat_scale,
-                          mat_sub, mat_is_zero, shared_evaluator, total_symbol,
-                          _coefficient_of)
+                          mat_sub, mat_is_zero, nested_chain,
+                          shared_evaluator, total_symbol, _coefficient_of)
 from .nullcone import FlatPoint, backtrace_sources, standard_config
 from .oracle import (cancellation_scale, interaction_total_jet, max_rel_diff,
                      numeric_oracle)
@@ -446,13 +446,8 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
         for key, value in sorted(res["terms"].items(),
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]
-            from .interaction import FormNode, Leaf, QNode
-            a, b, c = key
-            ast = FormNode(("P", 2), (Leaf(a), QNode(
-                FormNode(("P", 2), (Leaf(b), QNode(
-                    FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
             exact_at = mat_eval_at(value.matrix, rho_v)
-            got = numeric_oracle(ast, rho_v, cfg)
+            got = numeric_oracle(nested_chain(*key), rho_v, cfg)
             err = max_rel_diff(exact_at, got)
             s.verdict(f"term-{label}-rho-{rho_v}", err <= 1e-9,
                       f"term ({label}) dual-path agreement at rho = {rho_v} "
@@ -561,8 +556,12 @@ def run(argv=None) -> int:
                     return USAGE_EXIT
             suite_oracle(report, scenario, rho=rho)
     except Exception as exc:  # surface engine failures as verdicts
+        command = ("verify " + args.what if args.command == "verify"
+                   else args.command)
         section = report.section("internal error")
-        section.verdict("engine", False, f"evaluation failed: {exc}")
+        section.verdict("engine", False,
+                        f"evaluation failed in {command}: "
+                        f"{type(exc).__name__}: {exc}")
 
     text = (report.to_machine() if scenario.format == "machine"
             else report.to_text())

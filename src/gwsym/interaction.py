@@ -488,6 +488,13 @@ def item_value(n: int, config: NullConfig):
     return result
 
 
+def nested_chain(a: int, b: int, c: int) -> FormNode:
+    """The nested-chain term P2(a, Q(P2(b, Q(P2(c, 4)))))."""
+    return FormNode(("P", 2), (Leaf(a), QNode(
+        FormNode(("P", 2), (Leaf(b), QNode(
+            FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
+
+
 def eval_I_cancellation(config: NullConfig):
     """The six nested-chain permutation terms and their exact sum.
 
@@ -498,11 +505,8 @@ def eval_I_cancellation(config: NullConfig):
     """
     ev = shared_evaluator(config)
     order = []
-    for a, b, c in itertools.permutations((1, 2, 3)):
-        ast = FormNode(("P", 2), (Leaf(a), QNode(
-            FormNode(("P", 2), (Leaf(b), QNode(
-                FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
-        order.append(((a, b, c), ev.eval(ast)))
+    for key in itertools.permutations((1, 2, 3)):
+        order.append((key, ev.eval(nested_chain(*key))))
     a4 = mat_of(rank_one(config.zeta(4)))
     coeffs = {}
     total = ZERO_MAT

@@ -9,19 +9,21 @@ Two routes that never touch the exact form engine:
   full nonlinear reduced curvature operator is evaluated directly on this
   algebra and iterated, which reproduces the complete four-wave interaction
   sum without ever enumerating terms.  The scalar ring is pluggable: exact
-  Gaussian rationals or complex floating point.
+  Gaussian rationals, each held as an integer triple (a + b i) / d reduced
+  by one gcd per operation, or complex floating point.
 
 * A direct floating-point evaluator for individual term trees built from
   the closed quasilinear chains and the explicit quadratic semilinear form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
-from .interaction import FormNode, Leaf, QNode
+from .interaction import Leaf, QNode, nested_chain
 from .nullcone import NullConfig
 
 FULL = frozenset({1, 2, 3, 4})
@@ -31,42 +33,104 @@ FULL = frozenset({1, 2, 3, 4})
 # Scalar rings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex rational a + b i."""
+    """Exact complex rational (a + b i) / d over the integers.
 
-    re: Fraction
-    im: Fraction
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so zero is
+    (0, 0, 1) and equal values have equal triples.  Every ring operation is
+    plain integer arithmetic plus at most one three-way gcd.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re, im):
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        # d is the lcm of two reduced denominators, so the triple is reduced
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
+
+    @staticmethod
+    def _of(a: int, b: int, d: int) -> "GaussianRational":
+        """Trusted constructor: the caller guarantees a canonical triple."""
+        g = object.__new__(GaussianRational)
+        g._a = a
+        g._b = b
+        g._d = d
+        return g
+
+    @staticmethod
+    def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+        """Canonical triple from integers with d > 0."""
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+        return GaussianRational._of(a, b, d)
 
     @staticmethod
     def of(x) -> "GaussianRational":
-        return GaussianRational(Fraction(x), Fraction(0))
+        if type(x) is int:
+            return GaussianRational._of(x, 0, 1)
+        x = Fraction(x)
+        return GaussianRational._of(x.numerator, 0, x.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, o):
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return GaussianRational._reduced(self._a + o._a, self._b + o._b, d1)
+        return GaussianRational._reduced(self._a * d2 + o._a * d1,
+                                         self._b * d2 + o._b * d1, d1 * d2)
 
     def __sub__(self, o):
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + (-o)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self._a, -self._b, self._d)
 
     def __mul__(self, o):
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return GaussianRational._reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                                         self._d * o._d)
 
     def __truediv__(self, o):
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        d2 = o._d
+        return GaussianRational._reduced((a1 * a2 + b1 * b2) * d2,
+                                         (b1 * a2 - a1 * b2) * d2,
+                                         self._d * n)
+
+    def __eq__(self, o):
+        if o.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == o._a and self._b == o._b and self._d == o._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def times_i(self) -> "GaussianRational":
-        return GaussianRational(-self.im, self.re)
+        return GaussianRational._of(-self._b, self._a, self._d)
 
 
 class ExactRing:
@@ -526,14 +590,9 @@ def cancellation_scale(config: NullConfig, rho) -> float:
     once entries cancel below it.  Computed from the six nested-chain
     permutation terms, which dominate every other term.
     """
-    from .interaction import FormNode, Leaf, QNode
-    import itertools as it
     scale = 0.0
-    for a, b, c in it.permutations((1, 2, 3)):
-        ast = FormNode(("P", 2), (Leaf(a), QNode(
-            FormNode(("P", 2), (Leaf(b), QNode(
-                FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
-        m = eval_ast_float(ast, config, rho)
+    for a, b, c in itertools.permutations((1, 2, 3)):
+        m = eval_ast_float(nested_chain(a, b, c), config, rho)
         scale = max(scale, float(np.max(np.abs(np.asarray(m)))))
     return scale
 

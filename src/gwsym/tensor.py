@@ -233,16 +233,7 @@ def _sandwich_matrix(metric: Metric4, tensors) -> tuple:
 
 def sandwich(metric: Metric4, tensor: Sym2T, xi: CoVec4) -> RhoRational:
     """(m^{-1} S m^{-1})^{pq} xi_p xi_q."""
-    mid = _sandwich_matrix(metric, [tensor])
-    total = ZERO
-    for p in range(4):
-        if xi[p].is_zero():
-            continue
-        for q in range(4):
-            if mid[p][q].is_zero() or xi[q].is_zero():
-                continue
-            total = total + mid[p][q] * xi[p] * xi[q]
-    return total
+    return chain_sandwich(metric, [tensor], xi)
 
 
 def double_sandwich(metric: Metric4, s1: Sym2T, s2: Sym2T,

@@ -38,10 +38,11 @@ def eval_form_generic(form, u_matrices, free_values):
     names = sorted(names)
     total = ZERO
     for m in form.monomials:
+        coeff = RhoRational.const(m.coeff)
         for combo in itertools.product(range(4), repeat=len(names)):
             assign = dict(zip(names, combo))
             assign.update(free_values)
-            value = RhoRational.const(m.coeff)
+            value = coeff
             dead = False
             for a, b in m.hinv:
                 g = inv[assign[a]][assign[b]]

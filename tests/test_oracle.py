@@ -1,8 +1,10 @@
 """Independent verification paths: the jet iteration and float evaluation."""
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwsym.interaction import (FormNode, Leaf, QNode, eval_I_cancellation,
                                eval_term, mat_eval_at, total_symbol)
@@ -26,6 +28,101 @@ class TestGaussianRational:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             GaussianRational.of(1) / GaussianRational.of(0)
+
+
+# Reference arithmetic on plain (re, im) pairs of Fractions.
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+parts = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+pairs = st.tuples(parts, parts)
+nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+
+
+def gr(p):
+    return GaussianRational(*p)
+
+
+def pair(z):
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return (z.re, z.im)
+
+
+def assert_canonical(z):
+    a, b, d = z._a, z._b, z._d
+    assert d > 0
+    assert gcd(a, b, d) == 1
+    if a == b == 0:
+        assert d == 1
+
+
+class TestGaussianRationalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, pairs)
+    def test_ring_operations_match_reference(self, x, y):
+        ops = [(gr(x) + gr(y), ref_add(x, y)),
+               (gr(x) - gr(y), ref_add(x, (-y[0], -y[1]))),
+               (gr(x) * gr(y), ref_mul(x, y)),
+               (-gr(x), (-x[0], -x[1])),
+               (gr(x).times_i(), ref_mul(x, (0, 1))),
+               (gr(x), x), (GaussianRational.of(x[0]), (x[0], 0))]
+        for got, want in ops:
+            assert pair(got) == want
+            assert_canonical(got)
+            assert got.is_zero() == (want == (0, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, nonzero_pairs)
+    def test_division_matches_reference(self, x, y):
+        got = gr(x) / gr(y)
+        assert pair(got) == ref_div(x, y)
+        assert_canonical(got)
+        assert got * gr(y) == gr(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs, pairs, pairs)
+    def test_field_axioms(self, x, y, z):
+        x, y, z = gr(x), gr(y), gr(z)
+        zero, one = GaussianRational.of(0), GaussianRational.of(1)
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + zero == x and x * one == x
+        assert x + (-x) == zero
+        if not x.is_zero():
+            assert x * (one / x) == one
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs, nonzero_pairs, st.integers(1, 50))
+    def test_equal_values_hash_alike(self, x, y, k):
+        direct = gr(x)
+        via_ring = (gr(x) * gr(y)) / gr(y)
+        via_sum = gr(x) + gr(y) - gr(y)
+        scaled = GaussianRational(Fraction(k * x[0].numerator,
+                                           k * x[0].denominator), x[1])
+        for other in (via_ring, via_sum, scaled):
+            assert other == direct
+            assert hash(other) == hash(direct)
+            assert_canonical(other)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pairs)
+    def test_zero_division(self, x):
+        zero = gr(x) - gr(x)
+        assert zero.is_zero() and (zero._a, zero._b, zero._d) == (0, 0, 1)
+        with pytest.raises(ZeroDivisionError):
+            gr(x) / zero
 
 
 class TestExactJet:

@@ -178,6 +178,25 @@ class TestCli:
                    for v in s.entries if isinstance(v, Verdict) and not v.passed]
         assert failing == ["total-float-dual-path-rho-2"]
 
+    def test_engine_failure_names_command_and_type(self, monkeypatch,
+                                                   capsys):
+        import gwsym.cli as cli
+
+        def broken(report, scenario, rho=None):
+            raise ArithmeticError("boom")
+        monkeypatch.setitem(cli.SUITES, "orders", broken)
+        monkeypatch.setattr(cli, "suite_oracle", broken)
+        for argv, command in ((["verify", "orders"], "verify orders"),
+                              (["oracle", "--rho", "2"], "oracle")):
+            code, out = _run(["--format", "machine"] + argv, capsys)
+            assert code == 1
+            (section,) = parse_machine(out).sections
+            assert section.title == "internal error"
+            (verdict,) = section.entries
+            assert not verdict.passed
+            assert verdict.claim == (f"evaluation failed in {command}: "
+                                     "ArithmeticError: boom")
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.txt"
         code, out = _run(["--out", str(path), "verify", "orders"], capsys)
