@@ -22,9 +22,9 @@ from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, 
     harmonic_gauge_residual
 from .interaction import (classify_rho40_terms,
                           eval_I_cancellation, form_family, item_value,
-                          mat_eval_at, mat_max_degree, mat_of, mat_scale,
-                          mat_sub, mat_is_zero, nested_chain,
-                          shared_evaluator, total_symbol, _coefficient_of)
+                          mat_add, mat_eval_at, mat_max_degree, mat_of,
+                          mat_scale, mat_sub, mat_sum, mat_is_zero,
+                          nested_chain, total_symbol, _coefficient_of)
 from .nullcone import FlatPoint, backtrace_sources, standard_config
 from .oracle import (cancellation_scale, interaction_total_jet, max_rel_diff,
                      numeric_oracle)
@@ -112,13 +112,13 @@ def suite_derive_forms(report: Report, scenario: Scenario):
               "the derived quadratic semilinear form equals its explicit "
               "formula term for term")
     # Dual evaluation paths must agree on every form.
-    from .forms import SlotValue, symbol_of_form
+    from .forms import SlotValue, symbol_of_form, symbol_of_form_by_assignment
     cfg = standard_config()
     for key, form in sorted(fam.items()):
         assignment = {slot: SlotValue.wave(cfg.zeta(slot))
                       for slot in range(1, form.arity + 1)}
-        via_outer, _ = symbol_of_form(form, assignment, method="outer")
-        via_assign, _ = symbol_of_form(form, assignment, method="assign")
+        via_outer, _ = symbol_of_form(form, assignment)
+        via_assign, _ = symbol_of_form_by_assignment(form, assignment)
         s.verdict(f"dual-evaluation-{key[0]}{key[1]}",
                   via_outer == via_assign,
                   "decomposition and index-assignment evaluations agree")
@@ -233,13 +233,22 @@ def _leading_matches(matrix, target, below: int) -> bool:
     return mat_max_degree(mat_sub(matrix, target)) < below
 
 
+def _published_basis(cfg):
+    """A14, A24 and rho^30, from which every published leading form is built.
+
+    A14 and A24 are the symmetric outer products of waves 1 and 2 with
+    wave 4.
+    """
+    a14 = mat_of(sym_outer(cfg.zeta(1), cfg.zeta(4)))
+    a24 = mat_of(sym_outer(cfg.zeta(2), cfg.zeta(4)))
+    return a14, a24, RhoRational.rho_power(30)
+
+
 def suite_items(report: Report, scenario: Scenario):
     cfg = scenario.config
     s = report.section("top-order families")
     a4 = mat_of(rank_one(cfg.zeta(4)))
-    a14 = mat_of(sym_outer(cfg.zeta(1), cfg.zeta(4)))
-    a24 = mat_of(sym_outer(cfg.zeta(2), cfg.zeta(4)))
-    r30 = RhoRational.rho_power(30)
+    a14, a24, r30 = _published_basis(cfg)
     r20 = RhoRational.rho_power(20)
     c38 = RhoRational.const(Fraction(3, 8))
 
@@ -257,8 +266,8 @@ def suite_items(report: Report, scenario: Scenario):
         return report
 
     s.verdict("items-1-2-cancel",
-              mat_max_degree(mat_add_list([items[1]["matrix"],
-                                           items[2]["matrix"]])) < 40,
+              mat_max_degree(mat_sum([items[1]["matrix"],
+                                      items[2]["matrix"]])) < 40,
               "families 1 and 2 cancel at the top entry order")
     c1 = _coefficient_of(items[1]["matrix"], a4)
     c2 = _coefficient_of(items[2]["matrix"], a4)
@@ -285,8 +294,8 @@ def suite_items(report: Report, scenario: Scenario):
                          "published value drops the squared-norm denominator "
                          "of the inner pair, a factor 2")
     s.verdict("items-3-8-cancel",
-              mat_max_degree(mat_add_list([items[3]["matrix"],
-                                           items[8]["matrix"]])) < 40,
+              mat_max_degree(mat_sum([items[3]["matrix"],
+                                      items[8]["matrix"]])) < 40,
               "families 3 and 8 cancel at the top entry order")
 
     s.verdict("item-5-published",
@@ -311,8 +320,8 @@ def suite_items(report: Report, scenario: Scenario):
               detail="engine (cross-validated): 3/8 rho^30 (A14 - A24); the "
                      "published evaluation of its own symbol expression "
                      "drops the 1/2 from the triple-norm reciprocal")
-    five67 = mat_add_list([items[5]["matrix"], items[6]["matrix"],
-                           items[7]["matrix"]])
+    five67 = mat_sum([items[5]["matrix"], items[6]["matrix"],
+                      items[7]["matrix"]])
     s.verdict("items-5-6-7-cancel", mat_max_degree(five67) < 40,
               "families 5, 6 and 7 cancel at the top entry order")
 
@@ -329,12 +338,42 @@ def suite_items(report: Report, scenario: Scenario):
     return report
 
 
-def mat_add_list(mats):
-    from .interaction import ZERO_MAT, mat_add
-    total = ZERO_MAT
-    for m in mats:
-        total = mat_add(total, m)
-    return total
+def _published_form_matches(cfg, matrix) -> dict:
+    """Map each published leading form to whether ``matrix`` matches it.
+
+    The forms are +-(3/8) rho^30 (A14 - A24) ("difference-form") and
+    +-(3/8) rho^30 (A14 + A24) ("sum-form"), compared at the standard
+    configuration's entry order 40; the comparison means nothing on other
+    configurations.
+    """
+    a14, a24, r30 = _published_basis(cfg)
+    matches = {}
+    for name, form in (("difference-form", mat_sub(a14, a24)),
+                       ("sum-form", mat_add(a14, a24))):
+        for sign, tag in ((1, "+"), (-1, "-")):
+            coeff = RhoRational.const(Fraction(3 * sign, 8)) * r30
+            matches[f"{tag}{name}"] = _leading_matches(
+                matrix, mat_scale(form, coeff), 40)
+    return matches
+
+
+def _total_dual_path(cfg, matrix, rho):
+    """Check an enumerated total against both jets at one rho.
+
+    Returns ``(exact_agrees, float_err, scale)``: whether the exact jet
+    equals the matrix entry by entry (real parts equal, imaginary parts
+    zero), and the float jet's largest relative difference measured against
+    the cancelled-term scale ``scale``.
+    """
+    exact_at = mat_eval_at(matrix, rho)
+    jet = interaction_total_jet(cfg, rho, exact=True)
+    exact_agrees = all(jet[i][j].im == 0
+                       and Fraction(exact_at[i][j]) == jet[i][j].re
+                       for i in range(4) for j in range(4))
+    scale = cancellation_scale(cfg, rho)
+    float_err = max_rel_diff(exact_at, numeric_oracle("total", rho, cfg),
+                             floor=scale)
+    return exact_agrees, float_err, scale
 
 
 def suite_total(report: Report, scenario: Scenario):
@@ -352,25 +391,18 @@ def suite_total(report: Report, scenario: Scenario):
         s.trace("published leading forms are defined on the standard "
                 "configuration only; no comparison reported")
     else:
-        for name, matched in sorted(tot["leading_form_matches"].items()):
+        matches = _published_form_matches(cfg, tot["matrix"])
+        for name, matched in sorted(matches.items()):
             s.value(f"matches-{name}", str(matched).lower())
-        s.verdict("published-forms",
-                  not any(tot["leading_form_matches"].values()),
+        s.verdict("published-forms", not any(matches.values()),
                   "the exact total matches neither published leading form "
                   "(both are nonzero; the total is zero)")
 
     for rho in scenario.oracle_rho:
-        exact_at = mat_eval_at(tot["matrix"], rho)
-        jet = interaction_total_jet(cfg, rho, exact=True)
-        agree = all(jet[i][j].im == 0
-                    and Fraction(exact_at[i][j]) == jet[i][j].re
-                    for i in range(4) for j in range(4))
+        agree, err, scale = _total_dual_path(cfg, tot["matrix"], rho)
         s.verdict(f"exact-dual-path-rho-{rho}", agree,
                   f"enumerated exact total equals the independent exact jet "
                   f"iteration at rho = {rho} (structural equality)")
-        fl = numeric_oracle("total", rho, cfg)
-        scale = cancellation_scale(cfg, rho)
-        err = max_rel_diff(exact_at, fl, floor=scale)
         s.value(f"float-oracle-cancellation-scale-rho-{rho}", f"{scale:.3e}")
         s.value(f"float-oracle-max-rel-diff-rho-{rho}", f"{err:.3e}")
         s.verdict(f"float-dual-path-rho-{rho}", err <= 1e-9,
@@ -438,7 +470,6 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     cfg = scenario.config
     values = [Fraction(rho)] if rho is not None else list(scenario.oracle_rho)
     s = report.section("floating-point oracle")
-    ev = shared_evaluator(cfg)
     res = eval_I_cancellation(cfg)
     for rho_v in values:
         if not Fraction(3, 2) <= rho_v <= 4:
@@ -452,19 +483,12 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
             s.verdict(f"term-{label}-rho-{rho_v}", err <= 1e-9,
                       f"term ({label}) dual-path agreement at rho = {rho_v} "
                       f"(max rel diff {err:.2e})")
-        tot = total_symbol(cfg)
-        exact_at = mat_eval_at(tot["matrix"], rho_v)
-        got = numeric_oracle("total", rho_v, cfg)
-        err = max_rel_diff(exact_at, got,
-                           floor=cancellation_scale(cfg, rho_v))
+        agree, err, _ = _total_dual_path(cfg, total_symbol(cfg)["matrix"],
+                                         rho_v)
         s.value(f"total-float-max-rel-diff-rho-{rho_v}", f"{err:.3e}")
         s.verdict(f"total-float-dual-path-rho-{rho_v}", err <= 1e-9,
                   f"floating-point jet total agrees with the enumerated "
                   f"total to 1e-9 relative at rho = {rho_v}")
-        jet = interaction_total_jet(cfg, rho_v, exact=True)
-        agree = all(jet[i][j].im == 0
-                    and Fraction(exact_at[i][j]) == jet[i][j].re
-                    for i in range(4) for j in range(4))
         s.verdict(f"total-exact-jet-rho-{rho_v}", agree,
                   f"exact jet total equals the enumerated total at rho = {rho_v}")
     return report

@@ -279,9 +279,6 @@ class RhoRational:
             raise ZeroDivisionError(f"denominator vanishes at rho={x}")
         return self.num.eval_at(x) / d
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     # -- field operations ---------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)

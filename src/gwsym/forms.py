@@ -280,60 +280,55 @@ def _expansion_monomials(k: int):
     assigned in construction order: series factors first, then derivative
     carriers.
     """
-    names_global = itertools.count(1)
+    monos = []
 
-    def result():
-        monos = []
+    def add(coeff, factors, hinv):
+        monos.append(Monomial(Fraction(coeff), tuple(factors), tuple(hinv)))
 
-        def add(coeff, factors, hinv):
-            monos.append(Monomial(Fraction(coeff), tuple(factors), tuple(hinv)))
+    # T1: series factors are slots 1..k-1, the d^2 carrier is slot k.
+    if k >= 1:
+        names = _Names()
+        chain_f, chain_h, sign = _chain(list(range(1, k)), "p", "q", names)
+        factors = chain_f + (Factor(k, FREE_PAIR, ("p", "q")),)
+        add(Fraction(-sign, 2), factors, chain_h)
 
-        # T1: series factors are slots 1..k-1, the d^2 carrier is slot k.
-        if k >= 1:
+    # T2: two series chains of orders k1, k2 with k1 + k2 = k - 2,
+    # then the two Christoffel factors.
+    if k >= 2:
+        for k1 in range(0, k - 1):
+            k2 = k - 2 - k1
             names = _Names()
-            chain_f, chain_h, sign = _chain(list(range(1, k)), "p", "q", names)
-            factors = chain_f + (Factor(k, FREE_PAIR, ("p", "q")),)
-            add(Fraction(-sign, 2), factors, chain_h)
+            s1 = list(range(1, k1 + 1))
+            s2 = list(range(k1 + 1, k1 + k2 + 1))
+            g1_slot = k - 1
+            g2_slot = k
+            c1f, c1h, sg1 = _chain(s1, "a", "b", names)
+            c2f, c2h, sg2 = _chain(s2, "s", "g", names)
+            for cg1, fg1 in _g_variants(g1_slot, "s", "mu", "b", names):
+                for cg2, fg2 in _g_variants(g2_slot, "g", "nu", "a", names):
+                    add(sg1 * sg2 * cg1 * cg2,
+                        c1f + c2f + (fg1, fg2), c1h + c2h)
 
-        # T2: two series chains of orders k1, k2 with k1 + k2 = k - 2,
-        # then the two Christoffel factors.
-        if k >= 2:
-            for k1 in range(0, k - 1):
-                k2 = k - 2 - k1
+    # T3: chains g^{aq} g^{bd}, Christoffel carrier, plain-derivative
+    # carrier; plus the (mu <-> nu) partner.
+    if k >= 2:
+        for k1 in range(0, k - 1):
+            k2 = k - 2 - k1
+            for fm, sm in ((FREE_PAIR, 1), ((FREE_PAIR[1], FREE_PAIR[0]), 1)):
+                mu, nu = fm
                 names = _Names()
                 s1 = list(range(1, k1 + 1))
                 s2 = list(range(k1 + 1, k1 + k2 + 1))
-                g1_slot = k - 1
-                g2_slot = k
-                c1f, c1h, sg1 = _chain(s1, "a", "b", names)
-                c2f, c2h, sg2 = _chain(s2, "s", "g", names)
-                for cg1, fg1 in _g_variants(g1_slot, "s", "mu", "b", names):
-                    for cg2, fg2 in _g_variants(g2_slot, "g", "nu", "a", names):
-                        add(sg1 * sg2 * cg1 * cg2,
-                            c1f + c2f + (fg1, fg2), c1h + c2h)
+                g_slot = k - 1
+                du_slot = k
+                c1f, c1h, sg1 = _chain(s1, "a", "q", names)
+                c2f, c2h, sg2 = _chain(s2, "b", "d", names)
+                du = Factor(du_slot, ("q", "d"), (mu,))
+                for cg, fg in _g_variants(g_slot, nu, "a", "b", names):
+                    add(Fraction(sm * sg1 * sg2, 2) * cg,
+                        c1f + c2f + (fg, du), c1h + c2h)
 
-        # T3: chains g^{aq} g^{bd}, Christoffel carrier, plain-derivative
-        # carrier; plus the (mu <-> nu) partner.
-        if k >= 2:
-            for k1 in range(0, k - 1):
-                k2 = k - 2 - k1
-                for fm, sm in ((FREE_PAIR, 1), ((FREE_PAIR[1], FREE_PAIR[0]), 1)):
-                    mu, nu = fm
-                    names = _Names()
-                    s1 = list(range(1, k1 + 1))
-                    s2 = list(range(k1 + 1, k1 + k2 + 1))
-                    g_slot = k - 1
-                    du_slot = k
-                    c1f, c1h, sg1 = _chain(s1, "a", "q", names)
-                    c2f, c2h, sg2 = _chain(s2, "b", "d", names)
-                    du = Factor(du_slot, ("q", "d"), (mu,))
-                    for cg, fg in _g_variants(g_slot, nu, "a", "b", names):
-                        add(Fraction(sm * sg1 * sg2, 2) * cg,
-                            c1f + c2f + (fg, du), c1h + c2h)
-
-        return monos
-
-    return result()
+    return monos
 
 
 def reduced_ricci_expansion(k: int):
@@ -528,21 +523,27 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
 
 
 def symbol_of_form(form: FormalTensorPoly, assignment,
-                   metric: Metric4 = MINKOWSKI, method: str = "outer"):
+                   metric: Metric4 = MINKOWSKI):
     """Evaluate a form on slot symbols; returns (rows, i_power).
 
     Each slot's tensor is replaced by its symbol matrix and each derivative
     by the slot's covector component (one factor of i per derivative; the
     returned matrix excludes the i's, whose total power is reported).
     ``rows`` is a plain 4x4 tuple matrix: a single slot-ordered monomial need
-    not be symmetric, only permutation-summed combinations are.
-
-    ``method`` chooses the decomposition route ("outer", default) or the
-    brute-force index-assignment route ("assign", used for cross-checks).
+    not be symmetric, only permutation-summed combinations are.  The value
+    is built from the outer-product decomposition.
     """
-    if method == "outer":
-        terms, i_power = symbol_outer_of_form(form, assignment, metric)
-        return matrix_of_outer(terms), i_power
+    terms, i_power = symbol_outer_of_form(form, assignment, metric)
+    return matrix_of_outer(terms), i_power
+
+
+def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
+                                 metric: Metric4 = MINKOWSKI):
+    """``symbol_of_form`` by brute force over concrete index assignments.
+
+    The reference route for cross-checks: it reads the slot matrices
+    directly and never uses an outer-product decomposition.
+    """
     slots, i_power = _prepare_slots(form, assignment)
     rows = [[ZERO] * 4 for _ in range(4)]
     for mono in form.monomials:

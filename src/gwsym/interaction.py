@@ -72,6 +72,13 @@ def mat_scale(a, s):
     return tuple(tuple(s * x for x in row) for row in a)
 
 
+def mat_sum(mats):
+    total = ZERO_MAT
+    for m in mats:
+        total = mat_add(total, m)
+    return total
+
+
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -155,8 +162,7 @@ class Evaluator:
             else:
                 self.slots[i] = SlotValue.wave(config.zeta(i))
         self.cache = {}
-        #: ``total_symbol`` of the configuration, once computed
-        self.total = None
+        self._total = None
 
     def eval(self, ast) -> SymbolValue:
         hit = self.cache.get(ast)
@@ -199,6 +205,21 @@ class Evaluator:
                 c.leaves for c in children))
             return SymbolValue(cov, i_power, leaves, outer)
         raise TypeError(f"not a term node: {ast!r}")
+
+    def total(self) -> dict:
+        """Exact sum of every enumerated interaction term on this evaluator.
+
+        Each class is summed with ``_sum_terms``; the result holds the
+        ``matrix``, the ``per_class`` subtotals and the ``entry_order``.  It
+        is computed once per evaluator; callers must not modify it.
+        """
+        if self._total is None:
+            per_class = {hclass: _sum_terms(self, enumerate_H(hclass))
+                         for hclass in range(1, 6)}
+            matrix = mat_sum(per_class.values())
+            self._total = {"matrix": matrix, "per_class": per_class,
+                           "entry_order": mat_max_degree(matrix)}
+        return self._total
 
 
 def eval_term(ast, config: NullConfig, metric: Metric4 = None,
@@ -508,11 +529,8 @@ def eval_I_cancellation(config: NullConfig):
     for key in itertools.permutations((1, 2, 3)):
         order.append((key, ev.eval(nested_chain(*key))))
     a4 = mat_of(rank_one(config.zeta(4)))
-    coeffs = {}
-    total = ZERO_MAT
-    for key, value in order:
-        coeffs[key] = _coefficient_of(value.matrix, a4)
-        total = mat_add(total, value.matrix)
+    coeffs = {key: _coefficient_of(value.matrix, a4) for key, value in order}
+    total = mat_sum(value.matrix for _, value in order)
     total_coeff = _coefficient_of(total, a4)
     return {
         "terms": dict(order),
@@ -542,45 +560,5 @@ def _coefficient_of(matrix, direction):
 
 
 def total_symbol(config: NullConfig):
-    """Exact sum of every enumerated interaction term.
-
-    Also compares the result against the two candidate closed leading forms
-    built from the wave-1/wave-2 against wave-4 outer products:
-    (3/8) rho^30 (A14 - A24) and (3/8) rho^30 (A14 + A24), up to sign.
-    The comparison uses the standard configuration's entry order 40.
-
-    The result is computed once per configuration and kept on its shared
-    evaluator; callers must not modify it.
-    """
-    ev = shared_evaluator(config)
-    if ev.total is not None:
-        return ev.total
-    total = ZERO_MAT
-    per_class = {}
-    for hclass in range(1, 6):
-        sub = _sum_terms(ev, enumerate_H(hclass))
-        per_class[hclass] = sub
-        total = mat_add(total, sub)
-    from .tensor import sym_outer
-    z1, z2, z4 = config.zeta(1), config.zeta(2), config.zeta(4)
-    a14 = mat_of(sym_outer(z1, z4))
-    a24 = mat_of(sym_outer(z2, z4))
-    r30 = RhoRational.rho_power(30)
-    c = RhoRational.const(3) / RhoRational.const(8)
-    candidates = {
-        "difference-form": mat_scale(mat_sub(a14, a24), c * r30),
-        "sum-form": mat_scale(mat_add(a14, a24), c * r30),
-    }
-    matches = {}
-    for name, cand in candidates.items():
-        for sign, tag in ((1, "+"), (-1, "-")):
-            diff = mat_sub(total, mat_scale(
-                cand, RhoRational.const(sign)))
-            matches[f"{tag}{name}"] = mat_max_degree(diff) < 40
-    ev.total = {
-        "matrix": total,
-        "per_class": per_class,
-        "entry_order": mat_max_degree(total),
-        "leading_form_matches": matches,
-    }
-    return ev.total
+    """``Evaluator.total`` of the shared evaluator of ``config``."""
+    return shared_evaluator(config).total()

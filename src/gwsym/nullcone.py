@@ -234,26 +234,9 @@ def backtrace_sources(q0: FlatPoint, config: NullConfig, rho_value,
         for j in range(i + 1, 4):
             pair_table[(i + 1, j + 1)] = causally_unrelated(sources[i],
                                                             sources[j])
-    rows = tuple((Fraction(1),) + d[1:] for d in directions)
-    det = _det4_fraction(rows)
+    rows = tuple(tuple(RhoRational.const(x) for x in (1,) + d[1:])
+                 for d in directions)
     return BacktraceResult(sources=sources, pair_table=pair_table,
                            all_unrelated=all(pair_table.values()),
                            directions=directions,
-                           independent_directions=det != 0)
-
-
-def _det4_fraction(rows) -> Fraction:
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, 4):
-            f = a[r][col] / a[col][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+                           independent_directions=not det4(rows).is_zero())

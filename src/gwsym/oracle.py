@@ -8,9 +8,9 @@ Two routes that never touch the exact form engine:
   the causal inverse divides by the aggregate covector's squared norm.  The
   full nonlinear reduced curvature operator is evaluated directly on this
   algebra and iterated, which reproduces the complete four-wave interaction
-  sum without ever enumerating terms.  The scalar ring is pluggable: exact
-  Gaussian rationals, each held as an integer triple (a + b i) / d reduced
-  by one gcd per operation, or complex floating point.
+  sum without ever enumerating terms.  The scalars are exact Gaussian
+  rationals, each held as an integer triple (a + b i) / d reduced by one
+  gcd per operation, or complex floating point.
 
 * A direct floating-point evaluator for individual term trees built from
   the closed quasilinear chains and the explicit quadratic semilinear form.
@@ -30,7 +30,7 @@ FULL = frozenset({1, 2, 3, 4})
 
 
 # ---------------------------------------------------------------------------
-# Scalar rings
+# Scalars
 # ---------------------------------------------------------------------------
 
 class GaussianRational:
@@ -123,6 +123,9 @@ class GaussianRational:
     def __hash__(self):
         return hash((self._a, self._b, self._d))
 
+    def __bool__(self):
+        return bool(self._a or self._b)
+
     def __repr__(self):
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
@@ -133,38 +136,14 @@ class GaussianRational:
         return GaussianRational._of(-self._b, self._a, self._d)
 
 
-class ExactRing:
-    zero = GaussianRational.of(0)
-    one = GaussianRational.of(1)
-
-    @staticmethod
-    def of(x):
-        return GaussianRational.of(x)
-
-    @staticmethod
-    def times_i(x):
-        return x.times_i()
-
-    @staticmethod
-    def is_zero(x):
-        return x.is_zero()
+def _float_of(x):
+    return np.clongdouble(float(x))
 
 
-class FloatRing:
-    zero = np.clongdouble(0)
-    one = np.clongdouble(1)
-
-    @staticmethod
-    def of(x):
-        return np.clongdouble(float(x))
-
-    @staticmethod
-    def times_i(x):
+def _times_i(x):
+    if isinstance(x, np.clongdouble):
         return x * np.clongdouble(1j)
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
+    return x.times_i()
 
 
 # ---------------------------------------------------------------------------
@@ -174,48 +153,51 @@ class FloatRing:
 class JetContext:
     """Covectors, subset sums and norms of a configuration at fixed rho.
 
+    ``of`` turns a rational into a jet scalar (``GaussianRational.of`` or a
+    complex float); ``ixi[s]`` holds i times the covector sum of subset s.
     ``leaf_symbols`` may override the default rank-one wave amplitudes with
     exact 4x4 matrices of rationals (or anything Fraction-convertible).
     """
 
-    def __init__(self, config: NullConfig, rho, ring, leaf_symbols=None):
-        self.ring = ring
+    def __init__(self, config: NullConfig, rho, of, leaf_symbols=None):
+        self.of = of
+        self.zero = of(0)
+        self.one = of(1)
         rho = Fraction(rho)
         zetas = {}
         for i in range(1, 5):
             zetas[i] = tuple(Fraction(c.eval_at(rho)) for c in config.zeta(i))
         minkdiag = (Fraction(-1), Fraction(1), Fraction(1), Fraction(1))
-        self.xi = {}
+        self.ixi = {}
         self.norm = {}
         for bits in range(1, 16):
             s = frozenset(i for i in range(1, 5) if bits & (1 << (i - 1)))
             xi = tuple(sum(zetas[i][a] for i in s) for a in range(4))
-            self.xi[s] = tuple(ring.of(x) for x in xi)
-            self.norm[s] = ring.of(sum(d * x * x
-                                       for d, x in zip(minkdiag, xi)))
-        self.hinv = [[ring.of(0)] * 4 for _ in range(4)]
+            self.ixi[s] = tuple(_times_i(of(x)) for x in xi)
+            self.norm[s] = of(sum(d * x * x for d, x in zip(minkdiag, xi)))
+        self.hinv = [[self.zero] * 4 for _ in range(4)]
         for a in range(4):
-            self.hinv[a][a] = ring.of(minkdiag[a])
+            self.hinv[a][a] = of(minkdiag[a])
         overrides = leaf_symbols or {}
         self.amplitudes = {}
         for i in range(1, 5):
             if i in overrides:
                 m = overrides[i]
                 self.amplitudes[i] = [
-                    [ring.of(Fraction(m[a][b]) if not hasattr(m[a][b], "eval_at")
-                             else m[a][b].eval_at(rho)) for b in range(4)]
+                    [of(Fraction(m[a][b]) if not hasattr(m[a][b], "eval_at")
+                        else m[a][b].eval_at(rho)) for b in range(4)]
                     for a in range(4)]
             else:
                 self.amplitudes[i] = [
-                    [ring.of(zetas[i][a] * zetas[i][b]) for b in range(4)]
+                    [of(zetas[i][a] * zetas[i][b]) for b in range(4)]
                     for a in range(4)]
 
     def zero_mat(self):
-        return [[self.ring.zero] * 4 for _ in range(4)]
+        return [[self.zero] * 4 for _ in range(4)]
 
 
 class JetField:
-    """Map from nonempty wave subsets to 4x4 matrices over the ring."""
+    """Map from nonempty wave subsets to 4x4 matrices of jet scalars."""
 
     def __init__(self, ctx: JetContext, components=None):
         self.ctx = ctx
@@ -248,14 +230,14 @@ class JetField:
 
     def entry(self, s, a, b):
         m = self.components.get(s)
-        return m[a][b] if m is not None else self.ctx.ring.zero
+        return m[a][b] if m is not None else self.ctx.zero
 
     def deriv(self, p: int) -> "JetField":
         """Componentwise multiplication by i * (aggregate covector)_p."""
         ctx = self.ctx
         out = {}
         for s, m in self.components.items():
-            factor = ctx.ring.times_i(ctx.xi[s][p])
+            factor = ctx.ixi[s][p]
             out[s] = [[factor * x for x in row] for row in m]
         return JetField(ctx, out)
 
@@ -265,7 +247,7 @@ class JetField:
         out = {}
         for s, m in self.components.items():
             n = ctx.norm[s]
-            if ctx.ring.is_zero(n):
+            if not n:
                 raise ZeroDivisionError(
                     f"characteristic covector sum over waves {sorted(s)}")
             out[s] = [[x / n for x in row] for row in m]
@@ -287,7 +269,7 @@ def _jet_matmul(ctx, a: JetField, b: JetField) -> JetField:
                 row1 = m1[i]
                 for k in range(4):
                     x = row1[k]
-                    if ctx.ring.is_zero(x):
+                    if not x:
                         continue
                     row2 = m2[k]
                     trow = tgt[i]
@@ -306,7 +288,7 @@ def _ginv_series(ctx, u: JetField) -> JetField:
     hinv = JetField(ctx, {frozenset(): [row[:] for row in ctx.hinv]})
     # x = -h^{-1} u, nilpotent: (h+u)^{-1} = (1 + x + x^2 + x^3 + x^4) h^{-1}
     x = _jet_matmul(ctx, hinv, u).negate()
-    total = JetField(ctx, {frozenset(): [[ctx.ring.one if i == j else ctx.ring.zero
+    total = JetField(ctx, {frozenset(): [[ctx.one if i == j else ctx.zero
                                           for j in range(4)] for i in range(4)]})
     power = total
     for _ in range(4):
@@ -327,7 +309,6 @@ def _nonlinearity(ctx, u: JetField) -> JetField:
     full inverse series.  Every component of the result is the exact symbol
     of the corresponding wave-subset interaction.
     """
-    ring = ctx.ring
     ginv = _ginv_series(ctx, u)
     gpert = JetField(ctx, {s: m for s, m in ginv.components.items() if s})
 
@@ -352,7 +333,7 @@ def _nonlinearity(ctx, u: JetField) -> JetField:
         for p in range(4):
             for q in range(4):
                 c = m1[p][q]
-                if ring.is_zero(c):
+                if not c:
                     continue
                 dd = du2[(p, q) if p <= q else (q, p)]
                 for s2, m2 in dd.components.items():
@@ -365,16 +346,16 @@ def _nonlinearity(ctx, u: JetField) -> JetField:
 
     # Christoffel contraction as a jet 3-tensor per component.
     gamma = {}
-    half = ring.of(Fraction(1, 2))
+    half = ctx.of(Fraction(1, 2))
+    two = ctx.of(2)
     for s, m in u.components.items():
-        xi = ctx.xi[s]
+        ixi = ctx.ixi[s]
         g3 = [[[None] * 4 for _ in range(4)] for _ in range(4)]
         for l in range(4):
             for a in range(4):
                 for b in range(4):
-                    v = half * (ring.times_i(xi[b]) * m[l][a]
-                                + ring.times_i(xi[a]) * m[l][b]
-                                - ring.times_i(xi[l]) * m[a][b])
+                    v = half * (ixi[b] * m[l][a] + ixi[a] * m[l][b]
+                                - ixi[l] * m[a][b])
                     g3[l][a][b] = v
         gamma[s] = g3
 
@@ -396,26 +377,26 @@ def _nonlinearity(ctx, u: JetField) -> JetField:
                     nonzero = False
                     for mu in range(4):
                         for nu in range(4):
-                            acc = ring.zero
+                            acc = ctx.zero
                             for a in range(4):
                                 for b in range(4):
                                     hab = ma[a][b]
-                                    if ring.is_zero(hab):
+                                    if not hab:
                                         continue
                                     for l in range(4):
                                         t1 = g1[l][mu][b]
-                                        if ring.is_zero(t1):
+                                        if not t1:
                                             continue
                                         for g in range(4):
                                             hlg = mb[l][g]
-                                            if ring.is_zero(hlg):
+                                            if not hlg:
                                                 continue
                                             t2 = g2[g][nu][a]
-                                            if ring.is_zero(t2):
+                                            if not t2:
                                                 continue
-                                            acc = acc + (ring.of(2) * hab
+                                            acc = acc + (two * hab
                                                          * hlg * t1 * t2)
-                            if not ring.is_zero(acc):
+                            if acc:
                                 nonzero = True
                             mat[mu][nu] = acc
                     if nonzero:
@@ -426,7 +407,7 @@ def _nonlinearity(ctx, u: JetField) -> JetField:
         for s2, m2 in u.components.items():
             if sg1 & s2:
                 continue
-            xi2 = ctx.xi[s2]
+            ixi2 = ctx.ixi[s2]
             for sa, ma in ginv_all.items():
                 if sa & (sg1 | s2):
                     continue
@@ -434,32 +415,31 @@ def _nonlinearity(ctx, u: JetField) -> JetField:
                     if sb & (sg1 | s2 | sa):
                         continue
                     s = sg1 | s2 | sa | sb
-                    sand = [ring.zero] * 4
+                    sand = [ctx.zero] * 4
                     for x in range(4):
-                        acc = ring.zero
+                        acc = ctx.zero
                         for a in range(4):
                             for q in range(4):
                                 haq = ma[a][q]
-                                if ring.is_zero(haq):
+                                if not haq:
                                     continue
                                 for b in range(4):
                                     t = g1[x][a][b]
-                                    if ring.is_zero(t):
+                                    if not t:
                                         continue
                                     for d in range(4):
                                         hbd = mb[b][d]
-                                        if ring.is_zero(hbd):
+                                        if not hbd:
                                             continue
                                         acc = acc + haq * hbd * t * m2[q][d]
                         sand[x] = acc
                     mat = ctx.zero_mat()
                     nonzero = False
                     for mu in range(4):
-                        dmu = ring.times_i(xi2[mu])
                         for nu in range(4):
-                            v = dmu * sand[nu] + ring.times_i(xi2[nu]) * sand[mu]
+                            v = ixi2[mu] * sand[nu] + ixi2[nu] * sand[mu]
                             mat[mu][nu] = v
-                            if not ring.is_zero(v):
+                            if v:
                                 nonzero = True
                     if nonzero:
                         add_into(s, mat)
@@ -476,8 +456,8 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
     normalization as the exact engine: real part is the folded value, and
     the imaginary part must vanish.
     """
-    ring = ExactRing if exact else FloatRing
-    ctx = JetContext(config, rho, ring, leaf_symbols=leaf_symbols)
+    of = GaussianRational.of if exact else _float_of
+    ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
     v = JetField(ctx, {frozenset({i}): [row[:] for row in ctx.amplitudes[i]]
                        for i in range(1, 5)})
     u = v

@@ -9,7 +9,8 @@ from gwsym.exact import RhoRational, ZERO, parse_rho_rational
 from gwsym.forms import (FormError, Monomial, SlotValue, build_form_family,
                          christoffel_form, explicit_hhat2, matrix_of_outer,
                          metric_inverse_series, reduced_ricci_expansion,
-                         symbol_of_form, symbol_outer_of_form)
+                         symbol_of_form, symbol_of_form_by_assignment,
+                         symbol_outer_of_form)
 from gwsym.tensor import MINKOWSKI, Metric4, rank_one, sym_outer
 
 
@@ -189,8 +190,8 @@ class TestSymbolEvaluation:
         for key, form in sorted(fam.items()):
             assignment = {s: SlotValue.wave(config.zeta(s))
                           for s in range(1, form.arity + 1)}
-            a, ia = symbol_of_form(form, assignment, method="outer")
-            b, ib = symbol_of_form(form, assignment, method="assign")
+            a, ia = symbol_of_form(form, assignment)
+            b, ib = symbol_of_form_by_assignment(form, assignment)
             assert a == b and ia == ib == 2
 
     def test_p2_sandwich_value(self, config):

@@ -8,15 +8,21 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                enumerate_H, enumerate_all, enumerate_shapes,
                                eval_I_cancellation, eval_term, item_value,
                                leaves_of, mat_add, mat_max_degree, mat_of,
-                               mat_scale, mat_sub, predict_entry_order,
-                               shared_evaluator, total_symbol, ZERO_MAT,
-                               _coefficient_of)
+                               mat_scale, mat_sub, mat_sum,
+                               predict_entry_order, shared_evaluator,
+                               total_symbol, _coefficient_of)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.tensor import rank_one, sym_outer
 
 
 def rr(text):
     return parse_rho_rational(text)
+
+
+def plain_signed_sum(ev, terms):
+    """Signed term-by-term matrix sum, the reference for the engine's sums."""
+    return mat_sum(mat_scale(ev.eval(term.ast).matrix,
+                             RhoRational.const(term.sign)) for term in terms)
 
 
 GOLDEN_SHAPE_COUNTS = {1: 24, 2: 72, 3: 48, 4: 24, 5: 96}
@@ -171,9 +177,7 @@ class TestItems:
         assert (c24 - rr("-3/8*rho^30")).infinity_degree < 30
 
     def test_items_5_6_7_cancel_at_top(self, config):
-        total = ZERO_MAT
-        for n in (5, 6, 7):
-            total = mat_add(total, item_value(n, config)["matrix"])
+        total = mat_sum(item_value(n, config)["matrix"] for n in (5, 6, 7))
         assert mat_max_degree(total) < 40
 
     def test_item_4_is_minus_chain_sum(self, config):
@@ -219,7 +223,6 @@ class TestTotal:
         tot = total_symbol(config)
         assert tot["entry_order"] == NEG_INF
         assert all(x.is_zero() for row in tot["matrix"] for x in row)
-        assert not any(tot["leading_form_matches"].values())
 
     def test_per_class_subtotals(self, config):
         tot = total_symbol(config)
@@ -230,12 +233,17 @@ class TestTotal:
         # the outer-product-basis summation equals the plain matrix sum
         tot = total_symbol(config)
         for k in (1, 4):
-            plain = ZERO_MAT
-            for term in enumerate_H(k):
-                plain = mat_add(plain, mat_scale(
-                    evaluator.eval(term.ast).matrix,
-                    RhoRational.const(term.sign)))
-            assert tot["per_class"][k] == plain
+            assert tot["per_class"][k] == plain_signed_sum(evaluator,
+                                                           enumerate_H(k))
+
+    def test_override_total_matches_term_by_term_sum(self, tt_evaluator):
+        # the total of an evaluator with overridden wave symbols uses the
+        # same summation, and is computed once
+        tot = tt_evaluator.total()
+        plain = plain_signed_sum(tt_evaluator, enumerate_H(4))
+        assert tot["per_class"][4] == plain
+        assert mat_max_degree(plain) > NEG_INF
+        assert tt_evaluator.total() is tot
 
 
 class TestEvaluationProperties:
@@ -262,14 +270,8 @@ class TestEvaluationProperties:
         ev_a = shared_evaluator(config)
         ev_b = Evaluator(swapped)
         for k in (1, 4):
-            sub_a = ZERO_MAT
-            sub_b = ZERO_MAT
-            for term in enumerate_H(k):
-                sub_a = mat_add(sub_a, mat_scale(
-                    ev_a.eval(term.ast).matrix, RhoRational.const(term.sign)))
-                sub_b = mat_add(sub_b, mat_scale(
-                    ev_b.eval(term.ast).matrix, RhoRational.const(term.sign)))
-            assert sub_a == sub_b
+            assert (plain_signed_sum(ev_a, enumerate_H(k))
+                    == plain_signed_sum(ev_b, enumerate_H(k)))
 
     def test_linearity_in_leaf_symbol(self, config):
         c = rr("5/3")

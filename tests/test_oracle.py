@@ -11,8 +11,7 @@ from gwsym.interaction import (FormNode, Leaf, QNode, eval_I_cancellation,
 from gwsym.oracle import (GaussianRational, OracleUnsupported,
                           cancellation_scale, eval_ast_float,
                           interaction_total_jet, max_rel_diff, numeric_oracle)
-from gwsym.forms import SlotValue
-from gwsym.tensor import Sym2T, rank_one
+from gwsym.tensor import rank_one
 
 
 class TestGaussianRational:
@@ -80,6 +79,7 @@ class TestGaussianRationalProperties:
             assert pair(got) == want
             assert_canonical(got)
             assert got.is_zero() == (want == (0, 0))
+            assert bool(got) == (want != (0, 0))
 
     @settings(max_examples=200, deadline=None)
     @given(pairs, nonzero_pairs)
@@ -140,24 +140,14 @@ class TestExactJet:
         jet = interaction_total_jet(config, Fraction(2), exact=True)
         assert all(x.is_zero() for row in jet for x in row)
 
-    def test_transverse_traceless_total_is_nonzero(self, config):
-        def m(entries):
-            rows = [[0] * 4 for _ in range(4)]
-            for i, j, v in entries:
-                rows[i][j] = v
-                rows[j][i] = v
-            return rows
-
-        tt = {1: m([(1, 1, 1), (3, 3, -1)]),
-              2: m([(1, 1, 1), (2, 2, -1)]),
-              3: m([(2, 2, 1), (3, 3, -1)]),
-              4: m([(2, 3, 1)])}
+    def test_transverse_traceless_total_is_nonzero(self, config,
+                                                   tt_symbols):
         jet = interaction_total_jet(config, Fraction(2), exact=True,
-                                    leaf_symbols=tt)
+                                    leaf_symbols=tt_symbols)
         assert any(not x.is_zero() for row in jet for x in row)
         assert all(x.im == 0 for row in jet for x in row)
 
-    def test_gauge_slot_annihilation_pattern(self, config):
+    def test_gauge_slot_annihilation_pattern(self, config, tt_symbols):
         """The total vanishes iff at least two slots are pure gauge.
 
         A pure-gauge polarization is sym(zeta (x) w); the published choice
@@ -166,17 +156,6 @@ class TestExactJet:
         nonzero, two gauge slots kill it exactly.
         """
         rho = Fraction(2)
-
-        def m(entries):
-            rows = [[Fraction(0)] * 4 for _ in range(4)]
-            for i, j, v in entries:
-                rows[i][j] = rows[j][i] = Fraction(v)
-            return rows
-
-        tt = {1: m([(1, 1, 1), (3, 3, -1)]),
-              2: m([(1, 1, 1), (2, 2, -1)]),
-              3: m([(2, 2, 1), (3, 3, -1)]),
-              4: m([(2, 3, 1)])}
 
         def gauge(i, w):
             z = [Fraction(c.eval_at(rho)) for c in config.zeta(i)]
@@ -189,45 +168,26 @@ class TestExactJet:
                                         leaf_symbols=leaf)
             return any(not x.is_zero() for row in mat for x in row)
 
-        assert nonzero(tt)
-        one = dict(tt)
+        assert nonzero(tt_symbols)
+        one = dict(tt_symbols)
         one[2] = gauge(2, (3, -1, 2, 5))
         assert nonzero(one)
         two = dict(one)
         two[3] = gauge(3, (1, 1, 1, 1))
         assert not nonzero(two)
-        other_two = dict(tt)
+        other_two = dict(tt_symbols)
         other_two[3] = gauge(3, (1, 2, 0, 1))
         other_two[4] = gauge(4, (0, 1, 1, 3))
         assert not nonzero(other_two)
 
-    def test_override_agreement_between_paths(self, config):
+    def test_override_agreement_between_paths(self, config, tt_symbols,
+                                              tt_evaluator):
         """Engine with overridden leaf symbols equals the jet iteration."""
-        def m(entries):
-            rows = [[0] * 4 for _ in range(4)]
-            for i, j, v in entries:
-                rows[i][j] = v
-                rows[j][i] = v
-            return rows
-
-        tt_raw = {1: m([(1, 1, 1), (3, 3, -1)]),
-                  2: m([(1, 1, 1), (2, 2, -1)]),
-                  3: m([(2, 2, 1), (3, 3, -1)]),
-                  4: m([(2, 3, 1)])}
-        overrides = {i: SlotValue(Sym2T(tt_raw[i]), config.zeta(i))
-                     for i in tt_raw}
-        from gwsym.interaction import (Evaluator, enumerate_all, mat_add,
-                                       mat_scale, ZERO_MAT)
-        from gwsym.exact import RhoRational
-        ev = Evaluator(config, leaf_symbols=overrides)
-        total = ZERO_MAT
-        for term in enumerate_all():
-            total = mat_add(total, mat_scale(
-                ev.eval(term.ast).matrix, RhoRational.const(term.sign)))
+        total = tt_evaluator.total()["matrix"]
         rho = Fraction(2)
         exact_at = mat_eval_at(total, rho)
         jet = interaction_total_jet(config, rho, exact=True,
-                                    leaf_symbols=tt_raw)
+                                    leaf_symbols=tt_symbols)
         for i in range(4):
             for j in range(4):
                 assert jet[i][j].im == 0

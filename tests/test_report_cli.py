@@ -203,9 +203,14 @@ class TestCli:
         assert code == 0
         assert path.read_text() == out
 
-    def test_items_machine_round_trip(self, capsys):
-        code, out = _run(["--format", "machine", "verify", "items"], capsys)
-        assert code == 1
+    @pytest.mark.parametrize("argv, want_code", [
+        (["verify", "items"], 1),
+        (["verify", "total"], 0),
+        (["oracle", "--rho", "2"], 0),
+    ], ids=["verify-items", "verify-total", "oracle-rho-2"])
+    def test_items_machine_round_trip(self, argv, want_code, capsys):
+        code, out = _run(["--format", "machine"] + argv, capsys)
+        assert code == want_code
         report = parse_machine(out)
         assert out == report.to_machine()
 
