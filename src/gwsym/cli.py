@@ -570,9 +570,6 @@ def run(argv=None) -> int:
                 except (ValueError, ZeroDivisionError):
                     print(f"bad rho value: {args.rho!r}", file=sys.stderr)
                     return USAGE_EXIT
-                if rho <= 1:
-                    print("rho must exceed 1", file=sys.stderr)
-                    return USAGE_EXIT
                 try:
                     check_oracle_rho(scenario.config, (rho,))
                 except ScenarioError as exc:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 _FRACTION_ONE = Fraction(1)
 
 #: Sentinel degree of the zero element (compares below every integer).
@@ -621,5 +619,12 @@ class _Parser:
 
 
 def parse_rho_rational(text: str) -> RhoRational:
-    """Parse an expression in rho (integers, + - * / ^, parentheses)."""
-    return _Parser(text).parse()
+    """Parse an expression in rho (integers, + - * / ^, parentheses).
+
+    Raises ValueError on malformed input, also on nesting too deep for the
+    recursive-descent parser.
+    """
+    try:
+        return _Parser(text).parse()
+    except RecursionError as exc:
+        raise ValueError("expression nested too deeply") from exc

@@ -581,12 +581,14 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
     out = []
 
     def pair_cached(u: CoVec4, v: CoVec4):
+        # keyed by identity, so the entry keeps u and v alive: a freed
+        # vector's id may be reused by another vector (for example the
+        # entry basis that ensure_outer builds afresh on every call)
         key = (id(u), id(v))
         hit = cache.get(key)
         if hit is None:
-            hit = pairing(metric, u, v)
-            cache[key] = hit
-        return hit
+            hit = cache[key] = (pairing(metric, u, v), u, v)
+        return hit[0]
 
     for choice in itertools.product(*decomps):
         scalar = base

@@ -3,12 +3,13 @@
 Two routes that never touch the exact form engine:
 
 * A truncated multilinear "jet" expansion over the sixteen wave subsets.
-  Fields are maps subset -> 4x4 matrix; products convolve disjoint subsets,
-  derivatives multiply a component by i times its aggregate covector, and
-  the causal inverse divides by the aggregate covector's squared norm.  The
-  full nonlinear reduced curvature operator is evaluated directly on this
-  algebra and iterated, which reproduces the complete four-wave interaction
-  sum without ever enumerating terms.  The scalars are exact Gaussian
+  Fields are plain dicts from subsets (frozensets) to 4x4 matrices.  Every
+  product runs over the pairwise disjoint subsets of its factors
+  (``_disjoint``), derivatives multiply a component by i times its
+  aggregate covector, and the causal inverse divides by the aggregate
+  covector's squared norm.  The full nonlinear reduced curvature operator is
+  evaluated directly on this algebra and iterated, which reproduces the
+  complete four-wave interaction sum without ever enumerating terms.  The scalars are exact Gaussian
   rationals, each held as an integer triple (a + b i) / d reduced by one
   gcd per operation, or complex floating point.
 
@@ -129,9 +130,6 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
-    def is_zero(self) -> bool:
-        return not (self._a or self._b)
-
     def times_i(self) -> "GaussianRational":
         return GaussianRational._of(-self._b, self._a, self._d)
 
@@ -196,255 +194,168 @@ class JetContext:
         return [[self.zero] * 4 for _ in range(4)]
 
 
-class JetField:
-    """Map from nonempty wave subsets to 4x4 matrices of jet scalars."""
+# A jet field is a dict from wave subsets (frozensets) to 4x4 matrices of jet
+# scalars.  No matrix is written to once a field is built, so fields may
+# share matrices (every iterate shares the wave amplitudes).
 
-    def __init__(self, ctx: JetContext, components=None):
-        self.ctx = ctx
-        self.components = dict(components or {})
-
-    def copy(self):
-        return JetField(self.ctx, {s: [row[:] for row in m]
-                                   for s, m in self.components.items()})
-
-    def add(self, other: "JetField") -> "JetField":
-        out = self.copy()
-        for s, m in other.components.items():
-            if s in out.components:
-                tgt = out.components[s]
-                for a in range(4):
-                    for b in range(4):
-                        tgt[a][b] = tgt[a][b] + m[a][b]
-            else:
-                out.components[s] = [row[:] for row in m]
-        return out
-
-    def negate(self) -> "JetField":
-        return JetField(self.ctx, {
-            s: [[-x for x in row] for row in m]
-            for s, m in self.components.items()})
-
-    def truncate(self, max_size: int) -> "JetField":
-        return JetField(self.ctx, {s: m for s, m in self.components.items()
-                                   if len(s) <= max_size})
-
-    def entry(self, s, a, b):
-        m = self.components.get(s)
-        return m[a][b] if m is not None else self.ctx.zero
-
-    def deriv(self, p: int) -> "JetField":
-        """Componentwise multiplication by i * (aggregate covector)_p."""
-        ctx = self.ctx
-        out = {}
-        for s, m in self.components.items():
-            factor = ctx.ixi[s][p]
-            out[s] = [[factor * x for x in row] for row in m]
-        return JetField(ctx, out)
-
-    def causal_inverse(self) -> "JetField":
-        """Divide each component by its covector's squared norm."""
-        ctx = self.ctx
-        out = {}
-        for s, m in self.components.items():
-            n = ctx.norm[s]
-            if not n:
-                raise ZeroDivisionError(
-                    f"characteristic covector sum over waves {sorted(s)}")
-            out[s] = [[x / n for x in row] for row in m]
-        return JetField(ctx, out)
+def _disjoint(*fields):
+    """(union, matrices) for each choice of pairwise disjoint subsets, one
+    component per field, in nested iteration order of the fields."""
+    combos = [(frozenset(), ())]
+    for field in fields:
+        combos = [(s | t, mats + (m,)) for s, mats in combos
+                  for t, m in field.items() if not s & t]
+    return combos
 
 
-def _jet_matmul(ctx, a: JetField, b: JetField) -> JetField:
+def _add_into(field, s, mat):
+    """Add mat to component s of field; a new component stores mat itself."""
+    tgt = field.get(s)
+    field[s] = mat if tgt is None else [
+        [x + y for x, y in zip(trow, row)] for trow, row in zip(tgt, mat)]
+
+
+def _map(field, f):
+    """The field with every entry x of component s replaced by f(s, x)."""
+    return {s: [[f(s, x) for x in row] for row in m] for s, m in field.items()}
+
+
+def _jet_matmul(ctx, a, b):
     out = {}
-    for s1, m1 in a.components.items():
-        for s2, m2 in b.components.items():
-            if s1 & s2:
-                continue
-            s = s1 | s2
-            tgt = out.get(s)
-            if tgt is None:
-                tgt = ctx.zero_mat()
-                out[s] = tgt
-            for i in range(4):
-                row1 = m1[i]
-                for k in range(4):
-                    x = row1[k]
-                    if not x:
-                        continue
-                    row2 = m2[k]
-                    trow = tgt[i]
-                    for j in range(4):
-                        trow[j] = trow[j] + x * row2[j]
-    return JetField(ctx, out)
+    for s, (m1, m2) in _disjoint(a, b):
+        tgt = out.get(s)
+        if tgt is None:
+            tgt = out[s] = ctx.zero_mat()
+        for i in range(4):
+            row1 = m1[i]
+            trow = tgt[i]
+            for k in range(4):
+                x = row1[k]
+                if not x:
+                    continue
+                row2 = m2[k]
+                for j in range(4):
+                    trow[j] = trow[j] + x * row2[j]
+    return out
 
 
-def _ginv_series(ctx, u: JetField) -> JetField:
+def _ginv_series(ctx, u):
     """(h + u)^{-1} on the jet algebra; the series terminates exactly.
 
-    Components are indexed with the identity (size-0) part kept separately:
-    returns a JetField whose empty-set component is the constant inverse
-    metric.
+    The empty-set component of the result is the constant inverse metric.
     """
-    hinv = JetField(ctx, {frozenset(): [row[:] for row in ctx.hinv]})
+    hinv = {frozenset(): ctx.hinv}
     # x = -h^{-1} u, nilpotent: (h+u)^{-1} = (1 + x + x^2 + x^3 + x^4) h^{-1}
-    x = _jet_matmul(ctx, hinv, u).negate()
-    total = JetField(ctx, {frozenset(): [[ctx.one if i == j else ctx.zero
-                                          for j in range(4)] for i in range(4)]})
+    x = _map(_jet_matmul(ctx, hinv, u), lambda s, y: -y)
+    total = {frozenset(): [[ctx.one if i == j else ctx.zero for j in range(4)]
+                           for i in range(4)]}
     power = total
     for _ in range(4):
         power = _jet_matmul(ctx, power, x)
-        if not power.components:
+        if not power:
             break
-        total = total.add(power)
+        for s, m in power.items():
+            _add_into(total, s, m)
     return _jet_matmul(ctx, total, hinv)
 
 
-def _nonlinearity(ctx, u: JetField) -> JetField:
+def _nonlinearity(ctx, u):
     """The quadratic-and-higher part of the reduced wave operator.
 
     N(u) = -(g^{pq} - h^{pq}) d_p d_q u
            + 2 g^{ab} g^{sg} G(u)_{s mu b} G(u)_{g nu a}
            + G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu),
     with G(u)_{l a b} = (d_b u_{la} + d_a u_{lb} - d_l u_{ab}) / 2 and g the
-    full inverse series.  Every component of the result is the exact symbol
-    of the corresponding wave-subset interaction.
+    full inverse series.  A derivative d_p multiplies component s by
+    i (aggregate covector of s)_p.  Every component of the result is the
+    exact symbol of the corresponding wave-subset interaction.
     """
-    ginv = _ginv_series(ctx, u)
-    gpert = JetField(ctx, {s: m for s, m in ginv.components.items() if s})
-
-    result: dict = {}
-
-    def add_into(s, mat):
-        tgt = result.get(s)
-        if tgt is None:
-            result[s] = mat
-        else:
-            for a in range(4):
-                for b in range(4):
-                    tgt[a][b] = tgt[a][b] + mat[a][b]
+    ixi = ctx.ixi
+    ginv = _ginv_series(ctx, u)  # includes the constant part
+    result = {}
 
     # Quasilinear part: -(g - h)^{pq} d_p d_q u
     du2 = {}
     for p in range(4):
-        dp = u.deriv(p)
+        dp = _map(u, lambda s, x: ixi[s][p] * x)
         for q in range(p, 4):
-            du2[(p, q)] = dp.deriv(q)
-    for s1, m1 in gpert.components.items():
+            du2[(p, q)] = _map(dp, lambda s, x: ixi[s][q] * x)
+    for s1, m1 in ginv.items():
+        if not s1:
+            continue
         for p in range(4):
             for q in range(4):
                 c = m1[p][q]
                 if not c:
                     continue
                 dd = du2[(p, q) if p <= q else (q, p)]
-                for s2, m2 in dd.components.items():
-                    if s1 & s2:
-                        continue
-                    s = s1 | s2
-                    mat = [[-(c * m2[a][b]) for b in range(4)]
-                           for a in range(4)]
-                    add_into(s, mat)
+                for s, (_, m2) in _disjoint({s1: m1}, dd):
+                    _add_into(result, s, [[-(c * x) for x in row]
+                                          for row in m2])
 
     # Christoffel contraction as a jet 3-tensor per component.
-    gamma = {}
     half = ctx.of(Fraction(1, 2))
     two = ctx.of(2)
-    for s, m in u.components.items():
-        ixi = ctx.ixi[s]
-        g3 = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-        for l in range(4):
-            for a in range(4):
-                for b in range(4):
-                    v = half * (ixi[b] * m[l][a] + ixi[a] * m[l][b]
-                                - ixi[l] * m[a][b])
-                    g3[l][a][b] = v
-        gamma[s] = g3
-
-    ginv_all = ginv.components  # includes the constant part
+    gamma = {}
+    for s, m in u.items():
+        d = ixi[s]
+        gamma[s] = [[[half * (d[b] * m[l][a] + d[a] * m[l][b] - d[l] * m[a][b])
+                      for b in range(4)] for a in range(4)] for l in range(4)]
 
     # Semilinear quadratic-derivative part.
-    for sg1, g1 in gamma.items():
-        for sg2, g2 in gamma.items():
-            if sg1 & sg2:
-                continue
-            for sa, ma in ginv_all.items():
-                if sa & (sg1 | sg2):
-                    continue
-                for sb, mb in ginv_all.items():
-                    if sb & (sg1 | sg2 | sa):
-                        continue
-                    s = sg1 | sg2 | sa | sb
-                    mat = ctx.zero_mat()
-                    nonzero = False
-                    for mu in range(4):
-                        for nu in range(4):
-                            acc = ctx.zero
-                            for a in range(4):
-                                for b in range(4):
-                                    hab = ma[a][b]
-                                    if not hab:
-                                        continue
-                                    for l in range(4):
-                                        t1 = g1[l][mu][b]
-                                        if not t1:
-                                            continue
-                                        for g in range(4):
-                                            hlg = mb[l][g]
-                                            if not hlg:
-                                                continue
-                                            t2 = g2[g][nu][a]
-                                            if not t2:
-                                                continue
-                                            acc = acc + (two * hab
-                                                         * hlg * t1 * t2)
-                            if acc:
-                                nonzero = True
-                            mat[mu][nu] = acc
-                    if nonzero:
-                        add_into(s, mat)
+    for s, (g1, g2, ma, mb) in _disjoint(gamma, gamma, ginv, ginv):
+        mat = ctx.zero_mat()
+        for mu in range(4):
+            for nu in range(4):
+                acc = ctx.zero
+                for a in range(4):
+                    for b in range(4):
+                        hab = ma[a][b]
+                        if not hab:
+                            continue
+                        for l in range(4):
+                            t1 = g1[l][mu][b]
+                            if not t1:
+                                continue
+                            for g in range(4):
+                                hlg = mb[l][g]
+                                if not hlg:
+                                    continue
+                                t2 = g2[g][nu][a]
+                                if not t2:
+                                    continue
+                                acc = acc + (two * hab * hlg * t1 * t2)
+                mat[mu][nu] = acc
+        if any(x for row in mat for x in row):
+            _add_into(result, s, mat)
 
     # G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu)
-    for sg1, g1 in gamma.items():
-        for s2, m2 in u.components.items():
-            if sg1 & s2:
-                continue
-            ixi2 = ctx.ixi[s2]
-            for sa, ma in ginv_all.items():
-                if sa & (sg1 | s2):
-                    continue
-                for sb, mb in ginv_all.items():
-                    if sb & (sg1 | s2 | sa):
+    du = {s: (m, ixi[s]) for s, m in u.items()}
+    for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma, du, ginv, ginv):
+        sand = []
+        for x in range(4):
+            acc = ctx.zero
+            for a in range(4):
+                for q in range(4):
+                    haq = ma[a][q]
+                    if not haq:
                         continue
-                    s = sg1 | s2 | sa | sb
-                    sand = [ctx.zero] * 4
-                    for x in range(4):
-                        acc = ctx.zero
-                        for a in range(4):
-                            for q in range(4):
-                                haq = ma[a][q]
-                                if not haq:
-                                    continue
-                                for b in range(4):
-                                    t = g1[x][a][b]
-                                    if not t:
-                                        continue
-                                    for d in range(4):
-                                        hbd = mb[b][d]
-                                        if not hbd:
-                                            continue
-                                        acc = acc + haq * hbd * t * m2[q][d]
-                        sand[x] = acc
-                    mat = ctx.zero_mat()
-                    nonzero = False
-                    for mu in range(4):
-                        for nu in range(4):
-                            v = ixi2[mu] * sand[nu] + ixi2[nu] * sand[mu]
-                            mat[mu][nu] = v
-                            if v:
-                                nonzero = True
-                    if nonzero:
-                        add_into(s, mat)
+                    for b in range(4):
+                        t = g1[x][a][b]
+                        if not t:
+                            continue
+                        for d in range(4):
+                            hbd = mb[b][d]
+                            if not hbd:
+                                continue
+                            acc = acc + haq * hbd * t * m2[q][d]
+            sand.append(acc)
+        mat = [[d2[mu] * sand[nu] + d2[nu] * sand[mu] for nu in range(4)]
+               for mu in range(4)]
+        if any(x for row in mat for x in row):
+            _add_into(result, s, mat)
 
-    return JetField(ctx, result)
+    return result
 
 
 def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
@@ -458,16 +369,21 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
     """
     of = GaussianRational.of if exact else _float_of
     ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
-    v = JetField(ctx, {frozenset({i}): [row[:] for row in ctx.amplitudes[i]]
-                       for i in range(1, 5)})
+    v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
     u = v
     for _ in range(3):
-        correction = _nonlinearity(ctx, u).truncate(3).causal_inverse()
-        u = v.add(correction.negate())
-    final = _nonlinearity(ctx, u)
-    mat = final.components.get(FULL)
-    if mat is None:
-        mat = ctx.zero_mat()
+        # u = v - (causal inverse of N(u), truncated to three waves)
+        nonlinear = _nonlinearity(ctx, u)
+        u = dict(v)
+        for s, m in nonlinear.items():
+            if len(s) > 3:
+                continue
+            n = ctx.norm[s]
+            if not n:
+                raise ZeroDivisionError(
+                    f"characteristic covector sum over waves {sorted(s)}")
+            _add_into(u, s, [[-(x / n) for x in row] for row in m])
+    mat = _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat()
     return [[-x for x in row] for row in mat]
 
 

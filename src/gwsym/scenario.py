@@ -12,9 +12,10 @@ with ``#`` are ignored.  Keys:
   out            optional output path
 
 Custom covectors must pass the configuration validation (each light-like,
-independent, light-like sum) before use.  Every oracle rho value must keep
-the configuration regular: each covector component defined there, and no
-pair or triple of covectors summing to a light-like covector there.
+independent, light-like sum) before use.  Every oracle rho value must
+exceed 1 and keep the configuration regular: each covector component
+defined there, and no pair or triple of covectors summing to a light-like
+covector there.
 """
 from __future__ import annotations
 
@@ -55,13 +56,15 @@ def _parse_covector(text: str) -> CoVec4:
 
 
 def check_oracle_rho(config: NullConfig, rho_values) -> None:
-    """Reject sample values where the oracles would divide by zero.
+    """Reject sample values outside the oracles' domain.
 
-    At each value every covector component must be defined, and every pair
-    and triple subset sum must have nonzero squared norm (the causal-inverse
-    nodes divide by it).
+    Every value must exceed 1.  At each value every covector component must
+    be defined, and every pair and triple subset sum must have nonzero
+    squared norm (the causal-inverse nodes divide by it).
     """
     for rho in rho_values:
+        if rho <= 1:
+            raise ScenarioError(f"oracle rho {rho} must exceed 1")
         for i, zeta in enumerate(config.zetas, start=1):
             for k, x in enumerate(zeta, start=1):
                 if x.den.eval_at(rho) == 0:
@@ -116,9 +119,6 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"bad oracle_rho: {exc}") from exc
         if not rho_values:
             raise ScenarioError("oracle_rho must list at least one value")
-        for v in rho_values:
-            if v <= 1:
-                raise ScenarioError("oracle rho values must exceed 1")
     check_oracle_rho(config, rho_values)
 
     fmt = pairs.get("format", "text")

@@ -58,9 +58,6 @@ class CoVec4:
         return "CoVec4(" + ", ".join(repr(a) for a in self.c) + ")"
 
 
-ZERO_COVEC = CoVec4((0, 0, 0, 0))
-
-
 class Sym2T:
     """Symmetric 4x4 tensor over RhoRational."""
 

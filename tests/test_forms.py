@@ -194,6 +194,19 @@ class TestSymbolEvaluation:
             b, ib = symbol_of_form_by_assignment(form, assignment)
             assert a == b and ia == ib == 2
 
+    def test_entry_basis_dual_paths_agree(self, config):
+        # slots without a decomposition get a fresh entry basis on every
+        # monomial; the pairing cache must not confuse a freed basis vector
+        # with a new one that reuses its id
+        fam = build_form_family()
+        for key, form in sorted(fam.items()):
+            assignment = {s: SlotValue(rank_one(config.zeta(s)),
+                                       config.zeta(s))
+                          for s in range(1, form.arity + 1)}
+            a, _ = symbol_of_form(form, assignment)
+            b, _ = symbol_of_form_by_assignment(form, assignment)
+            assert a == b, key
+
     def test_p2_sandwich_value(self, config):
         # rank-one inner slot and an outer derivative covector reduce to the
         # squared pairing times the outer matrix

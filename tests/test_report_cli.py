@@ -93,6 +93,18 @@ class TestScenario:
             parse_scenario(text + "oracle_rho = 2 3\n")
         assert parse_scenario(text + "oracle_rho = 2\n")
 
+    def test_deeply_nested_component_rejected(self):
+        deep = "(" * 3000 + "1" + ")" * 3000
+        with pytest.raises(ScenarioError, match="nested too deeply"):
+            parse_scenario(self.deeply_nested(deep))
+
+    @staticmethod
+    def deeply_nested(component):
+        return (f"zeta1 = {component}, 0, 1, 0\n"
+                "zeta2 = -1, 0, 0, -1\n"
+                "zeta3 = 1/(2*rho^10), 1/(2*rho^10), 0, 0\n"
+                "zeta4 = rho^10, -rho^10, 0, 0\n")
+
     def test_bad_lines(self):
         with pytest.raises(ScenarioError):
             parse_scenario("just words\n")
@@ -150,6 +162,21 @@ class TestCli:
     def test_bad_rho(self, capsys):
         assert run(["oracle", "--rho", "abc"]) == 2
         assert run(["oracle", "--rho", "1"]) == 2
+
+    def test_rho_bound_reported(self, capsys):
+        assert run(["oracle", "--rho", "1"]) == 2
+        assert "oracle rho 1 must exceed 1" in capsys.readouterr().err
+        with pytest.raises(ScenarioError, match="oracle rho 1/2 must exceed 1"):
+            parse_scenario("oracle_rho = 3 1/2\n")
+
+    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.scn"
+        path.write_text(TestScenario.deeply_nested(
+            "(" * 3000 + "1" + ")" * 3000))
+        assert run(["--scenario", str(path), "verify", "gauge"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: bad covector component" in err
+        assert "nested too deeply" in err
 
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
         path = tmp_path / "degenerate.txt"
