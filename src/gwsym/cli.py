@@ -435,13 +435,11 @@ def suite_conformal(report: Report, scenario: Scenario):
               "transport compose to -9")
 
     # End-to-end: one complete interaction term under metric rescaling.
-    from .interaction import Evaluator, FormNode, Leaf, QNode
+    from .interaction import Evaluator, FormNode
     from .forms import SlotValue
     cfg = standard_config()
     lam = Fraction(2)
-    ast = FormNode(("Hhat", 2), (Leaf(1), QNode(
-        FormNode(("P", 2), (Leaf(2), QNode(
-            FormNode(("P", 2), (Leaf(3), Leaf(4)))))))))
+    ast = FormNode(("Hhat", 2), nested_chain(1, 2, 3).children)
     base = Evaluator(cfg).eval(ast)
     scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
     lam_inv = RhoRational.const(Fraction(1, 2))
@@ -557,9 +555,8 @@ def run(argv=None) -> int:
             if args.what == "all":
                 suite_pairing_table(report, scenario)
                 suite_derive_forms(report, scenario)
-                for name in ("gauge", "cancellation", "items", "total",
-                             "conformal", "orders"):
-                    SUITES[name](report, scenario)
+                for suite in SUITES.values():
+                    suite(report, scenario)
             else:
                 SUITES[args.what](report, scenario)
         elif args.command == "oracle":

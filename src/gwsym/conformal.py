@@ -87,10 +87,10 @@ def q_diag_weight() -> Weight:
 
     Consistency: the principal symbol of the second-order operator is the
     squared covector norm, which scales by lambda^-2; its inverse scales by
-    lambda^+2.  The derived check recomputes that by direct evaluation.
+    lambda^+2.  ``wave_operator_degree`` recomputes the norm's weight by
+    direct evaluation (raising unless it is -2); this is its negative.
     """
-    assert wave_operator_degree().value == -2
-    return Weight(2)
+    return Weight(-wave_operator_degree().value)
 
 
 #: Transport rules along the flow-out, recorded as constants of the calculus.

@@ -380,24 +380,6 @@ def _coerce(x) -> RhoRational:
     raise TypeError(f"cannot coerce {type(x).__name__} to RhoRational")
 
 
-def field_arith(a: RhoRational, b: RhoRational, op: str) -> RhoRational:
-    """Exact field arithmetic; ``op`` is one of add/sub/mul/div."""
-    a, b = _coerce(a), _coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def infinity_degree(a: RhoRational):
-    return _coerce(a).infinity_degree
-
-
 class LaurentTail:
     """Leading terms of a Laurent expansion at rho = infinity.
 
@@ -509,12 +491,17 @@ def format_rho_rational(a: RhoRational) -> str:
     return f"({format_poly(a.num)})/({format_poly(a.den)})"
 
 
+#: largest |e| accepted in ``x^e``: the power is built by repeated
+#: multiplication, so (rho+1)^e costs time growing faster than e
+MAX_EXPONENT = 200
+
+
 class _Parser:
     """Recursive-descent parser for rho expressions.
 
     Grammar: expr := term (('+'|'-') term)*; term := unary (('*'|'/') unary)*;
     unary := '-'* atom; atom := INT | INT '/' INT | 'rho' | '(' expr ')',
-    optionally followed by '^' INT.
+    optionally followed by '^' '-'* INT, with |exponent| <= MAX_EXPONENT.
     """
 
     def __init__(self, text: str):
@@ -609,6 +596,9 @@ class _Parser:
             e = int(self.take("int"))
             if neg:
                 e = -e
+            if abs(e) > MAX_EXPONENT:
+                raise ValueError(f"exponent {e} exceeds {MAX_EXPONENT} in "
+                                 f"absolute value")
             base = value
             value = ONE
             for _ in range(abs(e)):

@@ -248,7 +248,7 @@ def metric_inverse_series(order: int):
     return out
 
 
-def _g_variants(slot: int, lam: str, alpha: str, beta: str, names: _Names):
+def _g_variants(slot: int, lam: str, alpha: str, beta: str):
     """The three one-derivative pieces of the Christoffel contraction.
 
     G_{lam alpha beta}(u) = 1/2 (d_beta u_{lam alpha} + d_alpha u_{lam beta}
@@ -262,9 +262,8 @@ def _g_variants(slot: int, lam: str, alpha: str, beta: str, names: _Names):
 
 def christoffel_form() -> FormalTensorPoly:
     """The one-derivative form G_{lam alpha beta}(u) with three free indices."""
-    names = _Names()
     monos = [Monomial(c, (f,)) for c, f in
-             _g_variants(1, "lam", "alpha", "beta", names)]
+             _g_variants(1, "lam", "alpha", "beta")]
     return FormalTensorPoly(monos, free=("lam", "alpha", "beta"), arity=1)
 
 
@@ -304,8 +303,8 @@ def _expansion_monomials(k: int):
             g2_slot = k
             c1f, c1h, sg1 = _chain(s1, "a", "b", names)
             c2f, c2h, sg2 = _chain(s2, "s", "g", names)
-            for cg1, fg1 in _g_variants(g1_slot, "s", "mu", "b", names):
-                for cg2, fg2 in _g_variants(g2_slot, "g", "nu", "a", names):
+            for cg1, fg1 in _g_variants(g1_slot, "s", "mu", "b"):
+                for cg2, fg2 in _g_variants(g2_slot, "g", "nu", "a"):
                     add(sg1 * sg2 * cg1 * cg2,
                         c1f + c2f + (fg1, fg2), c1h + c2h)
 
@@ -324,7 +323,7 @@ def _expansion_monomials(k: int):
                 c1f, c1h, sg1 = _chain(s1, "a", "q", names)
                 c2f, c2h, sg2 = _chain(s2, "b", "d", names)
                 du = Factor(du_slot, ("q", "d"), (mu,))
-                for cg, fg in _g_variants(g_slot, nu, "a", "b", names):
+                for cg, fg in _g_variants(g_slot, nu, "a", "b"):
                     add(Fraction(sm * sg1 * sg2, 2) * cg,
                         c1f + c2f + (fg, du), c1h + c2h)
 
@@ -401,13 +400,12 @@ def explicit_hhat2() -> FormalTensorPoly:
     + G_{nu a b}(w1) h^{aq} h^{bd} d_mu w2_{qd} + (mu <-> nu).
     """
     monos = []
-    names = _Names()
-    for c1, f1 in _g_variants(1, "l", "mu", "b", names):
-        for c2, f2 in _g_variants(2, "g", "nu", "a", names):
+    for c1, f1 in _g_variants(1, "l", "mu", "b"):
+        for c2, f2 in _g_variants(2, "g", "nu", "a"):
             monos.append(Monomial(Fraction(2) * c1 * c2, (f1, f2),
                                   (("a", "b"), ("l", "g"))))
     for mu, nu in (FREE_PAIR, (FREE_PAIR[1], FREE_PAIR[0])):
-        for c1, f1 in _g_variants(1, nu, "a", "b", names):
+        for c1, f1 in _g_variants(1, nu, "a", "b"):
             du = Factor(2, ("q", "d"), (mu,))
             monos.append(Monomial(c1, (f1, du), (("a", "q"), ("b", "d"))))
     return FormalTensorPoly(monos, arity=2)
@@ -421,39 +419,32 @@ def explicit_hhat2() -> FormalTensorPoly:
 class SlotValue:
     """Symbol data bound to a slot.
 
-    ``outer`` is an optional decomposition of the matrix as a sum of scaled
-    outer products, tuple of (coeff, left CoVec4, right CoVec4); evaluation
-    uses it to collapse index sums into metric pairings.
+    ``outer`` decomposes the matrix as a sum of scaled outer products, a
+    tuple of (coeff, left CoVec4, right CoVec4); evaluation uses it to
+    collapse index sums into metric pairings.  When none is given it is
+    built once, on the sparse entry basis.
     """
 
     matrix: Sym2T
     covector: CoVec4
     outer: tuple = None
 
+    def __post_init__(self):
+        if self.outer is not None:
+            return
+        one = RhoRational.const(1)
+        basis = [CoVec4([one if k == i else ZERO for k in range(4)])
+                 for i in range(4)]
+        object.__setattr__(self, "outer", tuple(
+            (self.matrix[i][j], basis[i], basis[j])
+            for i in range(4) for j in range(4)
+            if not self.matrix[i][j].is_zero()))
+
     @staticmethod
     def wave(zeta: CoVec4) -> "SlotValue":
         from .tensor import rank_one
         return SlotValue(rank_one(zeta), zeta,
                          outer=((RhoRational.const(1), zeta, zeta),))
-
-    def ensure_outer(self) -> tuple:
-        """Decomposition, falling back to the sparse entry basis."""
-        if self.outer is not None:
-            return self.outer
-        one = RhoRational.const(1)
-        basis = []
-        for i in range(4):
-            e = [ZERO] * 4
-            e[i] = one
-            basis.append(CoVec4(e))
-        out = []
-        m = self.matrix
-        for i in range(4):
-            for j in range(4):
-                x = m[i][j]
-                if not x.is_zero():
-                    out.append((x, basis[i], basis[j]))
-        return tuple(out)
 
 
 def merge_outer(terms) -> tuple:
@@ -575,20 +566,20 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
         raise FormError("every monomial must carry both free indices")
 
     factors = mono.factors
-    decomps = [slots[f.slot].ensure_outer() for f in factors]
+    decomps = [slots[f.slot].outer for f in factors]
     covs = [slots[f.slot].covector for f in factors]
     base = RhoRational.const(mono.coeff)
     out = []
 
     def pair_cached(u: CoVec4, v: CoVec4):
-        # keyed by identity, so the entry keeps u and v alive: a freed
-        # vector's id may be reused by another vector (for example the
-        # entry basis that ensure_outer builds afresh on every call)
+        # keyed by identity: the cache lives for one symbol_outer_of_form
+        # call, and every vector paired here is a covector or an outer
+        # vector of one of its slot values, which hold them for the call
         key = (id(u), id(v))
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = (pairing(metric, u, v), u, v)
-        return hit[0]
+            hit = cache[key] = pairing(metric, u, v)
+        return hit
 
     for choice in itertools.product(*decomps):
         scalar = base

@@ -1,9 +1,12 @@
 """Term trees for the four-wave interaction and their exact symbol values.
 
 Terms are trees of wave leaves, causal-inverse nodes and coefficient-form
-nodes.  Evaluation is exact over the rational-function field; one factor of
-the imaginary unit per derivative is tracked and folded as i^(2m) = (-1)^m,
-so matrices are real and the accumulated i-power is reported for auditing.
+nodes.  The 1488 interaction terms come from one table of 11 shapes in five
+classes (``_SHAPES``): ``_build`` instantiates a shape for a permutation of
+the four waves and a P or Hhat form at each coefficient node.  Evaluation
+is exact over the rational-function field; one factor of the imaginary unit
+per derivative is tracked and folded as i^(2m) = (-1)^m, so matrices are
+real and the accumulated i-power is reported for auditing.
 An overall (2*pi)^-3 is factored out of every complete four-wave term.
 """
 from __future__ import annotations
@@ -175,7 +178,7 @@ class Evaluator:
     def _eval(self, ast) -> SymbolValue:
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
-            return SymbolValue(sv.covector, 0, (ast.wave,), sv.ensure_outer())
+            return SymbolValue(sv.covector, 0, (ast.wave,), sv.outer)
         if isinstance(ast, QNode):
             child = self.eval(ast.child)
             n = norm_sq(self.metric, child.covector)
@@ -184,14 +187,9 @@ class Evaluator:
             return child.scale(RhoRational.const(1) / n)
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
-            # the outer route reads only the decomposition, not the matrix
-            assignment = {
-                slot: SlotValue(matrix=None, covector=c.covector,
-                                outer=c.outer)
-                for slot, c in enumerate(children, start=1)}
             form = form_family()[ast.form]
-            outer, node_power = symbol_outer_of_form(form, assignment,
-                                                     self.metric)
+            outer, node_power = symbol_outer_of_form(
+                form, dict(enumerate(children, 1)), self.metric)
             if node_power % 2:
                 raise ArithmeticError("odd derivative count in a retained form")
             if (node_power // 2) % 2:
@@ -222,14 +220,6 @@ class Evaluator:
         return self._total
 
 
-def eval_term(ast, config: NullConfig, metric: Metric4 = None,
-              leaf_symbols: dict = None) -> SymbolValue:
-    """Evaluate one term tree on a configuration (convenience wrapper)."""
-    if metric is None and leaf_symbols is None:
-        return shared_evaluator(config).eval(ast)
-    return Evaluator(config, metric=metric, leaf_symbols=leaf_symbols).eval(ast)
-
-
 _EVALUATORS = {}
 
 
@@ -251,59 +241,46 @@ _PERMS = tuple(itertools.permutations((1, 2, 3, 4)))
 #: interaction class -> sign of its permutation sum
 CLASS_SIGNS = {1: -1, 2: 1, 3: 1, 4: -1, 5: -1}
 
-
-def _shape_builders(hclass: int):
-    """Shape templates: callables (perm, форм-choices) -> AST.
-
-    Each returns the nested tree with G-placeholders instantiated by the
-    given concrete forms, in preorder.
-    """
-    L = Leaf
-    if hclass == 1:
-        return (
-            lambda p, f: FormNode(f[0], (L(p[0]), L(p[1]), L(p[2]), L(p[3]))),
-        )
-    if hclass == 2:
-        return (
-            lambda p, f: FormNode(f[0], (L(p[0]), L(p[1]),
-                                         QNode(FormNode(f[1], (L(p[2]), L(p[3])))))),
-            lambda p, f: FormNode(f[0], (L(p[0]),
-                                         QNode(FormNode(f[1], (L(p[1]), L(p[2])))),
-                                         L(p[3]))),
-            lambda p, f: FormNode(f[0], (QNode(FormNode(f[1], (L(p[0]), L(p[1])))),
-                                         L(p[2]), L(p[3]))),
-        )
-    if hclass == 3:
-        return (
-            lambda p, f: FormNode(f[0], (QNode(FormNode(f[1], (L(p[0]), L(p[1]), L(p[2])))),
-                                         L(p[3]))),
-            lambda p, f: FormNode(f[0], (L(p[0]),
-                                         QNode(FormNode(f[1], (L(p[1]), L(p[2]), L(p[3])))))),
-        )
-    if hclass == 4:
-        return (
-            lambda p, f: FormNode(f[0], (QNode(FormNode(f[1], (L(p[0]), L(p[1])))),
-                                         QNode(FormNode(f[2], (L(p[2]), L(p[3])))))),
-        )
-    if hclass == 5:
-        return (
-            lambda p, f: FormNode(f[0], (L(p[0]),
-                                         QNode(FormNode(f[1], (L(p[1]),
-                                                               QNode(FormNode(f[2], (L(p[2]), L(p[3]))))))))),
-            lambda p, f: FormNode(f[0], (L(p[0]),
-                                         QNode(FormNode(f[1], (QNode(FormNode(f[2], (L(p[1]), L(p[2])))),
-                                                               L(p[3])))))),
-            lambda p, f: FormNode(f[0], (QNode(FormNode(f[1], (L(p[0]),
-                                                               QNode(FormNode(f[2], (L(p[1]), L(p[2]))))))),
-                                         L(p[3]))),
-            lambda p, f: FormNode(f[0], (QNode(FormNode(f[1], (QNode(FormNode(f[2], (L(p[0]), L(p[1])))),
-                                                               L(p[2])))),
-                                         L(p[3]))),
-        )
-    raise ValueError(f"interaction class must be 1..5, got {hclass}")
+#: class -> its shapes, in shape order.  In a shape an int is a position in
+#: the permutation, a QNode is a causal inverse and a tuple is a
+#: coefficient node; ``_build`` instantiates one.
+_SHAPES = {
+    1: ((0, 1, 2, 3),),
+    2: ((0, 1, QNode((2, 3))),
+        (0, QNode((1, 2)), 3),
+        (QNode((0, 1)), 2, 3)),
+    3: ((QNode((0, 1, 2)), 3),
+        (0, QNode((1, 2, 3)))),
+    4: ((QNode((0, 1)), QNode((2, 3))),),
+    5: ((0, QNode((1, QNode((2, 3))))),
+        (0, QNode((QNode((1, 2)), 3))),
+        (QNode((0, QNode((1, 2)))), 3),
+        (QNode((QNode((0, 1)), 2)), 3)),
+}
 
 
-_ARITIES = {1: (4,), 2: (3, 2), 3: (2, 3), 4: (2, 2, 2), 5: (2, 2, 2)}
+def _build(shape, perm: tuple, forms: tuple):
+    """The term tree of ``shape`` with leaves ``perm[i]`` and coefficient
+    forms ``forms`` assigned in preorder."""
+    forms = iter(forms)
+
+    def node(s):
+        if isinstance(s, int):
+            return Leaf(perm[s])
+        if isinstance(s, QNode):
+            return QNode(node(s.child))
+        form = next(forms)
+        return FormNode(form, tuple(node(c) for c in s))
+    return node(shape)
+
+
+def _arities(shape) -> tuple:
+    """Arities of the coefficient nodes of ``shape``, in preorder."""
+    if isinstance(shape, int):
+        return ()
+    if isinstance(shape, QNode):
+        return _arities(shape.child)
+    return sum((_arities(c) for c in shape), (len(shape),))
 
 
 @dataclass(frozen=True)
@@ -318,13 +295,21 @@ class SignedTerm:
     forms: tuple
 
 
+def _signed_term(hclass: int, shape: int, perm: tuple, forms: tuple):
+    ast = _build(_SHAPES[hclass][shape], perm, forms)
+    return SignedTerm(CLASS_SIGNS[hclass], ast, hclass, shape, perm, forms)
+
+
+def _shapes_of(hclass: int) -> tuple:
+    if hclass not in _SHAPES:
+        raise ValueError(f"interaction class must be 1..5, got {hclass}")
+    return _SHAPES[hclass]
+
+
 def enumerate_shapes(hclass: int):
     """Shape instances (before choosing P vs Hhat for each node)."""
-    out = []
-    for shape_idx, _ in enumerate(_shape_builders(hclass)):
-        for perm in _PERMS:
-            out.append((hclass, shape_idx, perm))
-    return out
+    return [(hclass, shape_idx, perm)
+            for shape_idx, _ in enumerate(_shapes_of(hclass)) for perm in _PERMS]
 
 
 def enumerate_H(hclass: int):
@@ -334,17 +319,12 @@ def enumerate_H(hclass: int):
     and every coefficient node is expanded into its quasilinear (P) and
     two-derivative semilinear (Hhat) variants.
     """
-    builders = _shape_builders(hclass)
-    arities = _ARITIES[hclass]
-    sign = CLASS_SIGNS[hclass]
     out = []
-    for shape_idx, build in enumerate(builders):
-        form_options = [(("P", a), ("Hhat", a)) for a in arities]
+    for shape_idx, shape in enumerate(_shapes_of(hclass)):
+        form_options = [(("P", a), ("Hhat", a)) for a in _arities(shape)]
         for perm in _PERMS:
             for forms in itertools.product(*form_options):
-                out.append(SignedTerm(sign=sign, ast=build(perm, forms),
-                                      hclass=hclass, shape=shape_idx,
-                                      perm=perm, forms=forms))
+                out.append(_signed_term(hclass, shape_idx, perm, forms))
     return out
 
 
@@ -476,13 +456,6 @@ def _sum_terms(ev: Evaluator, members) -> tuple:
     return matrix_of_outer(merge_outer(signed))
 
 
-def _terms_for_keys(keys):
-    index = {}
-    for term in enumerate_all():
-        index[(term.hclass, term.shape, term.perm, term.forms)] = term
-    return [index[k] for k in keys]
-
-
 def item_value(n: int, config: NullConfig):
     """Exact signed sum of one top-order family (1..8).
 
@@ -492,8 +465,7 @@ def item_value(n: int, config: NullConfig):
     if not 1 <= n <= 8:
         raise ValueError("item number must be 1..8")
     ev = shared_evaluator(config)
-    keys = _family_keys()[n]
-    terms = _terms_for_keys(keys)
+    terms = [_signed_term(*key) for key in _family_keys()[n]]
     total = _sum_terms(ev, terms)
     result = {"matrix": total, "members": terms}
     if n == 6:
@@ -511,9 +483,8 @@ def item_value(n: int, config: NullConfig):
 
 def nested_chain(a: int, b: int, c: int) -> FormNode:
     """The nested-chain term P2(a, Q(P2(b, Q(P2(c, 4)))))."""
-    return FormNode(("P", 2), (Leaf(a), QNode(
-        FormNode(("P", 2), (Leaf(b), QNode(
-            FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
+    P2 = ("P", 2)
+    return _build(_SHAPES[5][0], (a, b, c, 4), (P2, P2, P2))
 
 
 def eval_I_cancellation(config: NullConfig):

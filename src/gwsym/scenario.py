@@ -4,7 +4,8 @@ Grammar: one ``key = value`` pair per line; blank lines and lines starting
 with ``#`` are ignored.  Keys:
 
   zeta1..zeta4   four comma-separated component expressions in rho
-                 (integers, + - * / ^, parentheses), e.g.
+                 (integers, + - * / ^, parentheses; exponents at most
+                 200 in absolute value), e.g.
                  ``zeta4 = rho^10, -rho^10, 0, 0``
   oracle_rho     whitespace-separated decimal sample values for the
                  floating-point oracle

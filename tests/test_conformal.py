@@ -1,4 +1,7 @@
 """Conformal weight calculus."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,25 @@ def test_wave_operator_degree():
 
 def test_q_diag_weight():
     assert q_diag_weight() == Weight(2)
+
+
+def test_q_diag_weight_checks_under_optimize():
+    # the check must not be an assert: python -O would strip it
+    code = ("import gwsym.conformal as c\n"
+            "def broken():\n"
+            "    raise c.NonHomogeneousError('wave operator')\n"
+            "c.wave_operator_degree = broken\n"
+            "try:\n"
+            "    c.q_diag_weight()\n"
+            "except c.NonHomogeneousError:\n"
+            "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["gwsym.conformal"].__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "raised\n"
 
 
 def test_compose_total_weight():

@@ -6,11 +6,11 @@ from gwsym.forms import SlotValue
 from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                FormNode, Leaf, QNode, classify_rho40_terms,
                                enumerate_H, enumerate_all, enumerate_shapes,
-                               eval_I_cancellation, eval_term, item_value,
+                               eval_I_cancellation, item_value,
                                leaves_of, mat_add, mat_max_degree, mat_of,
-                               mat_scale, mat_sub, mat_sum,
+                               mat_scale, mat_sub, mat_sum, nested_chain,
                                predict_entry_order, shared_evaluator,
-                               total_symbol, _coefficient_of)
+                               total_symbol, _coefficient_of, _family_keys)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.tensor import rank_one, sym_outer
 
@@ -42,6 +42,71 @@ def test_signs_and_leaves():
         for term in enumerate_H(k):
             assert term.sign == signs[k]
             assert sorted(leaves_of(term.ast)) == [1, 2, 3, 4]
+
+
+def _hand_trees(f):
+    """Every (class, shape) tree written out for the permutation (1, 2, 3, 4),
+    with coefficient forms ``f`` in preorder."""
+    F, Q = FormNode, QNode
+    w1, w2, w3, w4 = Leaf(1), Leaf(2), Leaf(3), Leaf(4)
+    return {
+        (1, 0): F(f[0], (w1, w2, w3, w4)),
+        (2, 0): F(f[0], (w1, w2, Q(F(f[1], (w3, w4))))),
+        (2, 1): F(f[0], (w1, Q(F(f[1], (w2, w3))), w4)),
+        (2, 2): F(f[0], (Q(F(f[1], (w1, w2))), w3, w4)),
+        (3, 0): F(f[0], (Q(F(f[1], (w1, w2, w3))), w4)),
+        (3, 1): F(f[0], (w1, Q(F(f[1], (w2, w3, w4))))),
+        (4, 0): F(f[0], (Q(F(f[1], (w1, w2))), Q(F(f[2], (w3, w4))))),
+        (5, 0): F(f[0], (w1, Q(F(f[1], (w2, Q(F(f[2], (w3, w4)))))))),
+        (5, 1): F(f[0], (w1, Q(F(f[1], (Q(F(f[2], (w2, w3))), w4))))),
+        (5, 2): F(f[0], (Q(F(f[1], (w1, Q(F(f[2], (w2, w3)))))), w4)),
+        (5, 3): F(f[0], (Q(F(f[1], (Q(F(f[2], (w1, w2))), w3))), w4)),
+    }
+
+
+class TestShapes:
+    def test_identity_permutation_matches_hand_written_trees(self):
+        seen = set()
+        for term in enumerate_all():
+            if term.perm != (1, 2, 3, 4):
+                continue
+            key = (term.hclass, term.shape)
+            assert term.ast == _hand_trees(term.forms + (None, None))[key], key
+            seen.add(key)
+        assert seen == set(_hand_trees((None,) * 3))
+
+    def test_node_arities_equal_child_counts(self):
+        def check(node):
+            if isinstance(node, QNode):
+                check(node.child)
+            elif isinstance(node, FormNode):
+                assert node.form[1] == len(node.children)
+                for child in node.children:
+                    check(child)
+
+        for term in enumerate_all():
+            check(term.ast)
+
+    def test_nested_chain_is_class_5_shape_0(self):
+        P2 = ("P", 2)
+        chains = {term.perm[:3]: term.ast for term in enumerate_H(5)
+                  if term.shape == 0 and term.perm[3] == 4
+                  and term.forms == (P2, P2, P2)}
+        assert len(chains) == 6
+        for key, ast in chains.items():
+            assert nested_chain(*key) == ast
+
+    def test_item_members_are_enumerated_terms(self, config):
+        index = {(t.hclass, t.shape, t.perm, t.forms): t
+                 for t in enumerate_all()}
+        for n in range(1, 9):
+            members = item_value(n, config)["members"]
+            assert members == [index[key] for key in _family_keys()[n]]
+
+    def test_bad_class(self):
+        for hclass in (0, 6):
+            with pytest.raises(ValueError, match=f"got {hclass}"):
+                enumerate_H(hclass)
 
 
 def test_leaf_evaluation(config, evaluator):
@@ -259,7 +324,7 @@ class TestEvaluationProperties:
         cfg = NullConfig((t1, t2, t3.scale(rr("1/2")), t4), validate=False)
         ast = QNode(FormNode(("P", 3), (Leaf(1), Leaf(2), Leaf(3))))
         with pytest.raises(CharacteristicDenominatorError) as err:
-            eval_term(ast, cfg)
+            Evaluator(cfg).eval(ast)
         assert err.value.waves == (1, 2, 3)
 
     def test_permutation_relabel_invariance(self, config):
@@ -279,8 +344,8 @@ class TestEvaluationProperties:
         scaled = {1: SlotValue(rank_one(z1).scale(c), z1,
                                outer=((c, z1, z1),))}
         ast = enumerate_H(5)[0].ast
-        base = eval_term(ast, config)
-        got = eval_term(ast, config, leaf_symbols=scaled)
+        base = Evaluator(config).eval(ast)
+        got = Evaluator(config, leaf_symbols=scaled).eval(ast)
         assert got.matrix == mat_scale(base.matrix, c)
 
     def test_i_power_bookkeeping(self, config, evaluator):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsym.interaction import (FormNode, Leaf, QNode, eval_I_cancellation,
-                               eval_term, mat_eval_at, total_symbol)
+from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
+                               eval_I_cancellation, mat_eval_at, total_symbol)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.oracle import (GaussianRational, OracleUnsupported, _disjoint,
                           cancellation_scale, eval_ast_float,
@@ -272,7 +272,7 @@ class TestFloatOracle:
             FormNode(("P", 2), (Leaf(2), QNode(
                 FormNode(("P", 2), (Leaf(3), Leaf(4)))))))))
         rho = Fraction(2)
-        exact = eval_term(ast, config)
+        exact = Evaluator(config).eval(ast)
         got = numeric_oracle(ast, rho, config)
         err = max_rel_diff(mat_eval_at(exact.matrix, rho), got)
         assert err <= 1e-9

@@ -1,4 +1,6 @@
 """Report serialization, scenario parsing and the command-line interface."""
+import time
+
 import pytest
 
 from gwsym.cli import run
@@ -98,6 +100,10 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="nested too deeply"):
             parse_scenario(self.deeply_nested(deep))
 
+    def test_huge_exponent_rejected(self):
+        with pytest.raises(ScenarioError, match="exponent 20000 exceeds"):
+            parse_scenario(self.deeply_nested("(rho+1)^20000"))
+
     @staticmethod
     def deeply_nested(component):
         return (f"zeta1 = {component}, 0, 1, 0\n"
@@ -177,6 +183,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "scenario error: bad covector component" in err
         assert "nested too deeply" in err
+
+    def test_huge_exponent_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.scn"
+        path.write_text(TestScenario.deeply_nested("(rho+1)^20000"))
+        start = time.perf_counter()
+        assert run(["--scenario", str(path), "verify", "gauge"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exponent 20000 exceeds 200" in capsys.readouterr().err
 
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
         path = tmp_path / "degenerate.txt"
