@@ -4,12 +4,18 @@ Rationals, sparse polynomials in the large parameter ``rho``, the field of
 rational functions in ``rho``, and Laurent expansion at ``rho = infinity``.
 Every scalar in the engine lives here; there is no floating point on this
 path, so asymptotic statements become exact statements about degrees.
+
+A polynomial holds Python int coefficients over one common denominator.
+Its ring operations, fraction-free pseudo-division and the primitive
+remainder sequence behind every gcd (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 6; Knuth, TAOCP vol. 2, 4.6.1) run on ints;
+``Fraction`` appears only at the boundary: ``terms``, ``lc``, ``eval_at``,
+the constructors and printing.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-_FRACTION_ONE = Fraction(1)
+from math import gcd, lcm
 
 #: Sentinel degree of the zero element (compares below every integer).
 NEG_INF = float("-inf")
@@ -18,23 +24,33 @@ NEG_INF = float("-inf")
 class RhoPoly:
     """Sparse polynomial in rho with rational coefficients.
 
-    Immutable; ``terms`` maps exponent -> nonzero Fraction.
+    Immutable.  Held as ``_c``, a dict exponent -> nonzero int, over one
+    positive int denominator ``_d`` that shares no factor with all of the
+    ``_c`` values (``_d == 1`` for the zero polynomial).  Each polynomial
+    thus has one representation and ``==`` is structural.  ``terms`` is
+    the rational view: exponent -> nonzero Fraction.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_c", "_d", "_hash")
 
     def __init__(self, terms=None):
-        clean = {}
+        fracs = {}
         if terms:
             for e, c in terms.items():
+                c = Fraction(c)
                 if c:
                     e = int(e)
                     if e < 0:
                         raise ValueError(
                             "polynomial exponents must be non-negative; "
                             "negative powers live in RhoRational")
-                    clean[e] = Fraction(c)
-        object.__setattr__(self, "terms", clean)
+                    fracs[e] = c
+        # over the lcm of the reduced denominators the content is coprime
+        # to the denominator already
+        d = lcm(*(c.denominator for c in fracs.values()))
+        object.__setattr__(self, "_c", {e: c.numerator * (d // c.denominator)
+                                        for e, c in fracs.items()})
+        object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -42,38 +58,45 @@ class RhoPoly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def _of(terms: dict) -> "RhoPoly":
-        """Trusted constructor for ring-operation results.
+    def _of(c: dict, d: int) -> "RhoPoly":
+        """Trusted constructor for canonical int data.
 
-        ``terms`` must map int exponents >= 0 to nonzero Fractions and must
-        not be shared with any other polynomial.
+        ``c`` maps int exponents >= 0 to nonzero ints and is never mutated
+        afterwards; ``d`` > 0 shares no factor with all of its values.
         """
         self = object.__new__(RhoPoly)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_hash", None)
         return self
 
     @staticmethod
     def const(c) -> "RhoPoly":
-        return RhoPoly({0: Fraction(c)})
+        return RhoPoly({0: c})
 
     @staticmethod
     def monomial(c, e: int) -> "RhoPoly":
-        return RhoPoly({e: Fraction(c)})
+        return RhoPoly({e: c})
 
     # -- queries -------------------------------------------------------
+    @property
+    def terms(self) -> dict:
+        """exponent -> nonzero Fraction (a new dict on every access)."""
+        d = self._d
+        return {e: Fraction(c, d) for e, c in self._c.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     @property
     def degree(self):
-        return max(self.terms) if self.terms else NEG_INF
+        return max(self._c) if self._c else NEG_INF
 
     @property
     def lc(self) -> Fraction:
-        if not self.terms:
+        if not self._c:
             return Fraction(0)
-        return self.terms[max(self.terms)]
+        return Fraction(self._c[max(self._c)], self._d)
 
     def eval_at(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -81,78 +104,83 @@ class RhoPoly:
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other: "RhoPoly") -> "RhoPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e, 0) + c
+        if not other._c:
+            return self
+        if not self._c:
+            return other
+        da, db = self._d, other._d
+        if da == db:
+            c = dict(self._c)
+            mb = 1
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            c = {e: v * ma for e, v in self._c.items()}
+            da *= ma
+        for e, v in other._c.items():
+            v = v * mb + c.get(e, 0)
             if v:
-                terms[e] = v
+                c[e] = v
             else:
-                terms.pop(e, None)
-        return RhoPoly._of(terms)
+                del c[e]
+        return _poly(c, da)
 
     def __neg__(self) -> "RhoPoly":
-        return RhoPoly._of({e: -c for e, c in self.terms.items()})
+        return RhoPoly._of({e: -v for e, v in self._c.items()}, self._d)
 
     def __sub__(self, other: "RhoPoly") -> "RhoPoly":
         return self + (-other)
 
     def __mul__(self, other: "RhoPoly") -> "RhoPoly":
-        a, b = self.terms, other.terms
+        a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             # shift and scale: a product of nonzero coefficients is nonzero
             (eb, cb), = b.items()
             if cb == 1:
-                return RhoPoly._of({e + eb: c for e, c in a.items()})
-            return RhoPoly._of({e + eb: c * cb for e, c in a.items()})
-        terms: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return RhoPoly._of({e: c for e, c in terms.items() if c})
+                c = {e + eb: v for e, v in a.items()}
+            else:
+                c = {e + eb: v * cb for e, v in a.items()}
+        else:
+            c = {}
+            get = c.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    c[e] = get(e, 0) + c1 * c2
+            c = {e: v for e, v in c.items() if v}
+        return _poly(c, self._d * other._d)
 
     def scale(self, c) -> "RhoPoly":
         c = Fraction(c)
         if not c:
-            return RhoPoly._of({})
-        return RhoPoly._of({e: co * c for e, co in self.terms.items()})
+            return _POLY_ZERO
+        n = c.numerator
+        return _poly({e: v * n for e, v in self._c.items()},
+                     self._d * c.denominator)
 
     def __divmod__(self, other: "RhoPoly"):
-        dterms = other.terms
-        if not dterms:
+        b = other._c
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        ddeg = max(dterms)
-        dlc = dterms[ddeg]
-        monic = dlc == 1
-        q: dict = {}
-        rem = dict(self.terms)
-        if len(dterms) == 1:
-            # monomial divisor: shift and scale, no elimination steps
-            for e in [e for e in rem if e >= ddeg]:
-                c = rem.pop(e)
-                q[e - ddeg] = c if monic else c / dlc
-            return RhoPoly._of(q), RhoPoly._of(rem)
-        lower = [(e - ddeg, c) for e, c in dterms.items() if e != ddeg]
-        # Each step cancels the leading term of ``rem`` in place; quotient
-        # exponents strictly decrease, so each is written once.
-        while rem:
-            top = max(rem)
-            if top < ddeg:
-                break
-            c = rem.pop(top)
-            if not monic:
-                c = c / dlc
-            q[top - ddeg] = c
-            for de, dc in lower:
-                k = top + de
-                v = rem.get(k, 0) - c * dc
-                if v:
-                    rem[k] = v
-                else:
-                    del rem[k]
-        return RhoPoly._of(q), RhoPoly._of(rem)
+        a, da, db = self._c, self._d, other._d
+        bdeg = max(b)
+        if len(b) == 1:
+            # monomial divisor (blc/db)*rho^bdeg: shift and scale, no
+            # elimination steps
+            blc = b[bdeg]
+            if blc < 0:
+                db, blc = -db, -blc
+            q = {e - bdeg: v * db for e, v in a.items() if e >= bdeg}
+            r = {e: v for e, v in a.items() if e < bdeg}
+            return _poly(q, da * blc), _poly(r, da)
+        # s*a = q*b + r over the ints; with A = a/da and B = b/db this is
+        # A = (q*db/(s*da))*B + r/(s*da)
+        q, r, s = _pseudo_divmod(a, b)
+        if db != 1:
+            q = {e: v * db for e, v in q.items()}
+        return _poly(q, s * da), _poly(r, s * da)
 
     def __mod__(self, other: "RhoPoly") -> "RhoPoly":
         return divmod(self, other)[1]
@@ -161,21 +189,24 @@ class RhoPoly:
         return divmod(self, other)[0]
 
     def monic(self) -> "RhoPoly":
-        if self.is_zero():
+        c = self._c
+        if not c:
             return self
-        return self.scale(1 / self.lc)
+        # (c/d) / (lc/d) = c/lc: the denominator cancels
+        lc = c[max(c)]
+        if lc < 0:
+            c, lc = {e: -v for e, v in c.items()}, -lc
+        return _poly(c, lc)
 
     # -- equality -------------------------------------------------------
-    def _key(self):
-        return tuple(sorted(self.terms.items(), reverse=True))
-
     def __eq__(self, other):
-        return isinstance(other, RhoPoly) and self.terms == other.terms
+        return (isinstance(other, RhoPoly) and self._d == other._d
+                and self._c == other._c)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self._key())
+            h = hash((self._d, frozenset(self._c.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -183,24 +214,105 @@ class RhoPoly:
         return f"RhoPoly({format_poly(self)})"
 
 
+def _poly(c: dict, d: int) -> RhoPoly:
+    """Trusted constructor for int data that may share a factor.
+
+    ``c`` as for ``RhoPoly._of``; ``d`` > 0.  The common factor of ``d``
+    and the values of ``c`` is divided out.
+    """
+    if d != 1:
+        g = gcd(d, *c.values())
+        if g != 1:
+            c = {e: v // g for e, v in c.items()}
+            d //= g
+    return RhoPoly._of(c, d)
+
+
+def _primitive(c: dict) -> dict:
+    """``c`` divided by the gcd of its values."""
+    g = gcd(*c.values())
+    if g < 2:
+        return c
+    return {e: v // g for e, v in c.items()}
+
+
+def _pseudo_divmod(a: dict, b: dict):
+    """Fraction-free division of int polynomials, ``b`` with two or more
+    terms: ``(q, r, s)`` with s*a = q*b + r, deg r < deg b and int s > 0.
+
+    ``s`` collects only the factors of lc(b) some step needs, so it stays
+    1 when lc(b) divides each leading coefficient met on the way.
+    """
+    bdeg = max(b)
+    blc = b[bdeg]
+    lower = [(e - bdeg, v) for e, v in b.items() if e != bdeg]
+    q: dict = {}
+    r = dict(a)
+    s = 1
+    # Each step cancels the leading term of ``r`` in place; quotient
+    # exponents strictly decrease, so each is written once.
+    while r:
+        top = max(r)
+        if top < bdeg:
+            break
+        c = r.pop(top)
+        if c % blc:
+            k = abs(blc) // gcd(c, blc)
+            s *= k
+            c *= k
+            r = {e: v * k for e, v in r.items()}
+            q = {e: v * k for e, v in q.items()}
+        c //= blc
+        q[top - bdeg] = c
+        for de, dv in lower:
+            e = top + de
+            v = r.get(e, 0) - c * dv
+            if v:
+                r[e] = v
+            else:
+                del r[e]
+    return q, r, s
+
+
+_POLY_ZERO = RhoPoly()
 _POLY_ONE = RhoPoly.const(1)
 
 
 def _poly_gcd(a: RhoPoly, b: RhoPoly) -> RhoPoly:
-    """Monic gcd; the zero polynomial only when both arguments are zero."""
+    """Monic gcd; the zero polynomial only when both arguments are zero.
+
+    A single-term argument c*rho^k shares only a power of rho with the
+    other: the gcd is rho^min(k, lowest exponent of the other).  That test
+    runs first, before any content is computed.  Otherwise a primitive
+    remainder sequence runs on the int coefficients (denominators and
+    contents do not change a gcd over Q); it ends at a zero remainder, or
+    at a single-term one by the same rule.  Only the last nonzero
+    remainder, primitive, is made monic.
+    """
+    for single, other in ((a, b), (b, a)):
+        if len(single._c) == 1:
+            return _rho_power_gcd(single._c, other._c)
+    if not b._c:
+        return a.monic()
+    a, b = a._c, _primitive(b._c)
     while True:
-        # A single-term argument c*rho^k shares only a power of rho with the
-        # other: the gcd is rho^min(k, lowest exponent of the other).  This
-        # also ends the Euclidean loop once a remainder is a constant.
-        for single, other in ((a, b), (b, a)):
-            if len(single.terms) == 1:
-                k = min(single.terms)
-                if other.terms:
-                    k = min(k, min(other.terms))
-                return _POLY_ONE if k == 0 else RhoPoly._of({k: _FRACTION_ONE})
-        if not b.terms:
-            return a.monic()
-        a, b = b, a % b
+        r = _primitive(_pseudo_divmod(a, b)[1])
+        if not r:
+            lc = b[max(b)]
+            if lc < 0:
+                b, lc = {e: -v for e, v in b.items()}, -lc
+            return RhoPoly._of(b, lc)
+        if len(r) == 1:
+            return _rho_power_gcd(r, b)
+        a, b = b, r
+
+
+def _rho_power_gcd(single: dict, other: dict) -> RhoPoly:
+    """gcd of c*rho^k (``single``) and ``other``."""
+    k = min(single)
+    if other:
+        k = min(k, min(other))
+    return _POLY_ONE if k == 0 else RhoPoly._of({k: 1}, 1)
 
 
 class RhoRational:
@@ -225,7 +337,7 @@ class RhoRational:
             den = _POLY_ONE
         else:
             g = _poly_gcd(num, den)
-            if g.degree > 0 or g.lc != 1:
+            if g.degree > 0:
                 num = num // g
                 den = den // g
             c = den.lc
@@ -438,17 +550,17 @@ def expand_at_infinity(a: RhoRational, n_terms: int) -> LaurentTail:
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     # Long division in descending powers, allowing negative exponents.
-    num = dict(a.num.terms)
-    den = a.den
-    dl = den.lc
-    dd = den.degree
+    num = a.num.terms
+    dterms = a.den.terms
+    dd = a.den.degree
+    dl = dterms[dd]
     out = []
     while num and len(out) < n_terms:
         e_top = max(num)
         c = num[e_top] / dl
         e = e_top - dd
         out.append((e, c))
-        for de, dc in den.terms.items():
+        for de, dc in dterms.items():
             k = e + de
             v = num.get(k, 0) - c * dc
             if v:
@@ -467,9 +579,10 @@ def expand_at_infinity(a: RhoRational, n_terms: int) -> LaurentTail:
 def format_poly(p: RhoPoly) -> str:
     if p.is_zero():
         return "0"
+    terms = p.terms
     parts = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
         sign = "-" if c < 0 else "+"
         c = abs(c)
         if e == 0:
@@ -491,8 +604,10 @@ def format_rho_rational(a: RhoRational) -> str:
     return f"({format_poly(a.num)})/({format_poly(a.den)})"
 
 
-#: largest |e| accepted in ``x^e``: the power is built by repeated
-#: multiplication, so (rho+1)^e costs time growing faster than e
+#: largest |e| accepted in ``x^e``, and largest degree of the power (|e|
+#: times the larger of the degrees of the numerator and the denominator of
+#: x): the power is built by repeated multiplication, so (rho+1)^e costs
+#: time growing faster than e, and nesting multiplies the degrees
 MAX_EXPONENT = 200
 
 
@@ -501,7 +616,8 @@ class _Parser:
 
     Grammar: expr := term (('+'|'-') term)*; term := unary (('*'|'/') unary)*;
     unary := '-'* atom; atom := INT | INT '/' INT | 'rho' | '(' expr ')',
-    optionally followed by '^' '-'* INT, with |exponent| <= MAX_EXPONENT.
+    optionally followed by '^' '-'* INT, with |exponent| <= MAX_EXPONENT
+    and a power of degree at most MAX_EXPONENT.
     """
 
     def __init__(self, text: str):
@@ -600,6 +716,11 @@ class _Parser:
                 raise ValueError(f"exponent {e} exceeds {MAX_EXPONENT} in "
                                  f"absolute value")
             base = value
+            deg = max(base.num.degree, base.den.degree)
+            if abs(e) * deg > MAX_EXPONENT:
+                raise ValueError(f"power of degree {abs(e) * deg} exceeds "
+                                 f"{MAX_EXPONENT} (base of degree {deg}, "
+                                 f"exponent {e})")
             value = ONE
             for _ in range(abs(e)):
                 value = value * base
@@ -612,9 +733,11 @@ def parse_rho_rational(text: str) -> RhoRational:
     """Parse an expression in rho (integers, + - * / ^, parentheses).
 
     Raises ValueError on malformed input, also on nesting too deep for the
-    recursive-descent parser.
+    recursive-descent parser and on division by zero.
     """
     try:
         return _Parser(text).parse()
     except RecursionError as exc:
         raise ValueError("expression nested too deeply") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError("division by zero") from exc

@@ -5,7 +5,8 @@ with ``#`` are ignored.  Keys:
 
   zeta1..zeta4   four comma-separated component expressions in rho
                  (integers, + - * / ^, parentheses; exponents at most
-                 200 in absolute value), e.g.
+                 200 in absolute value, powers of degree at most 200),
+                 e.g.
                  ``zeta4 = rho^10, -rho^10, 0, 0``
   oracle_rho     whitespace-separated decimal sample values for the
                  floating-point oracle
@@ -46,14 +47,18 @@ class Scenario:
         return Scenario(config=standard_config())
 
 
-def _parse_covector(text: str) -> CoVec4:
+def _parse_covector(name: str, text: str) -> CoVec4:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ScenarioError(f"covector needs 4 components, got {len(parts)}")
-    try:
-        return CoVec4(tuple(parse_rho_rational(p) for p in parts))
-    except ValueError as exc:
-        raise ScenarioError(f"bad covector component: {exc}") from exc
+    values = []
+    for k, part in enumerate(parts, start=1):
+        try:
+            values.append(parse_rho_rational(part))
+        except ValueError as exc:
+            raise ScenarioError(f"bad covector component {k} of {name}: "
+                                f"{exc}") from exc
+    return CoVec4(tuple(values))
 
 
 def check_oracle_rho(config: NullConfig, rho_values) -> None:
@@ -103,7 +108,8 @@ def parse_scenario(text: str) -> Scenario:
     if zeta_keys:
         if sorted(zeta_keys) != ["zeta1", "zeta2", "zeta3", "zeta4"]:
             raise ScenarioError("custom configurations need zeta1..zeta4")
-        zetas = tuple(_parse_covector(pairs[f"zeta{i}"]) for i in range(1, 5))
+        zetas = tuple(_parse_covector(f"zeta{i}", pairs[f"zeta{i}"])
+                      for i in range(1, 5))
         try:
             config = NullConfig(zetas)
         except ConfigError as exc:

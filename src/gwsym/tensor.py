@@ -5,7 +5,7 @@ and lowering is always explicit through a Metric4; signature is (-,+,+,+).
 """
 from __future__ import annotations
 
-from .exact import ONE, ZERO, RhoRational, _coerce
+from .exact import ONE, ZERO, RhoRational, _coerce, format_rho_rational
 
 
 def _cv(x) -> RhoRational:
@@ -108,7 +108,8 @@ class Sym2T:
         return hash(self.m)
 
     def __repr__(self):
-        return "Sym2T(" + repr([[str(x.num.terms) for x in r] for r in self.m]) + ")"
+        return "Sym2T(" + repr([[format_rho_rational(x) for x in r]
+                                for r in self.m]) + ")"
 
 
 ZERO_SYM2 = Sym2T(tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))

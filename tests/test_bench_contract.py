@@ -61,6 +61,10 @@ def test_tracer_counts_engine_work():
     assert got["code"] == 0
     assert got["full"] == 1 and got["shape"] == [4, 4, 4, 4]
     metrics = got["metrics"]
+    # every patched scalar operation must still be reached: a path around
+    # one of them would make its count read 0 without any error
     for name in ("forms.symbol_outer_calls", "interaction.eval_calls",
-                 "exact.mul_calls", "cli.suite_cancellation_s"):
+                 "exact.add_calls", "exact.mul_calls", "exact.ctor_calls",
+                 "exact.poly_mul_calls", "exact.poly_divmod_calls",
+                 "cli.suite_cancellation_s"):
         assert metrics[name] > 0, name

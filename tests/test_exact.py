@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: canonical forms, degrees, expansion at infinity."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,25 @@ def test_parser_bounds_exponents():
             parse_rho_rational(text)
 
 
+def test_parser_bounds_nested_powers():
+    # each exponent is within the bound, the degree of the power is not
+    for text, deg in (("((rho+1)^40)^40", 1600),
+                      ("((rho+1)^200)^200", 40000),
+                      ("(1/(rho+1)^20)^-11", 220)):
+        with pytest.raises(ValueError,
+                           match=f"power of degree {deg} exceeds 200"):
+            parse_rho_rational(text)
+    assert parse_rho_rational("(rho+1)^200").num.degree == 200
+    assert parse_rho_rational("((rho+1)^20)^10").num.degree == 200
+    assert parse_rho_rational("(1/rho^2)^-100") == RhoRational.rho_power(200)
+
+
+def test_parser_rejects_division_by_zero():
+    for text in ("1/0", "1/(rho-rho)", "0^-1", "(rho-rho)^-2"):
+        with pytest.raises(ValueError, match="^division by zero$"):
+            parse_rho_rational(text)
+
+
 # -- polynomial ring operations ------------------------------------------------
 
 poly_terms = st.dictionaries(st.integers(0, 12), coeffs, max_size=5)
@@ -250,3 +270,102 @@ def test_field_results_are_canonical(a, b):
         # canonical: monic denominator sharing no factor with the numerator
         assert x.den.lc == 1
         assert _euclid_gcd(x.num, x.den) == RhoPoly.const(1)
+
+
+# -- differential check against a plain {exponent: Fraction} reference ---------
+
+wide_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+ref_terms = st.dictionaries(st.integers(0, 8), wide_coeffs, max_size=5)
+ref_divisors = st.one_of(
+    st.dictionaries(st.integers(0, 8), wide_coeffs.filter(bool),
+                    min_size=1, max_size=1),
+    st.dictionaries(st.integers(0, 6), wide_coeffs.filter(bool),
+                    min_size=2, max_size=4))
+
+
+def _ref(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_divmod(a, b):
+    top, lc = max(b), b[max(b)]
+    q, r = {}, dict(a)
+    while r and max(r) >= top:
+        e = max(r)
+        c = r[e] / lc
+        q[e - top] = c
+        r = _ref_add(r, {e - top + k: -c * v for k, v in b.items()})
+    return q, r
+
+
+def _ref_monic(a):
+    return {e: c / a[max(a)] for e, c in a.items()} if a else {}
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _same(p, ref):
+    """``p`` equals the reference and holds the canonical int form."""
+    c, d = p._c, p._d
+    assert type(d) is int and d > 0
+    assert all(type(e) is int and e >= 0 and type(v) is int and v
+               for e, v in c.items())
+    assert gcd(d, *c.values()) == 1, (c, d)
+    assert p.terms == ref
+    assert p == RhoPoly(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_terms, ref_terms, wide_coeffs)
+def test_ring_matches_fraction_reference(a_terms, b_terms, c):
+    a, b = _ref(a_terms), _ref(b_terms)
+    pa, pb = RhoPoly(a_terms), RhoPoly(b_terms)
+    _same(pa, a)
+    _same(pa + pb, _ref_add(a, b))
+    _same(pa - pb, _ref_add(a, {e: -v for e, v in b.items()}))
+    _same(-pa, {e: -v for e, v in a.items()})
+    _same(pa * pb, _ref_mul(a, b))
+    _same(pa.scale(c), {e: v * c for e, v in a.items() if v * c})
+    _same(pa.monic(), _ref_monic(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_terms, ref_divisors)
+def test_divmod_matches_fraction_reference(a_terms, b_terms):
+    a, b = _ref(a_terms), _ref(b_terms)
+    q, r = divmod(RhoPoly(a_terms), RhoPoly(b_terms))
+    ref_q, ref_r = _ref_divmod(a, b)
+    _same(q, ref_q)
+    _same(r, ref_r)
+    _same(RhoPoly(a_terms) // RhoPoly(b_terms), ref_q)
+    _same(RhoPoly(a_terms) % RhoPoly(b_terms), ref_r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_divisors, ref_terms, ref_terms)
+def test_gcd_matches_fraction_reference(f_terms, g_terms, h_terms):
+    from gwsym.exact import _poly_gcd
+    # a common factor f makes the remainder sequence run several steps
+    f, g, h = _ref(f_terms), _ref(g_terms), _ref(h_terms)
+    a, b = _ref_mul(f, g), _ref_mul(f, _ref_add(h, {1: Fraction(1, 3)}))
+    for x, y in ((a, b), (b, a), (a, h), (g, h)):
+        _same(_poly_gcd(RhoPoly(x), RhoPoly(y)), _ref_gcd(x, y))

@@ -104,6 +104,18 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="exponent 20000 exceeds"):
             parse_scenario(self.deeply_nested("(rho+1)^20000"))
 
+    def test_nested_power_rejected(self):
+        for component in ("((rho+1)^40)^40", "((rho+1)^200)^200"):
+            with pytest.raises(ScenarioError, match="power of degree"):
+                parse_scenario(self.deeply_nested(component))
+
+    def test_division_by_zero_rejected(self):
+        for component in ("1/0", "1/(rho-rho)", "0^-1", "(rho-rho)^-2"):
+            with pytest.raises(ScenarioError,
+                               match="component 1 of zeta1: division by "
+                                     "zero"):
+                parse_scenario(self.deeply_nested(component))
+
     @staticmethod
     def deeply_nested(component):
         return (f"zeta1 = {component}, 0, 1, 0\n"
@@ -191,6 +203,23 @@ class TestCli:
         assert run(["--scenario", str(path), "verify", "gauge"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "exponent 20000 exceeds 200" in capsys.readouterr().err
+
+    def test_nested_power_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.scn"
+        path.write_text(TestScenario.deeply_nested("((rho+1)^40)^40"))
+        start = time.perf_counter()
+        assert run(["--scenario", str(path), "verify", "gauge"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "power of degree 1600 exceeds 200" in capsys.readouterr().err
+
+    def test_division_by_zero_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.scn"
+        path.write_text(TestScenario.deeply_nested("1/0"))
+        assert run(["--scenario", str(path), "verify", "gauge"]) == 2
+        err = capsys.readouterr().err
+        assert ("scenario error: bad covector component 1 of zeta1: "
+                "division by zero") in err
+        assert "Traceback" not in err
 
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
         path = tmp_path / "degenerate.txt"

@@ -112,6 +112,14 @@ def test_sym2t_rejects_asymmetric():
         Sym2T(rows)
 
 
+def test_sym2t_repr_shows_denominators():
+    rows = [[0] * 4 for _ in range(4)]
+    rows[0][0], rows[1][1] = RhoRational.rho_power(-10), 1
+    text = repr(Sym2T(rows))
+    assert text.startswith("Sym2T([['(1)/(rho^10)', '0', '0', '0'], "
+                           "['0', '1', '0', '0'], ")
+
+
 def _random_covec(rng):
     return CoVec4(tuple(RhoRational.const(Fraction(rng.randint(-4, 4),
                                                    rng.randint(1, 3)))
