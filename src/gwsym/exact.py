@@ -437,6 +437,9 @@ class RhoRational:
         other = _coerce(other)
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
+        if self.den == _POLY_ONE and other.den == _POLY_ONE:
+            # two polynomials: nothing to cross-reduce
+            return RhoRational._raw(self.num * other.num, _POLY_ONE)
         # Cross-reduce so the trusted constructor applies.
         g1 = _poly_gcd(self.num, other.den)
         g2 = _poly_gcd(other.num, self.den)

@@ -502,8 +502,11 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     Slot matrices are expanded into their outer decompositions; every
     metric pair then collapses to a pairing of two vectors, so a monomial
     contributes scalar * (mu-vector) (x) (nu-vector) per decomposition
-    choice.  The i factors of the derivatives are excluded from the value
-    and reported as the power.
+    choice.  The choices are walked depth first, factor by factor, and each
+    pair is checked as soon as both of its vectors are fixed, before any
+    coefficient is multiplied in: a zero pairing drops the whole subtree.
+    The i factors of the derivatives are excluded from the value and
+    reported as the power.
     """
     slots, i_power = _prepare_slots(form, assignment)
     out = []
@@ -553,7 +556,16 @@ def _positions_of(mono: Monomial):
 
 
 def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
-    """Outer-product terms contributed by one monomial."""
+    """Outer-product terms contributed by one monomial.
+
+    A depth-first walk over the factors, in order, picks one outer term per
+    factor, so the leaves come in the order of the product of the slot
+    decompositions.  Each metric pair is paired at the first level where
+    both of its vectors are fixed; a pair of two derivative covectors is
+    paired once, before the walk.  A level pairs first and drops the branch
+    on a zero pairing; only then does it multiply in the term's coefficient
+    and the pairings, so each prefix product is shared by its subtree.
+    """
     positions = _positions_of(mono)
     for name, refs in positions.items():
         if name in FREE_PAIR:
@@ -566,9 +578,10 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
         raise FormError("every monomial must carry both free indices")
 
     factors = mono.factors
+    depth = len(factors)
     decomps = [slots[f.slot].outer for f in factors]
     covs = [slots[f.slot].covector for f in factors]
-    base = RhoRational.const(mono.coeff)
+    chosen = [None] * depth
     out = []
 
     def pair_cached(u: CoVec4, v: CoVec4):
@@ -581,34 +594,53 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
             hit = cache[key] = pairing(metric, u, v)
         return hit
 
-    for choice in itertools.product(*decomps):
-        scalar = base
-        for c, _, _ in choice:
-            scalar = scalar * c
-        if scalar.is_zero():
-            continue
+    def ref(name):
+        # (factor index, 0 for its covector or 1|2 for the left|right
+        # vector of its chosen outer term)
+        kind, fi, *rest = positions[name][0]
+        return fi, 0 if kind == "d" else 1 + rest[0]
 
-        def vec_at(ref):
-            kind, fi, *rest = ref
-            if kind == "d":
-                return covs[fi]
-            _, left, right = choice[fi]
-            return left if rest[0] == 0 else right
+    def vec(r):
+        fi, k = r
+        return covs[fi] if k == 0 else chosen[fi][k]
 
-        zero = False
-        for a, b in mono.hinv:
-            va = vec_at(positions[a][0])
-            vb = vec_at(positions[b][0])
-            p = pair_cached(va, vb)
-            if p.is_zero():
-                zero = True
-                break
-            scalar = scalar * p
-        if zero:
+    scalar = RhoRational.const(mono.coeff)
+    pairs_at = [[] for _ in range(depth)]
+    for a, b in mono.hinv:
+        ra, rb = ref(a), ref(b)
+        # a covector is fixed before the walk, an outer vector at the level
+        # of its factor
+        level = max(ra[0] if ra[1] else -1, rb[0] if rb[1] else -1)
+        if level >= 0:
+            pairs_at[level].append((ra, rb))
             continue
-        vmu = vec_at(positions["mu"][0])
-        vnu = vec_at(positions["nu"][0])
-        out.append((scalar, vmu, vnu))
+        p = pair_cached(vec(ra), vec(rb))
+        if p.is_zero():
+            return out
+        scalar = scalar * p
+    rmu, rnu = ref("mu"), ref("nu")
+
+    def walk(level, prefix):
+        if level == depth:
+            out.append((prefix, vec(rmu), vec(rnu)))
+            return
+        pairs = pairs_at[level]
+        for term in decomps[level]:
+            chosen[level] = term
+            ps = []
+            for ra, rb in pairs:
+                p = pair_cached(vec(ra), vec(rb))
+                if p.is_zero():
+                    break
+                ps.append(p)
+            else:
+                value = prefix * term[0]
+                for p in ps:
+                    value = value * p
+                if not value.is_zero():
+                    walk(level + 1, value)
+
+    walk(0, scalar)
     return out
 
 

@@ -9,9 +9,13 @@ Two routes that never touch the exact form engine:
   aggregate covector, and the causal inverse divides by the aggregate
   covector's squared norm.  The full nonlinear reduced curvature operator is
   evaluated directly on this algebra and iterated, which reproduces the
-  complete four-wave interaction sum without ever enumerating terms.  The scalars are exact Gaussian
-  rationals, each held as an integer triple (a + b i) / d reduced by one
-  gcd per operation, or complex floating point.
+  complete four-wave interaction sum without ever enumerating terms.  The
+  iteration is graded by subset size: a component on k waves reads only
+  components on fewer waves, so two passes fix the two- and three-wave
+  components, and the last evaluation computes the four-wave component
+  alone.  The scalars are exact Gaussian rationals, each held as an integer
+  triple (a + b i) / d reduced by one gcd per operation, or complex
+  floating point.
 
 * A direct floating-point evaluator for individual term trees built from
   the closed quasilinear chains and the explicit quadratic semilinear form.
@@ -198,14 +202,21 @@ class JetContext:
 # scalars.  No matrix is written to once a field is built, so fields may
 # share matrices (every iterate shares the wave amplitudes).
 
-def _disjoint(*fields):
+def _disjoint(*fields, sizes=range(5)):
     """(union, matrices) for each choice of pairwise disjoint subsets, one
-    component per field, in nested iteration order of the fields."""
+    component per field, in nested iteration order of the fields.
+
+    Only unions with a size in ``sizes`` are kept; a partial choice larger
+    than all of them is dropped as soon as it is made.  The kept choices
+    keep their relative order.
+    """
     combos = [(frozenset(), ())]
+    top = max(sizes)
     for field in fields:
         combos = [(s | t, mats + (m,)) for s, mats in combos
-                  for t, m in field.items() if not s & t]
-    return combos
+                  for t, m in field.items()
+                  if not s & t and len(s) + len(t) <= top]
+    return [c for c in combos if len(c[0]) in sizes]
 
 
 def _add_into(field, s, mat):
@@ -220,9 +231,9 @@ def _map(field, f):
     return {s: [[f(s, x) for x in row] for row in m] for s, m in field.items()}
 
 
-def _jet_matmul(ctx, a, b):
+def _jet_matmul(ctx, a, b, sizes):
     out = {}
-    for s, (m1, m2) in _disjoint(a, b):
+    for s, (m1, m2) in _disjoint(a, b, sizes=sizes):
         tgt = out.get(s)
         if tgt is None:
             tgt = out[s] = ctx.zero_mat()
@@ -239,27 +250,29 @@ def _jet_matmul(ctx, a, b):
     return out
 
 
-def _ginv_series(ctx, u):
-    """(h + u)^{-1} on the jet algebra; the series terminates exactly.
+def _ginv_series(ctx, u, top):
+    """(h + u)^{-1} on the jet algebra, components on at most ``top``
+    waves; the series terminates exactly.
 
     The empty-set component of the result is the constant inverse metric.
     """
+    sizes = range(top + 1)
     hinv = {frozenset(): ctx.hinv}
     # x = -h^{-1} u, nilpotent: (h+u)^{-1} = (1 + x + x^2 + x^3 + x^4) h^{-1}
-    x = _map(_jet_matmul(ctx, hinv, u), lambda s, y: -y)
+    x = _map(_jet_matmul(ctx, hinv, u, sizes), lambda s, y: -y)
     total = {frozenset(): [[ctx.one if i == j else ctx.zero for j in range(4)]
                            for i in range(4)]}
     power = total
     for _ in range(4):
-        power = _jet_matmul(ctx, power, x)
+        power = _jet_matmul(ctx, power, x, sizes)
         if not power:
             break
         for s, m in power.items():
             _add_into(total, s, m)
-    return _jet_matmul(ctx, total, hinv)
+    return _jet_matmul(ctx, total, hinv, sizes)
 
 
-def _nonlinearity(ctx, u):
+def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
     """The quadratic-and-higher part of the reduced wave operator.
 
     N(u) = -(g^{pq} - h^{pq}) d_p d_q u
@@ -269,9 +282,16 @@ def _nonlinearity(ctx, u):
     full inverse series.  A derivative d_p multiplies component s by
     i (aggregate covector of s)_p.  Every component of the result is the
     exact symbol of the corresponding wave-subset interaction.
+
+    Only the components on ``sizes`` waves are computed.  Every term has at
+    least two factors on nonempty subsets, so it reads components of u and
+    of g - h on fewer waves than the largest kept size.  Contributions to
+    the kept components arrive in the same order whatever ``sizes`` is.
     """
     ixi = ctx.ixi
-    ginv = _ginv_series(ctx, u)  # includes the constant part
+    top = max(sizes)
+    u = {s: m for s, m in u.items() if len(s) < top}
+    ginv = _ginv_series(ctx, u, top - 1)  # includes the constant part
     result = {}
 
     # Quasilinear part: -(g - h)^{pq} d_p d_q u
@@ -289,7 +309,7 @@ def _nonlinearity(ctx, u):
                 if not c:
                     continue
                 dd = du2[(p, q) if p <= q else (q, p)]
-                for s, (_, m2) in _disjoint({s1: m1}, dd):
+                for s, (_, m2) in _disjoint({s1: m1}, dd, sizes=sizes):
                     _add_into(result, s, [[-(c * x) for x in row]
                                           for row in m2])
 
@@ -303,7 +323,8 @@ def _nonlinearity(ctx, u):
                       for b in range(4)] for a in range(4)] for l in range(4)]
 
     # Semilinear quadratic-derivative part.
-    for s, (g1, g2, ma, mb) in _disjoint(gamma, gamma, ginv, ginv):
+    for s, (g1, g2, ma, mb) in _disjoint(gamma, gamma, ginv, ginv,
+                                         sizes=sizes):
         mat = ctx.zero_mat()
         for mu in range(4):
             for nu in range(4):
@@ -331,7 +352,8 @@ def _nonlinearity(ctx, u):
 
     # G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu)
     du = {s: (m, ixi[s]) for s, m in u.items()}
-    for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma, du, ginv, ginv):
+    for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma, du, ginv, ginv,
+                                               sizes=sizes):
         sand = []
         for x in range(4):
             acc = ctx.zero
@@ -366,24 +388,30 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
     (exact Gaussian rationals or complex floating point), in the same
     normalization as the exact engine: real part is the folded value, and
     the imaginary part must vanish.
+
+    u = v - (causal inverse of N(u)) on two and three waves, in two passes:
+    the first fixes the two-wave components, which read only the waves
+    themselves, and the second the three-wave ones, which read components on
+    one and two waves; a third pass would repeat the second.  Each pass
+    computes only those sizes of N(u), and the last call only its four-wave
+    component.
     """
     of = GaussianRational.of if exact else _float_of
     ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
     v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
     u = v
-    for _ in range(3):
-        # u = v - (causal inverse of N(u), truncated to three waves)
-        nonlinear = _nonlinearity(ctx, u)
+    for _ in range(2):
+        # u = v - (causal inverse of N(u) on two and three waves)
+        nonlinear = _nonlinearity(ctx, u, sizes=(2, 3))
         u = dict(v)
         for s, m in nonlinear.items():
-            if len(s) > 3:
-                continue
             n = ctx.norm[s]
             if not n:
                 raise ZeroDivisionError(
                     f"characteristic covector sum over waves {sorted(s)}")
             _add_into(u, s, [[-(x / n) for x in row] for row in m])
-    mat = _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat()
+    mat = (_nonlinearity(ctx, u, sizes=(len(FULL),)).get(FULL)
+           or ctx.zero_mat())
     return [[-x for x in row] for row in mat]
 
 

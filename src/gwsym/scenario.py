@@ -50,7 +50,7 @@ class Scenario:
 def _parse_covector(name: str, text: str) -> CoVec4:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise ScenarioError(f"covector needs 4 components, got {len(parts)}")
+        raise ScenarioError(f"{name} needs 4 components, got {len(parts)}")
     values = []
     for k, part in enumerate(parts, start=1):
         try:

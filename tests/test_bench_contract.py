@@ -22,10 +22,13 @@ tracer.install()
 from gwsym.forms import SlotValue
 from gwsym.interaction import Evaluator, enumerate_H
 from gwsym.nullcone import standard_config
+from gwsym.oracle import interaction_total_jet
 from gwsym.tensor import Sym2T
 with contextlib.redirect_stdout(io.StringIO()):
     code = gwsym.cli.run(["verify", "cancellation"])
 config = standard_config()
+interaction_total_jet(config, 2, True)
+interaction_total_jet(config, 2, exact=False)
 rows = [[0] * 4 for _ in range(4)]
 rows[1][1], rows[2][2], rows[1][2], rows[2][1] = 1, -1, 2, 2
 overrides = {i: SlotValue(Sym2T(rows), config.zeta(i)) for i in range(1, 5)}
@@ -68,3 +71,6 @@ def test_tracer_counts_engine_work():
                  "exact.poly_mul_calls", "exact.poly_divmod_calls",
                  "cli.suite_cancellation_s"):
         assert metrics[name] > 0, name
+    # the tracer names each jet span from its ``exact`` argument
+    assert metrics["oracle.exact_jet_calls"] == 1
+    assert metrics["oracle.float_jet_s"] > 0

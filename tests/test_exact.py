@@ -272,6 +272,26 @@ def test_field_results_are_canonical(a, b):
         assert _euclid_gcd(x.num, x.den) == RhoPoly.const(1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(poly_terms, poly_terms, poly_terms.filter(lambda t: any(t.values())),
+       st.sampled_from(["both", "left", "right"]))
+def test_product_with_unit_denominator(n1_terms, n2_terms, d_terms, which):
+    # one or both operands are polynomials: the product must equal the
+    # reduced quotient of the plain products, in canonical form
+    n1, n2, d = RhoPoly(n1_terms), RhoPoly(n2_terms), RhoPoly(d_terms)
+    one = RhoPoly.const(1)
+    d1 = d if which == "right" else one
+    d2 = d if which == "left" else one
+    a, b = RhoRational(n1, d1), RhoRational(n2, d2)
+    for x in (a * b, b * a):
+        assert x == RhoRational(n1 * n2, d1 * d2)
+        assert _is_canonical(x.num) and _is_canonical(x.den)
+        assert x.den.lc == 1
+        assert _euclid_gcd(x.num, x.den) == one
+        if which == "both":
+            assert x.den == one
+
+
 # -- differential check against a plain {exponent: Fraction} reference ---------
 
 wide_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)

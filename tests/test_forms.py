@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwsym.exact import RhoRational, ZERO, parse_rho_rational
 from gwsym.forms import (FormError, Monomial, SlotValue, build_form_family,
                          christoffel_form, explicit_hhat2, matrix_of_outer,
-                         metric_inverse_series, reduced_ricci_expansion,
-                         symbol_of_form, symbol_of_form_by_assignment,
-                         symbol_outer_of_form)
-from gwsym.tensor import MINKOWSKI, Metric4, rank_one, sym_outer
+                         merge_outer, metric_inverse_series,
+                         reduced_ricci_expansion, symbol_of_form,
+                         symbol_of_form_by_assignment, symbol_outer_of_form)
+from gwsym.nullcone import standard_config
+from gwsym.tensor import (MINKOWSKI, Metric4, Sym2T, pairing, rank_one,
+                          sym_outer)
 
 
 def rr(text):
@@ -288,3 +291,58 @@ class TestSymbolEvaluation:
         terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], assignment)
         rows, _ = symbol_of_form(fam[("Hhat", 2)], assignment)
         assert matrix_of_outer(terms) == rows
+
+
+def flat_outer_of_form(form, assignment, metric=MINKOWSKI):
+    """Reference for ``symbol_outer_of_form``: every choice of one outer
+    term per factor, in product order, with the whole coefficient product
+    formed before the metric pairs are checked."""
+    out = []
+    for mono in form.monomials:
+        values = [assignment[f.slot] for f in mono.factors]
+        for choice in itertools.product(*(v.outer for v in values)):
+            vector = {}
+            for f, v, (_, left, right) in zip(mono.factors, values, choice):
+                vector[f.idx[0]], vector[f.idx[1]] = left, right
+                for d in f.derivs:
+                    vector[d] = v.covector
+            scalar = RhoRational.const(mono.coeff)
+            for c, _, _ in choice:
+                scalar = scalar * c
+            for a, b in mono.hinv:
+                scalar = scalar * pairing(metric, vector[a], vector[b])
+            if not scalar.is_zero():
+                out.append((scalar, vector["mu"], vector["nu"]))
+    return merge_outer(out)
+
+
+# Sparse symmetric slot matrices: entries +-1, +-2 and +-rho^k on one to
+# three mirrored positions; on the entry basis most metric pairs vanish.
+_ENTRIES = [RhoRational.rho_power(k, c) for c in (1, -1) for k in (-10, 10)]
+_ENTRIES += [RhoRational.const(c) for c in (1, -1, 2, -2)]
+sparse_slot = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(_ENTRIES)),
+    min_size=1, max_size=3)
+
+
+class TestDepthFirstContraction:
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(sparse_slot, min_size=4, max_size=4),
+           st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    def test_matches_flat_product_and_assignment_sum(self, slots, waves):
+        # the same wave in two slots gives a null covector pairing, which
+        # drops a monomial before the walk starts
+        config = standard_config()
+        assignment = {}
+        for s, (entries, wave) in enumerate(zip(slots, waves), start=1):
+            rows = [[ZERO] * 4 for _ in range(4)]
+            for i, j, x in entries:
+                rows[i][j] = rows[j][i] = x
+            assignment[s] = SlotValue(Sym2T(rows), config.zeta(wave))
+        family = sorted(build_form_family().items())
+        for key, form in family:
+            terms, _ = symbol_outer_of_form(form, assignment)
+            assert terms == flat_outer_of_form(form, assignment), key
+        for key, form in family:
+            assert (symbol_of_form(form, assignment)
+                    == symbol_of_form_by_assignment(form, assignment)), key

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
                                eval_I_cancellation, mat_eval_at, total_symbol)
 from gwsym.nullcone import NullConfig, base_directions
-from gwsym.oracle import (GaussianRational, OracleUnsupported, _disjoint,
-                          cancellation_scale, eval_ast_float,
+from gwsym.oracle import (FULL, GaussianRational, JetContext,
+                          OracleUnsupported, _add_into, _disjoint, _float_of,
+                          _nonlinearity, cancellation_scale, eval_ast_float,
                           interaction_total_jet, max_rel_diff, numeric_oracle)
 from gwsym.tensor import rank_one
 
@@ -137,8 +138,9 @@ jet_fields = st.dictionaries(st.frozensets(st.integers(1, 4)),
 
 class TestJetAlgebra:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(jet_fields, max_size=4))
-    def test_disjoint_is_filtered_product(self, fields):
+    @given(st.lists(jet_fields, max_size=4),
+           st.sets(st.integers(0, 4), min_size=1))
+    def test_disjoint_is_filtered_product(self, fields, sizes):
         want = []
         for combo in itertools.product(*(f.items() for f in fields)):
             subsets = [s for s, _ in combo]
@@ -146,6 +148,8 @@ class TestJetAlgebra:
                 want.append((frozenset().union(*subsets),
                              tuple(m for _, m in combo)))
         assert list(_disjoint(*fields)) == want
+        assert (_disjoint(*fields, sizes=sizes)
+                == [c for c in want if len(c[0]) in sizes])
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_characteristic_subset_raises(self, exact):
@@ -178,6 +182,56 @@ class TestJetAlgebra:
                 for seed in ("0", "12345")]
         assert outs[0].count("\n") == 32
         assert outs[0] == outs[1]
+
+
+def three_full_passes(config, rho, exact, leaf_symbols=None):
+    """Reference jet: three passes of the full nonlinearity, then its
+    four-wave component; returns (matrix, [u after each pass])."""
+    of = GaussianRational.of if exact else _float_of
+    ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
+    v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
+    u, iterates = v, []
+    for _ in range(3):
+        nonlinear = _nonlinearity(ctx, u)
+        u = dict(v)
+        for s, m in nonlinear.items():
+            if len(s) < 4:
+                n = ctx.norm[s]
+                _add_into(u, s, [[-(x / n) for x in row] for row in m])
+        iterates.append(u)
+    mat = _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat()
+    return [[-x for x in row] for row in mat], iterates
+
+
+def exact_bits(x):
+    """A Gaussian rational, or a complex float by exact value and sign."""
+    if isinstance(x, GaussianRational):
+        return x
+    return tuple((y.as_integer_ratio(), bool(np.signbit(y)))
+                 for y in (x.real, x.imag))
+
+
+def field_bits(field):
+    return {s: [[exact_bits(x) for x in row] for row in m]
+            for s, m in field.items()}
+
+
+class TestGradedJet:
+    """Two passes graded by subset size give the three-pass jet exactly."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("tt", [False, True], ids=["standard", "tt"])
+    def test_equals_three_full_passes(self, config, tt_symbols, exact, tt):
+        leaf = tt_symbols if tt else None
+        rho = Fraction(2)
+        want, iterates = three_full_passes(config, rho, exact, leaf)
+        # components on k waves read only those on fewer waves, so the
+        # third pass repeats the second
+        assert field_bits(iterates[2]) == field_bits(iterates[1])
+        assert field_bits(iterates[1]) != field_bits(iterates[0])
+        got = interaction_total_jet(config, rho, exact, leaf_symbols=leaf)
+        assert ([[exact_bits(x) for x in row] for row in got]
+                == [[exact_bits(x) for x in row] for row in want])
 
 
 class TestExactJet:

@@ -116,6 +116,14 @@ class TestScenario:
                                      "zero"):
                 parse_scenario(self.deeply_nested(component))
 
+    def test_component_count_names_the_covector(self):
+        text = self.deeply_nested("1").replace("zeta3 = 1/(2*rho^10), "
+                                              "1/(2*rho^10), 0, 0",
+                                              "zeta3 = 1, 0")
+        with pytest.raises(ScenarioError,
+                           match="^zeta3 needs 4 components, got 2$"):
+            parse_scenario(text)
+
     @staticmethod
     def deeply_nested(component):
         return (f"zeta1 = {component}, 0, 1, 0\n"
@@ -219,6 +227,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert ("scenario error: bad covector component 1 of zeta1: "
                 "division by zero") in err
+        assert "Traceback" not in err
+
+    def test_short_covector_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.scn"
+        path.write_text(TestScenario.deeply_nested("1").replace(
+            "zeta1 = 1, 0, 1, 0", "zeta1 = 1, 0"))
+        assert run(["--scenario", str(path), "verify", "gauge"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: zeta1 needs 4 components, got 2" in err
         assert "Traceback" not in err
 
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
