@@ -111,16 +111,21 @@ def suite_derive_forms(report: Report, scenario: Scenario):
     s.verdict("hhat2-explicit", fam[("Hhat", 2)] == explicit_hhat2(),
               "the derived quadratic semilinear form equals its explicit "
               "formula term for term")
-    # Dual evaluation paths must agree on every form.
+    # Dual evaluation paths must agree on every form: on the wave symbols,
+    # and on a non-symmetric slot matrix, where the order of a factor's two
+    # indices shows.
     from .forms import SlotValue, symbol_of_form, symbol_of_form_by_assignment
     cfg = standard_config()
+    shift = tuple(tuple(RhoRational.const(i + 1 if j == (i + 1) % 4 else 0)
+                        for j in range(4)) for i in range(4))
     for key, form in sorted(fam.items()):
-        assignment = {slot: SlotValue.wave(cfg.zeta(slot))
-                      for slot in range(1, form.arity + 1)}
-        via_outer, _ = symbol_of_form(form, assignment)
-        via_assign, _ = symbol_of_form_by_assignment(form, assignment)
+        zetas = {slot: cfg.zeta(slot) for slot in range(1, form.arity + 1)}
+        assignments = ({k: SlotValue.wave(z) for k, z in zetas.items()},
+                       {k: SlotValue(shift, z) for k, z in zetas.items()})
         s.verdict(f"dual-evaluation-{key[0]}{key[1]}",
-                  via_outer == via_assign,
+                  all(symbol_of_form(form, a)
+                      == symbol_of_form_by_assignment(form, a)
+                      for a in assignments),
                   "decomposition and index-assignment evaluations agree")
     listing = report.section("form monomial listings")
     for key, form in sorted(fam.items()):
@@ -545,6 +550,28 @@ def run(argv=None) -> int:
     if args.out:
         scenario.out = args.out
 
+    rho = None
+    if args.command == "oracle" and args.rho is not None:
+        try:
+            rho = Fraction(args.rho)
+        except (ValueError, ZeroDivisionError):
+            print(f"bad rho value: {args.rho!r}", file=sys.stderr)
+            return USAGE_EXIT
+        try:
+            check_oracle_rho(scenario.config, (rho,))
+        except ScenarioError as exc:
+            print(f"bad rho value: {exc}", file=sys.stderr)
+            return USAGE_EXIT
+    if scenario.out:
+        # a path that cannot be written is reported before any suite runs
+        try:
+            with open(scenario.out, "w", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"output error: {scenario.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return USAGE_EXIT
+
     report = Report()
     try:
         if args.command == "report":
@@ -560,18 +587,6 @@ def run(argv=None) -> int:
             else:
                 SUITES[args.what](report, scenario)
         elif args.command == "oracle":
-            rho = None
-            if args.rho is not None:
-                try:
-                    rho = Fraction(args.rho)
-                except (ValueError, ZeroDivisionError):
-                    print(f"bad rho value: {args.rho!r}", file=sys.stderr)
-                    return USAGE_EXIT
-                try:
-                    check_oracle_rho(scenario.config, (rho,))
-                except ScenarioError as exc:
-                    print(f"bad rho value: {exc}", file=sys.stderr)
-                    return USAGE_EXIT
             suite_oracle(report, scenario, rho=rho)
     except Exception as exc:  # surface engine failures as verdicts
         command = ("verify " + args.what if args.command == "verify"

@@ -9,6 +9,12 @@ Christoffel contraction and the reduced curvature tensor around a constant
 background, split the result into quasilinear (P) and two-derivative
 semilinear (Hhat) families, and evaluate principal symbols.
 
+Symbols are evaluated two independent ways: through the slots' outer-product
+decompositions, where metric pairs collapse to vector pairings
+(``symbol_of_form``), and, as the reference for cross-checks, by summing
+every index over 0..3 with one exact ``numpy.einsum`` per monomial on the
+slot matrices and covectors (``symbol_of_form_by_assignment``).
+
 Sign bookkeeping: every derivative contributes one factor of the imaginary
 unit at symbol level.  Evaluation returns the real matrix together with the
 accumulated power of i; retained interaction terms always carry even powers,
@@ -19,6 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exact import RhoRational, ZERO
 from .tensor import CoVec4, MINKOWSKI, Metric4, Sym2T, pairing
@@ -419,10 +427,12 @@ def explicit_hhat2() -> FormalTensorPoly:
 class SlotValue:
     """Symbol data bound to a slot.
 
-    ``outer`` decomposes the matrix as a sum of scaled outer products, a
-    tuple of (coeff, left CoVec4, right CoVec4); evaluation uses it to
-    collapse index sums into metric pairings.  When none is given it is
-    built once, on the sparse entry basis.
+    ``matrix`` is a Sym2T, or any 4x4 matrix indexed as ``m[i][j]``: a
+    non-symmetric one lets a cross-check see the order of a factor's two
+    indices.  ``outer`` decomposes the matrix as a sum of scaled outer
+    products, a tuple of (coeff, left CoVec4, right CoVec4); evaluation
+    uses it to collapse index sums into metric pairings.  When none is
+    given it is built once, on the sparse entry basis.
     """
 
     matrix: Sym2T
@@ -533,16 +543,44 @@ def symbol_of_form(form: FormalTensorPoly, assignment,
 
 def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
                                  metric: Metric4 = MINKOWSKI):
-    """``symbol_of_form`` by brute force over concrete index assignments.
+    """``symbol_of_form`` summed over concrete index assignments.
 
-    The reference route for cross-checks: it reads the slot matrices
-    directly and never uses an outer-product decomposition.
+    The reference route for cross-checks: it reads only the slot matrices
+    and covectors, never an outer-product decomposition.  Each monomial is
+    one exact ``numpy.einsum`` over object arrays, with a factor's slot
+    matrix on its two indices, the slot covector on each derivative index
+    and the inverse metric on each h pair, summed down to (mu, nu).
     """
     slots, i_power = _prepare_slots(form, assignment)
-    rows = [[ZERO] * 4 for _ in range(4)]
+
+    def exact(entries):
+        # every operand gets a leading axis of length 1, kept in the result,
+        # so that no intermediate sums out to zero dimensions: where a
+        # closed sub-product (a trace) does, numpy's pairwise contraction
+        # returns a bare object that it cannot contract further
+        return np.array([entries], dtype=object)
+
+    inv = exact(metric.inv)
+    matrix = {s: exact([[v.matrix[i][j] for j in range(4)] for i in range(4)])
+              for s, v in slots.items()}
+    covector = {s: exact(v.covector.c) for s, v in slots.items()}
+    rows = np.full((4, 4), ZERO, dtype=object)
     for mono in form.monomials:
-        _accumulate_assignments(rows, mono, slots, metric)
-    return tuple(tuple(r) for r in rows), i_power
+        # einsum labels: mu is 0, nu is 1, the contraction names follow,
+        # and the leading axis takes the next one
+        label = {n: k for k, n in
+                 enumerate(dict.fromkeys((*FREE_PAIR, *mono.names())))}
+        lead = len(label)
+        operands = []
+        for f in mono.factors:
+            operands += [matrix[f.slot], [lead, *(label[n] for n in f.idx)]]
+            for d in f.derivs:
+                operands += [covector[f.slot], [lead, label[d]]]
+        for pair in mono.hinv:
+            operands += [inv, [lead, *(label[n] for n in pair)]]
+        (value,) = np.einsum(*operands, [lead, 0, 1], optimize="greedy")
+        rows = rows + value * RhoRational.const(mono.coeff)
+    return tuple(map(tuple, rows)), i_power
 
 
 def _positions_of(mono: Monomial):
@@ -642,92 +680,6 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
 
     walk(0, scalar)
     return out
-
-
-def _accumulate_assignments(rows, mono: Monomial, slots, metric: Metric4):
-    """Brute-force evaluation summing over concrete index assignments."""
-    positions = _positions_of(mono)
-    inv = metric.inv
-    diag = metric.is_diagonal()
-    base = Fraction(mono.coeff)
-    name_list = sorted(positions.keys() - set(FREE_PAIR))
-
-    for mu_val in range(4):
-        for nu_val in range(4):
-            fixed = {"mu": mu_val, "nu": nu_val}
-            total = _sum_assignments(mono, slots, inv, diag, fixed, name_list)
-            if total is None or total.is_zero():
-                continue
-            rows[mu_val][nu_val] = (rows[mu_val][nu_val]
-                                    + total * RhoRational.const(base))
-
-
-def _sum_assignments(mono, slots, inv, diag, fixed, names):
-    """Sum over concrete values of contraction names with early pruning."""
-    total = ZERO
-
-    def factor_value(assign):
-        value = None
-        for f in mono.factors:
-            sv = slots[f.slot]
-            i0 = assign[f.idx[0]] if f.idx[0] in assign else fixed[f.idx[0]]
-            i1 = assign[f.idx[1]] if f.idx[1] in assign else fixed[f.idx[1]]
-            x = sv.matrix[i0][i1]
-            if x.is_zero():
-                return None
-            value = x if value is None else value * x
-            for d in f.derivs:
-                dv = assign[d] if d in assign else fixed[d]
-                c = sv.covector[dv]
-                if c.is_zero():
-                    return None
-                value = value * c
-        for a, b in mono.hinv:
-            av = assign[a] if a in assign else fixed[a]
-            bv = assign[b] if b in assign else fixed[b]
-            g = inv[av][bv]
-            if g.is_zero():
-                return None
-            value = g if value is None else value * g
-        return value
-
-    # With a diagonal metric each h pair forces equal indices; exploit it by
-    # assigning pair names jointly.
-    pair_of = {}
-    for a, b in mono.hinv:
-        pair_of[a] = b
-        pair_of[b] = a
-    groups = []
-    seen = set()
-    for n in names:
-        if n in seen:
-            continue
-        partner = pair_of.get(n)
-        if diag and partner in names and partner not in seen and partner != n:
-            groups.append((n, partner))
-            seen.add(n)
-            seen.add(partner)
-        else:
-            groups.append((n,))
-            seen.add(n)
-
-    def rec(idx, assign):
-        nonlocal total
-        if idx == len(groups):
-            v = factor_value(assign)
-            if v is not None and not v.is_zero():
-                total = total + v
-            return
-        g = groups[idx]
-        for val in range(4):
-            for n in g:
-                assign[n] = val
-            rec(idx + 1, assign)
-        for n in g:
-            del assign[n]
-
-    rec(0, {})
-    return total
 
 
 def entry_order_bound(form: FormalTensorPoly, slot_info) -> float:

@@ -13,6 +13,9 @@ with ``#`` are ignored.  Keys:
   format         ``text`` or ``machine``
   out            optional output path
 
+Any other key is an error, so a misspelt key cannot fall back to a default
+unnoticed.
+
 Custom covectors must pass the configuration validation (each light-like,
 independent, light-like sum) before use.  Every oracle rho value must
 exceed 1 and keep the configuration regular: each covector component
@@ -28,6 +31,9 @@ from fractions import Fraction
 from .exact import parse_rho_rational
 from .nullcone import ConfigError, NullConfig, standard_config
 from .tensor import CoVec4, norm_sq
+
+
+_KEYS = ("zeta1", "zeta2", "zeta3", "zeta4", "oracle_rho", "format", "out")
 
 
 class ScenarioError(ValueError):
@@ -99,6 +105,8 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        if key not in _KEYS:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = value

@@ -181,10 +181,6 @@ class Metric4:
     def __getitem__(self, i: int):
         return self.m[i]
 
-    def is_diagonal(self) -> bool:
-        return all(self.m[i][j].is_zero()
-                   for i in range(4) for j in range(4) if i != j)
-
     def scale_conformal(self, factor) -> "Metric4":
         """Metric multiplied by a constant conformal factor."""
         s = _cv(factor)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsym.exact import RhoRational, ZERO, parse_rho_rational
-from gwsym.forms import (FormError, Monomial, SlotValue, build_form_family,
+from gwsym.forms import (FREE_PAIR, Factor, FormalTensorPoly, FormError,
+                         Monomial, SlotValue, build_form_family,
                          christoffel_form, explicit_hhat2, matrix_of_outer,
                          merge_outer, metric_inverse_series,
                          reduced_ricci_expansion, symbol_of_form,
@@ -198,9 +199,9 @@ class TestSymbolEvaluation:
             assert a == b and ia == ib == 2
 
     def test_entry_basis_dual_paths_agree(self, config):
-        # slots without a decomposition get a fresh entry basis on every
-        # monomial; the pairing cache must not confuse a freed basis vector
-        # with a new one that reuses its id
+        # slots without a decomposition get an entry basis, built once per
+        # SlotValue; the pairing cache keys those basis vectors by id for
+        # the length of one call, while the slot values hold them
         fam = build_form_family()
         for key, form in sorted(fam.items()):
             assignment = {s: SlotValue(rank_one(config.zeta(s)),
@@ -291,6 +292,94 @@ class TestSymbolEvaluation:
         terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], assignment)
         rows, _ = symbol_of_form(fam[("Hhat", 2)], assignment)
         assert matrix_of_outer(terms) == rows
+
+
+class TestReferenceRoute:
+    """``symbol_of_form_by_assignment`` as an independent second route."""
+
+    NON_DIAGONAL = Metric4(((-2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 1, 0),
+                            (0, 0, 0, 5)))
+
+    @staticmethod
+    def waves(config, form):
+        return {s: SlotValue.wave(config.zeta(s))
+                for s in range(1, form.arity + 1)}
+
+    def test_non_diagonal_metric(self, config):
+        for key, form in sorted(build_form_family().items()):
+            assignment = self.waves(config, form)
+            a = symbol_of_form(form, assignment, self.NON_DIAGONAL)
+            b = symbol_of_form_by_assignment(form, assignment,
+                                             self.NON_DIAGONAL)
+            assert a == b, key
+            # the metric reaches the value: Minkowski gives another one
+            assert a != symbol_of_form(form, assignment), key
+
+    def test_non_symmetric_slot(self, config):
+        # both routes evaluate the canonical monomials as written, so they
+        # agree on a slot whose matrix is not symmetric, where transposing
+        # a factor's two indices would change the value
+        rows = [[ZERO] * 4 for _ in range(4)]
+        rows[0][1] = RhoRational.const(1)
+        rows[2][3] = RhoRational.rho_power(1, 2)
+        rows[3][0] = RhoRational.const(-3)
+        skew = tuple(tuple(r) for r in rows)
+        for key, form in sorted(build_form_family().items()):
+            for s in range(1, form.arity + 1):
+                assignment = self.waves(config, form)
+                assignment[s] = SlotValue(skew, config.zeta(s))
+                assert (symbol_of_form(form, assignment)
+                        == symbol_of_form_by_assignment(form, assignment)), \
+                    (key, s)
+
+    def test_closed_sub_products(self, config):
+        # a trace h^{ab} u_{ab} and a pairing of two derivative covectors
+        # sum out to scalars apart from the (mu, nu) factor
+        monomials = [
+            Monomial(Fraction(1), (Factor(1, ("a", "b"), ("p",)),
+                                   Factor(2, FREE_PAIR, ("q",))),
+                     (("a", "b"), ("p", "q"))),
+            Monomial(Fraction(-3, 2), (Factor(1, ("a", "b"), ("p",)),
+                                       Factor(2, ("c", "d"), ("q",)),
+                                       Factor(3, FREE_PAIR)),
+                     (("a", "b"), ("p", "q"), ("c", "d"))),
+        ]
+        for mono in monomials:
+            form = FormalTensorPoly([mono])
+            # traceless wave slots would make every value vanish
+            assignment = {s: SlotValue(sym_outer(config.zeta(s),
+                                                 config.zeta(s + 1)),
+                                       config.zeta(s + 1))
+                          for s in range(1, form.arity + 1)}
+            want = symbol_of_form(form, assignment)
+            assert symbol_of_form_by_assignment(form, assignment) == want
+            assert any(not x.is_zero() for r in want[0] for x in r)
+
+    def test_reads_the_matrix_not_the_decomposition(self, config):
+        # an outer decomposition that contradicts the matrix: the reference
+        # route follows the matrix, the decomposition route the outer terms
+        z1, z2, z3 = (config.zeta(i) for i in (1, 2, 3))
+        one = RhoRational.const(1)
+        form = build_form_family()[("Hhat", 2)]
+        honest = {1: SlotValue.wave(z1), 2: SlotValue.wave(z2)}
+        lying = {1: SlotValue(rank_one(z1), z1, outer=((one, z3, z3),)),
+                 2: SlotValue.wave(z2)}
+        want = symbol_of_form_by_assignment(form, honest)
+        assert symbol_of_form_by_assignment(form, lying) == want
+        assert symbol_of_form(form, honest) == want
+        assert symbol_of_form(form, lying) != want
+
+    def test_entries_are_exact(self, config):
+        # on sparse entry-basis slots most entries vanish; those are exact
+        # zeros too, not the integer 0 of an empty sum
+        for key, form in sorted(build_form_family().items()):
+            assignment = {s: SlotValue(rank_one(config.zeta(s)),
+                                       config.zeta(s))
+                          for s in range(1, form.arity + 1)}
+            rows, _ = symbol_of_form_by_assignment(form, assignment)
+            assert len(rows) == 4 and all(len(r) == 4 for r in rows), key
+            assert all(type(x) is RhoRational for r in rows for x in r), key
+            assert any(x.is_zero() for r in rows for x in r), key
 
 
 def flat_outer_of_form(form, assignment, metric=MINKOWSKI):

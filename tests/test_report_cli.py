@@ -1,5 +1,6 @@
 """Report serialization, scenario parsing and the command-line interface."""
 import time
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,22 @@ class TestScenario:
                 "zeta3 = 1/(2*rho^10), 1/(2*rho^10), 0, 0\n"
                 "zeta4 = rho^10, -rho^10, 0, 0\n")
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ScenarioError,
+                           match="^line 1: unknown key 'oracle-rho'$"):
+            parse_scenario("oracle-rho = 5\n")
+        with pytest.raises(ScenarioError,
+                           match="^line 3: unknown key 'formt'$"):
+            parse_scenario("# a comment\n\nformt = machine\n")
+        with pytest.raises(ScenarioError,
+                           match="^line 5: unknown key 'zeta5'$"):
+            parse_scenario(self.deeply_nested("1") + "zeta5 = 1, 0, 1, 0\n")
+
+    def test_bench_scenario_parses(self):
+        path = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
+        s = parse_scenario(path.read_text())
+        assert s.custom_config and s.oracle_rho == (2, 3)
+
     def test_bad_lines(self):
         with pytest.raises(ScenarioError):
             parse_scenario("just words\n")
@@ -238,6 +255,15 @@ class TestCli:
         assert "scenario error: zeta1 needs 4 components, got 2" in err
         assert "Traceback" not in err
 
+    def test_unknown_key_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.scn"
+        path.write_text("format = machine\noracle-rho = 5\n")
+        assert run(["--scenario", str(path), "verify", "orders"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("scenario error: line 2: unknown key "
+                                "'oracle-rho'\n")
+
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
         path = tmp_path / "degenerate.txt"
         path.write_text(TestScenario.DEGENERATE_AT_2 + "oracle_rho = 2\n")
@@ -289,6 +315,33 @@ class TestCli:
         code, out = _run(["--out", str(path), "verify", "orders"], capsys)
         assert code == 0
         assert path.read_text() == out
+
+    def test_unwritable_out_exits_2_before_any_suite(self, tmp_path,
+                                                     monkeypatch, capsys):
+        import gwsym.cli as cli
+
+        def must_not_run(report, scenario):
+            raise AssertionError("a suite ran")
+        monkeypatch.setitem(cli.SUITES, "orders", must_not_run)
+        missing = tmp_path / "no" / "such" / "dir" / "r.txt"
+        scenario = tmp_path / "out.scn"
+        scenario.write_text(f"out = {missing}\n")
+        for argv, path, reason in (
+                (["--out", str(missing)], missing,
+                 "No such file or directory"),
+                (["--scenario", str(scenario)], missing,
+                 "No such file or directory"),
+                (["--out", str(tmp_path)], tmp_path, "Is a directory")):
+            assert run(argv + ["verify", "orders"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"output error: {path}: {reason}\n"
+        assert not missing.parent.exists()
+        # a bad rho is a usage error found first: the output path is not
+        # touched
+        report = tmp_path / "r.txt"
+        assert run(["--out", str(report), "oracle", "--rho", "1"]) == 2
+        assert not report.exists()
 
     @pytest.mark.parametrize("argv, want_code", [
         (["verify", "items"], 1),
