@@ -26,8 +26,8 @@ from .interaction import (classify_rho40_terms,
                           mat_scale, mat_sub, mat_sum, mat_is_zero,
                           nested_chain, total_symbol, _coefficient_of)
 from .nullcone import FlatPoint, backtrace_sources, standard_config
-from .oracle import (cancellation_scale, interaction_total_jet, max_rel_diff,
-                     numeric_oracle)
+from .oracle import (cancellation_scale, eval_ast_float, interaction_total_jet,
+                     max_rel_diff)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -376,7 +376,7 @@ def _total_dual_path(cfg, matrix, rho):
                        and Fraction(exact_at[i][j]) == jet[i][j].re
                        for i in range(4) for j in range(4))
     scale = cancellation_scale(cfg, rho)
-    float_err = max_rel_diff(exact_at, numeric_oracle("total", rho, cfg),
+    float_err = max_rel_diff(exact_at, interaction_total_jet(cfg, rho),
                              floor=scale)
     return exact_agrees, float_err, scale
 
@@ -481,7 +481,7 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]
             exact_at = mat_eval_at(value.matrix, rho_v)
-            got = numeric_oracle(nested_chain(*key), rho_v, cfg)
+            got = eval_ast_float(nested_chain(*key), cfg, rho_v)
             err = max_rel_diff(exact_at, got)
             s.verdict(f"term-{label}-rho-{rho_v}", err <= 1e-9,
                       f"term ({label}) dual-path agreement at rho = {rho_v} "

@@ -1,6 +1,8 @@
 """Independent verification paths for the interaction symbols.
 
-Two routes that never touch the exact form engine:
+Two routes that never touch the exact form engine.  Both read the
+configuration at a concrete rho through one ``JetContext``: its own inverse
+metric, and covector sums and squared norms computed exactly, then converted.
 
 * A truncated multilinear "jet" expansion over the sixteen wave subsets.
   Fields are plain dicts from subsets (frozensets) to 4x4 matrices.  Every
@@ -153,12 +155,14 @@ def _times_i(x):
 # ---------------------------------------------------------------------------
 
 class JetContext:
-    """Covectors, subset sums and norms of a configuration at fixed rho.
+    """A configuration at fixed rho, as both oracles read it.
 
     ``of`` turns a rational into a jet scalar (``GaussianRational.of`` or a
-    complex float); ``ixi[s]`` holds i times the covector sum of subset s.
-    ``leaf_symbols`` may override the default rank-one wave amplitudes with
-    exact 4x4 matrices of rationals (or anything Fraction-convertible).
+    complex float), applied once to exact values: ``hinv`` is the
+    configuration's inverse metric, ``ixi[s]`` i times the covector sum of
+    subset s and ``norm[s]`` its squared norm.  ``leaf_symbols`` may
+    override the default rank-one wave amplitudes with exact 4x4 matrices
+    of rationals (or anything Fraction-convertible).
     """
 
     def __init__(self, config: NullConfig, rho, of, leaf_symbols=None):
@@ -169,17 +173,17 @@ class JetContext:
         zetas = {}
         for i in range(1, 5):
             zetas[i] = tuple(Fraction(c.eval_at(rho)) for c in config.zeta(i))
-        minkdiag = (Fraction(-1), Fraction(1), Fraction(1), Fraction(1))
+        inv = [[x.eval_at(rho) for x in row] for row in config.metric.inv]
+        entries = [(a, b, g) for a, row in enumerate(inv)
+                   for b, g in enumerate(row) if g]
         self.ixi = {}
         self.norm = {}
         for bits in range(1, 16):
             s = frozenset(i for i in range(1, 5) if bits & (1 << (i - 1)))
             xi = tuple(sum(zetas[i][a] for i in s) for a in range(4))
             self.ixi[s] = tuple(_times_i(of(x)) for x in xi)
-            self.norm[s] = of(sum(d * x * x for d, x in zip(minkdiag, xi)))
-        self.hinv = [[self.zero] * 4 for _ in range(4)]
-        for a in range(4):
-            self.hinv[a][a] = of(minkdiag[a])
+            self.norm[s] = of(sum(g * xi[a] * xi[b] for a, b, g in entries))
+        self.hinv = [[of(g) for g in row] for row in inv]
         overrides = leaf_symbols or {}
         self.amplitudes = {}
         for i in range(1, 5):
@@ -423,48 +427,40 @@ class OracleUnsupported(ValueError):
     pass
 
 
-def _config_float(config: NullConfig, rho):
-    rho = Fraction(rho)
-    zetas = {i: np.array([float(c.eval_at(rho)) for c in config.zeta(i)],
-                         dtype=np.clongdouble)
-             for i in range(1, 5)}
-    hinv = np.diag(np.array([-1.0, 1.0, 1.0, 1.0], dtype=np.clongdouble))
-    return zetas, hinv
-
-
 def eval_ast_float(ast, config: NullConfig, rho):
     """Independent complex evaluation of one term tree.
 
-    Supports the quasilinear chains and the explicit quadratic semilinear
-    form; higher semilinear forms have no closed expression here and raise
+    Reads the configuration through a float ``JetContext``, as the float
+    jet does: each node covers a wave subset s of the context.  Supports
+    the quasilinear chains and the explicit quadratic semilinear form;
+    higher semilinear forms have no closed expression here and raise
     OracleUnsupported.
     """
-    zetas, hinv = _config_float(config, rho)
+    ctx = JetContext(config, rho, _float_of)
+    hinv = np.array(ctx.hinv)
 
     def walk(node):
         if isinstance(node, Leaf):
-            z = zetas[node.wave]
-            return np.outer(z, z).astype(np.clongdouble), z
+            return np.array(ctx.amplitudes[node.wave]), frozenset({node.wave})
         if isinstance(node, QNode):
-            m, xi = walk(node.child)
-            n = xi @ hinv @ xi
-            if abs(n) == 0:
-                raise ZeroDivisionError("characteristic covector sum")
-            return m / n, xi
+            m, s = walk(node.child)
+            n = ctx.norm[s]
+            if not n:
+                raise ZeroDivisionError(
+                    f"characteristic covector sum over waves {sorted(s)}")
+            return m / n, s
         kind, k = node.form
         parts = [walk(c) for c in node.children]
-        xi_total = sum(x for _, x in parts)
+        s = frozenset().union(*(t for _, t in parts))
         if kind == "P":
-            sign = (-1.0) ** k
-            mid = hinv.copy()
+            mid = hinv
             for m, _ in parts[:-1]:
                 mid = mid @ m @ hinv
-            xi = parts[-1][1]
-            scalar = sign * (1j * xi) @ mid @ (1j * xi)
-            return scalar * parts[-1][0], xi_total
+            d = ctx.ixi[parts[-1][1]]
+            return (-1.0) ** k * (d @ mid @ d) * parts[-1][0], s
         if node.form == ("Hhat", 2):
-            (m1, xi1), (m2, xi2) = parts
-            return _hhat2_float(hinv, m1, xi1, m2, xi2), xi_total
+            (m1, s1), (m2, s2) = parts
+            return _hhat2_float(hinv, m1, ctx.ixi[s1], m2, ctx.ixi[s2]), s
         raise OracleUnsupported(
             f"no independent closed form for {node.form} nodes")
 
@@ -472,37 +468,19 @@ def eval_ast_float(ast, config: NullConfig, rho):
     return m
 
 
-def _hhat2_float(hinv, m1, xi1, m2, xi2):
-    def gam(m, xi):
-        d = 1j * xi
+def _hhat2_float(hinv, m1, d1, m2, d2):
+    """Hhat2 of two slots; d1 and d2 are i times their covector sums."""
+    def gam(m, d):
         return 0.5 * (np.einsum("b,la->lab", d, m)
                       + np.einsum("a,lb->lab", d, m)
                       - np.einsum("l,ab->lab", d, m))
 
-    g1 = gam(m1, xi1)
-    g2 = gam(m2, xi2)
+    g1 = gam(m1, d1)
+    g2 = gam(m2, d2)
     term_a = 2.0 * np.einsum("ab,lg,lmb,gna->mn", hinv, hinv, g1, g2)
     sand = np.einsum("nab,aq,bd,qd->n", g1, hinv, hinv, m2)
-    d2 = 1j * xi2
     term_b = np.einsum("m,n->mn", d2, sand) + np.einsum("n,m->mn", d2, sand)
     return term_a + term_b
-
-
-def numeric_oracle(target, rho_value, config: NullConfig):
-    """Floating-point oracle: a term tree, or the key ``"total"``.
-
-    rho should stay within moderate range (roughly 1.5 .. 4): matrix entries
-    span sixty powers of rho, and the top-order cancellations cost the
-    corresponding number of digits.
-    """
-    rho = Fraction(rho_value)
-    if isinstance(target, str):
-        if target == "total":
-            mat = interaction_total_jet(config, rho, exact=False)
-            return np.array(mat, dtype=np.clongdouble)
-        raise OracleUnsupported(f"unknown oracle target {target!r}")
-    return np.array(eval_ast_float(target, config, rho),
-                    dtype=np.clongdouble)
 
 
 def cancellation_scale(config: NullConfig, rho) -> float:

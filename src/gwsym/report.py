@@ -122,34 +122,47 @@ def _unesc(text: str) -> str:
     return "".join(out)
 
 
+#: number of fields after the kind, per record kind
+_FIELDS = {"section": 1, "verdict": 4, "value": 2, "trace": 1, "status": 1}
+
+
 def parse_machine(text: str) -> Report:
-    """Inverse of to_machine (loses nothing)."""
+    """Inverse of to_machine (loses nothing).
+
+    Blank lines are skipped; any other malformed line raises
+    ``ValueError("line N: ...")``.
+    """
     report = Report()
     section = None
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("schema\tgwsym-report"):
-        raise ValueError("not a machine report")
-    version = lines[0].split("\t")[2]
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {version}")
-    for line in lines[1:]:
+    lines = text.split("\n")  # the only line break _esc escapes
+    header = lines[0].split("\t")
+    if header[:2] != ["schema", "gwsym-report"] or len(header) != 3:
+        raise ValueError("line 1: expected 'schema<TAB>gwsym-report<TAB>N'")
+    if header[2] != SCHEMA_VERSION:
+        raise ValueError(f"line 1: unsupported schema version {header[2]}")
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        parts = line.split("\t")
-        kind = parts[0]
+        kind, *fields = map(_unesc, line.split("\t"))
+        if kind not in _FIELDS:
+            raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
+        if len(fields) != _FIELDS[kind]:
+            raise ValueError(f"line {lineno}: {kind} record needs "
+                             f"{_FIELDS[kind]} fields, got {len(fields)}")
         if kind == "section":
-            section = report.section(_unesc(parts[1]))
+            section = report.section(fields[0])
+        elif kind != "status" and section is None:
+            raise ValueError(f"line {lineno}: {kind} record before any "
+                             "section")
         elif kind == "verdict":
-            section.entries.append(Verdict(_unesc(parts[1]),
-                                           parts[2] == "pass",
-                                           _unesc(parts[3]),
-                                           _unesc(parts[4])))
+            name, status, claim, detail = fields
+            if status not in ("pass", "fail"):
+                raise ValueError(f"line {lineno}: verdict status {status!r} "
+                                 "is neither 'pass' nor 'fail'")
+            section.entries.append(Verdict(name, status == "pass", claim,
+                                           detail))
         elif kind == "value":
-            section.entries.append(Value(_unesc(parts[1]), _unesc(parts[2])))
+            section.entries.append(Value(*fields))
         elif kind == "trace":
-            section.entries.append(TraceLine(_unesc(parts[1])))
-        elif kind == "status":
-            pass
-        else:
-            raise ValueError(f"unknown record kind {kind!r}")
+            section.entries.append(TraceLine(*fields))
     return report

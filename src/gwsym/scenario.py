@@ -9,7 +9,7 @@ with ``#`` are ignored.  Keys:
                  e.g.
                  ``zeta4 = rho^10, -rho^10, 0, 0``
   oracle_rho     whitespace-separated decimal sample values for the
-                 floating-point oracle
+                 floating-point oracle, each listed once
   format         ``text`` or ``machine``
   out            optional output path
 
@@ -134,6 +134,9 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"bad oracle_rho: {exc}") from exc
         if not rho_values:
             raise ScenarioError("oracle_rho must list at least one value")
+        for k, rho in enumerate(rho_values):
+            if rho in rho_values[:k]:
+                raise ScenarioError(f"oracle_rho lists {rho} twice")
     check_oracle_rho(config, rho_values)
 
     fmt = pairs.get("format", "text")

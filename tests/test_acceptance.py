@@ -28,8 +28,8 @@ from gwsym.interaction import (classify_rho40_terms, enumerate_all,
                                total_symbol, _coefficient_of)
 from gwsym.nullcone import (FlatPoint, backtrace_sources, base_directions,
                             solve_null_scale, standard_config)
-from gwsym.oracle import (cancellation_scale, interaction_total_jet,
-                          max_rel_diff, numeric_oracle)
+from gwsym.oracle import (cancellation_scale, eval_ast_float,
+                          interaction_total_jet, max_rel_diff)
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
                              verified_degree_table)
@@ -218,7 +218,7 @@ def test_criterion_08_items(config):
     # independent path for the subcase: float evaluation of each member
     rho = Fraction(2)
     inner34 = [t for t in items[6]["members"] if t.perm[0] != 3]
-    float_sum = sum(t.sign * numeric_oracle(t.ast, rho, config)
+    float_sum = sum(t.sign * eval_ast_float(t.ast, config, rho)
                     for t in inner34)
     float_ok = max_rel_diff(mat_eval_at(items[6]["subcase_inner34"], rho),
                             float_sum) <= 1e-9
@@ -264,7 +264,7 @@ def test_criterion_09_total(config):
         dual_ok = dual_ok and all(
             jet[i][j].im == 0 and jet[i][j].re == exact_at[i][j]
             for i in range(4) for j in range(4))
-        fl = numeric_oracle("total", rho, config)
+        fl = interaction_total_jet(config, rho)
         err = max_rel_diff(exact_at, fl,
                            floor=cancellation_scale(config, rho))
         dual_ok = dual_ok and err <= 1e-9

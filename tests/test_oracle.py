@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwsym.forms import SlotValue
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
-                               eval_I_cancellation, mat_eval_at, total_symbol)
+                               eval_I_cancellation, mat_eval_at, nested_chain,
+                               total_symbol)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.oracle import (FULL, GaussianRational, JetContext,
                           OracleUnsupported, _add_into, _disjoint, _float_of,
                           _nonlinearity, cancellation_scale, eval_ast_float,
-                          interaction_total_jet, max_rel_diff, numeric_oracle)
-from gwsym.tensor import rank_one
+                          interaction_total_jet, max_rel_diff)
+from gwsym.tensor import MINKOWSKI, Sym2T, rank_one
 
 
 class TestGaussianRational:
@@ -305,7 +307,7 @@ class TestExactJet:
 
 class TestFloatOracle:
     def test_leaf(self, config):
-        got = numeric_oracle(Leaf(1), Fraction(2), config)
+        got = eval_ast_float(Leaf(1), config, Fraction(2))
         want = mat_eval_at(rank_one(config.zeta(1)).m, Fraction(2))
         assert np.allclose(np.asarray(got, dtype=np.complex128),
                            np.array(want, dtype=float))
@@ -317,7 +319,7 @@ class TestFloatOracle:
                 ast = FormNode(("P", 2), (Leaf(a), QNode(
                     FormNode(("P", 2), (Leaf(b), QNode(
                         FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
-                got = numeric_oracle(ast, rho, config)
+                got = eval_ast_float(ast, config, rho)
                 err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
                 assert err <= 1e-9
 
@@ -327,7 +329,7 @@ class TestFloatOracle:
                 FormNode(("P", 2), (Leaf(3), Leaf(4)))))))))
         rho = Fraction(2)
         exact = Evaluator(config).eval(ast)
-        got = numeric_oracle(ast, rho, config)
+        got = eval_ast_float(ast, config, rho)
         err = max_rel_diff(mat_eval_at(exact.matrix, rho), got)
         assert err <= 1e-9
 
@@ -345,7 +347,7 @@ class TestFloatOracle:
         rho = Fraction(2)
         for n, members in cls["families"].items():
             for term, value, order in members:
-                got = numeric_oracle(term.ast, rho, config)
+                got = eval_ast_float(term.ast, config, rho)
                 err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
                 assert err <= 1e-9, (n, term.perm, term.forms)
 
@@ -353,13 +355,31 @@ class TestFloatOracle:
         tot = total_symbol(config)
         for rho in (Fraction(2), Fraction(3)):
             exact_at = mat_eval_at(tot["matrix"], rho)
-            got = numeric_oracle("total", rho, config)
+            got = interaction_total_jet(config, rho)
             scale = cancellation_scale(config, rho)
             assert max_rel_diff(exact_at, got, floor=scale) <= 1e-9
 
     def test_unsupported(self, config):
-        with pytest.raises(OracleUnsupported):
-            numeric_oracle("nonsense", Fraction(2), config)
         ast = FormNode(("Hhat", 4), (Leaf(1), Leaf(2), Leaf(3), Leaf(4)))
         with pytest.raises(OracleUnsupported):
             eval_ast_float(ast, config, Fraction(2))
+
+
+class TestConfigurationAtRho:
+    """Both oracles read the configuration through one ``JetContext``."""
+
+    def test_scaled_metric_agrees_with_engine(self, config, tt_symbols):
+        """On 4 * Minkowski the jet and the float walk use that metric."""
+        cfg = NullConfig(config.zetas, metric=MINKOWSKI.scale_conformal(4))
+        rho = Fraction(2)
+        leaf = {i: SlotValue(Sym2T(tt_symbols[i]), cfg.zeta(i))
+                for i in tt_symbols}
+        total = mat_eval_at(
+            Evaluator(cfg, leaf_symbols=leaf).total()["matrix"], rho)
+        jet = interaction_total_jet(cfg, rho, exact=True,
+                                    leaf_symbols=tt_symbols)
+        assert [[(x.re, x.im) for x in row] for row in jet] == [
+            [(x, 0) for x in row] for row in total]
+        ast = nested_chain(1, 2, 3)
+        want = mat_eval_at(Evaluator(cfg).eval(ast).matrix, rho)
+        assert max_rel_diff(want, eval_ast_float(ast, cfg, rho)) <= 1e-9

@@ -1,4 +1,7 @@
 """Report serialization, scenario parsing and the command-line interface."""
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -38,6 +41,32 @@ class TestReport:
         with pytest.raises(ValueError):
             parse_machine("schema\tgwsym-report\t99\n")
 
+    HEADER = "schema\tgwsym-report\t1\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("schema\tgwsym-report\n", "line 1: expected 'schema<TAB>"),
+        (HEADER + "value\tk\tv\n", "line 2: value record before any section"),
+        (HEADER + "section\ts\n\nverdict\tv\tpass\tclaim\n",
+         "line 4: verdict record needs 4 fields, got 3"),
+        (HEADER + "section\ts\ntrace\n", "line 3: trace record needs 1"),
+        (HEADER + "section\ts\nverdict\tv\tPASS\tclaim\t\n",
+         "line 3: verdict status 'PASS' is neither"),
+    ])
+    def test_parse_rejects_malformed_lines(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_machine(text)
+
+    def test_round_trip_keeps_other_line_breaks(self):
+        r = Report()
+        r.section("s").value("key", "carriage\rreturn, form\ffeed\u2028")
+        text = r.to_machine()
+        assert parse_machine(text).to_machine() == text
+
+    def test_parse_skips_blank_lines(self):
+        text = self._sample().to_machine()
+        back = parse_machine(text.replace("\nsection", "\n\nsection"))
+        assert back.to_machine() == text
+
 
 class TestScenario:
     def test_default(self):
@@ -57,6 +86,12 @@ class TestScenario:
         s = parse_scenario(text)
         assert s.custom_config and s.format == "machine"
         assert len(s.oracle_rho) == 2
+
+    def test_repeated_oracle_rho_rejected(self):
+        with pytest.raises(ScenarioError, match="oracle_rho lists 2 twice"):
+            parse_scenario("oracle_rho = 2 3 2.0\n")
+        path = Path(__file__).parent.parent / "bench" / "dense.scn"
+        assert len(parse_scenario(path.read_text()).oracle_rho) == 2
 
     def test_invalid_configuration_rejected(self):
         text = "zeta1 = 1, 0, 0, 0\nzeta2 = -1,0,0,-1\n" \
@@ -264,6 +299,16 @@ class TestCli:
         assert captured.err == ("scenario error: line 2: unknown key "
                                 "'oracle-rho'\n")
 
+    def test_python_m_gwsym(self):
+        src = Path(__file__).parent.parent / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwsym", "--format", "machine", "verify",
+             "orders"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("schema\tgwsym-report")
+
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
         path = tmp_path / "degenerate.txt"
         path.write_text(TestScenario.DEGENERATE_AT_2 + "oracle_rho = 2\n")
@@ -275,21 +320,30 @@ class TestCli:
 
     def test_oracle_float_total_verdict(self, monkeypatch, capsys):
         import gwsym.cli as cli
-        real = cli.numeric_oracle
+        real = cli.interaction_total_jet
 
-        def off_total(ast, rho, config):
-            got = real(ast, rho, config)
-            if ast == "total":
+        def off_float(config, rho, exact=False, leaf_symbols=None):
+            got = real(config, rho, exact, leaf_symbols)
+            if not exact:
                 # far beyond 1e-9 of the scale the verdict is relative to
                 got[0][0] += cli.cancellation_scale(config, rho)
             return got
-        monkeypatch.setattr(cli, "numeric_oracle", off_total)
+        monkeypatch.setattr(cli, "interaction_total_jet", off_float)
         code, out = _run(["--format", "machine", "oracle", "--rho", "2"],
                          capsys)
         assert code == 1
         failing = [v.name for s in parse_machine(out).sections
                    for v in s.entries if isinstance(v, Verdict) and not v.passed]
         assert failing == ["total-float-dual-path-rho-2"]
+
+    def test_oracle_at_large_rho(self, capsys):
+        # the float oracles read exact subset norms, so none of them
+        # vanishes where the scenario check accepted the sample value
+        code, out = _run(["--format", "machine", "oracle", "--rho", "12"],
+                         capsys)
+        assert code == 0
+        assert [s.title for s in parse_machine(out).sections] == [
+            "floating-point oracle"]
 
     def test_engine_failure_names_command_and_type(self, monkeypatch,
                                                    capsys):
