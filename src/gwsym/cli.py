@@ -475,8 +475,6 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     s = report.section("floating-point oracle")
     res = eval_I_cancellation(cfg)
     for rho_v in values:
-        if not Fraction(3, 2) <= rho_v <= 4:
-            s.trace(f"rho = {rho_v} outside the conditioned range [1.5, 4]")
         for key, value in sorted(res["terms"].items(),
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]

@@ -2,7 +2,9 @@
 
 Two routes that never touch the exact form engine.  Both read the
 configuration at a concrete rho through one ``JetContext``: its own inverse
-metric, and covector sums and squared norms computed exactly, then converted.
+metric, and covector sums and squared norms computed exactly, then converted
+to exact Gaussian rationals (integer triples (a + b i) / d, reduced by one
+gcd per operation) or complex floating point.
 
 * A truncated multilinear "jet" expansion over the sixteen wave subsets.
   Fields are plain dicts from subsets (frozensets) to 4x4 matrices.  Every
@@ -15,12 +17,15 @@ metric, and covector sums and squared norms computed exactly, then converted.
   iteration is graded by subset size: a component on k waves reads only
   components on fewer waves, so two passes fix the two- and three-wave
   components, and the last evaluation computes the four-wave component
-  alone.  The scalars are exact Gaussian rationals, each held as an integer
-  triple (a + b i) / d reduced by one gcd per operation, or complex
-  floating point.
+  alone.
 
-* A direct floating-point evaluator for individual term trees built from
-  the closed quasilinear chains and the explicit quadratic semilinear form.
+* A walk over one term tree (``_walk``) on the same scalars.  A P_k node
+  is the jet's quasilinear part on single components, with the chain of its
+  first k - 1 slots as the metric field; an Hhat2 node is the jet's
+  semilinear part on its two slots, with the constant inverse metric.
+
+Each route is compared only with the engine, and the two share every
+contraction, so a fault in a shared contraction fails both comparisons.
 """
 from __future__ import annotations
 
@@ -169,6 +174,8 @@ class JetContext:
         self.of = of
         self.zero = of(0)
         self.one = of(1)
+        self.half = of(Fraction(1, 2))
+        self.two = of(2)
         rho = Fraction(rho)
         zetas = {}
         for i in range(1, 5):
@@ -276,37 +283,16 @@ def _ginv_series(ctx, u, top):
     return _jet_matmul(ctx, total, hinv, sizes)
 
 
-def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
-    """The quadratic-and-higher part of the reduced wave operator.
-
-    N(u) = -(g^{pq} - h^{pq}) d_p d_q u
-           + 2 g^{ab} g^{sg} G(u)_{s mu b} G(u)_{g nu a}
-           + G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu),
-    with G(u)_{l a b} = (d_b u_{la} + d_a u_{lb} - d_l u_{ab}) / 2 and g the
-    full inverse series.  A derivative d_p multiplies component s by
-    i (aggregate covector of s)_p.  Every component of the result is the
-    exact symbol of the corresponding wave-subset interaction.
-
-    Only the components on ``sizes`` waves are computed.  Every term has at
-    least two factors on nonempty subsets, so it reads components of u and
-    of g - h on fewer waves than the largest kept size.  Contributions to
-    the kept components arrive in the same order whatever ``sizes`` is.
-    """
+def _quasilinear(ctx, result, g, u, sizes):
+    """Add -g^{pq} d_p d_q u to ``result``, over the disjoint components of
+    the fields g and u; the derivatives read u's subsets."""
     ixi = ctx.ixi
-    top = max(sizes)
-    u = {s: m for s, m in u.items() if len(s) < top}
-    ginv = _ginv_series(ctx, u, top - 1)  # includes the constant part
-    result = {}
-
-    # Quasilinear part: -(g - h)^{pq} d_p d_q u
     du2 = {}
     for p in range(4):
         dp = _map(u, lambda s, x: ixi[s][p] * x)
         for q in range(p, 4):
             du2[(p, q)] = _map(dp, lambda s, x: ixi[s][q] * x)
-    for s1, m1 in ginv.items():
-        if not s1:
-            continue
+    for s1, m1 in g.items():
         for p in range(4):
             for q in range(4):
                 c = m1[p][q]
@@ -317,18 +303,21 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
                     _add_into(result, s, [[-(c * x) for x in row]
                                           for row in m2])
 
-    # Christoffel contraction as a jet 3-tensor per component.
-    half = ctx.of(Fraction(1, 2))
-    two = ctx.of(2)
-    gamma = {}
-    for s, m in u.items():
-        d = ixi[s]
-        gamma[s] = [[[half * (d[b] * m[l][a] + d[a] * m[l][b] - d[l] * m[a][b])
-                      for b in range(4)] for a in range(4)] for l in range(4)]
 
-    # Semilinear quadratic-derivative part.
-    for s, (g1, g2, ma, mb) in _disjoint(gamma, gamma, ginv, ginv,
-                                         sizes=sizes):
+def _christoffel(ctx, m, d):
+    """G_{l a b} = (d_b m_{la} + d_a m_{lb} - d_l m_{ab}) / 2 of one
+    component m, whose derivative multiplies by d."""
+    half = ctx.half
+    return [[[half * (d[b] * m[l][a] + d[a] * m[l][b] - d[l] * m[a][b])
+              for b in range(4)] for a in range(4)] for l in range(4)]
+
+
+def _semilinear(ctx, result, gamma1, gamma2, u2, g, sizes):
+    """Add 2 g^{ab} g^{lk} G1_{l mu b} G2_{k nu a} and
+    G1_{nu a b} g^{aq} g^{bd} d_mu u2_{qd} + (mu <-> nu) to ``result``, each
+    over the disjoint components of its fields."""
+    two = ctx.two
+    for s, (g1, g2, ma, mb) in _disjoint(gamma1, gamma2, g, g, sizes=sizes):
         mat = ctx.zero_mat()
         for mu in range(4):
             for nu in range(4):
@@ -342,22 +331,20 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
                             t1 = g1[l][mu][b]
                             if not t1:
                                 continue
-                            for g in range(4):
-                                hlg = mb[l][g]
-                                if not hlg:
+                            for k in range(4):
+                                hlk = mb[l][k]
+                                if not hlk:
                                     continue
-                                t2 = g2[g][nu][a]
+                                t2 = g2[k][nu][a]
                                 if not t2:
                                     continue
-                                acc = acc + (two * hab * hlg * t1 * t2)
+                                acc = acc + (two * hab * hlk * t1 * t2)
                 mat[mu][nu] = acc
         if any(x for row in mat for x in row):
             _add_into(result, s, mat)
 
-    # G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu)
-    du = {s: (m, ixi[s]) for s, m in u.items()}
-    for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma, du, ginv, ginv,
-                                               sizes=sizes):
+    du = {s: (m, ctx.ixi[s]) for s, m in u2.items()}
+    for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma1, du, g, g, sizes=sizes):
         sand = []
         for x in range(4):
             acc = ctx.zero
@@ -381,6 +368,30 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
         if any(x for row in mat for x in row):
             _add_into(result, s, mat)
 
+
+def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
+    """The quadratic-and-higher part of the reduced wave operator.
+
+    N(u) = -(g^{pq} - h^{pq}) d_p d_q u
+           + 2 g^{ab} g^{sg} G(u)_{s mu b} G(u)_{g nu a}
+           + G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu),
+    with G(u)_{l a b} = (d_b u_{la} + d_a u_{lb} - d_l u_{ab}) / 2 and g the
+    full inverse series.  A derivative d_p multiplies component s by
+    i (aggregate covector of s)_p.  Every component of the result is the
+    exact symbol of the corresponding wave-subset interaction.
+
+    Only the components on ``sizes`` waves are computed.  Every term has at
+    least two factors on nonempty subsets, so it reads components of u and
+    of g - h on fewer waves than the largest kept size.  Contributions to
+    the kept components arrive in the same order whatever ``sizes`` is.
+    """
+    top = max(sizes)
+    u = {s: m for s, m in u.items() if len(s) < top}
+    ginv = _ginv_series(ctx, u, top - 1)  # includes the constant part
+    result = {}
+    _quasilinear(ctx, result, {s: m for s, m in ginv.items() if s}, u, sizes)
+    gamma = {s: _christoffel(ctx, m, ctx.ixi[s]) for s, m in u.items()}
+    _semilinear(ctx, result, gamma, gamma, u, ginv, sizes)
     return result
 
 
@@ -420,67 +431,55 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Direct floating-point evaluation of individual term trees
+# Evaluation of individual term trees
 # ---------------------------------------------------------------------------
 
 class OracleUnsupported(ValueError):
     pass
 
 
-def eval_ast_float(ast, config: NullConfig, rho):
-    """Independent complex evaluation of one term tree.
+def _walk(ctx, node):
+    """(value, wave subset) of one term tree on the context's scalars.
 
-    Reads the configuration through a float ``JetContext``, as the float
-    jet does: each node covers a wave subset s of the context.  Supports
-    the quasilinear chains and the explicit quadratic semilinear form;
-    higher semilinear forms have no closed expression here and raise
-    OracleUnsupported.
+    P_k is -g^{pq} d_p d_q m_k with g = (-h^{-1} m_1)...(-h^{-1} m_{k-1})
+    h^{-1}; higher semilinear forms have no closed expression here.
     """
-    ctx = JetContext(config, rho, _float_of)
-    hinv = np.array(ctx.hinv)
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            return np.array(ctx.amplitudes[node.wave]), frozenset({node.wave})
-        if isinstance(node, QNode):
-            m, s = walk(node.child)
-            n = ctx.norm[s]
-            if not n:
-                raise ZeroDivisionError(
-                    f"characteristic covector sum over waves {sorted(s)}")
-            return m / n, s
-        kind, k = node.form
-        parts = [walk(c) for c in node.children]
-        s = frozenset().union(*(t for _, t in parts))
-        if kind == "P":
-            mid = hinv
-            for m, _ in parts[:-1]:
-                mid = mid @ m @ hinv
-            d = ctx.ixi[parts[-1][1]]
-            return (-1.0) ** k * (d @ mid @ d) * parts[-1][0], s
-        if node.form == ("Hhat", 2):
-            (m1, s1), (m2, s2) = parts
-            return _hhat2_float(hinv, m1, ctx.ixi[s1], m2, ctx.ixi[s2]), s
+    if isinstance(node, Leaf):
+        return ctx.amplitudes[node.wave], frozenset({node.wave})
+    if isinstance(node, QNode):
+        m, s = _walk(ctx, node.child)
+        n = ctx.norm[s]
+        if not n:
+            raise ZeroDivisionError(
+                f"characteristic covector sum over waves {sorted(s)}")
+        return [[x / n for x in row] for row in m], s
+    parts = [_walk(ctx, c) for c in node.children]
+    s = frozenset().union(*(t for _, t in parts))
+    hinv = {frozenset(): ctx.hinv}
+    result = {}
+    if node.form[0] == "P":
+        chain = hinv
+        for m, t in reversed(parts[:-1]):
+            x = _map(_jet_matmul(ctx, hinv, {t: m}, range(5)),
+                     lambda _, y: -y)
+            chain = _jet_matmul(ctx, x, chain, range(5))
+        m, t = parts[-1]
+        _quasilinear(ctx, result, chain, {t: m}, (len(s),))
+    elif node.form == ("Hhat", 2):
+        (m1, s1), (m2, s2) = parts
+        _semilinear(ctx, result, {s1: _christoffel(ctx, m1, ctx.ixi[s1])},
+                    {s2: _christoffel(ctx, m2, ctx.ixi[s2])}, {s2: m2}, hinv,
+                    (len(s),))
+    else:
         raise OracleUnsupported(
             f"no independent closed form for {node.form} nodes")
-
-    m, _ = walk(ast)
-    return m
+    return result.get(s) or ctx.zero_mat(), s
 
 
-def _hhat2_float(hinv, m1, d1, m2, d2):
-    """Hhat2 of two slots; d1 and d2 are i times their covector sums."""
-    def gam(m, d):
-        return 0.5 * (np.einsum("b,la->lab", d, m)
-                      + np.einsum("a,lb->lab", d, m)
-                      - np.einsum("l,ab->lab", d, m))
-
-    g1 = gam(m1, d1)
-    g2 = gam(m2, d2)
-    term_a = 2.0 * np.einsum("ab,lg,lmb,gna->mn", hinv, hinv, g1, g2)
-    sand = np.einsum("nab,aq,bd,qd->n", g1, hinv, hinv, m2)
-    term_b = np.einsum("m,n->mn", d2, sand) + np.einsum("n,m->mn", d2, sand)
-    return term_a + term_b
+def eval_ast_float(ast, config: NullConfig, rho):
+    """Independent complex evaluation of one term tree: ``_walk`` on a
+    float ``JetContext``, as a numpy array."""
+    return np.array(_walk(JetContext(config, rho, _float_of), ast)[0])
 
 
 def cancellation_scale(config: NullConfig, rho) -> float:

@@ -3,12 +3,13 @@
 Criteria 8 and 9 check every published target value they encode.  Where a
 published value holds, it is asserted.  Two published values are refuted by
 the engine's exact arithmetic: the inner-pair-(3,4) subcase of family 6
-(3/4 rho^30 published, 3/8 exact, confirmed by the float evaluation of each
-member) and the nonzero grand total (identically zero exactly, confirmed by
-the independent exact jet iteration of the full nonlinear operator and by
-the float jet).  For those, the criteria assert the exact value and that the
-published value is not reproduced, and the PASS line names the refuted
-constant.  A changed engine value or a reproduced published constant fails.
+(3/4 rho^30 published, 3/8 exact, confirmed by the exact and the float walk
+of each member) and the nonzero grand total (identically zero exactly,
+confirmed by the independent exact jet iteration of the full nonlinear
+operator and by the float jet).  For those, the criteria assert the exact
+value and that the published value is not reproduced, and the PASS line
+names the refuted constant.  A changed engine value or a reproduced
+published constant fails.
 """
 import time
 from fractions import Fraction
@@ -28,7 +29,8 @@ from gwsym.interaction import (classify_rho40_terms, enumerate_all,
                                total_symbol, _coefficient_of)
 from gwsym.nullcone import (FlatPoint, backtrace_sources, base_directions,
                             solve_null_scale, standard_config)
-from gwsym.oracle import (cancellation_scale, eval_ast_float,
+from gwsym.oracle import (GaussianRational, JetContext, _walk,
+                          cancellation_scale, eval_ast_float,
                           interaction_total_jet, max_rel_diff)
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
@@ -215,17 +217,24 @@ def test_criterion_08_items(config):
     engine_6_inner34 = mat_max_degree(
         mat_sub(items[6]["subcase_inner34"],
                 mat_scale(mat_sub(a14, a24), c38 * r30))) < 40
-    # independent path for the subcase: float evaluation of each member
+    # independent path for the subcase: exact and float walk of each member
     rho = Fraction(2)
     inner34 = [t for t in items[6]["members"] if t.perm[0] != 3]
+    inner34_at = mat_eval_at(items[6]["subcase_inner34"], rho)
     float_sum = sum(t.sign * eval_ast_float(t.ast, config, rho)
                     for t in inner34)
-    float_ok = max_rel_diff(mat_eval_at(items[6]["subcase_inner34"], rho),
-                            float_sum) <= 1e-9
+    float_ok = max_rel_diff(inner34_at, float_sum) <= 1e-9
+    ctx = JetContext(config, rho, GaussianRational.of)
+    signed = [(GaussianRational.of(t.sign), _walk(ctx, t.ast)[0])
+              for t in inner34]
+    exact_ok = all(
+        sum((c * m[i][j] for c, m in signed), ctx.zero)
+        == GaussianRational.of(inner34_at[i][j])
+        for i in range(4) for j in range(4))
     # relative signs: families 5 and 7 oppose family 6 in the A14 direction
     sign_consistent = ok_5 and ok_7 and ok_6_outer3
     ok = (ok_12 and ok_7 and ok_5 and ok_6_outer3 and sign_consistent
-          and engine_6_inner34 and float_ok
+          and engine_6_inner34 and float_ok and exact_ok
           and not ok_6_inner34_published and budget.ok())
     _verdict(8, ok, "per-item leading values: the published table holds "
                     "except the inner-pair-(3,4) subcase, whose published "
@@ -238,13 +247,16 @@ def test_criterion_08_items(config):
     assert float_ok, (
         "the inner-pair-(3,4) subcase must agree to 1e-9 at rho = 2 with the "
         "sum of its members' independent float evaluations")
+    assert exact_ok, (
+        "the inner-pair-(3,4) subcase must equal at rho = 2 the sum of its "
+        "members' exact walks")
     assert engine_6_inner34, (
         "the inner-pair-(3,4) subcase must lead with 3/8 rho^30 (A14 - A24), "
-        "the exact value confirmed by the per-member float evaluation above")
+        "the exact value confirmed by the per-member walks above")
     assert not ok_6_inner34_published, (
         "the published inner-pair-(3,4) subcase value 3/4 rho^30 (A14 - A24) "
         "is reproduced, contradicting the exact 3/8 rho^30 (A14 - A24) "
-        "confirmed by the per-member float evaluation; the published "
+        "confirmed by the per-member walks; the published "
         "evaluation of its own displayed symbol expression drops the factor "
         "1/2 from the triple-norm reciprocal 1/(2 rho^10 - 2)")
     assert budget.ok(), (

@@ -17,8 +17,8 @@ from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.oracle import (FULL, GaussianRational, JetContext,
                           OracleUnsupported, _add_into, _disjoint, _float_of,
-                          _nonlinearity, cancellation_scale, eval_ast_float,
-                          interaction_total_jet, max_rel_diff)
+                          _nonlinearity, _walk, cancellation_scale,
+                          eval_ast_float, interaction_total_jet, max_rel_diff)
 from gwsym.tensor import MINKOWSKI, Sym2T, rank_one
 
 
@@ -161,6 +161,11 @@ class TestJetAlgebra:
                          validate=False)
         with pytest.raises(ZeroDivisionError, match=r"waves \[1, 2, 3\]$"):
             interaction_total_jet(cfg, Fraction(2), exact=exact)
+        ctx = JetContext(cfg, Fraction(2),
+                         GaussianRational.of if exact else _float_of)
+        ast = QNode(FormNode(("P", 3), (Leaf(1), Leaf(2), Leaf(3))))
+        with pytest.raises(ZeroDivisionError, match=r"waves \[1, 2, 3\]$"):
+            _walk(ctx, ast)
 
     def test_float_jet_independent_of_hash_seed(self):
         """The float jet's roundoff is printed in reports, so its summation
@@ -203,6 +208,14 @@ def three_full_passes(config, rho, exact, leaf_symbols=None):
         iterates.append(u)
     mat = _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat()
     return [[-x for x in row] for row in mat], iterates
+
+
+def exact_walk_equals(ctx, ast, want):
+    """The exact walk of ``ast`` is real and equals ``want`` entry for
+    entry."""
+    got, _ = _walk(ctx, ast)
+    return [[(x.re, x.im) for x in row] for row in got] == [
+        [(y, 0) for y in row] for row in want]
 
 
 def exact_bits(x):
@@ -334,22 +347,31 @@ class TestFloatOracle:
         assert err <= 1e-9
 
     def test_family_members_dual_path(self, config):
-        """Every top-order family member float-checks at 1e-9.
+        """Every top-order family member float-checks at 1e-9, and the
+        exact walk equals it at rho = 2 and 5/2.
 
         This independently validates the per-item values, including the two
         semilinear values and the subcase where the engine's exact result is
-        half the published constant: the float path hand-codes the explicit
-        quadratic semilinear formula with numpy contractions.
+        half the published constant: the walk evaluates the explicit
+        quadratic semilinear formula through the jet's own contractions,
+        never through the derived forms.
         """
-        from gwsym.interaction import classify_rho40_terms, shared_evaluator
-        ev = shared_evaluator(config)
+        from gwsym.interaction import classify_rho40_terms
         cls = classify_rho40_terms(config)
+        members = [(n, term, value) for n, family in cls["families"].items()
+                   for term, value, _ in family]
+        assert len(members) == 34
         rho = Fraction(2)
-        for n, members in cls["families"].items():
-            for term, value, order in members:
-                got = eval_ast_float(term.ast, config, rho)
-                err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
-                assert err <= 1e-9, (n, term.perm, term.forms)
+        for n, term, value in members:
+            got = eval_ast_float(term.ast, config, rho)
+            err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
+            assert err <= 1e-9, (n, term.perm, term.forms)
+        for rho in (Fraction(2), Fraction(5, 2)):
+            ctx = JetContext(config, rho, GaussianRational.of)
+            for n, term, value in members:
+                assert exact_walk_equals(ctx, term.ast,
+                                         mat_eval_at(value.matrix, rho)), (
+                    rho, n, term.perm, term.forms)
 
     def test_float_total_within_cancellation_noise(self, config):
         tot = total_symbol(config)
@@ -360,16 +382,21 @@ class TestFloatOracle:
             assert max_rel_diff(exact_at, got, floor=scale) <= 1e-9
 
     def test_unsupported(self, config):
-        ast = FormNode(("Hhat", 4), (Leaf(1), Leaf(2), Leaf(3), Leaf(4)))
-        with pytest.raises(OracleUnsupported):
-            eval_ast_float(ast, config, Fraction(2))
+        for k in (3, 4):
+            ast = FormNode(("Hhat", k),
+                           tuple(Leaf(i) for i in range(1, k + 1)))
+            with pytest.raises(OracleUnsupported):
+                eval_ast_float(ast, config, Fraction(2))
+            ctx = JetContext(config, Fraction(2), GaussianRational.of)
+            with pytest.raises(OracleUnsupported):
+                _walk(ctx, ast)
 
 
 class TestConfigurationAtRho:
     """Both oracles read the configuration through one ``JetContext``."""
 
     def test_scaled_metric_agrees_with_engine(self, config, tt_symbols):
-        """On 4 * Minkowski the jet and the float walk use that metric."""
+        """On 4 * Minkowski the jet and both walks use that metric."""
         cfg = NullConfig(config.zetas, metric=MINKOWSKI.scale_conformal(4))
         rho = Fraction(2)
         leaf = {i: SlotValue(Sym2T(tt_symbols[i]), cfg.zeta(i))
@@ -383,3 +410,5 @@ class TestConfigurationAtRho:
         ast = nested_chain(1, 2, 3)
         want = mat_eval_at(Evaluator(cfg).eval(ast).matrix, rho)
         assert max_rel_diff(want, eval_ast_float(ast, cfg, rho)) <= 1e-9
+        assert exact_walk_equals(JetContext(cfg, rho, GaussianRational.of),
+                                 ast, want)

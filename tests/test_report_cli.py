@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gwsym.cli import run
-from gwsym.report import Report, Verdict, parse_machine
+from gwsym.report import Report, TraceLine, Verdict, parse_machine
 from gwsym.scenario import ScenarioError, parse_scenario
 
 
@@ -342,8 +342,11 @@ class TestCli:
         code, out = _run(["--format", "machine", "oracle", "--rho", "12"],
                          capsys)
         assert code == 0
-        assert [s.title for s in parse_machine(out).sections] == [
-            "floating-point oracle"]
+        sections = parse_machine(out).sections
+        assert [s.title for s in sections] == ["floating-point oracle"]
+        # every verdict passes, so no trace warns of a conditioning loss
+        assert not [e for s in sections for e in s.entries
+                    if isinstance(e, TraceLine)]
 
     def test_engine_failure_names_command_and_type(self, monkeypatch,
                                                    capsys):
