@@ -506,7 +506,7 @@ def _prepare_slots(form: FormalTensorPoly, assignment):
 
 
 def symbol_outer_of_form(form: FormalTensorPoly, assignment,
-                         metric: Metric4 = MINKOWSKI):
+                         metric: Metric4 = MINKOWSKI, pairings: dict = None):
     """Evaluate a form to an outer-product decomposition; (terms, i_power).
 
     Slot matrices are expanded into their outer decompositions; every
@@ -517,12 +517,17 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     coefficient is multiplied in: a zero pairing drops the whole subtree.
     The i factors of the derivatives are excluded from the value and
     reported as the power.
+
+    ``pairings`` caches the metric pairings by their two vectors.  A caller
+    that evaluates many forms on one metric passes the same dict to every
+    call; by default the cache lives for this call only.
     """
     slots, i_power = _prepare_slots(form, assignment)
+    if pairings is None:
+        pairings = {}
     out = []
-    cache = {}
     for mono in form.monomials:
-        out.extend(_outer_of_monomial(mono, slots, metric, cache))
+        out.extend(_outer_of_monomial(mono, slots, metric, pairings))
     return merge_outer(out), i_power
 
 
@@ -593,7 +598,7 @@ def _positions_of(mono: Monomial):
     return positions
 
 
-def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
+def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, pairings):
     """Outer-product terms contributed by one monomial.
 
     A depth-first walk over the factors, in order, picks one outer term per
@@ -623,13 +628,10 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
     out = []
 
     def pair_cached(u: CoVec4, v: CoVec4):
-        # keyed by identity: the cache lives for one symbol_outer_of_form
-        # call, and every vector paired here is a covector or an outer
-        # vector of one of its slot values, which hold them for the call
-        key = (id(u), id(v))
-        hit = cache.get(key)
+        key = (u, v)
+        hit = pairings.get(key)
         if hit is None:
-            hit = cache[key] = pairing(metric, u, v)
+            hit = pairings[key] = pairing(metric, u, v)
         return hit
 
     def ref(name):
@@ -682,16 +684,19 @@ def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, cache):
     return out
 
 
-def entry_order_bound(form: FormalTensorPoly, slot_info) -> float:
+def entry_order_bound(form: FormalTensorPoly, slot_info,
+                      pair_degree) -> float:
     """Upper bound on the evaluated symbol's max entry degree.
 
-    ``slot_info`` maps slot -> (matrix_degree_bound, covector_degree_bound).
-    The bound is the max over monomials of the summed factor bounds; index
-    sums and metric pairs never raise the degree beyond it.
+    ``slot_info`` maps slot -> (matrix_degree_bound, covector_degree_bound)
+    and ``pair_degree`` bounds the degree of every inverse-metric entry.
+    The bound is the max over monomials of the summed factor bounds plus
+    ``pair_degree`` per metric pair: index sums never raise the degree
+    beyond it.
     """
     best = None
     for mono in form.monomials:
-        total = 0
+        total = len(mono.hinv) * pair_degree
         for f in mono.factors:
             mdeg, cdeg = slot_info[f.slot]
             total = total + mdeg + len(f.derivs) * cdeg

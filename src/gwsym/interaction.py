@@ -8,6 +8,14 @@ is exact over the rational-function field; one factor of the imaginary unit
 per derivative is tracked and folded as i^(2m) = (-1)^m, so matrices are
 real and the accumulated i-power is reported for auditing.
 An overall (2*pi)^-3 is factored out of every complete four-wave term.
+
+Only what a result reads is evaluated.  The total uses multilinearity: the
+terms of one shape and permutation sum to one tree with P_k + Hhat_k at
+every coefficient node, so 264 trees replace 1488 terms.  The top-order
+classification evaluates the family members and then scans the other
+terms by branch and bound on a compositional degree bound
+(``Evaluator.order_bound``), which proves most of them below the top order
+without evaluating them.
 """
 from __future__ import annotations
 
@@ -142,6 +150,10 @@ class SymbolValue:
 
 _FORM_FAMILY = None
 
+#: form kind of a coefficient node that carries P_k + Hhat_k (``total``)
+_SUMMED = "P+Hhat"
+_SUMMED_FORMS = {}
+
 
 def form_family():
     global _FORM_FAMILY
@@ -150,8 +162,26 @@ def form_family():
     return _FORM_FAMILY
 
 
+def _form_of(key):
+    """The form of a coefficient node: a family form, or for
+    ``(_SUMMED, k)`` the sum P_k + Hhat_k, kept out of ``form_family``."""
+    kind, k = key
+    if kind != _SUMMED:
+        return form_family()[key]
+    form = _SUMMED_FORMS.get(k)
+    if form is None:
+        family = form_family()
+        form = _SUMMED_FORMS[k] = family[("P", k)] + family[("Hhat", k)]
+    return form
+
+
 class Evaluator:
-    """Caching exact evaluator for one configuration and metric."""
+    """Caching exact evaluator for one configuration and metric.
+
+    ``eval`` memoizes the value of every node, ``order_bound`` a degree
+    bound on it, and one dict of metric pairings serves every form
+    evaluation.
+    """
 
     def __init__(self, config: NullConfig, metric: Metric4 = None,
                  leaf_symbols: dict = None):
@@ -165,6 +195,9 @@ class Evaluator:
             else:
                 self.slots[i] = SlotValue.wave(config.zeta(i))
         self.cache = {}
+        self.pairings = {}
+        self._bounds = {}
+        self._pair_degree = mat_max_degree(self.metric.inv)
         self._total = None
 
     def eval(self, ast) -> SymbolValue:
@@ -174,6 +207,37 @@ class Evaluator:
         value = self._eval(ast)
         self.cache[ast] = value
         return value
+
+    def order_bound(self, ast):
+        """Upper bound on ``eval(ast).entry_order()``, found without
+        evaluating; attained absent cancellation."""
+        return self._bound(ast)[0]
+
+    def _bound(self, ast):
+        hit = self._bounds.get(ast)
+        if hit is None:
+            hit = self._bounds[ast] = self._bound_of(ast)
+        return hit
+
+    def _bound_of(self, ast):
+        """(degree bound, covector) of a node, compositionally."""
+        if isinstance(ast, Leaf):
+            sv = self.slots[ast.wave]
+            return mat_max_degree(mat_of(sv.matrix)), sv.covector
+        if isinstance(ast, QNode):
+            degree, cov = self._bound(ast.child)
+            n = norm_sq(self.metric, cov)
+            if n.is_zero():
+                raise CharacteristicDenominatorError(leaves_of(ast.child))
+            return degree - n.infinity_degree, cov
+        infos = [self._bound(c) for c in ast.children]
+        cov = infos[0][1]
+        for _, c in infos[1:]:
+            cov = cov + c
+        slot_info = {slot: (degree, max(x.infinity_degree for x in c))
+                     for slot, (degree, c) in enumerate(infos, start=1)}
+        return (entry_order_bound(_form_of(ast.form), slot_info,
+                                  self._pair_degree), cov)
 
     def _eval(self, ast) -> SymbolValue:
         if isinstance(ast, Leaf):
@@ -187,9 +251,9 @@ class Evaluator:
             return child.scale(RhoRational.const(1) / n)
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
-            form = form_family()[ast.form]
             outer, node_power = symbol_outer_of_form(
-                form, dict(enumerate(children, 1)), self.metric)
+                _form_of(ast.form), dict(enumerate(children, 1)),
+                self.metric, self.pairings)
             if node_power % 2:
                 raise ArithmeticError("odd derivative count in a retained form")
             if (node_power // 2) % 2:
@@ -207,12 +271,16 @@ class Evaluator:
     def total(self) -> dict:
         """Exact sum of every enumerated interaction term on this evaluator.
 
-        Each class is summed with ``_sum_terms``; the result holds the
-        ``matrix``, the ``per_class`` subtotals and the ``entry_order``.  It
-        is computed once per evaluator; callers must not modify it.
+        A term is linear in each coefficient form, so the terms of one
+        shape and permutation sum to one tree with the form P_k + Hhat_k
+        at every coefficient node: the 1488 terms add up as 264 trees, and
+        each class is the ``_sum_terms`` of its trees.  The result holds
+        the ``matrix``, the ``per_class`` subtotals and the
+        ``entry_order``.  It is computed once per evaluator; callers must
+        not modify it.
         """
         if self._total is None:
-            per_class = {hclass: _sum_terms(self, enumerate_H(hclass))
+            per_class = {hclass: _sum_terms(self, _terms(hclass, (_SUMMED,)))
                          for hclass in range(1, 6)}
             matrix = mat_sum(per_class.values())
             self._total = {"matrix": matrix, "per_class": per_class,
@@ -312,6 +380,19 @@ def enumerate_shapes(hclass: int):
             for shape_idx, _ in enumerate(_shapes_of(hclass)) for perm in _PERMS]
 
 
+def _terms(hclass: int, kinds: tuple):
+    """Signed terms of a class: every shape and permutation, with each
+    coefficient node of arity k expanded into the forms (kind, k)."""
+    out = []
+    for shape_idx, shape in enumerate(_shapes_of(hclass)):
+        form_options = [tuple((kind, a) for kind in kinds)
+                        for a in _arities(shape)]
+        for perm in _PERMS:
+            for forms in itertools.product(*form_options):
+                out.append(_signed_term(hclass, shape_idx, perm, forms))
+    return out
+
+
 def enumerate_H(hclass: int):
     """All concrete signed terms of one interaction class.
 
@@ -319,13 +400,7 @@ def enumerate_H(hclass: int):
     and every coefficient node is expanded into its quasilinear (P) and
     two-derivative semilinear (Hhat) variants.
     """
-    out = []
-    for shape_idx, shape in enumerate(_shapes_of(hclass)):
-        form_options = [(("P", a), ("Hhat", a)) for a in _arities(shape)]
-        for perm in _PERMS:
-            for forms in itertools.product(*form_options):
-                out.append(_signed_term(hclass, shape_idx, perm, forms))
-    return out
+    return _terms(hclass, ("P", "Hhat"))
 
 
 def enumerate_all():
@@ -341,33 +416,7 @@ def enumerate_all():
 
 def predict_entry_order(ast, config: NullConfig):
     """Compositional upper bound on the evaluated term's max entry degree."""
-    metric = config.metric
-
-    def cov_degree(cov: CoVec4):
-        return max(x.infinity_degree for x in cov)
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            sv = SlotValue.wave(config.zeta(node.wave))
-            return (mat_max_degree(mat_of(sv.matrix)), sv.covector)
-        if isinstance(node, QNode):
-            mdeg, cov = walk(node.child)
-            n = norm_sq(metric, cov)
-            if n.is_zero():
-                raise CharacteristicDenominatorError(leaves_of(node.child))
-            return (mdeg - n.infinity_degree, cov)
-        kind, k = node.form
-        infos = [walk(c) for c in node.children]
-        cov = infos[0][1]
-        for _, c in infos[1:]:
-            cov = cov + c
-        slot_info = {slot: (mdeg, cov_degree(c))
-                     for slot, (mdeg, c) in enumerate(infos, start=1)}
-        form = form_family()[node.form]
-        return (entry_order_bound(form, slot_info), cov)
-
-    bound, _cov = walk(ast)
-    return bound
+    return shared_evaluator(config).order_bound(ast)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +453,17 @@ def _family_keys():
 
 
 def classify_rho40_terms(config: NullConfig):
-    """Exhaustive scan: group the top-order terms into the eight families.
+    """Group the top-order terms into the eight families, by branch and bound.
 
-    Returns a dict with the families (lists of (SignedTerm, SymbolValue)),
-    the verified maximal orders, and the certification that no term outside
-    the families reaches the top entry order.
+    The 34 family members are evaluated exactly.  The other terms are
+    visited in decreasing order of ``Evaluator.order_bound`` and evaluated
+    until the first whose bound is below 40 and not above the best exact
+    order found so far: every term after it provably stays below both, so
+    the scan is as exact as one over all 1488 terms.
+
+    Returns a dict with the families (lists of (SignedTerm, SymbolValue,
+    order)), the exact maximal order outside them, and the terms outside
+    them at order 40 or more ((SignedTerm, order), in enumeration order).
     """
     ev = shared_evaluator(config)
     keys = _family_keys()
@@ -417,24 +472,29 @@ def classify_rho40_terms(config: NullConfig):
         for key in members:
             key_to_family[key] = n
     families = {n: [] for n in keys}
-    outside_max = NEG_INF
-    outside_at_40 = []
+    others = []
     for term in enumerate_all():
-        value = ev.eval(term.ast)
-        order = value.entry_order()
-        key = (term.hclass, term.shape, term.perm, term.forms)
-        fam = key_to_family.get(key)
-        if fam is not None:
-            families[fam].append((term, value, order))
+        fam = key_to_family.get((term.hclass, term.shape, term.perm,
+                                 term.forms))
+        if fam is None:
+            others.append(term)
         else:
-            if order >= 40:
-                outside_at_40.append((term, order))
-            if order > outside_max:
-                outside_max = order
+            value = ev.eval(term.ast)
+            families[fam].append((term, value, value.entry_order()))
+    bounds = [ev.order_bound(term.ast) for term in others]
+    outside_max = NEG_INF
+    at_top = []
+    for i in sorted(range(len(others)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < 40 and bounds[i] <= outside_max:
+            break
+        order = ev.eval(others[i].ast).entry_order()
+        outside_max = max(outside_max, order)
+        if order >= 40:
+            at_top.append((i, order))
     return {
         "families": families,
         "outside_max_order": outside_max,
-        "outside_at_top": outside_at_40,
+        "outside_at_top": [(others[i], order) for i, order in sorted(at_top)],
     }
 
 

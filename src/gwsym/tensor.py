@@ -15,13 +15,14 @@ def _cv(x) -> RhoRational:
 class CoVec4:
     """Covector with four RhoRational components."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_hash")
 
     def __init__(self, components):
         comps = tuple(_cv(x) for x in components)
         if len(comps) != 4:
             raise ValueError("CoVec4 needs exactly 4 components")
         object.__setattr__(self, "c", comps)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoVec4 is immutable")
@@ -52,7 +53,12 @@ class CoVec4:
         return isinstance(other, CoVec4) and self.c == other.c
 
     def __hash__(self):
-        return hash(self.c)
+        # covectors key the pairing caches and the outer-product merges
+        h = self._hash
+        if h is None:
+            h = hash(self.c)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return "CoVec4(" + ", ".join(repr(a) for a in self.c) + ")"

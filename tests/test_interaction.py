@@ -1,6 +1,9 @@
 """Interaction term trees: enumeration, exact evaluation, families, totals."""
+from pathlib import Path
+
 import pytest
 
+from gwsym import forms, interaction
 from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
 from gwsym.forms import SlotValue
 from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
@@ -10,13 +13,24 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                leaves_of, mat_add, mat_max_degree, mat_of,
                                mat_scale, mat_sub, mat_sum, nested_chain,
                                predict_entry_order, shared_evaluator,
-                               total_symbol, _coefficient_of, _family_keys)
+                               total_symbol, _coefficient_of, _family_keys,
+                               _sum_terms)
 from gwsym.nullcone import NullConfig, base_directions
-from gwsym.tensor import rank_one, sym_outer
+from gwsym.scenario import load_scenario
+from gwsym.tensor import MINKOWSKI, pairing, rank_one, sym_outer
+
+DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
 
 
 def rr(text):
     return parse_rho_rational(text)
+
+
+@pytest.fixture(scope="module")
+def dense_evaluator():
+    """An evaluator on the stride-1 configuration of the dense benchmark
+    scenario, whose denominator is not a monomial."""
+    return Evaluator(load_scenario(DENSE_SCENARIO).config)
 
 
 def plain_signed_sum(ev, terms):
@@ -282,6 +296,39 @@ class TestClassification:
         cls = classify_rho40_terms(config)
         assert cls["outside_max_order"] == 40  # attained only by the extras
 
+    @pytest.mark.parametrize("scan", ["evaluator", "dense_evaluator"])
+    def test_branch_and_bound_equals_exhaustive_scan(self, scan, request,
+                                                     monkeypatch):
+        # on a fresh evaluator the classification answers as a scan of all
+        # 1488 terms does; on the dense configuration every term sits far
+        # below order 40, so only the best exact order so far stops the scan
+        ev = request.getfixturevalue(scan)
+        monkeypatch.setattr(interaction, "_EVALUATORS", {})
+        cls = classify_rho40_terms(ev.config)
+        fresh = shared_evaluator(ev.config)
+        assert fresh is not ev
+        evaluated = sum(len(v.leaves) == 4 for v in fresh.cache.values())
+        if scan == "evaluator":
+            assert evaluated <= 100
+        family_of = {key: n for n, keys in _family_keys().items()
+                     for key in keys}
+        families = {n: [] for n in family_of.values()}
+        outside_at_top, outside_max = [], NEG_INF
+        for term in enumerate_all():
+            value = ev.eval(term.ast)
+            order = value.entry_order()
+            n = family_of.get((term.hclass, term.shape, term.perm,
+                               term.forms))
+            if n is not None:
+                families[n].append((term, value, order))
+                continue
+            if order >= 40:
+                outside_at_top.append((term, order))
+            outside_max = max(outside_max, order)
+        assert cls["families"] == families
+        assert cls["outside_at_top"] == outside_at_top
+        assert cls["outside_max_order"] == outside_max
+
 
 class TestTotal:
     def test_total_is_identically_zero(self, config):
@@ -294,12 +341,23 @@ class TestTotal:
         orders = {k: mat_max_degree(v) for k, v in tot["per_class"].items()}
         assert orders == {1: 20, 2: 40, 3: 40, 4: 30, 5: 30}
 
-    def test_per_class_matches_term_by_term_sum(self, config, evaluator):
-        # the outer-product-basis summation equals the plain matrix sum
-        tot = total_symbol(config)
-        for k in (1, 4):
-            assert tot["per_class"][k] == plain_signed_sum(evaluator,
-                                                           enumerate_H(k))
+    def test_per_class_matches_term_by_term_sum(self, evaluator,
+                                                tt_evaluator,
+                                                dense_evaluator):
+        # the total sums one tree per shape and permutation with
+        # P_k + Hhat_k at every coefficient node; by multilinearity each
+        # class equals the signed sum of its terms one by one.  The
+        # reference is the plain matrix sum on the standard configuration;
+        # elsewhere it is the terms' sum in the outer-product basis, as the
+        # items use it, which spares building 1488 term matrices.
+        for ev, reference in ((evaluator, plain_signed_sum),
+                              (tt_evaluator, _sum_terms),
+                              (dense_evaluator, _sum_terms)):
+            per_class = ev.total()["per_class"]
+            for k in range(1, 6):
+                assert per_class[k] == reference(ev, enumerate_H(k)), k
+            assert any(mat_max_degree(m) > NEG_INF
+                       for m in per_class.values())
 
     def test_override_total_matches_term_by_term_sum(self, tt_evaluator):
         # the total of an evaluator with overridden wave symbols uses the
@@ -362,6 +420,21 @@ class TestEvaluationProperties:
         value = evaluator.eval(term.ast)
         assert value.covector == config.total()
 
+    def test_each_pairing_computed_once(self, config, monkeypatch):
+        # one pairing cache, keyed by the two vectors, serves every form
+        # evaluation of an evaluator
+        calls = []
+
+        def counted(metric, u, v):
+            calls.append((u, v))
+            return pairing(metric, u, v)
+
+        monkeypatch.setattr(forms, "pairing", counted)
+        ev = Evaluator(config)
+        for term in enumerate_H(5):
+            ev.eval(term.ast)
+        assert len(calls) == len(set(calls)) == len(ev.pairings)
+
 
 class TestOrderPrediction:
     def test_prediction_bounds_all_terms(self, config, evaluator):
@@ -369,6 +442,19 @@ class TestOrderPrediction:
             bound = predict_entry_order(term.ast, config)
             exact = evaluator.eval(term.ast).entry_order()
             assert exact <= bound
+
+    def test_prediction_counts_metric_pairs(self, config):
+        # on rho^-2 * Minkowski every inverse-metric pair carries rho^2;
+        # the bound must count it to stay above every exact order
+        cfg = NullConfig(config.zetas, metric=MINKOWSKI.scale_conformal(
+            RhoRational.rho_power(-2)))
+        ev = Evaluator(cfg)
+        bounds, orders = [], []
+        for term in enumerate_all():
+            bounds.append(ev.order_bound(term.ast))
+            orders.append(ev.eval(term.ast).entry_order())
+            assert orders[-1] <= bounds[-1], term
+        assert max(orders) == max(bounds)
 
     def test_family_members_attain_prediction(self, config, evaluator):
         cls = classify_rho40_terms(config)
