@@ -13,7 +13,12 @@ Symbols are evaluated two independent ways: through the slots' outer-product
 decompositions, where metric pairs collapse to vector pairings
 (``symbol_of_form``), and, as the reference for cross-checks, by summing
 every index over 0..3 with one exact ``numpy.einsum`` per monomial on the
-slot matrices and covectors (``symbol_of_form_by_assignment``).
+slot matrices and covectors (``symbol_of_form_by_assignment``).  The first
+route walks the slots once for all monomials of a form: every monomial
+holds each slot once, so one choice of outer term per slot gives all of
+them the same product of slot coefficients, which is formed once per
+branch and multiplied in once per output vector pair (the distributive
+law, as in Aji and McEliece, "The generalized distributive law", 2000).
 
 Sign bookkeeping: every derivative contributes one factor of the imaginary
 unit at symbol level.  Evaluation returns the real matrix together with the
@@ -22,13 +27,15 @@ which evaluation folds as i^(2m) = (-1)^m.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import RhoRational, ZERO
+from .exact import ONE, RhoRational, ZERO
 from .tensor import CoVec4, MINKOWSKI, Metric4, Sym2T, pairing
 
 FREE_PAIR = ("mu", "nu")
@@ -125,7 +132,7 @@ def _canonical_monomial(m: Monomial, free) -> tuple:
 class FormalTensorPoly:
     """Canonicalized sum of monomials with fixed free indices and arity."""
 
-    __slots__ = ("monomials", "free", "arity")
+    __slots__ = ("monomials", "free", "arity", "_plan")
 
     def __init__(self, monomials, free=FREE_PAIR, arity=None):
         monomials = tuple(monomials)
@@ -506,29 +513,120 @@ def _prepare_slots(form: FormalTensorPoly, assignment):
 
 
 def symbol_outer_of_form(form: FormalTensorPoly, assignment,
-                         metric: Metric4 = MINKOWSKI, pairings: dict = None):
+                         metric: Metric4 = MINKOWSKI, pairings: dict = None,
+                         products: dict = None):
     """Evaluate a form to an outer-product decomposition; (terms, i_power).
 
     Slot matrices are expanded into their outer decompositions; every
     metric pair then collapses to a pairing of two vectors, so a monomial
     contributes scalar * (mu-vector) (x) (nu-vector) per decomposition
-    choice.  The choices are walked depth first, factor by factor, and each
-    pair is checked as soon as both of its vectors are fixed, before any
-    coefficient is multiplied in: a zero pairing drops the whole subtree.
-    The i factors of the derivatives are excluded from the value and
-    reported as the power.
+    choice.  Every monomial holds each slot once, so one depth-first walk
+    over the slots 1..arity serves all monomials: a level picks one outer
+    term of its slot and pairs, per live monomial, the metric pairs whose
+    vectors are now fixed.  A monomial leaves the branch at its first zero
+    pairing, and the branch ends when none is left.  The product of the
+    slot coefficients is formed once per branch.  At a leaf the live
+    monomials are grouped by output vector pair and by the multiset of
+    their pairing values; each group's rational coefficients are added and
+    multiplied by the group's pairing product, and the branch's slot
+    product is multiplied in once per output pair.  Output pairs come in
+    the order of the first (monomial, choice) at which they appear.  The i
+    factors of the derivatives are excluded from the value and reported as
+    the power.
 
-    ``pairings`` caches the metric pairings by their two vectors.  A caller
-    that evaluates many forms on one metric passes the same dict to every
-    call; by default the cache lives for this call only.
+    ``pairings`` caches the metric pairings by their two vectors and
+    ``products`` the pairing products by their multiset of values.  A
+    caller that evaluates many forms on one metric passes the same dicts
+    to every call; by default they live for this call only.
     """
     slots, i_power = _prepare_slots(form, assignment)
+    plan = _plan_of(form)
     if pairings is None:
         pairings = {}
-    out = []
-    for mono in form.monomials:
-        out.extend(_outer_of_monomial(mono, slots, metric, pairings))
-    return merge_outer(out), i_power
+    if products is None:
+        products = {}
+    depth = form.arity
+    decomps = [slots[s].outer for s in range(1, depth + 1)]
+    # vectors[level] = (covector, left, right) of the level's slot and
+    # chosen outer term, indexed by the second half of a ref
+    vectors = [(slots[s].covector, None, None) for s in range(1, depth + 1)]
+    choice = [0] * depth
+    acc = {}    # (mu-vector, nu-vector) -> summed coefficient
+    first = {}  # (mu-vector, nu-vector) -> first (monomial, choice)
+
+    def paired(pairs, ps):
+        """``ps`` extended by the pairings of ``pairs``; None at a zero."""
+        for (la, ka), (lb, kb) in pairs:
+            key = (vectors[la][ka], vectors[lb][kb])
+            p = pairings.get(key)
+            if p is None:
+                p = pairings[key] = pairing(metric, *key)
+            if p.is_zero():
+                return None
+            ps += (p,)
+        return ps
+
+    def leaf(prefix, live):
+        groups = {}  # output pair -> {pairing multiset: summed coeff}
+        for m, step, ps in live:
+            (lm, km), (ln, kn) = step.mu, step.nu
+            out = (vectors[lm][km], vectors[ln][kn])
+            # the multiset, sorted by hash: two unequal values with one
+            # hash can only split a group, never merge two
+            key = tuple(sorted(ps, key=hash))
+            group = groups.get(out)
+            if group is None:
+                group = groups[out] = {}
+            group[key] = group.get(key, 0) + step.coeff
+            seen = first.get(out)
+            if seen is None or m < seen[0]:
+                first[out] = (m, tuple(choice))
+        for out, group in groups.items():
+            total = ZERO
+            for key, coeff in group.items():
+                if not coeff:
+                    continue
+                value = products.get(key)
+                if value is None:
+                    value = products[key] = _product(key)
+                if coeff != 1:
+                    value = RhoRational.const(coeff) * value
+                total = total + value
+            if total.is_zero():
+                continue
+            total = prefix * total
+            acc[out] = acc[out] + total if out in acc else total
+
+    def walk(level, prefix, live):
+        if level == depth:
+            leaf(prefix, live)
+            return
+        cov = vectors[level][0]
+        for t, term in enumerate(decomps[level]):
+            if term[0].is_zero():
+                continue
+            vectors[level] = (cov, term[1], term[2])
+            choice[level] = t
+            kept = []
+            for m, step, ps in live:
+                ps = paired(step.pairs_at[level], ps)
+                if ps is not None:
+                    kept.append((m, step, ps))
+            if kept:
+                walk(level + 1,
+                     term[0] if prefix is None else prefix * term[0], kept)
+
+    live = []
+    for m, step in enumerate(plan):
+        ps = paired(step.before, ())
+        if ps is not None:
+            live.append((m, step, ps))
+    if live:
+        walk(0, None, live)
+    terms = tuple((acc[out], *out) for out in
+                  sorted(acc, key=first.__getitem__)
+                  if not acc[out].is_zero())
+    return terms, i_power
 
 
 def symbol_of_form(form: FormalTensorPoly, assignment,
@@ -588,100 +686,73 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
     return tuple(map(tuple, rows)), i_power
 
 
-def _positions_of(mono: Monomial):
-    positions = {}  # name -> list of ('t', factor_index, 0|1) or ('d', factor_index)
-    for fi, f in enumerate(mono.factors):
-        positions.setdefault(f.idx[0], []).append(("t", fi, 0))
-        positions.setdefault(f.idx[1], []).append(("t", fi, 1))
-        for d in f.derivs:
-            positions.setdefault(d, []).append(("d", fi))
-    return positions
+@dataclass(frozen=True)
+class _Step:
+    """Contraction plan of one monomial.
 
-
-def _outer_of_monomial(mono: Monomial, slots, metric: Metric4, pairings):
-    """Outer-product terms contributed by one monomial.
-
-    A depth-first walk over the factors, in order, picks one outer term per
-    factor, so the leaves come in the order of the product of the slot
-    decompositions.  Each metric pair is paired at the first level where
-    both of its vectors are fixed; a pair of two derivative covectors is
-    paired once, before the walk.  A level pairs first and drops the branch
-    on a zero pairing; only then does it multiply in the term's coefficient
-    and the pairings, so each prefix product is shared by its subtree.
+    A ref is (level, 0 for the slot covector or 1|2 for the left|right
+    vector of the level's outer term), the level being the slot minus one.
+    ``before`` holds the metric pairs of two covectors, paired before the
+    walk; ``pairs_at[level]`` the pairs whose last outer vector is fixed
+    at that level; ``mu`` and ``nu`` the refs of the free indices.
     """
-    positions = _positions_of(mono)
-    for name, refs in positions.items():
-        if name in FREE_PAIR:
-            if len(refs) != 1:
-                raise FormError(f"free index {name} repeated")
-        elif len(refs) != 1:
-            raise FormError(
-                f"contraction {name} not mediated by a metric pair")
+
+    coeff: Fraction
+    before: tuple
+    pairs_at: tuple
+    mu: tuple
+    nu: tuple
+
+
+def _step_of(mono: Monomial, depth: int) -> _Step:
+    positions = {}  # name -> refs of its factor positions
+    for f in mono.factors:
+        level = f.slot - 1
+        positions.setdefault(f.idx[0], []).append((level, 1))
+        positions.setdefault(f.idx[1], []).append((level, 2))
+        for d in f.derivs:
+            positions.setdefault(d, []).append((level, 0))
     if "mu" not in positions or "nu" not in positions:
         raise FormError("every monomial must carry both free indices")
-
-    factors = mono.factors
-    depth = len(factors)
-    decomps = [slots[f.slot].outer for f in factors]
-    covs = [slots[f.slot].covector for f in factors]
-    chosen = [None] * depth
-    out = []
-
-    def pair_cached(u: CoVec4, v: CoVec4):
-        key = (u, v)
-        hit = pairings.get(key)
-        if hit is None:
-            hit = pairings[key] = pairing(metric, u, v)
-        return hit
+    for name, refs in positions.items():
+        if len(refs) != 1:
+            raise FormError(
+                f"contraction {name} not mediated by a metric pair")
 
     def ref(name):
-        # (factor index, 0 for its covector or 1|2 for the left|right
-        # vector of its chosen outer term)
-        kind, fi, *rest = positions[name][0]
-        return fi, 0 if kind == "d" else 1 + rest[0]
+        if name not in positions:
+            raise FormError(f"contraction {name} joins two metric pairs")
+        return positions[name][0]
 
-    def vec(r):
-        fi, k = r
-        return covs[fi] if k == 0 else chosen[fi][k]
-
-    scalar = RhoRational.const(mono.coeff)
+    before = []
     pairs_at = [[] for _ in range(depth)]
     for a, b in mono.hinv:
         ra, rb = ref(a), ref(b)
         # a covector is fixed before the walk, an outer vector at the level
-        # of its factor
+        # of its slot
         level = max(ra[0] if ra[1] else -1, rb[0] if rb[1] else -1)
-        if level >= 0:
-            pairs_at[level].append((ra, rb))
-            continue
-        p = pair_cached(vec(ra), vec(rb))
-        if p.is_zero():
-            return out
-        scalar = scalar * p
-    rmu, rnu = ref("mu"), ref("nu")
+        (pairs_at[level] if level >= 0 else before).append((ra, rb))
+    return _Step(mono.coeff, tuple(before), tuple(map(tuple, pairs_at)),
+                 positions["mu"][0], positions["nu"][0])
 
-    def walk(level, prefix):
-        if level == depth:
-            out.append((prefix, vec(rmu), vec(rnu)))
-            return
-        pairs = pairs_at[level]
-        for term in decomps[level]:
-            chosen[level] = term
-            ps = []
-            for ra, rb in pairs:
-                p = pair_cached(vec(ra), vec(rb))
-                if p.is_zero():
-                    break
-                ps.append(p)
-            else:
-                value = prefix * term[0]
-                for p in ps:
-                    value = value * p
-                if not value.is_zero():
-                    walk(level + 1, value)
 
-    walk(0, scalar)
-    return out
+def _plan_of(form: FormalTensorPoly) -> tuple:
+    """The ``_Step`` of every monomial, compiled once per form.
+
+    A form that fails to compile keeps no plan, so it fails again on the
+    next call.
+    """
+    try:
+        return form._plan
+    except AttributeError:
+        plan = tuple(_step_of(m, form.arity) for m in form.monomials)
+        object.__setattr__(form, "_plan", plan)
+        return plan
+
+
+def _product(values) -> RhoRational:
+    """Product of a multiset of pairing values (one for the empty one)."""
+    return functools.reduce(operator.mul, values) if values else ONE
 
 
 def entry_order_bound(form: FormalTensorPoly, slot_info,

@@ -179,8 +179,10 @@ class Evaluator:
     """Caching exact evaluator for one configuration and metric.
 
     ``eval`` memoizes the value of every node, ``order_bound`` a degree
-    bound on it, and one dict of metric pairings serves every form
-    evaluation.
+    bound on it, and one dict of metric pairings and one of pairing
+    products serve every form evaluation.  Values and bounds share one
+    memo of each node's covector, and of each causal inverse's norm, keyed
+    by the multiset of the node's waves.
     """
 
     def __init__(self, config: NullConfig, metric: Metric4 = None,
@@ -196,7 +198,10 @@ class Evaluator:
                 self.slots[i] = SlotValue.wave(config.zeta(i))
         self.cache = {}
         self.pairings = {}
+        self.products = {}
         self._bounds = {}
+        self._covectors = {}
+        self._norms = {}
         self._pair_degree = mat_max_degree(self.metric.inv)
         self._total = None
 
@@ -220,24 +225,43 @@ class Evaluator:
         return hit
 
     def _bound_of(self, ast):
-        """(degree bound, covector) of a node, compositionally."""
+        """(degree bound, leaves) of a node, compositionally."""
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
-            return mat_max_degree(mat_of(sv.matrix)), sv.covector
+            return mat_max_degree(mat_of(sv.matrix)), (ast.wave,)
         if isinstance(ast, QNode):
-            degree, cov = self._bound(ast.child)
-            n = norm_sq(self.metric, cov)
-            if n.is_zero():
-                raise CharacteristicDenominatorError(leaves_of(ast.child))
-            return degree - n.infinity_degree, cov
+            degree, leaves = self._bound(ast.child)
+            return degree - self._norm(leaves).infinity_degree, leaves
         infos = [self._bound(c) for c in ast.children]
-        cov = infos[0][1]
-        for _, c in infos[1:]:
-            cov = cov + c
-        slot_info = {slot: (degree, max(x.infinity_degree for x in c))
-                     for slot, (degree, c) in enumerate(infos, start=1)}
+        slot_info = {slot: (degree, max(x.infinity_degree
+                                        for x in self._covector(leaves)))
+                     for slot, (degree, leaves) in enumerate(infos, start=1)}
+        leaves = tuple(itertools.chain.from_iterable(l for _, l in infos))
         return (entry_order_bound(_form_of(ast.form), slot_info,
-                                  self._pair_degree), cov)
+                                  self._pair_degree), leaves)
+
+    def _covector(self, waves) -> CoVec4:
+        """Total covector of a multiset of waves, memoized by its sorted
+        tuple; each new one is one addition to that of its prefix."""
+        key = tuple(sorted(waves))
+        hit = self._covectors.get(key)
+        if hit is None:
+            hit = self.slots[key[-1]].covector
+            if len(key) > 1:
+                hit = self._covector(key[:-1]) + hit
+            self._covectors[key] = hit
+        return hit
+
+    def _norm(self, waves) -> RhoRational:
+        """``norm_sq`` of the total covector of a multiset of waves,
+        memoized like ``_covector``; raises if it is characteristic."""
+        key = tuple(sorted(waves))
+        n = self._norms.get(key)
+        if n is None:
+            n = self._norms[key] = norm_sq(self.metric, self._covector(key))
+        if n.is_zero():
+            raise CharacteristicDenominatorError(key)
+        return n
 
     def _eval(self, ast) -> SymbolValue:
         if isinstance(ast, Leaf):
@@ -245,27 +269,20 @@ class Evaluator:
             return SymbolValue(sv.covector, 0, (ast.wave,), sv.outer)
         if isinstance(ast, QNode):
             child = self.eval(ast.child)
-            n = norm_sq(self.metric, child.covector)
-            if n.is_zero():
-                raise CharacteristicDenominatorError(child.leaves)
-            return child.scale(RhoRational.const(1) / n)
+            return child.scale(RhoRational.const(1) / self._norm(child.leaves))
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
             outer, node_power = symbol_outer_of_form(
                 _form_of(ast.form), dict(enumerate(children, 1)),
-                self.metric, self.pairings)
+                self.metric, self.pairings, self.products)
             if node_power % 2:
                 raise ArithmeticError("odd derivative count in a retained form")
             if (node_power // 2) % 2:
-                minus = RhoRational.const(-1)
-                outer = tuple((minus * c, l, r) for c, l, r in outer)
-            cov = children[0].covector
-            for c in children[1:]:
-                cov = cov + c.covector
+                outer = tuple((-c, l, r) for c, l, r in outer)
             i_power = sum(c.i_power for c in children) + node_power
             leaves = tuple(itertools.chain.from_iterable(
                 c.leaves for c in children))
-            return SymbolValue(cov, i_power, leaves, outer)
+            return SymbolValue(self._covector(leaves), i_power, leaves, outer)
         raise TypeError(f"not a term node: {ast!r}")
 
     def total(self) -> dict:

@@ -1,11 +1,13 @@
 """Mechanical expansion forms: derivation, canonicalization, evaluation."""
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwsym import interaction
 from gwsym.exact import RhoRational, ZERO, parse_rho_rational
 from gwsym.forms import (FREE_PAIR, Factor, FormalTensorPoly, FormError,
                          Monomial, SlotValue, build_form_family,
@@ -14,8 +16,8 @@ from gwsym.forms import (FREE_PAIR, Factor, FormalTensorPoly, FormError,
                          reduced_ricci_expansion, symbol_of_form,
                          symbol_of_form_by_assignment, symbol_outer_of_form)
 from gwsym.nullcone import standard_config
-from gwsym.tensor import (MINKOWSKI, Metric4, Sym2T, pairing, rank_one,
-                          sym_outer)
+from gwsym.tensor import (MINKOWSKI, CoVec4, Metric4, Sym2T, pairing,
+                          rank_one, sym_outer)
 
 
 def rr(text):
@@ -274,6 +276,30 @@ class TestSymbolEvaluation:
         with pytest.raises(FormError):
             symbol_of_form(fam[("P", 2)], {1: SlotValue.wave(config.zeta(1))})
 
+    @pytest.mark.parametrize("monomial, message", [
+        # two slot factors contracted directly, with no h pair between
+        (Monomial(Fraction(1), (Factor(1, ("mu", "a")),
+                                Factor(2, ("a", "nu")))),
+         r"contraction \w+ not mediated by a metric pair"),
+        # mu sits on an h pair only
+        (Monomial(Fraction(1), (Factor(1, ("a", "nu")),), (("mu", "a"),)),
+         "every monomial must carry both free indices"),
+        # c joins two h pairs and no slot factor
+        (Monomial(Fraction(1), (Factor(1, ("mu", "a")),
+                                Factor(2, ("b", "nu"))),
+                  (("a", "c"), ("c", "b"))),
+         r"contraction \w+ joins two metric pairs"),
+    ])
+    def test_contraction_errors(self, config, monomial, message):
+        # valid forms that the contraction cannot evaluate; the error
+        # comes again on a second call, so no plan is kept for them
+        form = FormalTensorPoly([monomial])
+        wave = SlotValue.wave(config.zeta(1))
+        assignment = {s: wave for s in range(1, form.arity + 1)}
+        for _ in range(2):
+            with pytest.raises(FormError, match=message):
+                symbol_outer_of_form(form, assignment)
+
     def test_entry_basis_decomposition(self, config):
         # a slot without an explicit decomposition falls back to the entry
         # basis and still evaluates identically
@@ -405,6 +431,59 @@ def flat_outer_of_form(form, assignment, metric=MINKOWSKI):
     return merge_outer(out)
 
 
+def flat_leaf_groups(form, assignment, metric=MINKOWSKI):
+    """The groups a leaf of ``symbol_outer_of_form`` adds up, found by
+    flat enumeration: for every choice of one outer term per slot, the
+    monomials with no zero pairing, grouped by output vector pair and
+    pairing-value multiset.  Yields (multiset as a Counter, coefficients)."""
+    outers = [assignment[s].outer for s in range(1, form.arity + 1)]
+    for choice in itertools.product(*(range(len(o)) for o in outers)):
+        groups = {}
+        for mono in form.monomials:
+            vector = {}
+            for f in mono.factors:
+                _, left, right = outers[f.slot - 1][choice[f.slot - 1]]
+                vector[f.idx[0]], vector[f.idx[1]] = left, right
+                for d in f.derivs:
+                    vector[d] = assignment[f.slot].covector
+            values = Counter(pairing(metric, vector[a], vector[b])
+                             for a, b in mono.hinv)
+            if any(v.is_zero() for v in values):
+                continue
+            key = (vector["mu"], vector["nu"], frozenset(values.items()))
+            groups.setdefault(key, (values, []))[1].append(mono.coeff)
+        yield from groups.values()
+
+
+def family_and_summed_forms():
+    """The six family forms, then P_k + Hhat_k for k = 2, 3, 4."""
+    summed = [(interaction._SUMMED, k) for k in (2, 3, 4)]
+    return (sorted(build_form_family().items())
+            + [(key, interaction._form_of(key)) for key in summed])
+
+
+# One pool of covectors whose pairings are all nonzero, none of them
+# null; slots drawing their outer terms and covectors from it share
+# vectors across slots, and no monomial is pruned.
+_POOL = [CoVec4([rr(x) for x in row])
+         for row in (("2", "1", "0", "0"), ("1", "0", "2", "0"),
+                     ("0", "1", "1", "rho"))]
+_POOL_COEFFS = [rr("2"), rr("-1/3"), rr("rho"), rr("1")]
+
+
+def shared_slot_value(outer, covector):
+    """A slot whose outer terms (left, right, coefficient) and covector
+    index into the pool."""
+    terms = tuple((_POOL_COEFFS[c], _POOL[left], _POOL[right])
+                  for left, right, c in outer)
+    return SlotValue(matrix_of_outer(terms), _POOL[covector], outer=terms)
+
+
+shared_slot = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                       st.integers(0, 3)), min_size=1, max_size=2),
+    st.integers(0, 2))
+
 # Sparse symmetric slot matrices: entries +-1, +-2 and +-rho^k on one to
 # three mirrored positions; on the entry basis most metric pairs vanish.
 _ENTRIES = [RhoRational.rho_power(k, c) for c in (1, -1) for k in (-10, 10)]
@@ -435,3 +514,48 @@ class TestDepthFirstContraction:
         for key, form in family:
             assert (symbol_of_form(form, assignment)
                     == symbol_of_form_by_assignment(form, assignment)), key
+
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.lists(sparse_slot, min_size=4, max_size=4),
+           st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    def test_summed_forms_match_flat_product(self, slots, waves):
+        # P_k + Hhat_k, the forms of the total, mix the monomials of both
+        # families in one walk
+        config = standard_config()
+        assignment = {}
+        for s, (entries, wave) in enumerate(zip(slots, waves), start=1):
+            rows = [[ZERO] * 4 for _ in range(4)]
+            for i, j, x in entries:
+                rows[i][j] = rows[j][i] = x
+            assignment[s] = SlotValue(Sym2T(rows), config.zeta(wave))
+        for k in (2, 3, 4):
+            form = interaction._form_of((interaction._SUMMED, k))
+            terms, _ = symbol_outer_of_form(form, assignment)
+            assert terms == flat_outer_of_form(form, assignment), k
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(shared_slot, min_size=4, max_size=4))
+    def test_shared_vectors_match_flat_product(self, slots):
+        # every vector comes from one pool, so at a leaf monomials meet on
+        # one output pair and one multiset of pairing values
+        assignment = {s: shared_slot_value(*slot)
+                      for s, slot in enumerate(slots, start=1)}
+        for key, form in family_and_summed_forms():
+            terms, _ = symbol_outer_of_form(form, assignment)
+            assert terms == flat_outer_of_form(form, assignment), key
+
+    def test_leaf_groups_merge_monomials(self):
+        # the same two outer terms and covector in every slot: some leaf
+        # group holds monomials of different coefficients whose pairing
+        # multiset repeats a value
+        slot = shared_slot_value([(0, 1, 0), (1, 0, 2)], 2)
+        assignment = {s: slot for s in range(1, 5)}
+        covered = False
+        for key, form in family_and_summed_forms():
+            for values, coeffs in flat_leaf_groups(form, assignment):
+                covered |= (len(set(coeffs)) > 1
+                            and max(values.values()) > 1)
+            terms, _ = symbol_outer_of_form(form, assignment)
+            assert terms == flat_outer_of_form(form, assignment), key
+        assert covered

@@ -17,7 +17,7 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                _sum_terms)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.scenario import load_scenario
-from gwsym.tensor import MINKOWSKI, pairing, rank_one, sym_outer
+from gwsym.tensor import CoVec4, MINKOWSKI, pairing, rank_one, sym_outer
 
 DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
 
@@ -434,6 +434,69 @@ class TestEvaluationProperties:
         for term in enumerate_H(5):
             ev.eval(term.ast)
         assert len(calls) == len(set(calls)) == len(ev.pairings)
+
+    def test_each_pairing_product_computed_once(self, config, monkeypatch):
+        # one product cache, keyed by the multiset of pairing values,
+        # serves every form evaluation of an evaluator
+        calls = []
+        product = forms._product
+
+        def counted(values):
+            calls.append(values)
+            return product(values)
+
+        monkeypatch.setattr(forms, "_product", counted)
+        ev = Evaluator(config)
+        for term in enumerate_H(5):
+            ev.eval(term.ast)
+        assert calls
+        assert len(calls) == len(set(calls)) == len(ev.products)
+
+    def test_total_multiplications(self, config, monkeypatch):
+        # the slot coefficients of a leaf are multiplied in once per output
+        # pair, not once per monomial and level: walking each monomial on
+        # its own, a cold total made 39608 products
+        count = [0]
+        mul = RhoRational.__mul__
+
+        def counted(a, b):
+            count[0] += 1
+            return mul(a, b)
+
+        ev = Evaluator(config)
+        monkeypatch.setattr(RhoRational, "__mul__", counted)
+        ev.total()
+        assert count[0] <= 20000
+
+    def test_node_covectors_summed_once(self, config, monkeypatch):
+        # a node's covector and a causal inverse's norm are memoized by the
+        # multiset of the node's waves, shared by bounds and values
+        adds = [0]
+        add = CoVec4.__add__
+
+        def counted(a, b):
+            adds[0] += 1
+            return add(a, b)
+
+        multisets = set()
+
+        def collect(ast):
+            multisets.add(tuple(sorted(leaves_of(ast))))
+            if isinstance(ast, QNode):
+                collect(ast.child)
+            elif isinstance(ast, FormNode):
+                for child in ast.children:
+                    collect(child)
+
+        terms = enumerate_all()
+        for term in terms:
+            collect(term.ast)
+        ev = Evaluator(config)
+        monkeypatch.setattr(CoVec4, "__add__", counted)
+        for term in terms:
+            ev.order_bound(term.ast)
+        ev.total()
+        assert adds[0] <= len(multisets)
 
 
 class TestOrderPrediction:
