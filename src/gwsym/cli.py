@@ -25,7 +25,8 @@ from .interaction import (classify_rho40_terms,
                           mat_add, mat_eval_at, mat_max_degree, mat_of,
                           mat_scale, mat_sub, mat_sum, mat_is_zero,
                           nested_chain, total_symbol, _coefficient_of)
-from .nullcone import FlatPoint, backtrace_sources, standard_config
+from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
+                       standard_config)
 from .oracle import (cancellation_scale, eval_ast_float, interaction_total_jet,
                      max_rel_diff)
 from .orders import standard_claims
@@ -451,7 +452,8 @@ def suite_conformal(report: Report, scenario: Scenario):
     leaf = {i: SlotValue(rank_one(cfg.zeta(i)).scale(lam_inv), cfg.zeta(i),
                          outer=((lam_inv, cfg.zeta(i), cfg.zeta(i)),))
             for i in range(1, 5)}
-    scaled = Evaluator(cfg, metric=scaled_metric, leaf_symbols=leaf).eval(ast)
+    scaled = Evaluator(NullConfig(cfg.zetas, scaled_metric),
+                       leaf_symbols=leaf).eval(ast)
     want = mat_scale(base.matrix, RhoRational.const(Fraction(1, 2 ** 12)))
     s.verdict("end-to-end-minus-12", mat_is_zero(mat_sub(scaled.matrix, want)),
               "a complete interaction term with rescaled metric and "

@@ -15,7 +15,7 @@ from .exact import RhoRational
 from .forms import SlotValue, symbol_of_form
 from .interaction import form_family, mat_is_zero, mat_scale, mat_sub
 from .nullcone import standard_config
-from .tensor import MINKOWSKI
+from .tensor import MINKOWSKI, norm_sq
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class NonHomogeneousError(ArithmeticError):
 
 def _fit_exponent(base_matrix, scaled_matrix, lam: Fraction) -> int:
     """The integer w with scaled == lam^w * base, else raises."""
+    if mat_is_zero(base_matrix):
+        raise NonHomogeneousError("a zero evaluation has no weight")
     for w in range(-16, 17):
         factor = RhoRational.const(lam ** w)
         if mat_is_zero(mat_sub(scaled_matrix, mat_scale(base_matrix, factor))):
@@ -41,45 +43,40 @@ def _fit_exponent(base_matrix, scaled_matrix, lam: Fraction) -> int:
     raise NonHomogeneousError("ratio of evaluations is not a pure power")
 
 
-def form_scaling_degree(form_key) -> Weight:
-    """Verified weight of one coefficient form under metric rescaling.
+def _weight(evaluate) -> Weight:
+    """Verified weight of ``evaluate`` (metric -> matrix) under rescaling.
 
-    Evaluates the form twice (background metric and its rescaling by
-    lambda^2) on fixed slot data, for two different rational lambda, and
-    fits the exact integer exponent.
+    Evaluates on the background metric and on its rescaling by lambda^2,
+    for two different rational lambda, and fits the exact integer
+    exponent of each; the two fits must agree.
     """
-    form = form_family()[form_key]
-    config = standard_config()
-    assignment = {s: SlotValue.wave(config.zeta(s))
-                  for s in range(1, form.arity + 1)}
-    base, _ = symbol_of_form(form, assignment, MINKOWSKI)
+    base = evaluate(MINKOWSKI)
     exponents = set()
     for lam in (Fraction(2), Fraction(3)):
         scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
-        scaled, _ = symbol_of_form(form, assignment, scaled_metric)
-        exponents.add(_fit_exponent(base, scaled, lam))
+        exponents.add(_fit_exponent(base, evaluate(scaled_metric), lam))
     if len(exponents) != 1:
         raise NonHomogeneousError(f"exponent fit disagrees: {exponents}")
     return Weight(exponents.pop())
 
 
+def form_scaling_degree(form_key) -> Weight:
+    """Verified weight of one coefficient form on fixed wave slot data."""
+    form = form_family()[form_key]
+    config = standard_config()
+    assignment = {s: SlotValue.wave(config.zeta(s))
+                  for s in range(1, form.arity + 1)}
+    return _weight(lambda metric: symbol_of_form(form, assignment, metric)[0])
+
+
 def wave_operator_degree() -> Weight:
     """Weight of the principal wave-operator coefficient (one inverse metric)."""
-    from .tensor import norm_sq
-    config = standard_config()
-    xi = config.subset_sum((1, 2, 3))
-    base = norm_sq(MINKOWSKI, xi)
-    exponents = set()
-    for lam in (Fraction(2), Fraction(3)):
-        scaled = norm_sq(MINKOWSKI.scale_conformal(RhoRational.const(lam * lam)), xi)
-        ratio = scaled / base
-        for w in range(-8, 9):
-            if ratio == RhoRational.const(lam ** w):
-                exponents.add(w)
-                break
-    if exponents != {-2}:
-        raise NonHomogeneousError(f"wave operator scaling came out as {exponents}")
-    return Weight(-2)
+    xi = standard_config().subset_sum((1, 2, 3))
+    weight = _weight(lambda metric: ((norm_sq(metric, xi),),))
+    if weight != Weight(-2):
+        raise NonHomogeneousError(
+            f"wave operator scaling came out as {weight.value}")
+    return weight
 
 
 def q_diag_weight() -> Weight:

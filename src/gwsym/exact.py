@@ -1,9 +1,9 @@
 """Exact scalar arithmetic.
 
-Rationals, sparse polynomials in the large parameter ``rho``, the field of
-rational functions in ``rho``, and Laurent expansion at ``rho = infinity``.
-Every scalar in the engine lives here; there is no floating point on this
-path, so asymptotic statements become exact statements about degrees.
+Rationals, sparse polynomials in the large parameter ``rho`` and the field
+of rational functions in ``rho``.  Every scalar in the engine lives here;
+there is no floating point on this path, so asymptotic statements become
+exact statements about degrees.
 
 A polynomial holds Python int coefficients over one common denominator.
 Its ring operations, fraction-free pseudo-division and the primitive
@@ -363,7 +363,10 @@ class RhoRational:
 
     @staticmethod
     def const(c) -> "RhoRational":
-        return RhoRational(RhoPoly.const(c))
+        # a constant over the denominator 1 is canonical already
+        c = Fraction(c)
+        num = RhoPoly._of({0: c.numerator}, c.denominator) if c else _POLY_ZERO
+        return RhoRational._raw(num, _POLY_ONE)
 
     @staticmethod
     def rho_power(e: int, c=1) -> "RhoRational":
@@ -494,86 +497,6 @@ def _coerce(x) -> RhoRational:
         # numpy's sums over object arrays start from the integer 0
         return RhoRational.const(x) if x else ZERO
     raise TypeError(f"cannot coerce {type(x).__name__} to RhoRational")
-
-
-class LaurentTail:
-    """Leading terms of a Laurent expansion at rho = infinity.
-
-    ``terms`` is a tuple of (exponent, coefficient) with strictly decreasing
-    exponents; all omitted terms have exponent <= ``error_exponent``
-    (NEG_INF when the expansion is exact).
-    """
-
-    __slots__ = ("terms", "error_exponent")
-
-    def __init__(self, terms, error_exponent):
-        terms = tuple((int(e), Fraction(c)) for e, c in terms if c)
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if e1 <= e2:
-                raise ValueError("exponents must be strictly decreasing")
-        if error_exponent != NEG_INF:
-            error_exponent = int(error_exponent)
-            for e, _ in terms:
-                if e <= error_exponent:
-                    raise ValueError("listed exponent inside the error tail")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "error_exponent", error_exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentTail is immutable")
-
-    def as_rho_rational(self) -> RhoRational:
-        total = ZERO
-        for e, c in self.terms:
-            total = total + RhoRational.rho_power(e, c)
-        return total
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentTail)
-                and self.terms == other.terms
-                and self.error_exponent == other.error_exponent)
-
-    def __hash__(self):
-        return hash((self.terms, self.error_exponent))
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*rho^{e}" for e, c in self.terms) or "0"
-        if self.error_exponent == NEG_INF:
-            return f"LaurentTail({body}, exact)"
-        return f"LaurentTail({body} + O(rho^{self.error_exponent}))"
-
-
-def expand_at_infinity(a: RhoRational, n_terms: int) -> LaurentTail:
-    """First ``n_terms`` terms of the expansion of ``a`` at rho = infinity.
-
-    The residual ``a - sum(terms)`` has infinity_degree <= error_exponent.
-    """
-    a = _coerce(a)
-    if a.is_zero():
-        raise ValueError("cannot expand the zero element at infinity")
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
-    # Long division in descending powers, allowing negative exponents.
-    num = a.num.terms
-    dterms = a.den.terms
-    dd = a.den.degree
-    dl = dterms[dd]
-    out = []
-    while num and len(out) < n_terms:
-        e_top = max(num)
-        c = num[e_top] / dl
-        e = e_top - dd
-        out.append((e, c))
-        for de, dc in dterms.items():
-            k = e + de
-            v = num.get(k, 0) - c * dc
-            if v:
-                num[k] = v
-            else:
-                num.pop(k, None)
-    if not num:
-        return LaurentTail(out, NEG_INF)
-    return LaurentTail(out, max(num) - dd)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .exact import RhoPoly, RhoRational, ZERO
-from .tensor import CoVec4, Metric4, Sym2T
+from .exact import RhoRational, ZERO
+from .tensor import CoVec4, Metric4, Sym2T, rank
 
 
 class ConstraintKind(Enum):
@@ -113,44 +113,6 @@ def _constraint_matrix(kind: ConstraintKind, metric: Metric4, cov: CoVec4):
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _rank(matrix) -> int:
-    """Fraction-free (Bareiss) rank of a matrix over the field Q(rho).
-
-    Rows are first cleared to polynomials; rank is invariant under the
-    nonzero row scalings.
-    """
-    cleared = []
-    for row in matrix:
-        den = RhoPoly.const(1)
-        for x in row:
-            den = den * x.den
-        cleared.append([x.num * (den // x.den) for x in row])
-    rows = [r for r in cleared if any(not x.is_zero() for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = RhoPoly.const(1)
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows))
-                      if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            for j in range(c + 1, ncols):
-                num = rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]
-                rows[i][j] = num // prev
-            rows[i][c] = RhoPoly()
-        prev = rows[r][c]
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class DimensionResult:
     dimension: int
@@ -174,6 +136,6 @@ def constraint_space_dim(kind: ConstraintKind, metric: Metric4,
         return DimensionResult(dimension=fiber, fiber_dimension=fiber,
                                rank=0, degenerate=True)
     matrix, fiber = _constraint_matrix(kind, metric, cov)
-    rank = _rank(matrix)
-    return DimensionResult(dimension=fiber - rank, fiber_dimension=fiber,
-                           rank=rank, degenerate=False)
+    r = rank(matrix)
+    return DimensionResult(dimension=fiber - r, fiber_dimension=fiber,
+                           rank=r, degenerate=False)

@@ -27,7 +27,7 @@ from .exact import NEG_INF, RhoRational, ZERO
 from .forms import (SlotValue, build_form_family, entry_order_bound,
                     matrix_of_outer, merge_outer, symbol_outer_of_form)
 from .nullcone import NullConfig
-from .tensor import CoVec4, Metric4, Sym2T, norm_sq, rank_one
+from .tensor import CoVec4, Sym2T, norm_sq, rank_one
 
 # ---------------------------------------------------------------------------
 # AST
@@ -176,8 +176,10 @@ def _form_of(key):
 
 
 class Evaluator:
-    """Caching exact evaluator for one configuration and metric.
+    """Caching exact evaluator for one configuration, on its metric.
 
+    ``leaf_symbols`` maps a wave to the SlotValue that replaces its
+    rank-one symbol; the SlotValue's covector must be the wave's.
     ``eval`` memoizes the value of every node, ``order_bound`` a degree
     bound on it, and one dict of metric pairings and one of pairing
     products serve every form evaluation.  Values and bounds share one
@@ -185,14 +187,16 @@ class Evaluator:
     by the multiset of the node's waves.
     """
 
-    def __init__(self, config: NullConfig, metric: Metric4 = None,
-                 leaf_symbols: dict = None):
+    def __init__(self, config: NullConfig, leaf_symbols: dict = None):
         self.config = config
-        self.metric = metric if metric is not None else config.metric
-        overrides = dict(leaf_symbols or {})
+        self.metric = config.metric
+        overrides = leaf_symbols or {}
         self.slots = {}
         for i in range(1, 5):
             if i in overrides:
+                if overrides[i].covector != config.zeta(i):
+                    raise ValueError(f"leaf symbol of wave {i} is not at "
+                                     "the configuration's covector")
                 self.slots[i] = overrides[i]
             else:
                 self.slots[i] = SlotValue.wave(config.zeta(i))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RhoRational, ZERO
-from .tensor import (CoVec4, MINKOWSKI, Metric4, det4, norm_sq, pairing)
+from .tensor import CoVec4, MINKOWSKI, Metric4, norm_sq, pairing, rank
 
 
 class ConfigError(ValueError):
@@ -19,7 +19,13 @@ class ConfigError(ValueError):
 
 
 class NullConfig:
-    """Four light-like covectors, linearly independent, with light-like sum."""
+    """Four light-like covectors, linearly independent, with light-like sum.
+
+    Under a nonzero multiple of Minkowski no pair or triple sum is then
+    null: a null pair sum makes its two covectors proportional, a null
+    triple sum is parallel to the fourth covector.  Null sums remain with
+    ``validate=False``, other signatures, or a repeated wave: |2 zeta_1|^2 = 0.
+    """
 
     __slots__ = ("zetas", "metric")
 
@@ -40,8 +46,7 @@ class NullConfig:
             n = norm_sq(self.metric, z)
             if not n.is_zero():
                 raise ConfigError(f"covector {i} is not light-like: |.|^2 = {n!r}")
-        d = det4(tuple(z.c for z in self.zetas))
-        if d.is_zero():
+        if rank([z.c for z in self.zetas]) < 4:
             raise ConfigError("covectors are linearly dependent")
         total = self.total()
         n = norm_sq(self.metric, total)
@@ -239,4 +244,4 @@ def backtrace_sources(q0: FlatPoint, config: NullConfig, rho_value,
     return BacktraceResult(sources=sources, pair_table=pair_table,
                            all_unrelated=all(pair_table.values()),
                            directions=directions,
-                           independent_directions=not det4(rows).is_zero())
+                           independent_directions=rank(rows) == 4)

@@ -5,7 +5,8 @@ and lowering is always explicit through a Metric4; signature is (-,+,+,+).
 """
 from __future__ import annotations
 
-from .exact import ONE, ZERO, RhoRational, _coerce, format_rho_rational
+from .exact import (ONE, ZERO, RhoPoly, RhoRational, _coerce,
+                    format_rho_rational)
 
 
 def _cv(x) -> RhoRational:
@@ -89,23 +90,9 @@ class Sym2T:
         return Sym2T(tuple(tuple(a + b for a, b in zip(ra, rb))
                            for ra, rb in zip(self.m, other.m)))
 
-    def __sub__(self, other: "Sym2T") -> "Sym2T":
-        return Sym2T(tuple(tuple(a - b for a, b in zip(ra, rb))
-                           for ra, rb in zip(self.m, other.m)))
-
-    def __neg__(self) -> "Sym2T":
-        return self.scale(-1)
-
     def scale(self, s) -> "Sym2T":
         s = _cv(s)
         return Sym2T(tuple(tuple(s * a for a in row) for row in self.m))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.m for a in row)
-
-    def max_infinity_degree(self):
-        """Max infinity_degree over entries (NEG_INF for the zero tensor)."""
-        return max(a.infinity_degree for row in self.m for a in row)
 
     def __eq__(self, other):
         return isinstance(other, Sym2T) and self.m == other.m
@@ -152,23 +139,40 @@ def _mat_inverse(m):
     return tuple(tuple(row) for row in inv)
 
 
-def det4(rows) -> RhoRational:
-    """Determinant of a 4x4 matrix of RhoRational (fraction-free expansion)."""
-    a = [list(r) for r in rows]
-    det = ONE
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if not a[r][col].is_zero()), None)
+def rank(matrix) -> int:
+    """Fraction-free (Bareiss) rank of a matrix over the field Q(rho).
+
+    Rows are first cleared to polynomials; rank is invariant under the
+    nonzero row scalings.
+    """
+    cleared = []
+    for row in matrix:
+        den = RhoPoly.const(1)
+        for x in row:
+            den = den * x.den
+        cleared.append([x.num * (den // x.den) for x in row])
+    rows = [r for r in cleared if any(not x.is_zero() for x in r)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    prev = RhoPoly.const(1)
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows))
+                      if not rows[i][c].is_zero()), None)
         if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        p = a[col][col]
-        for r in range(col + 1, 4):
-            f = a[r][col] / p
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            for j in range(c + 1, ncols):
+                num = rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]
+                rows[i][j] = num // prev
+            rows[i][c] = RhoPoly()
+        prev = rows[r][c]
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 class Metric4:

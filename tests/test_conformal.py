@@ -13,6 +13,7 @@ from gwsym.exact import RhoRational
 from gwsym.forms import SlotValue
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode, mat_is_zero,
                                mat_scale, mat_sub)
+from gwsym.nullcone import NullConfig
 from gwsym.tensor import MINKOWSKI, rank_one
 
 
@@ -73,7 +74,7 @@ def test_nested_composition_scaling(config):
         FormNode(("P", 2), (Leaf(3), Leaf(4))))))
     base = Evaluator(config).eval(ast)
     scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
-    scaled = Evaluator(config, metric=scaled_metric).eval(ast)
+    scaled = Evaluator(NullConfig(config.zetas, scaled_metric)).eval(ast)
     want = mat_scale(base.matrix, RhoRational.const(Fraction(1, lam ** 6)))
     assert mat_is_zero(mat_sub(scaled.matrix, want))
 
@@ -92,7 +93,7 @@ def test_end_to_end_minus_12(config):
                              config.zeta(i),
                              outer=((lam_inv, config.zeta(i), config.zeta(i)),))
                 for i in range(1, 5)}
-        scaled = Evaluator(config, metric=scaled_metric,
+        scaled = Evaluator(NullConfig(config.zetas, scaled_metric),
                            leaf_symbols=leaf).eval(ast)
         want = mat_scale(base.matrix,
                          RhoRational.const(Fraction(1, lam ** 12)))
@@ -108,3 +109,7 @@ def test_non_homogeneous_detection():
         base = ((ONE, ZERO, ZERO, ZERO),) + (((ZERO,) * 4),) * 3
         other = ((ONE + ONE, ZERO, ZERO, ONE),) + (((ZERO,) * 4),) * 3
         _fit_exponent(base, other, Fraction(2))
+    with pytest.raises(NonHomogeneousError):
+        # a zero evaluation matches every power: it has no weight
+        from gwsym.interaction import ZERO_MAT
+        _fit_exponent(ZERO_MAT, ZERO_MAT, Fraction(2))

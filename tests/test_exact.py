@@ -1,12 +1,11 @@
-"""Exact scalar arithmetic: canonical forms, degrees, expansion at infinity."""
+"""Exact scalar arithmetic: canonical forms, degrees, gcds, parsing."""
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsym.exact import (LaurentTail, NEG_INF, RhoPoly, RhoRational,
-                         expand_at_infinity, format_rho_rational,
+from gwsym.exact import (NEG_INF, RhoPoly, RhoRational, format_rho_rational,
                          parse_rho_rational)
 
 
@@ -60,37 +59,13 @@ class TestInfinityDegree:
         assert RhoRational.const(0).infinity_degree == NEG_INF
 
 
-class TestExpandAtInfinity:
-    def test_geometric_series(self):
-        got = expand_at_infinity(rr("1/(2*rho^10 - 2)"), 2)
-        assert got == LaurentTail([(-10, Fraction(1, 2)),
-                                   (-20, Fraction(1, 2))], -30)
-
-    def test_polynomial_is_exact(self):
-        got = expand_at_infinity(rr("rho^10 - 1"), 2)
-        assert got == LaurentTail([(10, 1), (0, -1)], NEG_INF)
-
-    def test_published_chain_coefficient(self):
-        # (rho^10-1)^2 rho^20 / ((2 rho^10 - 2)(-2)) = -1/4 rho^30 + 1/4 rho^20
-        val = rr("(rho^10 - 1)^2 * rho^20 / ((2*rho^10 - 2) * (-2))")
-        got = expand_at_infinity(val, 2)
-        assert got == LaurentTail([(30, Fraction(-1, 4)),
-                                   (20, Fraction(1, 4))], NEG_INF)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            expand_at_infinity(RhoRational.const(0), 1)
-        with pytest.raises(ValueError):
-            expand_at_infinity(R10, 0)
-
-
 # -- property-based checks ---------------------------------------------------
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def rho_rationals(draw, allow_zero=True):
+def rho_rationals(draw):
     num_terms = draw(st.dictionaries(st.integers(-3, 3), coeffs, max_size=3))
     den_terms = draw(st.dictionaries(st.integers(0, 2), coeffs, min_size=1,
                                      max_size=2))
@@ -100,10 +75,7 @@ def rho_rationals(draw, allow_zero=True):
     den = RhoPoly({10 * e: c for e, c in den_terms.items()})
     if den.is_zero():
         den = RhoPoly.const(1)
-    value = value / RhoRational(den)
-    if not allow_zero and value.is_zero():
-        value = value + 1
-    return value
+    return value / RhoRational(den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,11 +102,12 @@ def test_degree_rules(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rho_rationals(allow_zero=False), st.integers(1, 4))
-def test_expansion_residual(a, n):
-    tail = expand_at_infinity(a, n)
-    residual = a - tail.as_rho_rational()
-    assert residual.infinity_degree <= tail.error_exponent
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6), coeffs))
+def test_const_is_canonical(c):
+    got = RhoRational.const(c)
+    want = RhoRational(RhoPoly.const(c))
+    assert got.num == want.num and got.den == want.den
+    assert hash(got) == hash(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -202,8 +202,9 @@ class TestSymbolEvaluation:
 
     def test_entry_basis_dual_paths_agree(self, config):
         # slots without a decomposition get an entry basis, built once per
-        # SlotValue; the pairing cache keys those basis vectors by id for
-        # the length of one call, while the slot values hold them
+        # SlotValue; pairings are keyed by the value of their two vectors
+        # and live as long as the dict the caller passes (an Evaluator
+        # keeps its dict for its lifetime, here each call makes its own)
         fam = build_form_family()
         for key, form in sorted(fam.items()):
             assignment = {s: SlotValue(rank_one(config.zeta(s)),

@@ -385,6 +385,14 @@ class TestEvaluationProperties:
             Evaluator(cfg).eval(ast)
         assert err.value.waves == (1, 2, 3)
 
+    def test_characteristic_error_on_repeated_wave(self, config):
+        # a validated configuration has no null pair or triple sum, but a
+        # tree that repeats a wave does: |2 zeta1|^2 = 0
+        ast = QNode(FormNode(("P", 2), (Leaf(1), Leaf(1))))
+        with pytest.raises(CharacteristicDenominatorError) as err:
+            Evaluator(config).eval(ast)
+        assert err.value.waves == (1, 1)
+
     def test_permutation_relabel_invariance(self, config):
         # relabeling waves 1 <-> 2 permutes the enumeration, so any
         # permutation-summed class subtotal is unchanged
@@ -405,6 +413,11 @@ class TestEvaluationProperties:
         base = Evaluator(config).eval(ast)
         got = Evaluator(config, leaf_symbols=scaled).eval(ast)
         assert got.matrix == mat_scale(base.matrix, c)
+
+    def test_leaf_symbol_at_another_covector_rejected(self, config):
+        moved = {2: SlotValue.wave(config.zeta(1))}
+        with pytest.raises(ValueError, match="wave 2"):
+            Evaluator(config, leaf_symbols=moved)
 
     def test_i_power_bookkeeping(self, config, evaluator):
         nodes_per_class = {1: 1, 2: 2, 3: 2, 4: 3, 5: 3}

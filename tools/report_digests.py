@@ -1,0 +1,45 @@
+"""Digest the reports of the behaviour check for refactors.
+
+Runs seven reports through ``python -m gwsym`` with the checkout's ``src``
+on ``PYTHONPATH`` and prints one line per report: the exit code, the
+SHA-256 of stdout, and the arguments.  A refactor keeps every line.
+
+    python tools/report_digests.py [CHECKOUT]
+
+CHECKOUT defaults to the checkout holding this script; pass another one
+(say, an unpacked parent commit) to digest its reports with the same list,
+then diff the two outputs.  Standard library only.
+"""
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DENSE = ["--scenario", "bench/dense.scn", "--format", "machine"]
+REPORTS = [
+    ["--format", "machine", "verify", "all"],
+    ["verify", "all"],
+    ["--format", "machine", "oracle", "--rho", "2"],
+    ["--format", "machine", "oracle", "--rho", "5/2"],
+    DENSE + ["oracle"],
+    DENSE + ["verify", "total"],
+    DENSE + ["verify", "items"],
+]
+
+
+def main(argv) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    for args in REPORTS:
+        out = subprocess.run([sys.executable, "-m", "gwsym", *args], cwd=root,
+                             env=env, capture_output=True)
+        digest = hashlib.sha256(out.stdout).hexdigest()
+        print(out.returncode, digest, " ".join(args), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
