@@ -1,14 +1,13 @@
 """Conformal weight calculus for the interaction coefficient forms.
 
-A weight w stands for the factor lambda^w picked up when the background
-metric is rescaled by lambda^2 at the interaction point.  Form weights are
-verified by exact evaluation at two rational sample factors; the transport
-rules for the causal inverse are recorded constants, and chains compose
-additively.
+A weight is a plain int w, standing for the factor lambda^w picked up when
+the background metric is rescaled by lambda^2 at the interaction point.
+Form weights are verified by exact evaluation at two rational sample
+factors; the transport rules for the causal inverse are recorded constants,
+and chains compose additively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RhoRational
@@ -16,16 +15,6 @@ from .forms import SlotValue, symbol_of_form
 from .interaction import form_family, mat_is_zero, mat_scale, mat_sub
 from .nullcone import standard_config
 from .tensor import MINKOWSKI, norm_sq
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Integer conformal weight; composes additively."""
-
-    value: int
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.value + other.value)
 
 
 class NonHomogeneousError(ArithmeticError):
@@ -43,7 +32,7 @@ def _fit_exponent(base_matrix, scaled_matrix, lam: Fraction) -> int:
     raise NonHomogeneousError("ratio of evaluations is not a pure power")
 
 
-def _weight(evaluate) -> Weight:
+def _weight(evaluate) -> int:
     """Verified weight of ``evaluate`` (metric -> matrix) under rescaling.
 
     Evaluates on the background metric and on its rescaling by lambda^2,
@@ -57,10 +46,10 @@ def _weight(evaluate) -> Weight:
         exponents.add(_fit_exponent(base, evaluate(scaled_metric), lam))
     if len(exponents) != 1:
         raise NonHomogeneousError(f"exponent fit disagrees: {exponents}")
-    return Weight(exponents.pop())
+    return exponents.pop()
 
 
-def form_scaling_degree(form_key) -> Weight:
+def form_scaling_degree(form_key) -> int:
     """Verified weight of one coefficient form on fixed wave slot data."""
     form = form_family()[form_key]
     config = standard_config()
@@ -69,17 +58,17 @@ def form_scaling_degree(form_key) -> Weight:
     return _weight(lambda metric: symbol_of_form(form, assignment, metric)[0])
 
 
-def wave_operator_degree() -> Weight:
+def wave_operator_degree() -> int:
     """Weight of the principal wave-operator coefficient (one inverse metric)."""
     xi = standard_config().subset_sum((1, 2, 3))
     weight = _weight(lambda metric: ((norm_sq(metric, xi),),))
-    if weight != Weight(-2):
+    if weight != -2:
         raise NonHomogeneousError(
-            f"wave operator scaling came out as {weight.value}")
+            f"wave operator scaling came out as {weight}")
     return weight
 
 
-def q_diag_weight() -> Weight:
+def q_diag_weight() -> int:
     """Transport weight of the causal inverse on the diagonal: +2.
 
     Consistency: the principal symbol of the second-order operator is the
@@ -87,36 +76,26 @@ def q_diag_weight() -> Weight:
     lambda^+2.  ``wave_operator_degree`` recomputes the norm's weight by
     direct evaluation (raising unless it is -2); this is its negative.
     """
-    return Weight(-wave_operator_degree().value)
+    return -wave_operator_degree()
 
 
 #: Transport rules along the flow-out, recorded as constants of the calculus.
 CHAIN_RULES = {
-    "wave_symbol": Weight(-1),
-    "coefficient": Weight(-8),
-    "q_flowout_source": Weight(3),
-    "q_flowout_target": Weight(-1),
-    "q_flowout_target_normalized": Weight(0),  # unit factor on the data region
+    "wave_symbol": -1,
+    "coefficient": -8,
+    "q_flowout_source": 3,
+    "q_flowout_target": -1,
+    "q_flowout_target_normalized": 0,  # unit factor on the data region
 }
 
 
-def compose_total_weight(chain) -> Weight:
-    """Sum of the weights of a chain of (kind, Weight | None) factors.
+def compose_total_weight(chain) -> int:
+    """Sum of the recorded rule weights of a chain of kinds.
 
-    When the weight is omitted the recorded rule constant for the kind is
-    used.  The canonical chain of four wave symbols, the coefficient forms
-    and the flow-out transport composes to -9.
+    The canonical chain of four wave symbols, the coefficient forms and the
+    flow-out transport composes to -9.
     """
-    total = Weight(0)
-    for entry in chain:
-        if isinstance(entry, str):
-            kind, weight = entry, None
-        else:
-            kind, weight = entry
-        if weight is None:
-            weight = CHAIN_RULES[kind]
-        total = total + weight
-    return total
+    return sum(CHAIN_RULES[kind] for kind in chain)
 
 
 def canonical_chain():
@@ -127,6 +106,6 @@ def canonical_chain():
 
 def verified_degree_table() -> dict:
     """All six form weights, each verified by exact evaluation."""
-    return {key: form_scaling_degree(key).value
+    return {key: form_scaling_degree(key)
             for key in (("P", 2), ("P", 3), ("P", 4),
                         ("Hhat", 2), ("Hhat", 3), ("Hhat", 4))}

@@ -3,11 +3,12 @@
 A FormalTensorPoly is a sum of index monomials in abstract wave slots.  Each
 monomial has a rational coefficient, wave factors carrying two lower tensor
 indices plus derivative indices, and explicit inverse-metric pairs h^{ab}.
-Abstract index names appearing twice are summed; the designated free names
-stay open.  This is just enough structure to expand the inverse metric, the
-Christoffel contraction and the reduced curvature tensor around a constant
-background, split the result into quasilinear (P) and two-derivative
-semilinear (Hhat) families, and evaluate principal symbols.
+Abstract index names appearing twice are summed; the free names ``mu`` and
+``nu`` (``FREE_PAIR``) stay open.  This is just enough structure to expand
+the reduced curvature tensor around a constant background (with the inverse
+metric and the Christoffel contraction as internal steps), split the result
+into quasilinear (P) and two-derivative semilinear (Hhat) families, and
+evaluate principal symbols.
 
 Symbols are evaluated two independent ways: through the slots' outer-product
 decompositions, where metric pairs collapse to vector pairings
@@ -76,11 +77,11 @@ class FormError(ValueError):
     pass
 
 
-def _check_monomial(m: Monomial, free, arity):
+def _check_monomial(m: Monomial, arity):
     counts = {}
     for n in m.names():
         counts[n] = counts.get(n, 0) + 1
-    for n in free:
+    for n in FREE_PAIR:
         if counts.pop(n, 0) > 1:
             raise FormError(f"free index {n} repeated in {m}")
     for n, c in counts.items():
@@ -91,7 +92,7 @@ def _check_monomial(m: Monomial, free, arity):
         raise FormError(f"slots {slots} do not cover 1..{arity}")
 
 
-def _canonical_monomial(m: Monomial, free) -> tuple:
+def _canonical_monomial(m: Monomial) -> tuple:
     """Lexicographically minimal renaming-invariant form of a monomial.
 
     Factors are ordered by slot.  Candidates range over the symmetric-index
@@ -100,7 +101,6 @@ def _canonical_monomial(m: Monomial, free) -> tuple:
     then sorted.  The minimum over candidates is the canonical tuple.
     """
     factors = sorted(m.factors, key=lambda f: f.slot)
-    free_set = set(free)
     flip_choices = []
     for f in factors:
         opts = {(f.idx, d) for d in itertools.permutations(f.derivs)}
@@ -112,7 +112,7 @@ def _canonical_monomial(m: Monomial, free) -> tuple:
         rename = {}
 
         def nm(n):
-            if n in free_set:
+            if n in FREE_PAIR:
                 return n
             if n not in rename:
                 rename[n] = f"c{len(rename)}"
@@ -130,20 +130,21 @@ def _canonical_monomial(m: Monomial, free) -> tuple:
 
 
 class FormalTensorPoly:
-    """Canonicalized sum of monomials with fixed free indices and arity."""
+    """Canonicalized sum of monomials with free indices (mu, nu) and a fixed
+    arity."""
 
-    __slots__ = ("monomials", "free", "arity", "_plan")
+    __slots__ = ("monomials", "arity", "_plan")
 
-    def __init__(self, monomials, free=FREE_PAIR, arity=None):
+    def __init__(self, monomials, arity=None):
         monomials = tuple(monomials)
         if arity is None:
             arity = max((f.slot for m in monomials for f in m.factors),
                         default=0)
         for m in monomials:
-            _check_monomial(m, free, arity)
+            _check_monomial(m, arity)
         merged = {}
         for m in monomials:
-            key = _canonical_monomial(m, free)
+            key = _canonical_monomial(m)
             if key in merged:
                 old, _ = merged[key]
                 merged[key] = (old + m.coeff, merged[key][1])
@@ -160,7 +161,6 @@ class FormalTensorPoly:
                 tuple(Factor(s, idx, ds) for s, idx, ds in fac_rep),
                 tuple(tuple(p) for p in h_rep)))
         object.__setattr__(self, "monomials", tuple(canon))
-        object.__setattr__(self, "free", tuple(free))
         object.__setattr__(self, "arity", arity)
 
     def __setattr__(self, name, value):
@@ -170,32 +170,24 @@ class FormalTensorPoly:
         c = Fraction(c)
         return FormalTensorPoly(
             (Monomial(m.coeff * c, m.factors, m.hinv) for m in self.monomials),
-            free=self.free, arity=self.arity)
+            arity=self.arity)
 
     def __add__(self, other: "FormalTensorPoly") -> "FormalTensorPoly":
-        if self.free != other.free or self.arity != other.arity:
-            raise FormError("cannot add forms with different shape")
+        if self.arity != other.arity:
+            raise FormError("cannot add forms with different arity")
         return FormalTensorPoly(self.monomials + other.monomials,
-                                free=self.free, arity=self.arity)
+                                arity=self.arity)
 
     def __eq__(self, other):
         return (isinstance(other, FormalTensorPoly)
-                and self.free == other.free
                 and self.arity == other.arity
                 and self.monomials == other.monomials)
 
     def __hash__(self):
-        return hash((self.free, self.arity, self.monomials))
+        return hash((self.arity, self.monomials))
 
     def derivative_counts(self):
         return sorted({m.derivative_count() for m in self.monomials})
-
-    def contraction_count(self):
-        """Number of inverse-metric pairs, uniform across monomials."""
-        counts = {len(m.hinv) for m in self.monomials}
-        if len(counts) != 1:
-            raise FormError(f"mixed contraction counts {counts}")
-        return counts.pop()
 
     def pretty(self) -> str:
         lines = []
@@ -245,24 +237,6 @@ def _chain(slots, a: str, b: str, names: _Names):
     return tuple(factors), tuple(hinv), (-1) ** k
 
 
-def metric_inverse_series(order: int):
-    """Terms of the inverse-metric expansion, as forms with free upper (a,b).
-
-    Entry k of the returned list is the homogeneity-k term
-    (-1)^k (h u)^k h of the expansion of (h + u)^{-1}.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = []
-    for k in range(order + 1):
-        names = _Names()
-        factors, hinv, sign = _chain(list(range(1, k + 1)), "a", "b", names)
-        out.append(FormalTensorPoly(
-            [Monomial(Fraction(sign), factors, hinv)],
-            free=("a", "b"), arity=k))
-    return out
-
-
 def _g_variants(slot: int, lam: str, alpha: str, beta: str):
     """The three one-derivative pieces of the Christoffel contraction.
 
@@ -273,13 +247,6 @@ def _g_variants(slot: int, lam: str, alpha: str, beta: str):
     yield half, Factor(slot, (lam, alpha), (beta,))
     yield half, Factor(slot, (lam, beta), (alpha,))
     yield -half, Factor(slot, (alpha, beta), (lam,))
-
-
-def christoffel_form() -> FormalTensorPoly:
-    """The one-derivative form G_{lam alpha beta}(u) with three free indices."""
-    monos = [Monomial(c, (f,)) for c, f in
-             _g_variants(1, "lam", "alpha", "beta")]
-    return FormalTensorPoly(monos, free=("lam", "alpha", "beta"), arity=1)
 
 
 def _expansion_monomials(k: int):
@@ -499,8 +466,6 @@ class MissingSlotError(FormError):
 
 
 def _prepare_slots(form: FormalTensorPoly, assignment):
-    if form.free != FREE_PAIR:
-        raise FormError("symbol evaluation needs free indices (mu, nu)")
     slots = dict(assignment)
     for s in range(1, form.arity + 1):
         if s not in slots:

@@ -16,7 +16,6 @@ from .tensor import CoVec4, Metric4, Sym2T, rank
 class ConstraintKind(Enum):
     HarmonicGauge = "harmonic-gauge"
     ConservationLaw = "conservation-law"
-    ScalarConservation = "scalar-conservation"
     MaxwellConservation = "maxwell-conservation"
 
 
@@ -51,33 +50,6 @@ def harmonic_gauge_residual(metric: Metric4, xi: CoVec4, a: Sym2T) -> CoVec4:
     return CoVec4(tuple(-first[mu] + half * xi[mu] * trace for mu in range(4)))
 
 
-def scalar_conservation_residual(metric: Metric4, eta: CoVec4, a: Sym2T,
-                                 field_symbols, phi_gradients) -> CoVec4:
-    """residual_j = (1/2) m^{pk} eta_p A_{kj} + sum_l B_l (grad phi_l)_j."""
-    field_symbols = tuple(field_symbols)
-    phi_gradients = tuple(phi_gradients)
-    if len(field_symbols) != len(phi_gradients):
-        raise ValueError("field symbols and gradients must have equal length")
-    if not field_symbols:
-        raise ValueError("need at least one scalar field")
-    base = conservation_residual(metric, eta, a)
-    half = RhoRational.const(1) / RhoRational.const(2)
-    comps = [half * base[j] for j in range(4)]
-    for b, grad in zip(field_symbols, phi_gradients):
-        b = b if isinstance(b, RhoRational) else RhoRational.const(b)
-        for j in range(4):
-            comps[j] = comps[j] + b * grad[j]
-    return CoVec4(comps)
-
-
-def maxwell_conservation_residual(eta: CoVec4, b: CoVec4) -> RhoRational:
-    """Componentwise contraction sum_a eta_a B_a of the current symbol."""
-    total = ZERO
-    for x, y in zip(eta, b):
-        total = total + x * y
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Solution space dimensions
 # ---------------------------------------------------------------------------
@@ -95,22 +67,16 @@ def _sym_basis_tensor(i: int, j: int) -> Sym2T:
 
 def _constraint_matrix(kind: ConstraintKind, metric: Metric4, cov: CoVec4):
     """Rows = constraint components, columns = fiber basis elements."""
-    if kind in (ConstraintKind.ConservationLaw, ConstraintKind.HarmonicGauge,
-                ConstraintKind.ScalarConservation):
-        residual = {
-            ConstraintKind.ConservationLaw: conservation_residual,
-            ConstraintKind.ScalarConservation: conservation_residual,
-            ConstraintKind.HarmonicGauge: harmonic_gauge_residual,
-        }[kind]
-        cols = []
-        for i, j in _SYM_BASIS:
-            r = residual(metric, cov, _sym_basis_tensor(i, j))
-            cols.append([r[mu] for mu in range(4)])
-        return [[cols[c][r] for c in range(len(_SYM_BASIS))] for r in range(4)], \
-            len(_SYM_BASIS)
     if kind is ConstraintKind.MaxwellConservation:
         return [[cov[a] for a in range(4)]], 4
-    raise ValueError(f"unknown constraint kind {kind!r}")
+    residual = (harmonic_gauge_residual if kind is ConstraintKind.HarmonicGauge
+                else conservation_residual)
+    cols = []
+    for i, j in _SYM_BASIS:
+        r = residual(metric, cov, _sym_basis_tensor(i, j))
+        cols.append([r[mu] for mu in range(4)])
+    return [[cols[c][r] for c in range(len(_SYM_BASIS))] for r in range(4)], \
+        len(_SYM_BASIS)
 
 
 @dataclass(frozen=True)
@@ -126,10 +92,8 @@ def constraint_space_dim(kind: ConstraintKind, metric: Metric4,
     """Dimension of the constraint's null space on its fiber.
 
     Fiber is the 10-dimensional space of symmetric 2-tensors, except for the
-    Maxwell current law whose fiber is 4-dimensional.  For the scalar law
-    the field components are taken to vanish, so the tensor block alone is
-    constrained.  A zero covector gives no constraint at all; that case is
-    returned with the degeneracy flag set.
+    Maxwell current law whose fiber is 4-dimensional.  A zero covector gives
+    no constraint at all; that case is returned with the degeneracy flag set.
     """
     if cov.is_zero():
         fiber = 4 if kind is ConstraintKind.MaxwellConservation else 10

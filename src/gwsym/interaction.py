@@ -131,11 +131,6 @@ class SymbolValue:
     def matrix(self) -> tuple:
         return matrix_of_outer(self.outer)
 
-    @property
-    def prefactor_2pi(self) -> int:
-        """Power of (2*pi)^-3 units carried; one per complete 4-wave term."""
-        return 1 if len(self.leaves) == 4 else 0
-
     def entry_order(self):
         return mat_max_degree(self.matrix)
 
@@ -389,23 +384,13 @@ def _signed_term(hclass: int, shape: int, perm: tuple, forms: tuple):
     return SignedTerm(CLASS_SIGNS[hclass], ast, hclass, shape, perm, forms)
 
 
-def _shapes_of(hclass: int) -> tuple:
-    if hclass not in _SHAPES:
-        raise ValueError(f"interaction class must be 1..5, got {hclass}")
-    return _SHAPES[hclass]
-
-
-def enumerate_shapes(hclass: int):
-    """Shape instances (before choosing P vs Hhat for each node)."""
-    return [(hclass, shape_idx, perm)
-            for shape_idx, _ in enumerate(_shapes_of(hclass)) for perm in _PERMS]
-
-
 def _terms(hclass: int, kinds: tuple):
     """Signed terms of a class: every shape and permutation, with each
     coefficient node of arity k expanded into the forms (kind, k)."""
+    if hclass not in _SHAPES:
+        raise ValueError(f"interaction class must be 1..5, got {hclass}")
     out = []
-    for shape_idx, shape in enumerate(_shapes_of(hclass)):
+    for shape_idx, shape in enumerate(_SHAPES[hclass]):
         form_options = [tuple((kind, a) for kind in kinds)
                         for a in _arities(shape)]
         for perm in _PERMS:

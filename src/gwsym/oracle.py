@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
+from sys import float_info
 
 import numpy as np
 
@@ -145,8 +146,32 @@ class GaussianRational:
         return GaussianRational._of(-self._b, self._a, self._d)
 
 
+def _real(x):
+    """``float(x)``, or an ``np.longdouble`` where a float would overflow
+    or underflow.
+
+    ``x`` is a rational or a float.  A rational outside the normal float
+    range converts through its numerator and denominator, each cut to its
+    top 63 bits and scaled back by a power of two, so that neither
+    overflows on its own.
+    """
+    try:
+        f = float(x)
+    except OverflowError:
+        f = inf
+    if not x or float_info.min <= abs(f) < inf:
+        return f
+    if isinstance(x, (float, np.floating)):
+        return np.longdouble(x)
+    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    sn = max(0, abs(n).bit_length() - 63)
+    sd = max(0, d.bit_length() - 63)
+    return np.ldexp(np.longdouble(n >> sn) / np.longdouble(d >> sd), sn - sd)
+
+
 def _float_of(x):
-    return np.clongdouble(float(x))
+    return np.clongdouble(_real(x))
 
 
 def _times_i(x):
@@ -482,19 +507,23 @@ def eval_ast_float(ast, config: NullConfig, rho):
     return np.array(_walk(JetContext(config, rho, _float_of), ast)[0])
 
 
-def cancellation_scale(config: NullConfig, rho) -> float:
+def cancellation_scale(config: NullConfig, rho):
     """Intrinsic magnitude of the largest single interaction term.
 
     The grand total is a sum with massive top-order cancellations; any
     floating-point route carries roundoff proportional to the largest
     summand, so relative agreement is only meaningful against this scale
     once entries cancel below it.  Computed from the six nested-chain
-    permutation terms, which dominate every other term.
+    permutation terms, which dominate every other term.  Past the float
+    range the scale is an ``np.longdouble``; one that is not finite raises
+    ``OverflowError`` instead of loosening every comparison against it.
     """
     scale = 0.0
     for a, b, c in itertools.permutations((1, 2, 3)):
         m = eval_ast_float(nested_chain(a, b, c), config, rho)
-        scale = max(scale, float(np.max(np.abs(np.asarray(m)))))
+        scale = max(scale, _real(np.max(np.abs(np.asarray(m)))))
+    if not np.isfinite(scale):
+        raise OverflowError(f"cancellation scale overflows at rho = {rho}")
     return scale
 
 
@@ -503,16 +532,16 @@ def max_rel_diff(exact_matrix_at_rho, oracle_matrix, floor: float = 0.0) -> floa
 
     Each entry is compared relative to max(|exact|, |oracle|, floor); the
     floor is the caller's noise scale (zero for plain relative comparison).
+    Entries are compared as floats, and as ``np.longdouble`` outside the
+    normal float range (``_real``).  A difference that is not a number makes
+    the result not a number, so no comparison with a bound passes.
     """
-    a = np.array([[float(x) for x in row] for row in exact_matrix_at_rho],
-                 dtype=np.float64)
     b = np.asarray(oracle_matrix)
-    if np.max(np.abs(b.imag)) > 1e-6 * max(1.0, float(np.max(np.abs(b.real)))):
+    if np.max(np.abs(b.imag)) > 1e-6 * max(1.0, np.max(np.abs(b.real))):
         raise ArithmeticError("oracle matrix has a non-negligible imaginary part")
-    b = np.asarray(b.real, dtype=np.float64)
-    out = 0.0
-    for i in range(4):
-        for j in range(4):
-            denom = max(abs(a[i][j]), abs(b[i][j]), floor, 1e-300)
-            out = max(out, abs(a[i][j] - b[i][j]) / denom)
-    return out
+    diffs = [0.0]
+    for row_a, row_b in zip(exact_matrix_at_rho, b.real):
+        for x, y in zip(row_a, row_b):
+            x, y = _real(x), _real(y)
+            diffs.append(abs(x - y) / max(abs(x), abs(y), floor, 1e-300))
+    return float(np.max(diffs))

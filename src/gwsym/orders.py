@@ -25,9 +25,8 @@ class MicroOrder:
         if self.lagrangian not in LABELS:
             raise ValueError(f"unknown Lagrangian label {self.lagrangian!r}")
 
-    def shifted(self, delta, label=None) -> "MicroOrder":
-        return MicroOrder(self.value + Fraction(delta),
-                          label or self.lagrangian)
+    def shifted(self, delta) -> "MicroOrder":
+        return MicroOrder(self.value + Fraction(delta), self.lagrangian)
 
     def __str__(self):
         return f"{self.value} on {self.lagrangian}"

@@ -337,7 +337,7 @@ def test_criterion_10_conformal():
     table = verified_degree_table()
     ok = table == {("P", 2): -4, ("P", 3): -6, ("P", 4): -8,
                    ("Hhat", 2): -4, ("Hhat", 3): -6, ("Hhat", 4): -8}
-    ok = ok and compose_total_weight(canonical_chain()).value == -9
+    ok = ok and compose_total_weight(canonical_chain()) == -9
     # end-to-end lambda^-12 on a complete term
     from gwsym.interaction import Evaluator, FormNode, Leaf, QNode
     config = standard_config()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwsym.conformal import (NonHomogeneousError, Weight, canonical_chain,
+from gwsym.conformal import (NonHomogeneousError, canonical_chain,
                              compose_total_weight, q_diag_weight,
                              verified_degree_table, wave_operator_degree)
 from gwsym.exact import RhoRational
@@ -26,11 +26,11 @@ def test_degree_table():
 
 
 def test_wave_operator_degree():
-    assert wave_operator_degree() == Weight(-2)
+    assert wave_operator_degree() == -2
 
 
 def test_q_diag_weight():
-    assert q_diag_weight() == Weight(2)
+    assert q_diag_weight() == 2
 
 
 def test_q_diag_weight_checks_under_optimize():
@@ -53,17 +53,10 @@ def test_q_diag_weight_checks_under_optimize():
 
 
 def test_compose_total_weight():
-    assert compose_total_weight(canonical_chain()) == Weight(-9)
-    assert compose_total_weight(()) == Weight(0)
+    assert compose_total_weight(canonical_chain()) == -9
+    assert compose_total_weight(()) == 0
     net = compose_total_weight(("q_flowout_source", "q_flowout_target"))
-    assert net == Weight(2)
-    explicit = compose_total_weight((("wave_symbol", Weight(-1)),
-                                     ("coefficient", None)))
-    assert explicit == Weight(-9)
-
-
-def test_weight_addition():
-    assert Weight(-4) + Weight(-8) == Weight(-12)
+    assert net == 2
 
 
 def test_nested_composition_scaling(config):

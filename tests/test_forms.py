@@ -1,6 +1,5 @@
 """Mechanical expansion forms: derivation, canonicalization, evaluation."""
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,8 +10,7 @@ from gwsym import interaction
 from gwsym.exact import RhoRational, ZERO, parse_rho_rational
 from gwsym.forms import (FREE_PAIR, Factor, FormalTensorPoly, FormError,
                          Monomial, SlotValue, build_form_family,
-                         christoffel_form, explicit_hhat2, matrix_of_outer,
-                         merge_outer, metric_inverse_series,
+                         explicit_hhat2, matrix_of_outer, merge_outer,
                          reduced_ricci_expansion, symbol_of_form,
                          symbol_of_form_by_assignment, symbol_outer_of_form)
 from gwsym.nullcone import standard_config
@@ -22,133 +20,6 @@ from gwsym.tensor import (MINKOWSKI, CoVec4, Metric4, Sym2T, pairing,
 
 def rr(text):
     return parse_rho_rational(text)
-
-
-def eval_form_generic(form, u_matrices, free_values):
-    """Tiny independent evaluator for forms with arbitrary free indices.
-
-    Substitutes concrete matrices for the slots, sums every contraction
-    name over 0..3 with explicit inverse-metric factors, ignores
-    derivatives (only used on derivative-free forms here).
-    """
-    inv = MINKOWSKI.inv
-    names = set()
-    for m in form.monomials:
-        for f in m.factors:
-            names.update(f.idx)
-            if f.derivs:
-                raise ValueError("derivative-free forms only")
-        for a, b in m.hinv:
-            names.add(a)
-            names.add(b)
-    names -= set(form.free)
-    names = sorted(names)
-    total = ZERO
-    for m in form.monomials:
-        coeff = RhoRational.const(m.coeff)
-        for combo in itertools.product(range(4), repeat=len(names)):
-            assign = dict(zip(names, combo))
-            assign.update(free_values)
-            value = coeff
-            dead = False
-            for a, b in m.hinv:
-                g = inv[assign[a]][assign[b]]
-                if g.is_zero():
-                    dead = True
-                    break
-                value = value * g
-            if dead:
-                continue
-            for f in m.factors:
-                x = u_matrices[f.slot][assign[f.idx[0]]][assign[f.idx[1]]]
-                if x.is_zero():
-                    dead = True
-                    break
-                value = value * x
-            if dead:
-                continue
-            total = total + value
-    return total
-
-
-class TestMetricInverseSeries:
-    def test_orders(self):
-        series = metric_inverse_series(4)
-        assert len(series) == 5
-        assert series[0].monomials[0].coeff == 1
-        assert not series[0].monomials[0].factors
-        first = series[1].monomials[0]
-        assert first.coeff == -1 and len(first.factors) == 1
-
-    def test_against_exact_inverse(self):
-        """Summing the series on a small perturbation matches the exact
-        inverse of (h + u) through the matching order in the scale."""
-        rng = random.Random(21)
-        scale = rr("1/rho^10")
-        rows = [[ZERO] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                c = Fraction(rng.randint(-2, 2), 3)
-                rows[i][j] = rows[j][i] = scale * RhoRational.const(c)
-        u = tuple(tuple(r) for r in rows)
-        series = metric_inverse_series(4)
-        total = [[ZERO] * 4 for _ in range(4)]
-        for term in series:
-            for a in range(4):
-                for b in range(4):
-                    total[a][b] = total[a][b] + eval_form_generic(
-                        term, {s: u for s in range(1, 5)},
-                        {"a": a, "b": b})
-        perturbed = Metric4(tuple(
-            tuple(MINKOWSKI[i][j] + u[i][j] for j in range(4))
-            for i in range(4)))
-        for a in range(4):
-            for b in range(4):
-                diff = total[a][b] - perturbed.inv[a][b]
-                # residual is the order-5 tail: degree <= -50
-                assert diff.infinity_degree <= -50
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            metric_inverse_series(-1)
-
-
-class TestChristoffelForm:
-    def test_structure(self):
-        g = christoffel_form()
-        assert g.free == ("lam", "alpha", "beta")
-        assert len(g.monomials) == 3
-        assert {m.coeff for m in g.monomials} == {Fraction(1, 2),
-                                                  Fraction(-1, 2)}
-
-    def test_symmetric_in_last_two_indices(self):
-        from gwsym.forms import FormalTensorPoly
-        g = christoffel_form()
-        swapped = FormalTensorPoly(_rename_free(g),
-                                   free=("lam", "alpha", "beta"), arity=1)
-        assert swapped == g
-
-    def test_zero_slot_gives_zero(self, config):
-        g = christoffel_form()
-        # all-zero symbol kills every monomial: check via the closed formula
-        # G(M=0) has no nonzero entries by linearity of the construction
-        assert all(len(m.factors) == 1 for m in g.monomials)
-
-
-def _rename_free(form):
-    """Swap alpha and beta on tensor index positions as well."""
-    out = []
-    swap = {"alpha": "beta", "beta": "alpha"}
-    for m in form.monomials:
-        factors = []
-        for f in m.factors:
-            idx = tuple(swap.get(x, x) for x in f.idx)
-            derivs = tuple(swap.get(x, x) for x in f.derivs)
-            from gwsym.forms import Factor
-            factors.append(Factor(f.slot, idx, derivs))
-        hinv = tuple(tuple(swap.get(x, x) for x in p) for p in m.hinv)
-        out.append(Monomial(m.coeff, tuple(factors), hinv))
-    return out
 
 
 class TestReducedExpansion:
@@ -181,7 +52,7 @@ class TestReducedExpansion:
     def test_contraction_counts_give_conformal_weights(self):
         fam = build_form_family()
         for (kind, k), form in fam.items():
-            assert form.contraction_count() == k
+            assert {len(m.hinv) for m in form.monomials} == {k}
 
     def test_bad_homogeneity(self):
         with pytest.raises(ValueError):

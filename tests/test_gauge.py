@@ -2,13 +2,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from gwsym.exact import RhoRational, parse_rho_rational
 from gwsym.gauge import (ConstraintKind, constraint_space_dim,
-                         conservation_residual, harmonic_gauge_residual,
-                         maxwell_conservation_residual,
-                         scalar_conservation_residual)
+                         conservation_residual, harmonic_gauge_residual)
 from gwsym.tensor import (CoVec4, MINKOWSKI, Sym2T, ZERO_SYM2, pairing,
                           rank_one, sym_outer)
 
@@ -77,37 +73,6 @@ def test_residual_linearity(config):
         assert lhs == rhs
 
 
-def test_scalar_conservation(config):
-    z1, z2 = config.zeta(1), config.zeta(2)
-    # B = -1/2 cancels the tensor part componentwise
-    res = scalar_conservation_residual(MINKOWSKI, z1, rank_one(z2),
-                                       [RhoRational.const(Fraction(-1, 2))],
-                                       [z2])
-    assert _is_zero_covec(res)
-    # zero tensor part: the field part alone
-    e0 = CoVec4((1, 0, 0, 0))
-    res = scalar_conservation_residual(MINKOWSKI, z1, ZERO_SYM2,
-                                       [RhoRational.const(1)], [e0])
-    assert res == e0
-    # conserved tensor with vanishing fields
-    res = scalar_conservation_residual(MINKOWSKI, z1, rank_one(z1),
-                                       [RhoRational.const(0)], [e0])
-    assert _is_zero_covec(res)
-    with pytest.raises(ValueError):
-        scalar_conservation_residual(MINKOWSKI, z1, ZERO_SYM2, [1], [e0, e0])
-    with pytest.raises(ValueError):
-        scalar_conservation_residual(MINKOWSKI, z1, ZERO_SYM2, [], [])
-
-
-def test_maxwell_conservation(config):
-    z1, z2 = config.zeta(1), config.zeta(2)
-    assert maxwell_conservation_residual(z1, z2) == rr("-1")
-    b = CoVec4((0, 1, 0, 0))
-    eta = CoVec4((0, 0, 1, 0))
-    assert maxwell_conservation_residual(eta, b).is_zero()
-    assert maxwell_conservation_residual(z1, CoVec4((0, 0, 0, 0))).is_zero()
-
-
 def random_null_covector(rng):
     """Light-like covector with rational or rho-monomial components.
 
@@ -141,8 +106,7 @@ def test_dimension_six_for_randomized_null_covectors():
 
 
 def test_dimension_values(config):
-    for kind in (ConstraintKind.ConservationLaw, ConstraintKind.HarmonicGauge,
-                 ConstraintKind.ScalarConservation):
+    for kind in (ConstraintKind.ConservationLaw, ConstraintKind.HarmonicGauge):
         res = constraint_space_dim(kind, MINKOWSKI, config.zeta(1))
         assert res.dimension == 6 and res.fiber_dimension == 10
     res = constraint_space_dim(ConstraintKind.MaxwellConservation, MINKOWSKI,

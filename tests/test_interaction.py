@@ -8,13 +8,13 @@ from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
 from gwsym.forms import SlotValue
 from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                FormNode, Leaf, QNode, classify_rho40_terms,
-                               enumerate_H, enumerate_all, enumerate_shapes,
+                               enumerate_H, enumerate_all,
                                eval_I_cancellation, item_value,
                                leaves_of, mat_add, mat_max_degree, mat_of,
                                mat_scale, mat_sub, mat_sum, nested_chain,
                                predict_entry_order, shared_evaluator,
-                               total_symbol, _coefficient_of, _family_keys,
-                               _sum_terms)
+                               total_symbol, _SUMMED, _coefficient_of,
+                               _family_keys, _sum_terms, _terms)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.scenario import load_scenario
 from gwsym.tensor import CoVec4, MINKOWSKI, pairing, rank_one, sym_outer
@@ -45,7 +45,9 @@ GOLDEN_CONCRETE_COUNTS = {1: 48, 2: 288, 3: 192, 4: 192, 5: 768}
 
 def test_enumeration_counts():
     for k in range(1, 6):
-        assert len(enumerate_shapes(k)) == GOLDEN_SHAPE_COUNTS[k]
+        # the summed trees of Evaluator.total(): one per shape and
+        # permutation
+        assert len(_terms(k, (_SUMMED,))) == GOLDEN_SHAPE_COUNTS[k]
         assert len(enumerate_H(k)) == GOLDEN_CONCRETE_COUNTS[k]
     assert len(enumerate_all()) == sum(GOLDEN_CONCRETE_COUNTS.values())
 
@@ -128,7 +130,6 @@ def test_leaf_evaluation(config, evaluator):
     assert value.matrix == mat_of(rank_one(config.zeta(1)))
     assert value.covector == config.zeta(1)
     assert value.i_power == 0
-    assert value.prefactor_2pi == 0
 
 
 # Exact coefficients of the six nested-chain permutation terms (each a
@@ -192,7 +193,6 @@ class TestChainCancellation:
         for key, v in res["terms"].items():
             assert _coefficient_of(v.matrix, a4) is not None
             assert v.i_power == 6
-            assert v.prefactor_2pi == 1
 
 
 class TestItems:
@@ -426,7 +426,6 @@ class TestEvaluationProperties:
                 value = evaluator.eval(term.ast)
                 assert value.i_power == 2 * nodes_per_class[k]
                 assert value.i_power % 2 == 0
-                assert value.prefactor_2pi == 1
 
     def test_covector_sums(self, config, evaluator):
         term = enumerate_H(5)[0]

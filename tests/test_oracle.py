@@ -412,3 +412,36 @@ class TestConfigurationAtRho:
         assert max_rel_diff(want, eval_ast_float(ast, cfg, rho)) <= 1e-9
         assert exact_walk_equals(JetContext(cfg, rho, GaussianRational.of),
                                  ast, want)
+
+
+class TestBeyondFloatRange:
+    """The nested-chain terms reach rho^50, past the float range from
+    rho = 1e7 on; there the float route runs in ``np.longdouble``."""
+
+    def test_conversion(self):
+        # in range: the float's own bits
+        assert _float_of(Fraction(1, 3)) == np.clongdouble(1 / 3)
+        # above and below the float range, and a quotient in range whose
+        # numerator and denominator overflow even an np.longdouble
+        for x in (Fraction(10**400 + 1, 3), Fraction(-3, 10**400 + 1),
+                  Fraction(10**5000 + 7, 3 * 10**4650 + 1)):
+            got = Fraction(*_float_of(x).real.as_integer_ratio())
+            assert abs(got / x - 1) < Fraction(1, 10**18)
+
+    def test_not_a_number_passes_no_bound(self):
+        exact = [[Fraction(1)] * 4 for _ in range(4)]
+        oracle = np.ones((4, 4), dtype=np.clongdouble)
+        oracle[1][2] = np.nan
+        assert np.isnan(max_rel_diff(exact, oracle))
+
+    def test_scale_stays_finite(self, config):
+        rho = Fraction(10**7)
+        scale = cancellation_scale(config, rho)
+        assert np.isfinite(scale) and scale > np.finfo(np.float64).max
+        res = eval_I_cancellation(config)
+        for key, value in res["terms"].items():
+            got = eval_ast_float(nested_chain(*key), config, rho)
+            assert max_rel_diff(mat_eval_at(value.matrix, rho), got) <= 1e-9
+        # past the np.longdouble range too, the scale raises, not inf
+        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+            cancellation_scale(config, Fraction(10**100))

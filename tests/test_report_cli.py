@@ -348,6 +348,23 @@ class TestCli:
         assert not [e for s in sections for e in s.entries
                     if isinstance(e, TraceLine)]
 
+    @pytest.mark.parametrize("rho", ["1e7", "1e20"])
+    def test_oracle_beyond_float_range(self, rho, capsys):
+        # the terms reach rho^50, past the float range (1e350 at rho = 1e7)
+        code, out = _run(["--format", "machine", "oracle", "--rho", rho],
+                         capsys)
+        assert code == 0
+        sections = parse_machine(out).sections
+        assert [s.title for s in sections] == ["floating-point oracle"]
+
+    def test_cancellation_scale_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "big.scn"
+        path.write_text("format = machine\noracle_rho = 10000000\n")
+        code, out = _run(["--scenario", str(path), "verify", "total"], capsys)
+        assert code == 0
+        assert ("value\tfloat-oracle-cancellation-scale-rho-10000000\t"
+                "2.500e+349\n") in out
+
     def test_engine_failure_names_command_and_type(self, monkeypatch,
                                                    capsys):
         import gwsym.cli as cli
