@@ -4,9 +4,9 @@ Terms are trees of wave leaves, causal-inverse nodes and coefficient-form
 nodes.  The 1488 interaction terms come from one table of 11 shapes in five
 classes (``_SHAPES``): ``_build`` instantiates a shape for a permutation of
 the four waves and a P or Hhat form at each coefficient node.  Evaluation
-is exact over the rational-function field; one factor of the imaginary unit
-per derivative is tracked and folded as i^(2m) = (-1)^m, so matrices are
-real and the accumulated i-power is reported for auditing.
+is exact over the rational-function field.  Every coefficient form carries
+an even number of derivatives, each a factor of the imaginary unit, so a
+form node folds i^(2m) into the sign (-1)^m and matrices are real.
 An overall (2*pi)^-3 is factored out of every complete four-wave term.
 
 Only what a result reads is evaluated.  The total uses multilinearity: the
@@ -114,7 +114,7 @@ def mat_of(tensor) -> tuple:
 
 @dataclass(frozen=True)
 class SymbolValue:
-    """Evaluated term: total covector, folded i-power, real matrix.
+    """Evaluated term: total covector, leaves, real matrix.
 
     ``outer`` is the value's outer-product decomposition, carried so nested
     evaluation can keep collapsing index contractions into pairings.  The
@@ -123,7 +123,6 @@ class SymbolValue:
     """
 
     covector: CoVec4
-    i_power: int
     leaves: tuple
     outer: tuple
 
@@ -135,7 +134,7 @@ class SymbolValue:
         return mat_max_degree(self.matrix)
 
     def scale(self, s) -> "SymbolValue":
-        return SymbolValue(self.covector, self.i_power, self.leaves,
+        return SymbolValue(self.covector, self.leaves,
                            tuple((c * s, l, r) for c, l, r in self.outer))
 
 
@@ -265,7 +264,7 @@ class Evaluator:
     def _eval(self, ast) -> SymbolValue:
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
-            return SymbolValue(sv.covector, 0, (ast.wave,), sv.outer)
+            return SymbolValue(sv.covector, (ast.wave,), sv.outer)
         if isinstance(ast, QNode):
             child = self.eval(ast.child)
             return child.scale(RhoRational.const(1) / self._norm(child.leaves))
@@ -278,10 +277,9 @@ class Evaluator:
                 raise ArithmeticError("odd derivative count in a retained form")
             if (node_power // 2) % 2:
                 outer = tuple((-c, l, r) for c, l, r in outer)
-            i_power = sum(c.i_power for c in children) + node_power
             leaves = tuple(itertools.chain.from_iterable(
                 c.leaves for c in children))
-            return SymbolValue(self._covector(leaves), i_power, leaves, outer)
+            return SymbolValue(self._covector(leaves), leaves, outer)
         raise TypeError(f"not a term node: {ast!r}")
 
     def total(self) -> dict:
@@ -289,17 +287,14 @@ class Evaluator:
 
         A term is linear in each coefficient form, so the terms of one
         shape and permutation sum to one tree with the form P_k + Hhat_k
-        at every coefficient node: the 1488 terms add up as 264 trees, and
-        each class is the ``_sum_terms`` of its trees.  The result holds
-        the ``matrix``, the ``per_class`` subtotals and the
-        ``entry_order``.  It is computed once per evaluator; callers must
-        not modify it.
+        at every coefficient node: the 1488 terms add up as the 264
+        ``summed_terms``, whose values one ``_sum_terms`` merges.  The
+        result holds the ``matrix`` and its ``entry_order``.  It is
+        computed once per evaluator; callers must not modify it.
         """
         if self._total is None:
-            per_class = {hclass: _sum_terms(self, _terms(hclass, (_SUMMED,)))
-                         for hclass in range(1, 6)}
-            matrix = mat_sum(per_class.values())
-            self._total = {"matrix": matrix, "per_class": per_class,
+            matrix = _sum_terms(self, summed_terms())
+            self._total = {"matrix": matrix,
                            "entry_order": mat_max_degree(matrix)}
         return self._total
 
@@ -397,6 +392,11 @@ def _terms(hclass: int, kinds: tuple):
             for forms in itertools.product(*form_options):
                 out.append(_signed_term(hclass, shape_idx, perm, forms))
     return out
+
+
+def summed_terms():
+    """The 264 signed trees that sum to the total of all 1488 terms."""
+    return [t for hclass in range(1, 6) for t in _terms(hclass, (_SUMMED,))]
 
 
 def enumerate_H(hclass: int):

@@ -4,14 +4,17 @@ Two routes that never touch the exact form engine.  Both read the
 configuration at a concrete rho through one ``JetContext``: its own inverse
 metric, and covector sums and squared norms computed exactly, then converted
 to exact Gaussian rationals (integer triples (a + b i) / d, reduced by one
-gcd per operation) or complex floating point.
+gcd per operation) or complex floating point; imaginary parts stay zero.
+Every term carries two derivatives, so its symbol over i xi is minus its
+value over the real covector xi, on which both routes run: the jet adds
+the causal inverse of N(u), and the walk negates each coefficient node.
 
 * A truncated multilinear "jet" expansion over the sixteen wave subsets.
   Fields are plain dicts from subsets (frozensets) to 4x4 matrices.  Every
   product runs over the pairwise disjoint subsets of its factors
-  (``_disjoint``), derivatives multiply a component by i times its
-  aggregate covector, and the causal inverse divides by the aggregate
-  covector's squared norm.  The full nonlinear reduced curvature operator is
+  (``_disjoint``), derivatives multiply a component by its aggregate
+  covector, and the causal inverse divides by the aggregate covector's
+  squared norm.  The full nonlinear reduced curvature operator is
   evaluated directly on this algebra and iterated, which reproduces the
   complete four-wave interaction sum without ever enumerating terms.  The
   iteration is graded by subset size: a component on k waves reads only
@@ -142,9 +145,6 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
-    def times_i(self) -> "GaussianRational":
-        return GaussianRational._of(-self._b, self._a, self._d)
-
 
 def _real(x):
     """``float(x)``, or an ``np.longdouble`` where a float would overflow
@@ -174,12 +174,6 @@ def _float_of(x):
     return np.clongdouble(_real(x))
 
 
-def _times_i(x):
-    if isinstance(x, np.clongdouble):
-        return x * np.clongdouble(1j)
-    return x.times_i()
-
-
 # ---------------------------------------------------------------------------
 # Configuration data at a concrete rho
 # ---------------------------------------------------------------------------
@@ -189,8 +183,8 @@ class JetContext:
 
     ``of`` turns a rational into a jet scalar (``GaussianRational.of`` or a
     complex float), applied once to exact values: ``hinv`` is the
-    configuration's inverse metric, ``ixi[s]`` i times the covector sum of
-    subset s and ``norm[s]`` its squared norm.  ``leaf_symbols`` may
+    configuration's inverse metric, ``xi[s]`` the covector sum of subset s
+    and ``norm[s]`` its squared norm.  ``leaf_symbols`` may
     override the default rank-one wave amplitudes with exact 4x4 matrices
     of rationals (or anything Fraction-convertible).
     """
@@ -208,12 +202,12 @@ class JetContext:
         inv = [[x.eval_at(rho) for x in row] for row in config.metric.inv]
         entries = [(a, b, g) for a, row in enumerate(inv)
                    for b, g in enumerate(row) if g]
-        self.ixi = {}
+        self.xi = {}
         self.norm = {}
         for bits in range(1, 16):
             s = frozenset(i for i in range(1, 5) if bits & (1 << (i - 1)))
             xi = tuple(sum(zetas[i][a] for i in s) for a in range(4))
-            self.ixi[s] = tuple(_times_i(of(x)) for x in xi)
+            self.xi[s] = tuple(of(x) for x in xi)
             self.norm[s] = of(sum(g * xi[a] * xi[b] for a, b, g in entries))
         self.hinv = [[of(g) for g in row] for row in inv]
         overrides = leaf_symbols or {}
@@ -311,12 +305,12 @@ def _ginv_series(ctx, u, top):
 def _quasilinear(ctx, result, g, u, sizes):
     """Add -g^{pq} d_p d_q u to ``result``, over the disjoint components of
     the fields g and u; the derivatives read u's subsets."""
-    ixi = ctx.ixi
+    xi = ctx.xi
     du2 = {}
     for p in range(4):
-        dp = _map(u, lambda s, x: ixi[s][p] * x)
+        dp = _map(u, lambda s, x: xi[s][p] * x)
         for q in range(p, 4):
-            du2[(p, q)] = _map(dp, lambda s, x: ixi[s][q] * x)
+            du2[(p, q)] = _map(dp, lambda s, x: xi[s][q] * x)
     for s1, m1 in g.items():
         for p in range(4):
             for q in range(4):
@@ -368,7 +362,7 @@ def _semilinear(ctx, result, gamma1, gamma2, u2, g, sizes):
         if any(x for row in mat for x in row):
             _add_into(result, s, mat)
 
-    du = {s: (m, ctx.ixi[s]) for s, m in u2.items()}
+    du = {s: (m, ctx.xi[s]) for s, m in u2.items()}
     for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma1, du, g, g, sizes=sizes):
         sand = []
         for x in range(4):
@@ -402,8 +396,8 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
            + G(u)_{nu a b} g^{aq} g^{bd} d_mu u_{qd} + (mu <-> nu),
     with G(u)_{l a b} = (d_b u_{la} + d_a u_{lb} - d_l u_{ab}) / 2 and g the
     full inverse series.  A derivative d_p multiplies component s by
-    i (aggregate covector of s)_p.  Every component of the result is the
-    exact symbol of the corresponding wave-subset interaction.
+    (aggregate covector of s)_p, so every component of the result is minus
+    the exact symbol of the corresponding wave-subset interaction.
 
     Only the components on ``sizes`` waves are computed.  Every term has at
     least two factors on nonempty subsets, so it reads components of u and
@@ -415,7 +409,7 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
     ginv = _ginv_series(ctx, u, top - 1)  # includes the constant part
     result = {}
     _quasilinear(ctx, result, {s: m for s, m in ginv.items() if s}, u, sizes)
-    gamma = {s: _christoffel(ctx, m, ctx.ixi[s]) for s, m in u.items()}
+    gamma = {s: _christoffel(ctx, m, ctx.xi[s]) for s, m in u.items()}
     _semilinear(ctx, result, gamma, gamma, u, ginv, sizes)
     return result
 
@@ -425,34 +419,31 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
     """Full four-wave interaction symbol via the jet iteration.
 
     Returns the 4x4 matrix of the complete interaction sum at the given rho
-    (exact Gaussian rationals or complex floating point), in the same
-    normalization as the exact engine: real part is the folded value, and
-    the imaginary part must vanish.
+    (exact Gaussian rationals or complex floating point, imaginary parts
+    zero), in the same normalization as the exact engine.
 
-    u = v - (causal inverse of N(u)) on two and three waves, in two passes:
+    u = v + (causal inverse of N(u)) on two and three waves, in two passes:
     the first fixes the two-wave components, which read only the waves
     themselves, and the second the three-wave ones, which read components on
     one and two waves; a third pass would repeat the second.  Each pass
-    computes only those sizes of N(u), and the last call only its four-wave
+    computes only the sizes it fixes, and the last call only the four-wave
     component.
     """
     of = GaussianRational.of if exact else _float_of
     ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
     v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
     u = v
-    for _ in range(2):
-        # u = v - (causal inverse of N(u) on two and three waves)
-        nonlinear = _nonlinearity(ctx, u, sizes=(2, 3))
+    for sizes in ((2,), (2, 3)):
+        nonlinear = _nonlinearity(ctx, u, sizes=sizes)
         u = dict(v)
         for s, m in nonlinear.items():
             n = ctx.norm[s]
             if not n:
                 raise ZeroDivisionError(
                     f"characteristic covector sum over waves {sorted(s)}")
-            _add_into(u, s, [[-(x / n) for x in row] for row in m])
-    mat = (_nonlinearity(ctx, u, sizes=(len(FULL),)).get(FULL)
-           or ctx.zero_mat())
-    return [[-x for x in row] for row in mat]
+            _add_into(u, s, [[x / n for x in row] for row in m])
+    return (_nonlinearity(ctx, u, sizes=(len(FULL),)).get(FULL)
+            or ctx.zero_mat())
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +458,8 @@ def _walk(ctx, node):
     """(value, wave subset) of one term tree on the context's scalars.
 
     P_k is -g^{pq} d_p d_q m_k with g = (-h^{-1} m_1)...(-h^{-1} m_{k-1})
-    h^{-1}; higher semilinear forms have no closed expression here.
+    h^{-1}; higher semilinear forms have no closed expression here.  Each
+    coefficient node is negated (two derivatives over the real covector).
     """
     if isinstance(node, Leaf):
         return ctx.amplitudes[node.wave], frozenset({node.wave})
@@ -492,13 +484,13 @@ def _walk(ctx, node):
         _quasilinear(ctx, result, chain, {t: m}, (len(s),))
     elif node.form == ("Hhat", 2):
         (m1, s1), (m2, s2) = parts
-        _semilinear(ctx, result, {s1: _christoffel(ctx, m1, ctx.ixi[s1])},
-                    {s2: _christoffel(ctx, m2, ctx.ixi[s2])}, {s2: m2}, hinv,
+        _semilinear(ctx, result, {s1: _christoffel(ctx, m1, ctx.xi[s1])},
+                    {s2: _christoffel(ctx, m2, ctx.xi[s2])}, {s2: m2}, hinv,
                     (len(s),))
     else:
         raise OracleUnsupported(
             f"no independent closed form for {node.form} nodes")
-    return result.get(s) or ctx.zero_mat(), s
+    return [[-x for x in row] for row in result.get(s) or ctx.zero_mat()], s
 
 
 def eval_ast_float(ast, config: NullConfig, rho):
@@ -514,14 +506,16 @@ def cancellation_scale(config: NullConfig, rho):
     floating-point route carries roundoff proportional to the largest
     summand, so relative agreement is only meaningful against this scale
     once entries cancel below it.  Computed from the six nested-chain
-    permutation terms, which dominate every other term.  Past the float
-    range the scale is an ``np.longdouble``; one that is not finite raises
-    ``OverflowError`` instead of loosening every comparison against it.
+    permutation terms, which dominate every other term, on one float
+    ``JetContext``.  Past the float range the scale is an ``np.longdouble``;
+    one that is not finite raises ``OverflowError`` instead of loosening
+    every comparison against it.
     """
+    ctx = JetContext(config, rho, _float_of)
     scale = 0.0
     for a, b, c in itertools.permutations((1, 2, 3)):
-        m = eval_ast_float(nested_chain(a, b, c), config, rho)
-        scale = max(scale, _real(np.max(np.abs(np.asarray(m)))))
+        m = np.array(_walk(ctx, nested_chain(a, b, c))[0])
+        scale = max(scale, _real(np.max(np.abs(m))))
     if not np.isfinite(scale):
         raise OverflowError(f"cancellation scale overflows at rho = {rho}")
     return scale

@@ -18,17 +18,22 @@ unnoticed.
 
 Custom covectors must pass the configuration validation (each light-like,
 independent, light-like sum) before use.  Every oracle rho value must
-exceed 1 and keep the configuration regular: each covector component
-defined there, and no pair or triple of covectors summing to a light-like
-covector there.
+exceed 1, keep the configuration regular (each covector component defined
+there, and no pair or triple of covectors summing to a light-like covector
+there) and keep the float oracle's values inside the ``np.longdouble``
+range.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log
+
+import numpy as np
 
 from .exact import parse_rho_rational
+from .interaction import shared_evaluator, summed_terms
 from .nullcone import ConfigError, NullConfig, standard_config
 from .tensor import CoVec4, norm_sq
 
@@ -72,7 +77,8 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
 
     Every value must exceed 1.  At each value every covector component must
     be defined, and every pair and triple subset sum must have nonzero
-    squared norm (the causal-inverse nodes divide by it).
+    squared norm (the causal-inverse nodes divide by it).  And rho^D must
+    not pass the largest ``np.longdouble``, where D is ``float_exponent``.
     """
     for rho in rho_values:
         if rho <= 1:
@@ -92,6 +98,32 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
                     raise ScenarioError(
                         f"oracle rho {rho}: |{name}|^2 vanishes (waves "
                         f"{list(subset)})")
+    degree = float_exponent(config)
+    largest = np.finfo(np.longdouble).max
+    for rho in rho_values:
+        log_rho = log(rho.numerator) - log(rho.denominator)
+        if degree * log_rho > np.log(largest):
+            edge = np.exp(np.log(largest) / degree)
+            raise ScenarioError(
+                f"oracle rho {rho} overflows the float oracle: its values "
+                f"grow like rho^{degree}, past the largest np.longdouble "
+                f"({np.format_float_scientific(largest, precision=2)}) for "
+                f"rho above {np.format_float_scientific(edge, precision=3)}")
+
+
+def float_exponent(config: NullConfig) -> int:
+    """Degree in rho of the largest value the float oracle forms.
+
+    The largest entry order of a term is the largest
+    ``Evaluator.order_bound`` over the summed trees of the total; the jet's
+    quasilinear part multiplies such a value by two covectors first, each
+    of degree at most that of the largest covector component.  Only bounds
+    are read, no term value.
+    """
+    ev = shared_evaluator(config)
+    top = max(ev.order_bound(term.ast) for term in summed_terms())
+    covector = max(x.infinity_degree for zeta in config.zetas for x in zeta)
+    return top + 2 * max(covector, 0)
 
 
 def parse_scenario(text: str) -> Scenario:

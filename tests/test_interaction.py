@@ -13,8 +13,9 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                leaves_of, mat_add, mat_max_degree, mat_of,
                                mat_scale, mat_sub, mat_sum, nested_chain,
                                predict_entry_order, shared_evaluator,
-                               total_symbol, _SUMMED, _coefficient_of,
-                               _family_keys, _sum_terms, _terms)
+                               summed_terms, total_symbol, _SUMMED,
+                               _coefficient_of, _family_keys, _sum_terms,
+                               _terms)
 from gwsym.nullcone import NullConfig, base_directions
 from gwsym.scenario import load_scenario
 from gwsym.tensor import CoVec4, MINKOWSKI, pairing, rank_one, sym_outer
@@ -39,6 +40,12 @@ def plain_signed_sum(ev, terms):
                              RhoRational.const(term.sign)) for term in terms)
 
 
+def class_sums(ev):
+    """Each class as the ``_sum_terms`` of its trees with P_k + Hhat_k at
+    every coefficient node."""
+    return {k: _sum_terms(ev, _terms(k, (_SUMMED,))) for k in range(1, 6)}
+
+
 GOLDEN_SHAPE_COUNTS = {1: 24, 2: 72, 3: 48, 4: 24, 5: 96}
 GOLDEN_CONCRETE_COUNTS = {1: 48, 2: 288, 3: 192, 4: 192, 5: 768}
 
@@ -50,6 +57,7 @@ def test_enumeration_counts():
         assert len(_terms(k, (_SUMMED,))) == GOLDEN_SHAPE_COUNTS[k]
         assert len(enumerate_H(k)) == GOLDEN_CONCRETE_COUNTS[k]
     assert len(enumerate_all()) == sum(GOLDEN_CONCRETE_COUNTS.values())
+    assert len(summed_terms()) == sum(GOLDEN_SHAPE_COUNTS.values())
 
 
 def test_signs_and_leaves():
@@ -129,7 +137,6 @@ def test_leaf_evaluation(config, evaluator):
     value = evaluator.eval(Leaf(1))
     assert value.matrix == mat_of(rank_one(config.zeta(1)))
     assert value.covector == config.zeta(1)
-    assert value.i_power == 0
 
 
 # Exact coefficients of the six nested-chain permutation terms (each a
@@ -192,7 +199,6 @@ class TestChainCancellation:
         a4 = mat_of(rank_one(config.zeta(4)))
         for key, v in res["terms"].items():
             assert _coefficient_of(v.matrix, a4) is not None
-            assert v.i_power == 6
 
 
 class TestItems:
@@ -337,9 +343,10 @@ class TestTotal:
         assert all(x.is_zero() for row in tot["matrix"] for x in row)
 
     def test_per_class_subtotals(self, config):
-        tot = total_symbol(config)
-        orders = {k: mat_max_degree(v) for k, v in tot["per_class"].items()}
+        per_class = class_sums(shared_evaluator(config))
+        orders = {k: mat_max_degree(v) for k, v in per_class.items()}
         assert orders == {1: 20, 2: 40, 3: 40, 4: 30, 5: 30}
+        assert total_symbol(config)["matrix"] == mat_sum(per_class.values())
 
     def test_per_class_matches_term_by_term_sum(self, evaluator,
                                                 tt_evaluator,
@@ -353,18 +360,19 @@ class TestTotal:
         for ev, reference in ((evaluator, plain_signed_sum),
                               (tt_evaluator, _sum_terms),
                               (dense_evaluator, _sum_terms)):
-            per_class = ev.total()["per_class"]
+            per_class = class_sums(ev)
             for k in range(1, 6):
                 assert per_class[k] == reference(ev, enumerate_H(k)), k
             assert any(mat_max_degree(m) > NEG_INF
                        for m in per_class.values())
+            assert ev.total()["matrix"] == mat_sum(per_class.values())
 
     def test_override_total_matches_term_by_term_sum(self, tt_evaluator):
         # the total of an evaluator with overridden wave symbols uses the
         # same summation, and is computed once
         tot = tt_evaluator.total()
         plain = plain_signed_sum(tt_evaluator, enumerate_H(4))
-        assert tot["per_class"][4] == plain
+        assert _sum_terms(tt_evaluator, _terms(4, (_SUMMED,))) == plain
         assert mat_max_degree(plain) > NEG_INF
         assert tt_evaluator.total() is tot
 
@@ -418,14 +426,6 @@ class TestEvaluationProperties:
         moved = {2: SlotValue.wave(config.zeta(1))}
         with pytest.raises(ValueError, match="wave 2"):
             Evaluator(config, leaf_symbols=moved)
-
-    def test_i_power_bookkeeping(self, config, evaluator):
-        nodes_per_class = {1: 1, 2: 2, 3: 2, 4: 3, 5: 3}
-        for k in range(1, 6):
-            for term in enumerate_H(k)[:8]:
-                value = evaluator.eval(term.ast)
-                assert value.i_power == 2 * nodes_per_class[k]
-                assert value.i_power % 2 == 0
 
     def test_covector_sums(self, config, evaluator):
         term = enumerate_H(5)[0]

@@ -28,7 +28,6 @@ class TestGaussianRational:
         one = GaussianRational.of(1)
         assert i * i == -one
         assert (one / i) == -i
-        assert i.times_i() == -one
         x = GaussianRational(Fraction(3), Fraction(-2))
         assert x * (one / x) == one
 
@@ -81,7 +80,6 @@ class TestGaussianRationalProperties:
                (gr(x) - gr(y), ref_add(x, (-y[0], -y[1]))),
                (gr(x) * gr(y), ref_mul(x, y)),
                (-gr(x), (-x[0], -x[1])),
-               (gr(x).times_i(), ref_mul(x, (0, 1))),
                (gr(x), x), (GaussianRational.of(x[0]), (x[0], 0))]
         for got, want in ops:
             assert pair(got) == want
@@ -192,8 +190,9 @@ class TestJetAlgebra:
 
 
 def three_full_passes(config, rho, exact, leaf_symbols=None):
-    """Reference jet: three passes of the full nonlinearity, then its
-    four-wave component; returns (matrix, [u after each pass])."""
+    """Reference jet: three passes of the full nonlinearity over the real
+    covector, each adding its causal inverse, then its four-wave
+    component; returns (matrix, [u after each pass])."""
     of = GaussianRational.of if exact else _float_of
     ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
     v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
@@ -204,10 +203,9 @@ def three_full_passes(config, rho, exact, leaf_symbols=None):
         for s, m in nonlinear.items():
             if len(s) < 4:
                 n = ctx.norm[s]
-                _add_into(u, s, [[-(x / n) for x in row] for row in m])
+                _add_into(u, s, [[x / n for x in row] for row in m])
         iterates.append(u)
-    mat = _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat()
-    return [[-x for x in row] for row in mat], iterates
+    return _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat(), iterates
 
 
 def exact_walk_equals(ctx, ast, want):

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gwsym.cli import run
 from gwsym.report import Report, TraceLine, Verdict, parse_machine
-from gwsym.scenario import ScenarioError, parse_scenario
+from gwsym.scenario import (Scenario, ScenarioError, float_exponent,
+                            load_scenario, parse_scenario)
 
 
 class TestReport:
@@ -247,6 +249,25 @@ class TestCli:
         with pytest.raises(ScenarioError, match="oracle rho 1/2 must exceed 1"):
             parse_scenario("oracle_rho = 3 1/2\n")
 
+    @pytest.mark.parametrize("rho", ["1e71", "1e100"])
+    def test_rho_past_float_range_rejected(self, rho, capsys):
+        # the float oracle's values grow like rho^(50 + 2 * 10) on the
+        # standard configuration, past the np.longdouble range from about
+        # rho = 2.87e70; the rho is rejected before any suite runs
+        assert run(["oracle", "--rho", rho]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"oracle rho {Fraction(rho)} overflows" in err
+        assert "rho^70" in err and "for rho above" in err
+        with pytest.raises(ScenarioError, match="oracle rho 10+ overflows"):
+            parse_scenario("oracle_rho = 1e80\n")
+
+    def test_float_exponent(self):
+        # the largest summed-tree order bound plus two covector degrees
+        assert float_exponent(Scenario.default().config) == 50 + 2 * 10
+        dense = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
+        assert float_exponent(load_scenario(dense).config) == 9 + 2 * 1
+
     def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.scn"
         path.write_text(TestScenario.deeply_nested(
@@ -348,9 +369,10 @@ class TestCli:
         assert not [e for s in sections for e in s.entries
                     if isinstance(e, TraceLine)]
 
-    @pytest.mark.parametrize("rho", ["1e7", "1e20"])
+    @pytest.mark.parametrize("rho", ["1e7", "1e20", "2.87e70"])
     def test_oracle_beyond_float_range(self, rho, capsys):
-        # the terms reach rho^50, past the float range (1e350 at rho = 1e7)
+        # the terms reach rho^50, past the float range (1e350 at rho = 1e7);
+        # 2.87e70 is just below the largest rho the scenario check accepts
         code, out = _run(["--format", "machine", "oracle", "--rho", rho],
                          capsys)
         assert code == 0

@@ -1,6 +1,6 @@
 """Digest the reports of the behaviour check for refactors.
 
-Runs seven reports through ``python -m gwsym`` with the checkout's ``src``
+Runs nine reports through ``python -m gwsym`` with the checkout's ``src``
 on ``PYTHONPATH`` and prints one line per report: the exit code, the
 SHA-256 of stdout, and the arguments.  A refactor keeps every line.
 
@@ -22,6 +22,9 @@ REPORTS = [
     ["verify", "all"],
     ["--format", "machine", "oracle", "--rho", "2"],
     ["--format", "machine", "oracle", "--rho", "5/2"],
+    # 22 decades between covector components, and the np.longdouble route
+    ["--format", "machine", "oracle", "--rho", "12"],
+    ["--format", "machine", "oracle", "--rho", "1e20"],
     DENSE + ["oracle"],
     DENSE + ["verify", "total"],
     DENSE + ["verify", "items"],
