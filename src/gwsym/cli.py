@@ -29,8 +29,8 @@ from .interaction import (classify_rho40_terms,
                           nested_chain, total_symbol, _coefficient_of)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
-from .oracle import (cancellation_scale, eval_ast_float, interaction_total_jet,
-                     max_rel_diff)
+from .oracle import (JetContext, _float_of, _walk, cancellation_scale,
+                     interaction_total_jet, max_rel_diff)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -483,12 +483,12 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     s = report.section("floating-point oracle")
     res = eval_I_cancellation(cfg)
     for rho_v in values:
+        ctx = JetContext(cfg, rho_v, _float_of)
         for key, value in sorted(res["terms"].items(),
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]
             exact_at = mat_eval_at(value.matrix, rho_v)
-            got = eval_ast_float(nested_chain(*key), cfg, rho_v)
-            err = max_rel_diff(exact_at, got)
+            err = max_rel_diff(exact_at, _walk(ctx, nested_chain(*key))[0])
             s.verdict(f"term-{label}-rho-{rho_v}", err <= 1e-9,
                       f"term ({label}) dual-path agreement at rho = {rho_v} "
                       f"(max rel diff {err:.2e})")

@@ -11,6 +11,10 @@ remainder sequence behind every gcd (von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 6; Knuth, TAOCP vol. 2, 4.6.1) run on ints;
 ``Fraction`` appears only at the boundary: ``terms``, ``lc``, ``eval_at``,
 the constructors and printing.
+
+Where every denominator is known in advance to be a product of a few
+polynomials, ``CoprimeBase`` carries values as a numerator over exponents
+on their coprime base, and its sums and products need no gcd at all.
 """
 from __future__ import annotations
 
@@ -443,6 +447,13 @@ class RhoRational:
         if self.den == _POLY_ONE and other.den == _POLY_ONE:
             # two polynomials: nothing to cross-reduce
             return RhoRational._raw(self.num * other.num, _POLY_ONE)
+        # a constant scales the other numerator; the denominator stays
+        for a, b in ((self, other), (other, self)):
+            c = a.num._c
+            if len(c) == 1 and 0 in c and a.den.degree == 0:
+                return RhoRational._raw(_poly({e: v * c[0] for e, v in
+                                               b.num._c.items()},
+                                              b.num._d * a.num._d), b.den)
         # Cross-reduce so the trusted constructor applies.
         g1 = _poly_gcd(self.num, other.den)
         g2 = _poly_gcd(other.num, self.den)
@@ -497,6 +508,286 @@ def _coerce(x) -> RhoRational:
         # numpy's sums over object arrays start from the integer 0
         return RhoRational.const(x) if x else ZERO
     raise TypeError(f"cannot coerce {type(x).__name__} to RhoRational")
+
+
+# ---------------------------------------------------------------------------
+# Values over a known coprime base
+# ---------------------------------------------------------------------------
+
+def _primitive_poly(p: RhoPoly) -> RhoPoly:
+    """``p`` scaled to int coefficients with gcd 1 and a positive leading
+    coefficient (its associate over Q)."""
+    c = _primitive(p._c)
+    if c[max(c)] < 0:
+        c = {e: -v for e, v in c.items()}
+    return RhoPoly._of(c, 1)
+
+
+def _derivative(p: RhoPoly) -> RhoPoly:
+    return _poly({e - 1: v * e for e, v in p._c.items() if e}, p._d)
+
+
+def factor_refinement(polys) -> tuple:
+    """A coprime base of ``polys`` by factor refinement.
+
+    Returns primitive squarefree polynomials of positive degree with
+    positive leading coefficients, pairwise coprime, such that every
+    nonzero input is a constant times a product of their powers (Bach,
+    Driscoll and Shallit, "Factor refinement", J. Algorithms 15 (1993)).
+    Only gcds are used, never a factorization, so an element may still be
+    reducible over Q.  Elements come sorted by degree, then by terms.
+    """
+    base = []
+    todo = [p for p in polys if p.degree > 0]
+    while todo:
+        p = _primitive_poly(todo.pop())
+        if p.degree < 1 or p in base:
+            continue
+        g = _poly_gcd(p, _derivative(p))
+        if g.degree > 0:
+            todo += [g, p // g]
+            continue
+        for i, b in enumerate(base):
+            g = _poly_gcd(p, b)
+            if g.degree > 0:
+                # the multiset loses deg g in total, so refinement ends
+                del base[i]
+                todo += [g, b // g, p // g]
+                break
+        else:
+            base.append(p)
+    return tuple(sorted(base, key=lambda b: (b.degree, sorted(b._c.items()))))
+
+
+def _positive(exps) -> tuple:
+    return tuple(e if e > 0 else 0 for e in exps)
+
+
+class CoprimeBase:
+    """Exact arithmetic over a fixed coprime base of polynomials in rho.
+
+    A ``BaseValue`` is a polynomial numerator times a product of powers of
+    the base ``elements`` with signed exponents.  A product multiplies the
+    numerators and adds the exponents; a sum brings both operands to the
+    smaller exponents by multiplying in cached cofactor powers.  Neither
+    computes a gcd, so an interior value is not reduced: the numerator may
+    keep base factors that a reduced form would cancel.  ``rational``
+    cancels them, with one gcd per element of the denominator, and returns
+    the canonical ``RhoRational``.
+
+    ``lift`` brings a ``RhoRational`` onto the base.  Its denominator must
+    divide a product of powers of the elements, as the denominators of the
+    inputs of ``factor_refinement`` do; an element that such a denominator
+    holds only in part (an element can be reducible over Q) is completed by
+    multiplying numerator and denominator by its cofactor.
+    """
+
+    def __init__(self, polys):
+        self.elements = factor_refinement(polys)
+        self.zero = BaseValue(_POLY_ZERO, (0,) * len(self.elements), self)
+        self._powers = {}
+        self._vectors = {}
+        self._lifts = {}
+
+    def power(self, exps: tuple) -> RhoPoly:
+        """The product of the elements to the non-negative ``exps``."""
+        p = self._powers.get(exps)
+        if p is None:
+            p = _POLY_ONE
+            for b, k in zip(self.elements, exps):
+                for _ in range(k):
+                    p = p * b
+            self._powers[exps] = p
+        return p
+
+    def _divide_out(self, p: RhoPoly, exps: list, sign: int) -> RhoPoly:
+        """``p`` with every element divided out as often as it divides;
+        each division adds ``sign`` to the element's exponent in ``exps``.
+        """
+        for i, b in enumerate(self.elements):
+            while p.degree >= b.degree:
+                q, r = divmod(p, b)
+                if r._c:
+                    break
+                p = q
+                exps[i] += sign
+        return p
+
+    def lift(self, x) -> "BaseValue":
+        """``x`` (a ``RhoRational``, int or Fraction) on this base,
+        memoized."""
+        if isinstance(x, BaseValue):
+            return x
+        hit = self._lifts.get(x)
+        if hit is None:
+            hit = self._lifts[x] = self._lift(_coerce(x))
+        return hit
+
+    def _lift(self, x: RhoRational) -> "BaseValue":
+        if x.num.is_zero():
+            return self.zero
+        exps = [0] * len(self.elements)
+        num = self._divide_out(x.num, exps, 1)
+        den = self._divide_out(x.den, exps, -1)
+        for i, b in enumerate(self.elements):
+            # an element the denominator holds only in part
+            while den.degree > 0:
+                g = _poly_gcd(den, b)
+                if g.degree < 1:
+                    break
+                den = den // g
+                num = num * (b // g)
+                exps[i] -= 1
+        if den.degree > 0:
+            raise ArithmeticError(
+                f"denominator {format_poly(den)} is not on the base")
+        return BaseValue(num.scale(1 / den.lc), tuple(exps), self)
+
+    def inverse(self, x) -> "BaseValue":
+        """1/x for an ``x`` whose numerator is a constant times a product
+        of elements, such as a subset norm."""
+        v = self.lift(x)
+        if v.num.degree != 0:
+            raise ArithmeticError(
+                f"numerator {format_poly(v.num)} is not on the base")
+        return BaseValue(RhoPoly.const(1 / v.num.lc),
+                         tuple(-e for e in v.exps), self)
+
+    def rational(self, v: "BaseValue") -> RhoRational:
+        """The canonical ``RhoRational`` of ``v``.
+
+        Each element left in the denominator is tested against the
+        numerator by one gcd of the two, which starts with the remainder of
+        the numerator by the element and goes on in degrees below the
+        element's: the whole element divides out, or nothing does, or a
+        proper factor of a reducible element does, which sends the value to
+        the canonical constructor.  A value thus costs one gcd per element
+        of its denominator, however many operations built it.
+        """
+        num = v.num
+        if not num._c:
+            return ZERO
+        exps = list(v.exps)
+        for i, b in enumerate(self.elements):
+            while exps[i] < 0:
+                g = _poly_gcd(b, num)
+                if g.degree < 1:
+                    break
+                if g.degree < b.degree:
+                    return RhoRational(num * self.power(_positive(exps)),
+                                       self.power(_positive(-e for e in exps)))
+                num = num // b
+                exps[i] += 1
+        pos = _positive(exps)
+        if any(pos):
+            num = num * self.power(pos)
+        neg = _positive(-e for e in exps)
+        if not any(neg):
+            return RhoRational._raw(num, _POLY_ONE)
+        den = self.power(neg)
+        c = den.lc
+        if c != 1:
+            num, den = num.scale(1 / c), den.scale(1 / c)
+        return RhoRational._raw(num, den)
+
+    def _vector(self, v) -> tuple:
+        """The components of a ``CoVec4`` on this base, memoized."""
+        hit = self._vectors.get(v)
+        if hit is None:
+            hit = self._vectors[v] = tuple(self.lift(x) for x in v)
+        return hit
+
+    def matrix(self, terms) -> tuple:
+        """The canonical 4x4 matrix of outer-product terms (c, left, right)
+        with coefficients on this base."""
+        rows = [[None] * 4 for _ in range(4)]
+        for c, left, right in terms:
+            right = self._vector(right)
+            for i, a in enumerate(self._vector(left)):
+                if not a.num._c:
+                    continue
+                ca = c * a
+                row = rows[i]
+                for j, b in enumerate(right):
+                    if not b.num._c:
+                        continue
+                    x = ca * b
+                    row[j] = x if row[j] is None else row[j] + x
+        return tuple(tuple(ZERO if x is None else self.rational(x)
+                           for x in row) for row in rows)
+
+
+class BaseValue:
+    """``num`` times the product of ``base.elements[i] ** exps[i]``.
+
+    Not reduced: equal values can differ in representation, so ``==`` is
+    structural and serves only as a cache key.  Operands of ``+`` and ``*``
+    share one base; a ``RhoRational`` operand is lifted onto it, and an int
+    or Fraction factor scales the numerator.
+    """
+
+    __slots__ = ("num", "exps", "base", "_hash")
+
+    def __init__(self, num: RhoPoly, exps: tuple, base: CoprimeBase):
+        self.num = num
+        self.exps = exps
+        self.base = base
+        self._hash = None
+
+    def is_zero(self) -> bool:
+        return not self.num._c
+
+    def __add__(self, other):
+        if other.__class__ is not BaseValue:
+            other = self.base.lift(other)
+        b = other.num
+        if not b._c:
+            return self
+        a = self.num
+        if not a._c:
+            return other
+        ea, eb = self.exps, other.exps
+        if ea != eb:
+            e = tuple(map(min, ea, eb))
+            power = self.base.power
+            if e != ea:
+                a = a * power(tuple(x - y for x, y in zip(ea, e)))
+            if e != eb:
+                b = b * power(tuple(x - y for x, y in zip(eb, e)))
+            ea = e
+        num = a + b
+        if not num._c:
+            return self.base.zero
+        return BaseValue(num, ea, self.base)
+
+    def __neg__(self):
+        return BaseValue(-self.num, self.exps, self.base)
+
+    def __mul__(self, other):
+        if other.__class__ is not BaseValue:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return self.base.zero
+                return BaseValue(self.num.scale(other), self.exps, self.base)
+            other = self.base.lift(other)
+        a, b = self.num, other.num
+        if not a._c or not b._c:
+            return self.base.zero
+        return BaseValue(a * b, tuple(map(int.__add__, self.exps, other.exps)),
+                         self.base)
+
+    def __eq__(self, other):
+        return (other.__class__ is BaseValue and self.exps == other.exps
+                and self.num == other.num)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.num, self.exps))
+        return h
+
+    def __repr__(self):
+        return f"BaseValue({format_poly(self.num)}, {self.exps})"
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ holds each slot once, so one choice of outer term per slot gives all of
 them the same product of slot coefficients, which is formed once per
 branch and multiplied in once per output vector pair (the distributive
 law, as in Aji and McEliece, "The generalized distributive law", 2000).
+The walk is generic over its scalar: slot coefficients that are
+``RhoRational`` give ``RhoRational`` values, and slot coefficients on an
+evaluator's ``CoprimeBase`` keep every sum and product on that base, with
+each metric pairing lifted onto it once.  ``matrix_of_outer`` returns
+canonical ``RhoRational`` entries for either.
 
 Sign bookkeeping: every derivative contributes one factor of the imaginary
 unit at symbol level.  Evaluation returns the real matrix together with the
@@ -36,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ONE, RhoRational, ZERO
+from .exact import BaseValue, ONE, RhoRational, ZERO
 from .tensor import CoVec4, MINKOWSKI, Metric4, Sym2T, pairing
 
 FREE_PAIR = ("mu", "nu")
@@ -446,6 +451,10 @@ def merge_outer(terms) -> tuple:
 
 
 def matrix_of_outer(terms) -> tuple:
+    """The 4x4 matrix of outer-product terms (c, left, right), canonical
+    ``RhoRational`` entries whatever the coefficients' scalar."""
+    if terms and isinstance(terms[0][0], BaseValue):
+        return terms[0][0].base.matrix(terms)
     rows = [[ZERO] * 4 for _ in range(4)]
     for c, left, right in terms:
         for i in range(4):
@@ -497,7 +506,8 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     product is multiplied in once per output pair.  Output pairs come in
     the order of the first (monomial, choice) at which they appear.  The i
     factors of the derivatives are excluded from the value and reported as
-    the power.
+    the power.  Coefficients come in the scalar of the slot coefficients
+    (``RhoRational``, or ``BaseValue`` on the slots' ``CoprimeBase``).
 
     ``pairings`` caches the metric pairings by their two vectors and
     ``products`` the pairing products by their multiset of values.  A
@@ -512,6 +522,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
         products = {}
     depth = form.arity
     decomps = [slots[s].outer for s in range(1, depth + 1)]
+    lift = _lift_of(decomps)
     # vectors[level] = (covector, left, right) of the level's slot and
     # chosen outer term, indexed by the second half of a ref
     vectors = [(slots[s].covector, None, None) for s in range(1, depth + 1)]
@@ -525,7 +536,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
             key = (vectors[la][ka], vectors[lb][kb])
             p = pairings.get(key)
             if p is None:
-                p = pairings[key] = pairing(metric, *key)
+                p = pairings[key] = lift(pairing(metric, *key))
             if p.is_zero():
                 return None
             ps += (p,)
@@ -547,17 +558,17 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
             if seen is None or m < seen[0]:
                 first[out] = (m, tuple(choice))
         for out, group in groups.items():
-            total = ZERO
+            total = None
             for key, coeff in group.items():
                 if not coeff:
                     continue
                 value = products.get(key)
                 if value is None:
-                    value = products[key] = _product(key)
+                    value = products[key] = lift(_product(key))
                 if coeff != 1:
-                    value = RhoRational.const(coeff) * value
-                total = total + value
-            if total.is_zero():
+                    value = value * coeff
+                total = value if total is None else total + value
+            if total is None or total.is_zero():
                 continue
             total = prefix * total
             acc[out] = acc[out] + total if out in acc else total
@@ -713,6 +724,20 @@ def _plan_of(form: FormalTensorPoly) -> tuple:
         plan = tuple(_step_of(m, form.arity) for m in form.monomials)
         object.__setattr__(form, "_plan", plan)
         return plan
+
+
+def _lift_of(decomps):
+    """How the walk brings a ``RhoRational`` to the slot coefficients'
+    scalar: onto their ``CoprimeBase``, or unchanged."""
+    for terms in decomps:
+        if terms:
+            c = terms[0][0]
+            return c.base.lift if isinstance(c, BaseValue) else _same
+    return _same
+
+
+def _same(x):
+    return x
 
 
 def _product(values) -> RhoRational:

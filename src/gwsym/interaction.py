@@ -4,7 +4,13 @@ Terms are trees of wave leaves, causal-inverse nodes and coefficient-form
 nodes.  The 1488 interaction terms come from one table of 11 shapes in five
 classes (``_SHAPES``): ``_build`` instantiates a shape for a permutation of
 the four waves and a P or Hhat form at each coefficient node.  Evaluation
-is exact over the rational-function field.  Every coefficient form carries
+is exact over the rational-function field.  Every denominator it meets is
+a product of powers of a few polynomials known in advance: those of the
+covectors, the inverse metric, the leaf symbols and the subset norms.  An
+``Evaluator`` refines them into a ``CoprimeBase`` and keeps the
+coefficients of its node values on it, so its sums and products run no
+polynomial gcd; each matrix it returns is canonical ``RhoRational``,
+converted once per entry.  Every coefficient form carries
 an even number of derivatives, each a factor of the imaginary unit, so a
 form node folds i^(2m) into the sign (-1)^m and matrices are real.
 An overall (2*pi)^-3 is factored out of every complete four-wave term.
@@ -23,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import NEG_INF, RhoRational, ZERO
+from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
 from .forms import (SlotValue, build_form_family, entry_order_bound,
                     matrix_of_outer, merge_outer, symbol_outer_of_form)
 from .nullcone import NullConfig
@@ -117,9 +123,11 @@ class SymbolValue:
     """Evaluated term: total covector, leaves, real matrix.
 
     ``outer`` is the value's outer-product decomposition, carried so nested
-    evaluation can keep collapsing index contractions into pairings.  The
-    4x4 ``matrix`` is built from it on first access only: inner nodes and
-    summed terms need only the decomposition.
+    evaluation can keep collapsing index contractions into pairings; from
+    an ``Evaluator`` its coefficients are ``BaseValue`` on the evaluator's
+    base.  The 4x4 ``matrix`` of canonical ``RhoRational`` is built from it
+    on first access only: inner nodes and summed terms need only the
+    decomposition.
     """
 
     covector: CoVec4
@@ -175,10 +183,10 @@ class Evaluator:
     ``leaf_symbols`` maps a wave to the SlotValue that replaces its
     rank-one symbol; the SlotValue's covector must be the wave's.
     ``eval`` memoizes the value of every node, ``order_bound`` a degree
-    bound on it, and one dict of metric pairings and one of pairing
-    products serve every form evaluation.  Values and bounds share one
-    memo of each node's covector, and of each causal inverse's norm, keyed
-    by the multiset of the node's waves.
+    bound on it, and one dict of metric pairings, one of pairing products
+    and one ``base`` serve every form evaluation.  Values and bounds share
+    one memo of each node's covector, and of each causal inverse's norm,
+    keyed by the multiset of the node's waves.
     """
 
     def __init__(self, config: NullConfig, leaf_symbols: dict = None):
@@ -202,6 +210,27 @@ class Evaluator:
         self._norms = {}
         self._pair_degree = mat_max_degree(self.metric.inv)
         self._total = None
+
+    @cached_property
+    def base(self) -> CoprimeBase:
+        """The coprime base of every denominator evaluation meets, built
+        at the first evaluation: from the components of the 15 subset
+        covectors, the inverse metric and the outer terms of the leaf
+        symbols, and the numerators and denominators of the subset norms."""
+        polys = [x.den for row in self.metric.inv for x in row]
+        for sv in self.slots.values():
+            for c, left, right in sv.outer:
+                polys += [c.den, *(x.den for x in left),
+                          *(x.den for x in right)]
+        for bits in range(1, 16):
+            waves = [i for i in range(1, 5) if bits >> (i - 1) & 1]
+            polys += [x.den for x in self._covector(waves)]
+            try:
+                n = self._norm(waves)
+            except CharacteristicDenominatorError:
+                continue  # a null sum, such as one wave, is never inverted
+            polys += [n.num, n.den]
+        return CoprimeBase(polys)
 
     def eval(self, ast) -> SymbolValue:
         hit = self.cache.get(ast)
@@ -264,10 +293,12 @@ class Evaluator:
     def _eval(self, ast) -> SymbolValue:
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
-            return SymbolValue(sv.covector, (ast.wave,), sv.outer)
+            lift = self.base.lift
+            return SymbolValue(sv.covector, (ast.wave,),
+                               tuple((lift(c), l, r) for c, l, r in sv.outer))
         if isinstance(ast, QNode):
             child = self.eval(ast.child)
-            return child.scale(RhoRational.const(1) / self._norm(child.leaves))
+            return child.scale(self.base.inverse(self._norm(child.leaves)))
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
             outer, node_power = symbol_outer_of_form(

@@ -334,53 +334,55 @@ def _christoffel(ctx, m, d):
 def _semilinear(ctx, result, gamma1, gamma2, u2, g, sizes):
     """Add 2 g^{ab} g^{lk} G1_{l mu b} G2_{k nu a} and
     G1_{nu a b} g^{aq} g^{bd} d_mu u2_{qd} + (mu <-> nu) to ``result``, each
-    over the disjoint components of its fields."""
+    over the disjoint components of its fields.
+
+    The nonzero entries are listed once, per combination for the metric
+    components and per component of G1, and the sums run over them in the
+    order a, b, l, k (a, q, b, d in the second term) with the products
+    associated as written, so the float sums are those of the dense loops.
+    """
     two = ctx.two
-    for s, (g1, g2, ma, mb) in _disjoint(gamma1, gamma2, g, g, sizes=sizes):
+    by_mu_b = {s: [[[(l, G[l][mu][b]) for l in range(4) if G[l][mu][b]]
+                    for b in range(4)] for mu in range(4)]
+               for s, G in gamma1.items()}
+    for s, (n1, g2, ma, mb) in _disjoint(by_mu_b, gamma2, g, g, sizes=sizes):
+        two_hab = [(a, b, two * h) for a, row in enumerate(ma)
+                   for b, h in enumerate(row) if h]
+        hlk_rows = [[(k, h) for k, h in enumerate(row) if h] for row in mb]
         mat = ctx.zero_mat()
         for mu in range(4):
+            n1mu = n1[mu]
             for nu in range(4):
                 acc = ctx.zero
-                for a in range(4):
-                    for b in range(4):
-                        hab = ma[a][b]
-                        if not hab:
-                            continue
-                        for l in range(4):
-                            t1 = g1[l][mu][b]
-                            if not t1:
+                for a, b, two_h in two_hab:
+                    for l, t1 in n1mu[b]:
+                        for k, hlk in hlk_rows[l]:
+                            t2 = g2[k][nu][a]
+                            if not t2:
                                 continue
-                            for k in range(4):
-                                hlk = mb[l][k]
-                                if not hlk:
-                                    continue
-                                t2 = g2[k][nu][a]
-                                if not t2:
-                                    continue
-                                acc = acc + (two * hab * hlk * t1 * t2)
+                            acc = acc + two_h * hlk * t1 * t2
                 mat[mu][nu] = acc
         if any(x for row in mat for x in row):
             _add_into(result, s, mat)
 
+    by_x_a = {s: [[[(b, t) for b, t in enumerate(G[x][a]) if t]
+                   for a in range(4)] for x in range(4)]
+              for s, G in gamma1.items()}
     du = {s: (m, ctx.xi[s]) for s, m in u2.items()}
-    for s, (g1, (m2, d2), ma, mb) in _disjoint(gamma1, du, g, g, sizes=sizes):
+    for s, (n1, (m2, d2), ma, mb) in _disjoint(by_x_a, du, g, g,
+                                               sizes=sizes):
+        haq_list = [(a, q, h) for a, row in enumerate(ma)
+                    for q, h in enumerate(row) if h]
+        hbd_rows = [[(d, h) for d, h in enumerate(row) if h] for row in mb]
         sand = []
         for x in range(4):
+            n1x = n1[x]
             acc = ctx.zero
-            for a in range(4):
-                for q in range(4):
-                    haq = ma[a][q]
-                    if not haq:
-                        continue
-                    for b in range(4):
-                        t = g1[x][a][b]
-                        if not t:
-                            continue
-                        for d in range(4):
-                            hbd = mb[b][d]
-                            if not hbd:
-                                continue
-                            acc = acc + haq * hbd * t * m2[q][d]
+            for a, q, haq in haq_list:
+                m2q = m2[q]
+                for b, t in n1x[a]:
+                    for d, hbd in hbd_rows[b]:
+                        acc = acc + haq * hbd * t * m2q[d]
             sand.append(acc)
         mat = [[d2[mu] * sand[nu] + d2[nu] * sand[mu] for nu in range(4)]
                for mu in range(4)]
@@ -491,12 +493,6 @@ def _walk(ctx, node):
         raise OracleUnsupported(
             f"no independent closed form for {node.form} nodes")
     return [[-x for x in row] for row in result.get(s) or ctx.zero_mat()], s
-
-
-def eval_ast_float(ast, config: NullConfig, rho):
-    """Independent complex evaluation of one term tree: ``_walk`` on a
-    float ``JetContext``, as a numpy array."""
-    return np.array(_walk(JetContext(config, rho, _float_of), ast)[0])
 
 
 def cancellation_scale(config: NullConfig, rho):

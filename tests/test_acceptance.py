@@ -14,6 +14,8 @@ published constant fails.
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from gwsym.cli import _published_form_matches
 from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
 from gwsym.forms import (SlotValue, build_form_family, explicit_hhat2,
@@ -29,9 +31,9 @@ from gwsym.interaction import (classify_rho40_terms, enumerate_all,
 from gwsym.nullcone import (FlatPoint, NullConfig, backtrace_sources,
                             base_directions, solve_null_scale,
                             standard_config)
-from gwsym.oracle import (GaussianRational, JetContext, _walk,
-                          cancellation_scale, eval_ast_float,
-                          interaction_total_jet, max_rel_diff)
+from gwsym.oracle import (GaussianRational, JetContext, _float_of, _walk,
+                          cancellation_scale, interaction_total_jet,
+                          max_rel_diff)
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
                              verified_degree_table)
@@ -221,8 +223,8 @@ def test_criterion_08_items(config):
     rho = Fraction(2)
     inner34 = [t for t in items[6]["members"] if t.perm[0] != 3]
     inner34_at = mat_eval_at(items[6]["subcase_inner34"], rho)
-    float_sum = sum(t.sign * eval_ast_float(t.ast, config, rho)
-                    for t in inner34)
+    fctx = JetContext(config, rho, _float_of)
+    float_sum = sum(t.sign * np.array(_walk(fctx, t.ast)[0]) for t in inner34)
     float_ok = max_rel_diff(inner34_at, float_sum) <= 1e-9
     ctx = JetContext(config, rho, GaussianRational.of)
     signed = [(GaussianRational.of(t.sign), _walk(ctx, t.ast)[0])

@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsym.exact import (NEG_INF, RhoPoly, RhoRational, format_rho_rational,
-                         parse_rho_rational)
+from gwsym.exact import (NEG_INF, RhoPoly, RhoRational, factor_refinement,
+                         format_rho_rational, parse_rho_rational)
 
 
 def rr(text):
@@ -263,6 +263,64 @@ def test_product_with_unit_denominator(n1_terms, n2_terms, d_terms, which):
         assert _euclid_gcd(x.num, x.den) == one
         if which == "both":
             assert x.den == one
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6), coeffs), rho_rationals(),
+       st.booleans())
+def test_product_with_constant(c, a, left):
+    # a constant scales the numerator and leaves the denominator alone
+    k = RhoRational.const(c)
+    x = k * a if left else a * k
+    assert x == RhoRational(a.num.scale(c), a.den)
+    assert _is_canonical(x.num) and x.den.lc == 1
+    if c and a.den.degree > 0:
+        assert x.den is a.den
+
+
+def _divide_out(p, base):
+    """p with every base element divided out as often as it divides."""
+    for b in base:
+        while p.degree >= b.degree:
+            q, r = divmod(p, b)
+            if not r.is_zero():
+                break
+            p = q
+    return p
+
+
+small_factors = st.lists(
+    st.dictionaries(st.integers(0, 3), st.integers(-3, 3), min_size=1,
+                    max_size=3).map(RhoPoly).filter(lambda p: p.degree > 0),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small_factors, st.lists(st.integers(1, 3),
+                                                  min_size=4, max_size=4)),
+                min_size=1, max_size=4))
+def test_factor_refinement(products):
+    # inputs are products of powers of small, possibly shared factors
+    polys = []
+    for factors, powers in products:
+        p = RhoPoly.const(1)
+        for f, k in zip(factors, powers):
+            for _ in range(k):
+                p = p * f
+        polys.append(p)
+    base = factor_refinement(polys)
+    one = RhoPoly.const(1)
+    for i, b in enumerate(base):
+        # primitive, squarefree, pairwise coprime
+        assert b.degree > 0 and b.lc > 0
+        assert all(type(c) is int for c in b._c.values()) and b._d == 1
+        assert gcd(*b._c.values()) == 1
+        deriv = RhoPoly({e - 1: e * c for e, c in b.terms.items() if e})
+        assert _euclid_gcd(b, deriv) == one
+        for other in base[i + 1:]:
+            assert _euclid_gcd(b, other) == one
+    for p in polys:
+        assert _divide_out(p, base).degree == 0
 
 
 # -- differential check against a plain {exponent: Fraction} reference ---------

@@ -2,6 +2,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwsym import forms, interaction
 from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
@@ -16,7 +17,7 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                summed_terms, total_symbol, _SUMMED,
                                _coefficient_of, _family_keys, _sum_terms,
                                _terms)
-from gwsym.nullcone import NullConfig, base_directions
+from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.scenario import load_scenario
 from gwsym.tensor import CoVec4, MINKOWSKI, pairing, rank_one, sym_outer
 
@@ -375,6 +376,101 @@ class TestTotal:
         assert _sum_terms(tt_evaluator, _terms(4, (_SUMMED,))) == plain
         assert mat_max_degree(plain) > NEG_INF
         assert tt_evaluator.total() is tot
+
+
+def _reducible_config():
+    """The standard covectors on (rho^2 - 1) * Minkowski: the inverse
+    metric puts rho^2 - 1 = (rho - 1)(rho + 1) into the base whole."""
+    return NullConfig(standard_config().zetas,
+                      MINKOWSKI.scale_conformal(rr("rho^2 - 1")))
+
+
+#: name -> (evaluator, leaf values, nonzero subset norms), built on demand
+_BASE_CASES = {}
+
+
+def _base_case(name):
+    case = _BASE_CASES.get(name)
+    if case is None:
+        cfg = {"standard": standard_config,
+               "dense": lambda: load_scenario(DENSE_SCENARIO).config,
+               "reducible": _reducible_config}[name]()
+        ev = Evaluator(cfg)
+        subsets = [tuple(w for w in range(1, 5) if bits >> (w - 1) & 1)
+                   for bits in range(1, 16)]
+        covs = [cfg.subset_sum(s) for s in subsets]
+        leaves = [pairing(cfg.metric, covs[i], covs[j])
+                  for i in (0, 2, 5, 14) for j in (1, 3, 8, 14)]
+        leaves += [x for cov in covs[:4] for x in cov if not x.is_zero()]
+        # polynomial leaves share a proper factor with rho^2 - 1
+        leaves += [rr("rho - 1"), rr("rho + 1"), rr("-3/2")]
+        norms = [n for n in (pairing(cfg.metric, c, c) for c in covs)
+                 if not n.is_zero()]
+        case = _BASE_CASES[name] = (ev, leaves, norms)
+    return case
+
+
+def _expressions():
+    leaf = st.tuples(st.just("leaf"), st.integers(0, 100))
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.tuples(st.just("+"), inner, inner),
+        st.tuples(st.just("*"), inner, inner),
+        st.tuples(st.just("/"), inner, st.integers(0, 100))), max_leaves=8)
+
+
+def _value(tree, leaf, norm_inverse):
+    op = tree[0]
+    if op == "leaf":
+        return leaf(tree[1])
+    if op == "/":
+        return _value(tree[1], leaf, norm_inverse) * norm_inverse(tree[2])
+    a = _value(tree[1], leaf, norm_inverse)
+    b = _value(tree[2], leaf, norm_inverse)
+    return a + b if op == "+" else a * b
+
+
+class TestCoprimeBase:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["standard", "dense", "reducible"]),
+           _expressions())
+    def test_base_arithmetic_converts_to_field_arithmetic(self, name, tree):
+        # sums, products and quotients by subset norms on an evaluator's
+        # base give the canonical value of the same expression in Q(rho)
+        ev, leaves, norms = _base_case(name)
+        base = ev.base
+        want = _value(tree, lambda i: leaves[i % len(leaves)],
+                      lambda j: RhoRational.const(1) / norms[j % len(norms)])
+        got = base.rational(_value(
+            tree, lambda i: base.lift(leaves[i % len(leaves)]),
+            lambda j: base.inverse(norms[j % len(norms)])))
+        assert (got.num, got.den, hash(got)) == (want.num, want.den,
+                                                 hash(want))
+
+    def test_reducible_element_in_part(self):
+        # rho^2 - 1 stays one element; values holding only one of its
+        # factors lift and convert exactly
+        ev, _, _ = _base_case("reducible")
+        base = ev.base
+        assert rr("rho^2 - 1").num in base.elements
+        for text in ("1/(rho + 1)", "(rho^3 + 2)/(rho - 1)^2",
+                     "(rho^2 + 1)/(rho*(rho + 1)^2)"):
+            x = rr(text)
+            v = base.lift(x)
+            assert base.rational(v) == x
+            assert base.rational(v * base.lift(rr("rho + 1"))) == x * rr(
+                "rho + 1")
+
+    def test_evaluators_share_no_base(self, config):
+        # the base lives on its evaluator, one per evaluator
+        dense = _base_case("dense")[0]
+        a, b = Evaluator(config), Evaluator(config)
+        assert a.base is not b.base
+        assert a.base.elements == b.base.elements
+        assert shared_evaluator(config).base is not a.base
+        assert dense.base is not a.base
+        assert set(dense.base.elements) != set(a.base.elements)
+        value = a.eval(nested_chain(1, 2, 3))
+        assert all(c.base is a.base for c, _, _ in value.outer)
 
 
 class TestEvaluationProperties:

@@ -18,7 +18,7 @@ from gwsym.nullcone import NullConfig, base_directions
 from gwsym.oracle import (FULL, GaussianRational, JetContext,
                           OracleUnsupported, _add_into, _disjoint, _float_of,
                           _nonlinearity, _walk, cancellation_scale,
-                          eval_ast_float, interaction_total_jet, max_rel_diff)
+                          interaction_total_jet, max_rel_diff)
 from gwsym.tensor import MINKOWSKI, Sym2T, rank_one
 
 
@@ -208,6 +208,11 @@ def three_full_passes(config, rho, exact, leaf_symbols=None):
     return _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat(), iterates
 
 
+def float_walk(ast, config, rho):
+    """The float walk of ``ast`` on its own float ``JetContext``."""
+    return np.array(_walk(JetContext(config, rho, _float_of), ast)[0])
+
+
 def exact_walk_equals(ctx, ast, want):
     """The exact walk of ``ast`` is real and equals ``want`` entry for
     entry."""
@@ -318,7 +323,7 @@ class TestExactJet:
 
 class TestFloatOracle:
     def test_leaf(self, config):
-        got = eval_ast_float(Leaf(1), config, Fraction(2))
+        got = float_walk(Leaf(1), config, Fraction(2))
         want = mat_eval_at(rank_one(config.zeta(1)).m, Fraction(2))
         assert np.allclose(np.asarray(got, dtype=np.complex128),
                            np.array(want, dtype=float))
@@ -330,7 +335,7 @@ class TestFloatOracle:
                 ast = FormNode(("P", 2), (Leaf(a), QNode(
                     FormNode(("P", 2), (Leaf(b), QNode(
                         FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
-                got = eval_ast_float(ast, config, rho)
+                got = float_walk(ast, config, rho)
                 err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
                 assert err <= 1e-9
 
@@ -340,7 +345,7 @@ class TestFloatOracle:
                 FormNode(("P", 2), (Leaf(3), Leaf(4)))))))))
         rho = Fraction(2)
         exact = Evaluator(config).eval(ast)
-        got = eval_ast_float(ast, config, rho)
+        got = float_walk(ast, config, rho)
         err = max_rel_diff(mat_eval_at(exact.matrix, rho), got)
         assert err <= 1e-9
 
@@ -361,7 +366,7 @@ class TestFloatOracle:
         assert len(members) == 34
         rho = Fraction(2)
         for n, term, value in members:
-            got = eval_ast_float(term.ast, config, rho)
+            got = float_walk(term.ast, config, rho)
             err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
             assert err <= 1e-9, (n, term.perm, term.forms)
         for rho in (Fraction(2), Fraction(5, 2)):
@@ -384,7 +389,7 @@ class TestFloatOracle:
             ast = FormNode(("Hhat", k),
                            tuple(Leaf(i) for i in range(1, k + 1)))
             with pytest.raises(OracleUnsupported):
-                eval_ast_float(ast, config, Fraction(2))
+                float_walk(ast, config, Fraction(2))
             ctx = JetContext(config, Fraction(2), GaussianRational.of)
             with pytest.raises(OracleUnsupported):
                 _walk(ctx, ast)
@@ -407,7 +412,7 @@ class TestConfigurationAtRho:
             [(x, 0) for x in row] for row in total]
         ast = nested_chain(1, 2, 3)
         want = mat_eval_at(Evaluator(cfg).eval(ast).matrix, rho)
-        assert max_rel_diff(want, eval_ast_float(ast, cfg, rho)) <= 1e-9
+        assert max_rel_diff(want, float_walk(ast, cfg, rho)) <= 1e-9
         assert exact_walk_equals(JetContext(cfg, rho, GaussianRational.of),
                                  ast, want)
 
@@ -438,7 +443,7 @@ class TestBeyondFloatRange:
         assert np.isfinite(scale) and scale > np.finfo(np.float64).max
         res = eval_I_cancellation(config)
         for key, value in res["terms"].items():
-            got = eval_ast_float(nested_chain(*key), config, rho)
+            got = float_walk(nested_chain(*key), config, rho)
             assert max_rel_diff(mat_eval_at(value.matrix, rho), got) <= 1e-9
         # past the np.longdouble range too, the scale raises, not inf
         with np.errstate(all="ignore"), pytest.raises(OverflowError):

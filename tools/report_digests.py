@@ -1,6 +1,6 @@
 """Digest the reports of the behaviour check for refactors.
 
-Runs nine reports through ``python -m gwsym`` with the checkout's ``src``
+Runs ten reports through ``python -m gwsym`` with the checkout's ``src``
 on ``PYTHONPATH`` and prints one line per report: the exit code, the
 SHA-256 of stdout, and the arguments.  A refactor keeps every line.
 
@@ -28,6 +28,7 @@ REPORTS = [
     DENSE + ["oracle"],
     DENSE + ["verify", "total"],
     DENSE + ["verify", "items"],
+    DENSE + ["verify", "all"],
 ]
 
 
