@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsym import forms, interaction
-from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
+from gwsym.exact import BaseValue, NEG_INF, RhoRational, parse_rho_rational
 from gwsym.forms import SlotValue
 from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                FormNode, Leaf, QNode, classify_rho40_terms,
@@ -563,16 +563,19 @@ class TestEvaluationProperties:
     def test_total_multiplications(self, config, monkeypatch):
         # the slot coefficients of a leaf are multiplied in once per output
         # pair, not once per monomial and level: walking each monomial on
-        # its own, a cold total made 39608 products
+        # its own, a cold total made 39608 products.  Evaluation multiplies
+        # on the evaluator's base, so both scalars are counted.
         count = [0]
-        mul = RhoRational.__mul__
 
-        def counted(a, b):
-            count[0] += 1
-            return mul(a, b)
+        def counted(mul):
+            def wrapper(a, b):
+                count[0] += 1
+                return mul(a, b)
+            return wrapper
 
         ev = Evaluator(config)
-        monkeypatch.setattr(RhoRational, "__mul__", counted)
+        for cls in (RhoRational, BaseValue):
+            monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
         ev.total()
         assert count[0] <= 20000
 
