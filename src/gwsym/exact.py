@@ -572,8 +572,7 @@ class CoprimeBase:
     smaller exponents by multiplying in cached cofactor powers.  Neither
     computes a gcd, so an interior value is not reduced: the numerator may
     keep base factors that a reduced form would cancel.  ``rational``
-    cancels them, with one gcd per element of the denominator, and returns
-    the canonical ``RhoRational``.
+    returns the canonical ``RhoRational`` with one gcd.
 
     ``lift`` brings a ``RhoRational`` onto the base.  Its denominator must
     divide a product of powers of the elements, as the denominators of the
@@ -654,41 +653,20 @@ class CoprimeBase:
                          tuple(-e for e in v.exps), self)
 
     def rational(self, v: "BaseValue") -> RhoRational:
-        """The canonical ``RhoRational`` of ``v``.
-
-        Each element left in the denominator is tested against the
-        numerator by one gcd of the two, which starts with the remainder of
-        the numerator by the element and goes on in degrees below the
-        element's: the whole element divides out, or nothing does, or a
-        proper factor of a reducible element does, which sends the value to
-        the canonical constructor.  A value thus costs one gcd per element
-        of its denominator, however many operations built it.
+        """The canonical ``RhoRational`` of ``v``: its numerator and
+        denominator multiplied out and reduced by the canonical
+        constructor, one gcd per value however many operations built it.
         """
         num = v.num
         if not num._c:
             return ZERO
-        exps = list(v.exps)
-        for i, b in enumerate(self.elements):
-            while exps[i] < 0:
-                g = _poly_gcd(b, num)
-                if g.degree < 1:
-                    break
-                if g.degree < b.degree:
-                    return RhoRational(num * self.power(_positive(exps)),
-                                       self.power(_positive(-e for e in exps)))
-                num = num // b
-                exps[i] += 1
-        pos = _positive(exps)
+        pos = _positive(v.exps)
         if any(pos):
             num = num * self.power(pos)
-        neg = _positive(-e for e in exps)
+        neg = _positive(-e for e in v.exps)
         if not any(neg):
             return RhoRational._raw(num, _POLY_ONE)
-        den = self.power(neg)
-        c = den.lc
-        if c != 1:
-            num, den = num.scale(1 / c), den.scale(1 / c)
-        return RhoRational._raw(num, den)
+        return RhoRational(num, self.power(neg))
 
     def _vector(self, v) -> tuple:
         """The components of a ``CoVec4`` on this base, memoized."""
