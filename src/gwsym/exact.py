@@ -538,7 +538,7 @@ def factor_refinement(polys) -> tuple:
     reducible over Q.  Elements come sorted by degree, then by terms.
     """
     base = []
-    todo = [p for p in polys if p.degree > 0]
+    todo = list(dict.fromkeys(p for p in polys if p.degree > 0))
     while todo:
         p = _primitive_poly(todo.pop())
         if p.degree < 1 or p in base:
@@ -584,6 +584,7 @@ class CoprimeBase:
     def __init__(self, polys):
         self.elements = factor_refinement(polys)
         self.zero = BaseValue(_POLY_ZERO, (0,) * len(self.elements), self)
+        self.one = BaseValue(_POLY_ONE, self.zero.exps, self)
         self._powers = {}
         self._vectors = {}
         self._lifts = {}
@@ -615,8 +616,6 @@ class CoprimeBase:
     def lift(self, x) -> "BaseValue":
         """``x`` (a ``RhoRational``, int or Fraction) on this base,
         memoized."""
-        if isinstance(x, BaseValue):
-            return x
         hit = self._lifts.get(x)
         if hit is None:
             hit = self._lifts[x] = self._lift(_coerce(x))
@@ -700,8 +699,8 @@ class BaseValue:
 
     Not reduced: equal values can differ in representation, so ``==`` is
     structural and serves only as a cache key.  Operands of ``+`` and ``*``
-    share one base; a ``RhoRational`` operand is lifted onto it, and an int
-    or Fraction factor scales the numerator.
+    share one base, except that an int or Fraction factor scales the
+    numerator; a ``RhoRational`` comes onto the base by ``lift`` only.
     """
 
     __slots__ = ("num", "exps", "base", "_hash")
@@ -716,8 +715,6 @@ class BaseValue:
         return not self.num._c
 
     def __add__(self, other):
-        if other.__class__ is not BaseValue:
-            other = self.base.lift(other)
         b = other.num
         if not b._c:
             return self
@@ -742,12 +739,11 @@ class BaseValue:
         return BaseValue(-self.num, self.exps, self.base)
 
     def __mul__(self, other):
-        if other.__class__ is not BaseValue:
-            if isinstance(other, (int, Fraction)):
-                if not other:
-                    return self.base.zero
-                return BaseValue(self.num.scale(other), self.exps, self.base)
-            other = self.base.lift(other)
+        if (other.__class__ is not BaseValue
+                and isinstance(other, (int, Fraction))):
+            if not other:
+                return self.base.zero
+            return BaseValue(self.num.scale(other), self.exps, self.base)
         a, b = self.num, other.num
         if not a._c or not b._c:
             return self.base.zero

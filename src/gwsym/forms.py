@@ -20,11 +20,13 @@ holds each slot once, so one choice of outer term per slot gives all of
 them the same product of slot coefficients, which is formed once per
 branch and multiplied in once per output vector pair (the distributive
 law, as in Aji and McEliece, "The generalized distributive law", 2000).
-The walk is generic over its scalar: slot coefficients that are
-``RhoRational`` give ``RhoRational`` values, and slot coefficients on an
-evaluator's ``CoprimeBase`` keep every sum and product on that base, with
-each metric pairing lifted onto it once.  ``matrix_of_outer`` returns
-canonical ``RhoRational`` entries for either.
+The walk runs on one scalar: the slot coefficients lie on one
+``CoprimeBase`` (``BaseValue``), each metric pairing is lifted onto it once,
+and every sum and product stays on it.  An ``Evaluator`` keeps its node
+values on its own base; ``symbol_of_form`` builds a base from the
+denominators the walk meets (``form_denominators``) and lifts its
+``RhoRational`` slots onto it.  Matrices are built only at the output
+boundary, by ``CoprimeBase.matrix``, with canonical ``RhoRational`` entries.
 
 Sign bookkeeping: every derivative contributes one factor of the imaginary
 unit at symbol level.  Evaluation returns the real matrix together with the
@@ -41,10 +43,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import BaseValue, ONE, RhoRational, ZERO
+from .exact import CoprimeBase, ONE, RhoRational, ZERO
 from .tensor import CoVec4, MINKOWSKI, Metric4, Sym2T, pairing
 
 FREE_PAIR = ("mu", "nu")
+
+#: the 4x4 zero matrix of canonical ``RhoRational`` entries
+ZERO_MAT = tuple((ZERO,) * 4 for _ in range(4))
 
 
 @dataclass(frozen=True)
@@ -402,6 +407,11 @@ def explicit_hhat2() -> FormalTensorPoly:
 # Symbol evaluation
 # ---------------------------------------------------------------------------
 
+#: the entry basis, shared by every slot built without an ``outer``
+_ENTRY_BASIS = tuple(CoVec4([ONE if k == i else ZERO for k in range(4)])
+                     for i in range(4))
+
+
 @dataclass(frozen=True)
 class SlotValue:
     """Symbol data bound to a slot.
@@ -411,7 +421,7 @@ class SlotValue:
     indices.  ``outer`` decomposes the matrix as a sum of scaled outer
     products, a tuple of (coeff, left CoVec4, right CoVec4); evaluation
     uses it to collapse index sums into metric pairings.  When none is
-    given it is built once, on the sparse entry basis.
+    given it is built once, on the shared sparse entry basis.
     """
 
     matrix: Sym2T
@@ -421,11 +431,8 @@ class SlotValue:
     def __post_init__(self):
         if self.outer is not None:
             return
-        one = RhoRational.const(1)
-        basis = [CoVec4([one if k == i else ZERO for k in range(4)])
-                 for i in range(4)]
         object.__setattr__(self, "outer", tuple(
-            (self.matrix[i][j], basis[i], basis[j])
+            (self.matrix[i][j], _ENTRY_BASIS[i], _ENTRY_BASIS[j])
             for i in range(4) for j in range(4)
             if not self.matrix[i][j].is_zero()))
 
@@ -451,23 +458,9 @@ def merge_outer(terms) -> tuple:
 
 
 def matrix_of_outer(terms) -> tuple:
-    """The 4x4 matrix of outer-product terms (c, left, right), canonical
-    ``RhoRational`` entries whatever the coefficients' scalar."""
-    if terms and isinstance(terms[0][0], BaseValue):
-        return terms[0][0].base.matrix(terms)
-    rows = [[ZERO] * 4 for _ in range(4)]
-    for c, left, right in terms:
-        for i in range(4):
-            a = left[i]
-            if a.is_zero():
-                continue
-            ca = c * a
-            for j in range(4):
-                b = right[j]
-                if b.is_zero():
-                    continue
-                rows[i][j] = rows[i][j] + ca * b
-    return tuple(tuple(r) for r in rows)
+    """The canonical 4x4 matrix of outer-product terms (c, left, right)
+    whose coefficients lie on one ``CoprimeBase``."""
+    return terms[0][0].base.matrix(terms) if terms else ZERO_MAT
 
 
 class MissingSlotError(FormError):
@@ -503,11 +496,15 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     monomials are grouped by output vector pair and by the multiset of
     their pairing values; each group's rational coefficients are added and
     multiplied by the group's pairing product, and the branch's slot
-    product is multiplied in once per output pair.  Output pairs come in
-    the order of the first (monomial, choice) at which they appear.  The i
-    factors of the derivatives are excluded from the value and reported as
-    the power.  Coefficients come in the scalar of the slot coefficients
-    (``RhoRational``, or ``BaseValue`` on the slots' ``CoprimeBase``).
+    product is multiplied in once per output pair.  The terms hold each
+    output vector pair once, with a nonzero coefficient, in no promised
+    order.  The i factors of the derivatives are excluded from the value
+    and reported as the power.
+
+    The slot coefficients must be ``BaseValue`` on one ``CoprimeBase``,
+    which covers the denominators of ``form_denominators``; the terms'
+    coefficients are on it too.  ``symbol_of_form`` evaluates slots with
+    ``RhoRational`` coefficients.
 
     ``pairings`` caches the metric pairings by their two vectors and
     ``products`` the pairing products by their multiset of values.  A
@@ -522,13 +519,17 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
         products = {}
     depth = form.arity
     decomps = [slots[s].outer for s in range(1, depth + 1)]
-    lift = _lift_of(decomps)
+    bases = {getattr(terms[0][0], "base", None) for terms in decomps if terms}
+    if None in bases or len(bases) > 1:
+        raise TypeError("slot coefficients are not on one CoprimeBase; "
+                        "call symbol_of_form for RhoRational slots")
+    if not bases or not all(decomps):
+        return (), i_power
+    (base,) = bases
     # vectors[level] = (covector, left, right) of the level's slot and
     # chosen outer term, indexed by the second half of a ref
     vectors = [(slots[s].covector, None, None) for s in range(1, depth + 1)]
-    choice = [0] * depth
     acc = {}    # (mu-vector, nu-vector) -> summed coefficient
-    first = {}  # (mu-vector, nu-vector) -> first (monomial, choice)
 
     def paired(pairs, ps):
         """``ps`` extended by the pairings of ``pairs``; None at a zero."""
@@ -536,7 +537,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
             key = (vectors[la][ka], vectors[lb][kb])
             p = pairings.get(key)
             if p is None:
-                p = pairings[key] = lift(pairing(metric, *key))
+                p = pairings[key] = base.lift(pairing(metric, *key))
             if p.is_zero():
                 return None
             ps += (p,)
@@ -544,7 +545,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
 
     def leaf(prefix, live):
         groups = {}  # output pair -> {pairing multiset: summed coeff}
-        for m, step, ps in live:
+        for step, ps in live:
             (lm, km), (ln, kn) = step.mu, step.nu
             out = (vectors[lm][km], vectors[ln][kn])
             # the multiset, sorted by hash: two unequal values with one
@@ -554,9 +555,6 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
             if group is None:
                 group = groups[out] = {}
             group[key] = group.get(key, 0) + step.coeff
-            seen = first.get(out)
-            if seen is None or m < seen[0]:
-                first[out] = (m, tuple(choice))
         for out, group in groups.items():
             total = None
             for key, coeff in group.items():
@@ -564,7 +562,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
                     continue
                 value = products.get(key)
                 if value is None:
-                    value = products[key] = lift(_product(key))
+                    value = products[key] = _product((base.one, *key))
                 if coeff != 1:
                     value = value * coeff
                 total = value if total is None else total + value
@@ -578,31 +576,37 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
             leaf(prefix, live)
             return
         cov = vectors[level][0]
-        for t, term in enumerate(decomps[level]):
-            if term[0].is_zero():
-                continue
+        for term in decomps[level]:
             vectors[level] = (cov, term[1], term[2])
-            choice[level] = t
             kept = []
-            for m, step, ps in live:
+            for step, ps in live:
                 ps = paired(step.pairs_at[level], ps)
                 if ps is not None:
-                    kept.append((m, step, ps))
+                    kept.append((step, ps))
             if kept:
                 walk(level + 1,
                      term[0] if prefix is None else prefix * term[0], kept)
 
     live = []
-    for m, step in enumerate(plan):
+    for step in plan:
         ps = paired(step.before, ())
         if ps is not None:
-            live.append((m, step, ps))
+            live.append((step, ps))
     if live:
         walk(0, None, live)
-    terms = tuple((acc[out], *out) for out in
-                  sorted(acc, key=first.__getitem__)
-                  if not acc[out].is_zero())
+    terms = tuple((c, *out) for out, c in acc.items() if not c.is_zero())
     return terms, i_power
+
+
+def form_denominators(metric: Metric4, slots) -> list:
+    """Every denominator a form walk on the ``SlotValue``s ``slots`` meets:
+    those of the inverse metric, the slot covectors and the outer terms."""
+    polys = [x.den for row in metric.inv for x in row]
+    for sv in slots:
+        polys += [x.den for x in sv.covector]
+        for c, left, right in sv.outer:
+            polys += [c.den, *(x.den for x in left), *(x.den for x in right)]
+    return polys
 
 
 def symbol_of_form(form: FormalTensorPoly, assignment,
@@ -612,12 +616,19 @@ def symbol_of_form(form: FormalTensorPoly, assignment,
     Each slot's tensor is replaced by its symbol matrix and each derivative
     by the slot's covector component (one factor of i per derivative; the
     returned matrix excludes the i's, whose total power is reported).
-    ``rows`` is a plain 4x4 tuple matrix: a single slot-ordered monomial need
-    not be symmetric, only permutation-summed combinations are.  The value
-    is built from the outer-product decomposition.
+    ``rows`` is a plain 4x4 tuple matrix of canonical ``RhoRational``: a
+    single slot-ordered monomial need not be symmetric, only
+    permutation-summed combinations are.  The value is built from the
+    outer-product decomposition, walked on a ``CoprimeBase`` of
+    ``form_denominators`` onto which the slot coefficients are lifted.
     """
-    terms, i_power = symbol_outer_of_form(form, assignment, metric)
-    return matrix_of_outer(terms), i_power
+    slots = dict(assignment)
+    base = CoprimeBase(form_denominators(metric, slots.values()))
+    lifted = {s: SlotValue(v.matrix, v.covector,
+                           tuple((base.lift(c), l, r) for c, l, r in v.outer))
+              for s, v in slots.items()}
+    terms, i_power = symbol_outer_of_form(form, lifted, metric)
+    return base.matrix(terms), i_power
 
 
 def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
@@ -726,23 +737,9 @@ def _plan_of(form: FormalTensorPoly) -> tuple:
         return plan
 
 
-def _lift_of(decomps):
-    """How the walk brings a ``RhoRational`` to the slot coefficients'
-    scalar: onto their ``CoprimeBase``, or unchanged."""
-    for terms in decomps:
-        if terms:
-            c = terms[0][0]
-            return c.base.lift if isinstance(c, BaseValue) else _same
-    return _same
-
-
-def _same(x):
-    return x
-
-
-def _product(values) -> RhoRational:
-    """Product of a multiset of pairing values (one for the empty one)."""
-    return functools.reduce(operator.mul, values) if values else ONE
+def _product(values):
+    """Product of a nonempty tuple of values."""
+    return functools.reduce(operator.mul, values)
 
 
 def entry_order_bound(form: FormalTensorPoly, slot_info,

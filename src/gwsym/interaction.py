@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
-from .forms import (SlotValue, build_form_family, entry_order_bound,
-                    matrix_of_outer, merge_outer, symbol_outer_of_form)
+from .forms import (SlotValue, ZERO_MAT, build_form_family,
+                    entry_order_bound, form_denominators, matrix_of_outer,
+                    merge_outer, symbol_outer_of_form)
 from .nullcone import NullConfig
 from .tensor import CoVec4, Sym2T, norm_sq, rank_one
 
@@ -77,9 +78,6 @@ def leaves_of(ast) -> tuple:
 # ---------------------------------------------------------------------------
 # Matrices: plain 4x4 tuples of RhoRational (not necessarily symmetric)
 # ---------------------------------------------------------------------------
-
-ZERO_MAT = tuple((ZERO,) * 4 for _ in range(4))
-
 
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -214,14 +212,10 @@ class Evaluator:
     @cached_property
     def base(self) -> CoprimeBase:
         """The coprime base of every denominator evaluation meets, built
-        at the first evaluation: from the components of the 15 subset
-        covectors, the inverse metric and the outer terms of the leaf
-        symbols, and the numerators and denominators of the subset norms."""
-        polys = [x.den for row in self.metric.inv for x in row]
-        for sv in self.slots.values():
-            for c, left, right in sv.outer:
-                polys += [c.den, *(x.den for x in left),
-                          *(x.den for x in right)]
+        at the first evaluation: the ``form_denominators`` of the leaf
+        symbols, those of the components of the 15 subset covectors, and
+        the numerators and denominators of the subset norms."""
+        polys = form_denominators(self.metric, self.slots.values())
         for bits in range(1, 16):
             waves = [i for i in range(1, 5) if bits >> (i - 1) & 1]
             polys += [x.den for x in self._covector(waves)]
@@ -334,11 +328,13 @@ _EVALUATORS = {}
 
 
 def shared_evaluator(config: NullConfig) -> Evaluator:
-    """Process-wide evaluator cache (terms are shared across analyses)."""
+    """Process-wide evaluator of ``config`` (terms are shared across
+    analyses).  Only the last configuration's evaluator is held: a new
+    configuration drops the one before it."""
     ev = _EVALUATORS.get(config)
     if ev is None:
-        ev = Evaluator(config)
-        _EVALUATORS[config] = ev
+        _EVALUATORS.clear()
+        ev = _EVALUATORS[config] = Evaluator(config)
     return ev
 
 

@@ -1,5 +1,6 @@
-"""No dead helpers: every public top-level routine of the package is named
-somewhere in the package or the benchmark besides its own definition."""
+"""No dead helpers: every top-level routine of the package, public or
+private, is named somewhere in the package or the benchmark besides its own
+definition."""
 import ast
 from pathlib import Path
 
@@ -11,10 +12,10 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {"sandwich", "double_sandwich", "predict_entry_order"}
 
 
-def _definitions(tree):
+def _definitions(tree, private):
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and node.name.startswith("_") == private]
 
 
 def _references(tree):
@@ -33,12 +34,19 @@ def _references(tree):
     return names
 
 
-def unused_public_names():
+def unused_names(private=False):
+    """Public (or, with ``private``, underscore) top-level routines of the
+    package that nothing in the package or the benchmark names."""
     trees = {path: ast.parse(path.read_text()) for path in PACKAGE + BENCH}
     used = set().union(*(_references(t) for t in trees.values()))
     return sorted(name for path in PACKAGE
-                  for name in _definitions(trees[path]) if name not in used)
+                  for name in _definitions(trees[path], private)
+                  if name not in used)
 
 
 def test_every_public_routine_is_used():
-    assert [n for n in unused_public_names() if n not in ALLOWED] == []
+    assert [n for n in unused_names() if n not in ALLOWED] == []
+
+
+def test_every_private_routine_is_used():
+    assert unused_names(private=True) == []

@@ -6,20 +6,59 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathlib import Path
+
 from gwsym import interaction
-from gwsym.exact import RhoRational, ZERO, parse_rho_rational
-from gwsym.forms import (FREE_PAIR, Factor, FormalTensorPoly, FormError,
-                         Monomial, SlotValue, build_form_family,
-                         explicit_hhat2, matrix_of_outer, merge_outer,
-                         reduced_ricci_expansion, symbol_of_form,
+from gwsym.exact import CoprimeBase, RhoRational, ZERO, parse_rho_rational
+from gwsym.forms import (FREE_PAIR, ZERO_MAT, Factor, FormalTensorPoly,
+                         FormError, Monomial, SlotValue, build_form_family,
+                         explicit_hhat2, form_denominators, matrix_of_outer,
+                         merge_outer, reduced_ricci_expansion, symbol_of_form,
                          symbol_of_form_by_assignment, symbol_outer_of_form)
-from gwsym.nullcone import standard_config
+from gwsym.nullcone import NullConfig, standard_config
+from gwsym.scenario import load_scenario
 from gwsym.tensor import (MINKOWSKI, CoVec4, Metric4, Sym2T, pairing,
                           rank_one, sym_outer)
 
 
+DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
+
+
 def rr(text):
     return parse_rho_rational(text)
+
+
+def on_base(assignment, metric=MINKOWSKI):
+    """(base, slots): the slots of ``assignment`` lifted onto a base of
+    their ``form_denominators``, as ``symbol_of_form`` lifts them."""
+    base = CoprimeBase(form_denominators(metric, assignment.values()))
+    return base, {s: SlotValue(v.matrix, v.covector,
+                               tuple((base.lift(c), l, r)
+                                     for c, l, r in v.outer))
+                  for s, v in assignment.items()}
+
+
+def by_pair(terms, base):
+    """Walk terms as (left, right) -> canonical coefficient; each pair
+    comes once, with a nonzero coefficient."""
+    got = {(l, r): base.rational(c) for c, l, r in terms}
+    assert len(got) == len(terms)
+    assert not any(c.is_zero() for c in got.values())
+    return got
+
+
+def walk_matches_flat_product(form, assignment):
+    base, lifted = on_base(assignment)
+    terms, _ = symbol_outer_of_form(form, lifted)
+    flat = {(l, r): c for c, l, r in flat_outer_of_form(form, assignment)}
+    return by_pair(terms, base) == flat
+
+
+def rational_matrix(terms):
+    """The 4x4 matrix of outer-product terms with ``RhoRational``
+    coefficients, summed entry by entry."""
+    return tuple(tuple(sum((c * l[i] * r[j] for c, l, r in terms), ZERO)
+                       for j in range(4)) for i in range(4))
 
 
 class TestReducedExpansion:
@@ -72,8 +111,7 @@ class TestSymbolEvaluation:
             assert a == b and ia == ib == 2
 
     def test_entry_basis_dual_paths_agree(self, config):
-        # slots without a decomposition get an entry basis, built once per
-        # SlotValue; pairings are keyed by the value of their two vectors
+        # slots without a decomposition get the shared entry basis; pairings are keyed by the value of their two vectors
         # and live as long as the dict the caller passes (an Evaluator
         # keeps its dict for its lifetime, here each call makes its own)
         fam = build_form_family()
@@ -184,12 +222,38 @@ class TestSymbolEvaluation:
         b, _ = symbol_of_form(fam[("Hhat", 2)], without)
         assert a == b
 
+    def test_entry_basis_is_shared(self, config):
+        # two slots built without a decomposition hold the same four basis
+        # covectors, so pairing and output-pair lookups meet one object
+        full = tuple((RhoRational.const(1),) * 4 for _ in range(4))
+        a = SlotValue(full, config.zeta(1))
+        b = SlotValue(full, config.zeta(2))
+        basis = {}
+        for _, left, right in a.outer + b.outer:
+            for v in (left, right):
+                assert basis.setdefault(v, v) is v
+        assert len(basis) == 4
+
     def test_outer_matrix_consistency(self, config):
         fam = build_form_family()
         assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
-        terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], assignment)
+        _, lifted = on_base(assignment)
+        terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], lifted)
         rows, _ = symbol_of_form(fam[("Hhat", 2)], assignment)
         assert matrix_of_outer(terms) == rows
+        assert matrix_of_outer(()) == ZERO_MAT
+
+    def test_slots_off_a_base_rejected(self, config):
+        # the walk runs on one CoprimeBase: RhoRational slots, or slots on
+        # two bases, name the entry point that lifts them
+        form = build_form_family()[("Hhat", 2)]
+        rational = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
+        _, one = on_base(rational)
+        _, other = on_base(rational)
+        for slots in (rational, {1: rational[1], 2: one[2]},
+                      {1: one[1], 2: other[2]}):
+            with pytest.raises(TypeError, match="symbol_of_form"):
+                symbol_outer_of_form(form, slots)
 
 
 class TestReferenceRoute:
@@ -266,6 +330,27 @@ class TestReferenceRoute:
         assert symbol_of_form_by_assignment(form, lying) == want
         assert symbol_of_form(form, honest) == want
         assert symbol_of_form(form, lying) != want
+
+    @pytest.mark.parametrize("case", ["dense", "scaled-metric"])
+    def test_non_monomial_denominators(self, config, case):
+        # the base symbol_of_form builds covers every denominator the walk
+        # meets: those of the dense scenario's covectors, or of the inverse
+        # of (rho^2 + 1) * Minkowski
+        if case == "dense":
+            cfg = load_scenario(DENSE_SCENARIO).config
+        else:
+            cfg = NullConfig(config.zetas, MINKOWSKI.scale_conformal(
+                rr("rho^2 + 1")))
+        for key, form in sorted(build_form_family().items()):
+            for assignment in (
+                    {s: SlotValue.wave(cfg.zeta(s))
+                     for s in range(1, form.arity + 1)},
+                    {s: SlotValue(rank_one(cfg.zeta(s)), cfg.zeta(s))
+                     for s in range(1, form.arity + 1)}):
+                want = symbol_of_form_by_assignment(form, assignment,
+                                                    cfg.metric)
+                assert symbol_of_form(form, assignment, cfg.metric) == want
+                assert any(not x.is_zero() for r in want[0] for x in r)
 
     def test_entries_are_exact(self, config):
         # on sparse entry-basis slots most entries vanish; those are exact
@@ -348,7 +433,7 @@ def shared_slot_value(outer, covector):
     index into the pool."""
     terms = tuple((_POOL_COEFFS[c], _POOL[left], _POOL[right])
                   for left, right, c in outer)
-    return SlotValue(matrix_of_outer(terms), _POOL[covector], outer=terms)
+    return SlotValue(rational_matrix(terms), _POOL[covector], outer=terms)
 
 
 shared_slot = st.tuples(
@@ -381,8 +466,7 @@ class TestDepthFirstContraction:
             assignment[s] = SlotValue(Sym2T(rows), config.zeta(wave))
         family = sorted(build_form_family().items())
         for key, form in family:
-            terms, _ = symbol_outer_of_form(form, assignment)
-            assert terms == flat_outer_of_form(form, assignment), key
+            assert walk_matches_flat_product(form, assignment), key
         for key, form in family:
             assert (symbol_of_form(form, assignment)
                     == symbol_of_form_by_assignment(form, assignment)), key
@@ -403,8 +487,7 @@ class TestDepthFirstContraction:
             assignment[s] = SlotValue(Sym2T(rows), config.zeta(wave))
         for k in (2, 3, 4):
             form = interaction._form_of((interaction._SUMMED, k))
-            terms, _ = symbol_outer_of_form(form, assignment)
-            assert terms == flat_outer_of_form(form, assignment), k
+            assert walk_matches_flat_product(form, assignment), k
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(shared_slot, min_size=4, max_size=4))
@@ -414,8 +497,7 @@ class TestDepthFirstContraction:
         assignment = {s: shared_slot_value(*slot)
                       for s, slot in enumerate(slots, start=1)}
         for key, form in family_and_summed_forms():
-            terms, _ = symbol_outer_of_form(form, assignment)
-            assert terms == flat_outer_of_form(form, assignment), key
+            assert walk_matches_flat_product(form, assignment), key
 
     def test_leaf_groups_merge_monomials(self):
         # the same two outer terms and covector in every slot: some leaf
@@ -428,6 +510,5 @@ class TestDepthFirstContraction:
             for values, coeffs in flat_leaf_groups(form, assignment):
                 covered |= (len(set(coeffs)) > 1
                             and max(values.values()) > 1)
-            terms, _ = symbol_outer_of_form(form, assignment)
-            assert terms == flat_outer_of_form(form, assignment), key
+            assert walk_matches_flat_product(form, assignment), key
         assert covered

@@ -1,4 +1,6 @@
 """Interaction term trees: enumeration, exact evaluation, families, totals."""
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -517,6 +519,21 @@ class TestEvaluationProperties:
         base = Evaluator(config).eval(ast)
         got = Evaluator(config, leaf_symbols=scaled).eval(ast)
         assert got.matrix == mat_scale(base.matrix, c)
+
+    def test_shared_evaluator_holds_one_configuration(self, config,
+                                                      monkeypatch):
+        # a new configuration drops the evaluator of the one before it
+        monkeypatch.setattr(interaction, "_EVALUATORS", {})
+        swapped = NullConfig((config.zeta(2), config.zeta(1),
+                              config.zeta(3), config.zeta(4)))
+        first = shared_evaluator(config)
+        assert shared_evaluator(config) is first
+        held = weakref.ref(first)
+        del first
+        second = shared_evaluator(swapped)
+        gc.collect()
+        assert held() is None
+        assert shared_evaluator(swapped) is second
 
     def test_leaf_symbol_at_another_covector_rejected(self, config):
         moved = {2: SlotValue.wave(config.zeta(1))}
