@@ -29,8 +29,8 @@ from .interaction import (classify_rho40_terms,
                           nested_chain, total_symbol, _coefficient_of)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
-from .oracle import (JetContext, _float_of, _walk, cancellation_scale,
-                     interaction_total_jet, max_rel_diff)
+from .oracle import (JetContext, _float_at, _walk, cancellation_scale,
+                     exact_total_jet, interaction_total_jet, max_rel_diff)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -369,15 +369,12 @@ def _total_dual_path(cfg, matrix, rho):
     """Check an enumerated total against both jets at one rho.
 
     Returns ``(exact_agrees, float_err, scale)``: whether the exact jet
-    equals the matrix entry by entry (real parts equal, imaginary parts
-    zero), and the float jet's largest relative difference measured against
-    the cancelled-term scale ``scale``.
+    over Q(rho), evaluated at rho, equals the matrix there entry by entry,
+    and the float jet's largest relative difference measured against the
+    cancelled-term scale ``scale``.
     """
     exact_at = mat_eval_at(matrix, rho)
-    jet = interaction_total_jet(cfg, rho, exact=True)
-    exact_agrees = all(jet[i][j].im == 0
-                       and Fraction(exact_at[i][j]) == jet[i][j].re
-                       for i in range(4) for j in range(4))
+    exact_agrees = mat_eval_at(exact_total_jet(cfg), rho) == exact_at
     scale = cancellation_scale(cfg, rho)
     float_err = max_rel_diff(exact_at, interaction_total_jet(cfg, rho),
                              floor=scale)
@@ -483,7 +480,7 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     s = report.section("floating-point oracle")
     res = eval_I_cancellation(cfg)
     for rho_v in values:
-        ctx = JetContext(cfg, rho_v, _float_of)
+        ctx = JetContext(cfg, _float_at(rho_v))
         for key, value in sorted(res["terms"].items(),
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]

@@ -644,12 +644,7 @@ class CoprimeBase:
     def inverse(self, x) -> "BaseValue":
         """1/x for an ``x`` whose numerator is a constant times a product
         of elements, such as a subset norm."""
-        v = self.lift(x)
-        if v.num.degree != 0:
-            raise ArithmeticError(
-                f"numerator {format_poly(v.num)} is not on the base")
-        return BaseValue(RhoPoly.const(1 / v.num.lc),
-                         tuple(-e for e in v.exps), self)
+        return self.one / self.lift(x)
 
     def rational(self, v: "BaseValue") -> RhoRational:
         """The canonical ``RhoRational`` of ``v``: its numerator and
@@ -698,9 +693,11 @@ class BaseValue:
     """``num`` times the product of ``base.elements[i] ** exps[i]``.
 
     Not reduced: equal values can differ in representation, so ``==`` is
-    structural and serves only as a cache key.  Operands of ``+`` and ``*``
-    share one base, except that an int or Fraction factor scales the
-    numerator; a ``RhoRational`` comes onto the base by ``lift`` only.
+    structural and serves only as a cache key; truth is nonzero value.
+    Operands of ``+``, ``-``, ``*`` and ``/`` share one base, except that an
+    int or Fraction factor scales the numerator; a ``RhoRational`` comes
+    onto the base by ``lift`` only.  A divisor's numerator must be a
+    constant, as ``CoprimeBase.inverse`` requires.
     """
 
     __slots__ = ("num", "exps", "base", "_hash")
@@ -713,6 +710,9 @@ class BaseValue:
 
     def is_zero(self) -> bool:
         return not self.num._c
+
+    def __bool__(self):
+        return bool(self.num._c)
 
     def __add__(self, other):
         b = other.num
@@ -736,7 +736,12 @@ class BaseValue:
         return BaseValue(num, ea, self.base)
 
     def __neg__(self):
+        if not self.num._c:
+            return self
         return BaseValue(-self.num, self.exps, self.base)
+
+    def __sub__(self, other):
+        return self + -other
 
     def __mul__(self, other):
         if (other.__class__ is not BaseValue
@@ -748,6 +753,21 @@ class BaseValue:
         if not a._c or not b._c:
             return self.base.zero
         return BaseValue(a * b, tuple(map(int.__add__, self.exps, other.exps)),
+                         self.base)
+
+    def __truediv__(self, other):
+        """The quotient by an ``other`` whose numerator is a constant, the
+        only divisors whose inverse stays on the base."""
+        d = other.num
+        if not d._c:
+            raise ZeroDivisionError("division by zero on the base")
+        if d.degree != 0:
+            raise ArithmeticError(
+                f"numerator {format_poly(d)} is not on the base")
+        if not self.num._c:
+            return self
+        return BaseValue(self.num.scale(1 / d.lc),
+                         tuple(map(int.__sub__, self.exps, other.exps)),
                          self.base)
 
     def __eq__(self, other):

@@ -66,15 +66,6 @@ class CharacteristicDenominatorError(ArithmeticError):
             f"covector sum over waves {self.waves} is characteristic")
 
 
-def leaves_of(ast) -> tuple:
-    if isinstance(ast, Leaf):
-        return (ast.wave,)
-    if isinstance(ast, QNode):
-        return leaves_of(ast.child)
-    return tuple(itertools.chain.from_iterable(
-        leaves_of(c) for c in ast.children))
-
-
 # ---------------------------------------------------------------------------
 # Matrices: plain 4x4 tuples of RhoRational (not necessarily symmetric)
 # ---------------------------------------------------------------------------

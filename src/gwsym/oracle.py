@@ -1,13 +1,15 @@
 """Independent verification paths for the interaction symbols.
 
 Two routes that never touch the exact form engine.  Both read the
-configuration at a concrete rho through one ``JetContext``: its own inverse
-metric, and covector sums and squared norms computed exactly, then converted
-to exact Gaussian rationals (integer triples (a + b i) / d, reduced by one
-gcd per operation) or complex floating point; imaginary parts stay zero.
-Every term carries two derivatives, so its symbol over i xi is minus its
-value over the real covector xi, on which both routes run: the jet adds
-the causal inverse of N(u), and the walk negates each coefficient node.
+configuration through one ``JetContext``: its own inverse metric, and
+covector sums, squared norms and wave amplitudes computed exactly over
+Q(rho), each converted once.  The exact route lifts them onto a coprime
+base of their own (``CoprimeBase.lift``) and stays over Q(rho); the float
+route evaluates them at a concrete rho as complex floating point, with
+imaginary parts zero.  Every term carries two derivatives, so its symbol
+over i xi is minus its value over the real covector xi, on which both
+routes run: the jet adds the causal inverse of N(u), and the walk negates
+each coefficient node.
 
 * A truncated multilinear "jet" expansion over the sixteen wave subsets.
   Fields are plain dicts from subsets (frozensets) to 4x4 matrices.  Every
@@ -20,7 +22,8 @@ the causal inverse of N(u), and the walk negates each coefficient node.
   iteration is graded by subset size: a component on k waves reads only
   components on fewer waves, so two passes fix the two- and three-wave
   components, and the last evaluation computes the four-wave component
-  alone.
+  alone.  ``exact_total_jet`` runs it once per configuration over Q(rho);
+  ``interaction_total_jet`` runs it in floating point at one rho.
 
 * A walk over one term tree (``_walk``) on the same scalars.  A P_k node
   is the jet's quasilinear part on single components, with the chain of its
@@ -32,13 +35,16 @@ contraction, so a fault in a shared contraction fails both comparisons.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd, inf
+from math import inf
 from sys import float_info
 
 import numpy as np
 
+from .exact import ONE, ZERO, CoprimeBase, RhoRational
 from .interaction import Leaf, QNode, nested_chain
 from .nullcone import NullConfig
 
@@ -48,103 +54,6 @@ FULL = frozenset({1, 2, 3, 4})
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------
-
-class GaussianRational:
-    """Exact complex rational (a + b i) / d over the integers.
-
-    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so zero is
-    (0, 0, 1) and equal values have equal triples.  Every ring operation is
-    plain integer arithmetic plus at most one three-way gcd.
-    """
-
-    __slots__ = ("_a", "_b", "_d")
-
-    def __init__(self, re, im):
-        re, im = Fraction(re), Fraction(im)
-        p, q = re.denominator, im.denominator
-        d = p * q // gcd(p, q)
-        # d is the lcm of two reduced denominators, so the triple is reduced
-        self._a = re.numerator * (d // p)
-        self._b = im.numerator * (d // q)
-        self._d = d
-
-    @staticmethod
-    def _of(a: int, b: int, d: int) -> "GaussianRational":
-        """Trusted constructor: the caller guarantees a canonical triple."""
-        g = object.__new__(GaussianRational)
-        g._a = a
-        g._b = b
-        g._d = d
-        return g
-
-    @staticmethod
-    def _reduced(a: int, b: int, d: int) -> "GaussianRational":
-        """Canonical triple from integers with d > 0."""
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-        return GaussianRational._of(a, b, d)
-
-    @staticmethod
-    def of(x) -> "GaussianRational":
-        if type(x) is int:
-            return GaussianRational._of(x, 0, 1)
-        x = Fraction(x)
-        return GaussianRational._of(x.numerator, 0, x.denominator)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
-
-    def __add__(self, o):
-        d1, d2 = self._d, o._d
-        if d1 == d2:
-            return GaussianRational._reduced(self._a + o._a, self._b + o._b, d1)
-        return GaussianRational._reduced(self._a * d2 + o._a * d1,
-                                         self._b * d2 + o._b * d1, d1 * d2)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __neg__(self):
-        return GaussianRational._of(-self._a, -self._b, self._d)
-
-    def __mul__(self, o):
-        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
-        return GaussianRational._reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                                         self._d * o._d)
-
-    def __truediv__(self, o):
-        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
-        n = a2 * a2 + b2 * b2
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
-        d2 = o._d
-        return GaussianRational._reduced((a1 * a2 + b1 * b2) * d2,
-                                         (b1 * a2 - a1 * b2) * d2,
-                                         self._d * n)
-
-    def __eq__(self, o):
-        if o.__class__ is not GaussianRational:
-            return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
-
-    def __hash__(self):
-        return hash((self._a, self._b, self._d))
-
-    def __bool__(self):
-        return bool(self._a or self._b)
-
-    def __repr__(self):
-        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
-
 
 def _real(x):
     """``float(x)``, or an ``np.longdouble`` where a float would overflow
@@ -170,59 +79,96 @@ def _real(x):
     return np.ldexp(np.longdouble(n >> sn) / np.longdouble(d >> sd), sn - sd)
 
 
-def _float_of(x):
-    return np.clongdouble(_real(x))
+def _float_at(rho):
+    """The float route's conversion: an exact value evaluated at ``rho``,
+    as a complex float, once per distinct value."""
+    rho = Fraction(rho)
+    return functools.cache(lambda x: np.clongdouble(_real(x.eval_at(rho))))
 
 
 # ---------------------------------------------------------------------------
-# Configuration data at a concrete rho
+# Configuration data
 # ---------------------------------------------------------------------------
+
+_HALF = RhoRational.const(Fraction(1, 2))
+_TWO = RhoRational.const(2)
+
+
+def _frozen(leaf_symbols) -> tuple:
+    """Wave symbol overrides as a key: (wave, rows) pairs, rows as tuples."""
+    return tuple((i, tuple(map(tuple, m)))
+                 for i, m in sorted((leaf_symbols or {}).items()))
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_inputs(config: NullConfig, overrides: tuple):
+    """(hinv, xi, norm, amplitudes) of a ``JetContext``, over Q(rho), for
+    the last configuration and ``_frozen`` overrides only."""
+    zetas = {i: tuple(config.zeta(i)) for i in range(1, 5)}
+    hinv = config.metric.inv
+    entries = [(a, b, g) for a, row in enumerate(hinv)
+               for b, g in enumerate(row) if not g.is_zero()]
+    xi = {}
+    norm = {}
+    for bits in range(1, 16):
+        s = frozenset(i for i in range(1, 5) if bits & (1 << (i - 1)))
+        v = xi[s] = tuple(sum((zetas[i][a] for i in s), ZERO)
+                          for a in range(4))
+        norm[s] = sum((g * v[a] * v[b] for a, b, g in entries), ZERO)
+    overrides = dict(overrides)
+    amplitudes = {}
+    for i in range(1, 5):
+        if i in overrides:
+            m = overrides[i]
+            amplitudes[i] = [
+                [m[a][b] if isinstance(m[a][b], RhoRational)
+                 else RhoRational.const(Fraction(m[a][b])) for b in range(4)]
+                for a in range(4)]
+        else:
+            z = zetas[i]
+            amplitudes[i] = [[z[a] * z[b] for b in range(4)]
+                             for a in range(4)]
+    return hinv, xi, norm, amplitudes
+
+
+def _jet_base(config: NullConfig, leaf_symbols=None) -> CoprimeBase:
+    """The exact route's coprime base, refined from the denominators of
+    the exact inputs of ``JetContext(config, ...)`` and the numerators of
+    the subset norms: every input lifts onto it, and every causal inverse
+    stays on it."""
+    hinv, xi, norm, amplitudes = _exact_inputs(config, _frozen(leaf_symbols))
+    values = [x for rows in (hinv, *amplitudes.values())
+              for row in rows for x in row]
+    values += [x for v in xi.values() for x in v] + list(norm.values())
+    return CoprimeBase([x.den for x in values]
+                       + [n.num for n in norm.values()])
+
 
 class JetContext:
-    """A configuration at fixed rho, as both oracles read it.
+    """A configuration as both oracles read it.
 
-    ``of`` turns a rational into a jet scalar (``GaussianRational.of`` or a
-    complex float), applied once to exact values: ``hinv`` is the
-    configuration's inverse metric, ``xi[s]`` the covector sum of subset s
-    and ``norm[s]`` its squared norm.  ``leaf_symbols`` may
-    override the default rank-one wave amplitudes with exact 4x4 matrices
-    of rationals (or anything Fraction-convertible).
+    Every input is computed exactly over Q(rho) and turned into a jet
+    scalar once by ``of``: ``hinv`` is the configuration's inverse metric,
+    ``xi[s]`` the covector sum of subset s, ``norm[s]`` its squared norm
+    (the sum over the nonzero g^{ab} of g xi_a xi_b) and ``amplitudes[i]``
+    the amplitude of wave i.  The exact route passes ``CoprimeBase.lift``
+    (``exact_total_jet``), the float route ``_float_at(rho)``.
+    ``leaf_symbols`` may override the default rank-one wave amplitudes with
+    exact 4x4 matrices of ``RhoRational``s (or anything Fraction-convertible).
     """
 
-    def __init__(self, config: NullConfig, rho, of, leaf_symbols=None):
-        self.of = of
-        self.zero = of(0)
-        self.one = of(1)
-        self.half = of(Fraction(1, 2))
-        self.two = of(2)
-        rho = Fraction(rho)
-        zetas = {}
-        for i in range(1, 5):
-            zetas[i] = tuple(Fraction(c.eval_at(rho)) for c in config.zeta(i))
-        inv = [[x.eval_at(rho) for x in row] for row in config.metric.inv]
-        entries = [(a, b, g) for a, row in enumerate(inv)
-                   for b, g in enumerate(row) if g]
-        self.xi = {}
-        self.norm = {}
-        for bits in range(1, 16):
-            s = frozenset(i for i in range(1, 5) if bits & (1 << (i - 1)))
-            xi = tuple(sum(zetas[i][a] for i in s) for a in range(4))
-            self.xi[s] = tuple(of(x) for x in xi)
-            self.norm[s] = of(sum(g * xi[a] * xi[b] for a, b, g in entries))
-        self.hinv = [[of(g) for g in row] for row in inv]
-        overrides = leaf_symbols or {}
-        self.amplitudes = {}
-        for i in range(1, 5):
-            if i in overrides:
-                m = overrides[i]
-                self.amplitudes[i] = [
-                    [of(Fraction(m[a][b]) if not hasattr(m[a][b], "eval_at")
-                        else m[a][b].eval_at(rho)) for b in range(4)]
-                    for a in range(4)]
-            else:
-                self.amplitudes[i] = [
-                    [of(zetas[i][a] * zetas[i][b]) for b in range(4)]
-                    for a in range(4)]
+    def __init__(self, config: NullConfig, of, leaf_symbols=None):
+        self.zero = of(ZERO)
+        self.one = of(ONE)
+        self.half = of(_HALF)
+        self.two = of(_TWO)
+        hinv, xi, norm, amplitudes = _exact_inputs(config,
+                                                    _frozen(leaf_symbols))
+        self.hinv = [[of(g) for g in row] for row in hinv]
+        self.xi = {s: tuple(of(x) for x in v) for s, v in xi.items()}
+        self.norm = {s: of(n) for s, n in norm.items()}
+        self.amplitudes = {i: [[of(x) for x in row] for row in m]
+                           for i, m in amplitudes.items()}
 
     def zero_mat(self):
         return [[self.zero] * 4 for _ in range(4)]
@@ -416,13 +362,8 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
     return result
 
 
-def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
-                          leaf_symbols=None):
-    """Full four-wave interaction symbol via the jet iteration.
-
-    Returns the 4x4 matrix of the complete interaction sum at the given rho
-    (exact Gaussian rationals or complex floating point, imaginary parts
-    zero), in the same normalization as the exact engine.
+def _total_jet(ctx):
+    """The four-wave component of the jet iteration on ``ctx``.
 
     u = v + (causal inverse of N(u)) on two and three waves, in two passes:
     the first fixes the two-wave components, which read only the waves
@@ -431,8 +372,6 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
     computes only the sizes it fixes, and the last call only the four-wave
     component.
     """
-    of = GaussianRational.of if exact else _float_of
-    ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
     v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
     u = v
     for sizes in ((2,), (2, 3)):
@@ -446,6 +385,45 @@ def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
             _add_into(u, s, [[x / n for x in row] for row in m])
     return (_nonlinearity(ctx, u, sizes=(len(FULL),)).get(FULL)
             or ctx.zero_mat())
+
+
+def exact_total_jet(config: NullConfig, leaf_symbols=None) -> tuple:
+    """Full four-wave interaction symbol over Q(rho) via the jet iteration.
+
+    Returns the 4x4 matrix of canonical ``RhoRational``s, in the same
+    normalization as the exact engine.  The jet runs on the oracle's own
+    base (``_jet_base``), never on the engine's.  Only the last
+    (configuration, overrides) result is held, as ``shared_evaluator``
+    holds only the last evaluator; callers must not modify it.
+    """
+    return _exact_jet(config, _frozen(leaf_symbols))
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_jet(config: NullConfig, overrides: tuple) -> tuple:
+    base = _jet_base(config, dict(overrides))
+    jet = _total_jet(JetContext(config, base.lift, dict(overrides)))
+    return tuple(tuple(base.rational(x) for x in row) for row in jet)
+
+
+#: an entry of ``interaction_total_jet(..., exact=True)``
+_ExactAt = namedtuple("_ExactAt", "re im")
+
+
+def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
+                          leaf_symbols=None):
+    """Full four-wave interaction symbol at ``rho`` via the jet iteration.
+
+    Returns the 4x4 matrix in complex floating point (imaginary parts
+    zero), in the same normalization as the exact engine.  With ``exact``,
+    each entry is ``exact_total_jet`` at rho as an exact ``re`` with a zero
+    ``im``, the form the benchmark harness reads.
+    """
+    if exact:
+        rho = Fraction(rho)
+        return [[_ExactAt(x.eval_at(rho), 0) for x in row]
+                for row in exact_total_jet(config, leaf_symbols)]
+    return _total_jet(JetContext(config, _float_at(rho), leaf_symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +485,7 @@ def cancellation_scale(config: NullConfig, rho):
     one that is not finite raises ``OverflowError`` instead of loosening
     every comparison against it.
     """
-    ctx = JetContext(config, rho, _float_of)
+    ctx = JetContext(config, _float_at(rho))
     scale = 0.0
     for a, b, c in itertools.permutations((1, 2, 3)):
         m = np.array(_walk(ctx, nested_chain(a, b, c))[0])

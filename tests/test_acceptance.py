@@ -31,9 +31,9 @@ from gwsym.interaction import (classify_rho40_terms, enumerate_all,
 from gwsym.nullcone import (FlatPoint, NullConfig, backtrace_sources,
                             base_directions, solve_null_scale,
                             standard_config)
-from gwsym.oracle import (GaussianRational, JetContext, _float_of, _walk,
-                          cancellation_scale, interaction_total_jet,
-                          max_rel_diff)
+from gwsym.oracle import (JetContext, _float_at, _jet_base, _walk,
+                          cancellation_scale, exact_total_jet,
+                          interaction_total_jet, max_rel_diff)
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
                              verified_degree_table)
@@ -223,15 +223,15 @@ def test_criterion_08_items(config):
     rho = Fraction(2)
     inner34 = [t for t in items[6]["members"] if t.perm[0] != 3]
     inner34_at = mat_eval_at(items[6]["subcase_inner34"], rho)
-    fctx = JetContext(config, rho, _float_of)
+    fctx = JetContext(config, _float_at(rho))
     float_sum = sum(t.sign * np.array(_walk(fctx, t.ast)[0]) for t in inner34)
     float_ok = max_rel_diff(inner34_at, float_sum) <= 1e-9
-    ctx = JetContext(config, rho, GaussianRational.of)
-    signed = [(GaussianRational.of(t.sign), _walk(ctx, t.ast)[0])
-              for t in inner34]
+    base = _jet_base(config)
+    ctx = JetContext(config, base.lift)
+    signed = [(t.sign, _walk(ctx, t.ast)[0]) for t in inner34]
     exact_ok = all(
-        sum((c * m[i][j] for c, m in signed), ctx.zero)
-        == GaussianRational.of(inner34_at[i][j])
+        base.rational(sum((m[i][j] * c for c, m in signed), ctx.zero))
+        .eval_at(rho) == inner34_at[i][j]
         for i in range(4) for j in range(4))
     # relative signs: families 5 and 7 oppose family 6 in the A14 direction
     sign_consistent = ok_5 and ok_7 and ok_6_outer3
@@ -274,10 +274,8 @@ def test_criterion_09_total(config):
     dual_ok = True
     for rho in (Fraction(2), Fraction(3)):
         exact_at = mat_eval_at(tot["matrix"], rho)
-        jet = interaction_total_jet(config, rho, exact=True)
-        dual_ok = dual_ok and all(
-            jet[i][j].im == 0 and jet[i][j].re == exact_at[i][j]
-            for i in range(4) for j in range(4))
+        jet_at = mat_eval_at(exact_total_jet(config), rho)
+        dual_ok = dual_ok and jet_at == exact_at
         fl = interaction_total_jet(config, rho)
         err = max_rel_diff(exact_at, fl,
                            floor=cancellation_scale(config, rho))

@@ -1,7 +1,8 @@
 """No dead helpers: every top-level routine of the package, public or
-private, is named somewhere in the package or the benchmark besides its own
+private, is named somewhere in the package or the benchmark outside its own
 definition."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -12,15 +13,9 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {"sandwich", "double_sandwich", "predict_entry_order"}
 
 
-def _definitions(tree, private):
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") == private]
-
-
 def _references(tree):
-    """Every name a module uses: identifiers, attributes, imported names and
-    string constants (which name routines that are looked up by name)."""
+    """Every name a syntax tree uses: identifiers, attributes, imported names
+    and string constants (which name routines that are looked up by name)."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -36,12 +31,17 @@ def _references(tree):
 
 def unused_names(private=False):
     """Public (or, with ``private``, underscore) top-level routines of the
-    package that nothing in the package or the benchmark names."""
-    trees = {path: ast.parse(path.read_text()) for path in PACKAGE + BENCH}
-    used = set().union(*(_references(t) for t in trees.values()))
-    return sorted(name for path in PACKAGE
-                  for name in _definitions(trees[path], private)
-                  if name not in used)
+    package that nothing in the package or the benchmark names outside
+    their own definition, so a routine that only calls itself is unused."""
+    nodes = [(path, node) for path in PACKAGE + BENCH
+             for node in ast.parse(path.read_text()).body]
+    refs = [_references(node) for _, node in nodes]
+    uses = Counter(name for names in refs for name in names)
+    return sorted(node.name for (path, node), names in zip(nodes, refs)
+                  if path in PACKAGE
+                  and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") == private
+                  and uses[node.name] == (node.name in names))
 
 
 def test_every_public_routine_is_used():

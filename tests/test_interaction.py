@@ -13,7 +13,7 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                FormNode, Leaf, QNode, classify_rho40_terms,
                                enumerate_H, enumerate_all,
                                eval_I_cancellation, item_value,
-                               leaves_of, mat_add, mat_max_degree, mat_of,
+                               mat_add, mat_max_degree, mat_of,
                                mat_scale, mat_sub, mat_sum, nested_chain,
                                predict_entry_order, shared_evaluator,
                                summed_terms, total_symbol, _SUMMED,
@@ -63,12 +63,21 @@ def test_enumeration_counts():
     assert len(summed_terms()) == sum(GOLDEN_SHAPE_COUNTS.values())
 
 
+def waves_of(ast) -> tuple:
+    """The waves of the leaves of ``ast``, in preorder."""
+    if isinstance(ast, Leaf):
+        return (ast.wave,)
+    if isinstance(ast, QNode):
+        return waves_of(ast.child)
+    return sum((waves_of(c) for c in ast.children), ())
+
+
 def test_signs_and_leaves():
     signs = {1: -1, 2: 1, 3: 1, 4: -1, 5: -1}
     for k in range(1, 6):
         for term in enumerate_H(k):
             assert term.sign == signs[k]
-            assert sorted(leaves_of(term.ast)) == [1, 2, 3, 4]
+            assert sorted(waves_of(term.ast)) == [1, 2, 3, 4]
 
 
 def _hand_trees(f):
@@ -609,7 +618,7 @@ class TestEvaluationProperties:
         multisets = set()
 
         def collect(ast):
-            multisets.add(tuple(sorted(leaves_of(ast))))
+            multisets.add(tuple(sorted(waves_of(ast))))
             if isinstance(ast, QNode):
                 collect(ast.child)
             elif isinstance(ast, FormNode):

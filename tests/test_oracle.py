@@ -1,133 +1,162 @@
 """Independent verification paths: the jet iteration and float evaluation."""
+import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwsym import cli, oracle
+from gwsym.exact import BaseValue, RhoPoly, RhoRational, format_poly
 from gwsym.forms import SlotValue
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
-                               eval_I_cancellation, mat_eval_at, nested_chain,
-                               total_symbol)
-from gwsym.nullcone import NullConfig, base_directions
-from gwsym.oracle import (FULL, GaussianRational, JetContext,
-                          OracleUnsupported, _add_into, _disjoint, _float_of,
+                               eval_I_cancellation, mat_eval_at, mat_is_zero,
+                               nested_chain, total_symbol)
+from gwsym.nullcone import NullConfig, base_directions, standard_config
+from gwsym.oracle import (FULL, JetContext, OracleUnsupported, _add_into,
+                          _disjoint, _float_at, _jet_base,
                           _nonlinearity, _walk, cancellation_scale,
-                          interaction_total_jet, max_rel_diff)
+                          exact_total_jet, interaction_total_jet,
+                          max_rel_diff)
+from gwsym.scenario import load_scenario
 from gwsym.tensor import MINKOWSKI, Sym2T, rank_one
 
-
-class TestGaussianRational:
-    def test_arithmetic(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        one = GaussianRational.of(1)
-        assert i * i == -one
-        assert (one / i) == -i
-        x = GaussianRational(Fraction(3), Fraction(-2))
-        assert x * (one / x) == one
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational.of(1) / GaussianRational.of(0)
+DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
 
 
-# Reference arithmetic on plain (re, im) pairs of Fractions.
-def ref_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
+def exact_context(config, leaf_symbols=None):
+    """The exact route's ``JetContext``, on the oracle's own base."""
+    return JetContext(config, _jet_base(config, leaf_symbols).lift,
+                      leaf_symbols)
 
 
-def ref_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def exact_walk(ctx, ast):
+    """The walk of ``ast`` on an exact context, as canonical rationals."""
+    got, _ = _walk(ctx, ast)
+    return [[x.base.rational(x) for x in row] for row in got]
 
 
-def ref_div(x, y):
-    n = y[0] * y[0] + y[1] * y[1]
-    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+def same_rationals(a, b):
+    """Equal matrices of canonical rationals: ``num``, ``den`` and hash."""
+    return all(x.num == y.num and x.den == y.den and hash(x) == hash(y)
+               for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
 
 
-parts = st.fractions(min_value=-20, max_value=20, max_denominator=30)
-pairs = st.tuples(parts, parts)
-nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+@functools.cache
+def named_context(name):
+    """The exact route's context on the standard or the dense
+    configuration."""
+    return exact_context(standard_config() if name == "standard"
+                         else load_scenario(DENSE_SCENARIO).config)
 
 
-def gr(p):
-    return GaussianRational(*p)
+@st.composite
+def on_base(draw, base):
+    """A ``RhoRational`` whose denominator is on ``base``: a small integer
+    polynomial times signed powers of the base elements."""
+    x = RhoRational(RhoPoly(draw(st.dictionaries(
+        st.integers(0, 4), st.integers(-5, 5), max_size=3))))
+    for b in base.elements:
+        k = draw(st.integers(-1, 2))
+        for _ in range(abs(k)):
+            x = x * RhoRational(b) if k > 0 else x / RhoRational(b)
+    return x
 
 
-def pair(z):
-    assert type(z.re) is Fraction and type(z.im) is Fraction
-    return (z.re, z.im)
+class TestExactRoute:
+    """The jet's scalars over Q(rho): ``BaseValue``s on the oracle's own
+    base agree with ``RhoRational`` arithmetic."""
+
+    @pytest.mark.parametrize("name", ["standard", "dense"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_rho_rational(self, name, data):
+        ctx = named_context(name)
+        base = ctx.one.base
+        x, y = data.draw(on_base(base)), data.draw(on_base(base))
+        # the norms the causal inverses divide by, on two and three waves
+        s = data.draw(st.sampled_from(sorted(
+            (t for t in ctx.norm if 1 < len(t) < 4), key=sorted)))
+        a, b, n = base.lift(x), base.lift(y), ctx.norm[s]
+        rn = base.rational(n)
+        # a product keeps base factors in its numerator, which a lifted
+        # value has divided out
+        for got, want in ((a, x), (a * b, x * y)):
+            assert base.rational(got - b) == want - y
+            assert base.rational(got / n) == want / rn
+            assert bool(got) == (not want.is_zero())
+        assert not a - a
+
+    @pytest.mark.parametrize("name", ["standard", "dense"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_division_needs_constant_numerator(self, name, data):
+        base = named_context(name).one.base
+        x, y = data.draw(on_base(base)), data.draw(on_base(base))
+        a, d = base.lift(x), base.lift(y)
+        if not d:
+            with pytest.raises(ZeroDivisionError):
+                a / d
+        elif d.num.degree > 0:
+            want = re.escape(f"numerator {format_poly(d.num)} ")
+            with pytest.raises(ArithmeticError, match=want):
+                a / d
+        else:
+            assert base.rational(a / d) == x / y
 
 
-def assert_canonical(z):
-    a, b, d = z._a, z._b, z._d
-    assert d > 0
-    assert gcd(a, b, d) == 1
-    if a == b == 0:
-        assert d == 1
+class TestExactCertificate:
+    """The jet over Q(rho) equals the engine's total as rational functions,
+    which two sample points cannot show."""
 
+    @pytest.mark.parametrize("name", ["standard", "dense", "tt"])
+    def test_equals_engine_total(self, name, evaluator, tt_symbols,
+                                 tt_evaluator):
+        if name == "dense":
+            cfg = load_scenario(DENSE_SCENARIO).config
+            leaf, ev = None, Evaluator(cfg)
+        else:
+            ev = tt_evaluator if name == "tt" else evaluator
+            cfg, leaf = ev.config, (tt_symbols if name == "tt" else None)
+        jet = exact_total_jet(cfg, leaf)
+        total = ev.total()["matrix"]
+        assert same_rationals(jet, total)
+        # mutation: a change that vanishes at both sample points
+        bump = RhoRational(RhoPoly({2: 1, 1: -5, 0: 6}).scale(Fraction(7, 3)))
+        mutated = [list(row) for row in jet]
+        mutated[1][2] = mutated[1][2] + bump
+        for rho in (2, 3):
+            assert mat_eval_at(mutated, rho) == mat_eval_at(total, rho)
+        assert not same_rationals(mutated, total)
 
-class TestGaussianRationalProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(pairs, pairs)
-    def test_ring_operations_match_reference(self, x, y):
-        ops = [(gr(x) + gr(y), ref_add(x, y)),
-               (gr(x) - gr(y), ref_add(x, (-y[0], -y[1]))),
-               (gr(x) * gr(y), ref_mul(x, y)),
-               (-gr(x), (-x[0], -x[1])),
-               (gr(x), x), (GaussianRational.of(x[0]), (x[0], 0))]
-        for got, want in ops:
-            assert pair(got) == want
-            assert_canonical(got)
-            assert bool(got) == (want != (0, 0))
+    def test_built_once_per_configuration(self, monkeypatch, config,
+                                          tt_symbols, capsys):
+        builds = []
+        real = oracle._jet_base
 
-    @settings(max_examples=200, deadline=None)
-    @given(pairs, nonzero_pairs)
-    def test_division_matches_reference(self, x, y):
-        got = gr(x) / gr(y)
-        assert pair(got) == ref_div(x, y)
-        assert_canonical(got)
-        assert got * gr(y) == gr(x)
-
-    @settings(max_examples=100, deadline=None)
-    @given(pairs, pairs, pairs)
-    def test_field_axioms(self, x, y, z):
-        x, y, z = gr(x), gr(y), gr(z)
-        zero, one = GaussianRational.of(0), GaussianRational.of(1)
-        assert x + y == y + x and x * y == y * x
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + zero == x and x * one == x
-        assert x + (-x) == zero
-        if x:
-            assert x * (one / x) == one
-
-    @settings(max_examples=100, deadline=None)
-    @given(pairs, nonzero_pairs, st.integers(1, 50))
-    def test_equal_values_hash_alike(self, x, y, k):
-        direct = gr(x)
-        via_ring = (gr(x) * gr(y)) / gr(y)
-        via_sum = gr(x) + gr(y) - gr(y)
-        scaled = GaussianRational(Fraction(k * x[0].numerator,
-                                           k * x[0].denominator), x[1])
-        for other in (via_ring, via_sum, scaled):
-            assert other == direct
-            assert hash(other) == hash(direct)
-            assert_canonical(other)
-
-    @settings(max_examples=50, deadline=None)
-    @given(pairs)
-    def test_zero_division(self, x):
-        zero = gr(x) - gr(x)
-        assert not zero and (zero._a, zero._b, zero._d) == (0, 0, 1)
-        with pytest.raises(ZeroDivisionError):
-            gr(x) / zero
+        def counted(*args):
+            builds.append(args)
+            return real(*args)
+        monkeypatch.setattr(oracle, "_jet_base", counted)
+        oracle._exact_jet.cache_clear()
+        # the benchmark's two exact jets, with the same overrides
+        for rho in (2, 3):
+            interaction_total_jet(config, rho, exact=True,
+                                  leaf_symbols=tt_symbols)
+        equal_copy = {i: [list(row) for row in m]
+                      for i, m in tt_symbols.items()}
+        exact_total_jet(config, equal_copy)
+        assert len(builds) == 1
+        # the CLI's checks at rho = 2 and 3
+        assert cli.run(["--format", "machine", "verify", "total"]) == 0
+        assert len(builds) == 2
+        capsys.readouterr()
 
 
 # Jet fields for the product property: any subsets of the four waves, the
@@ -158,9 +187,12 @@ class TestJetAlgebra:
         cfg = NullConfig((t1, t2, t3.scale(Fraction(1, 2)), t4),
                          validate=False)
         with pytest.raises(ZeroDivisionError, match=r"waves \[1, 2, 3\]$"):
-            interaction_total_jet(cfg, Fraction(2), exact=exact)
-        ctx = JetContext(cfg, Fraction(2),
-                         GaussianRational.of if exact else _float_of)
+            if exact:
+                exact_total_jet(cfg)
+            else:
+                interaction_total_jet(cfg, Fraction(2))
+        ctx = (exact_context(cfg) if exact
+               else JetContext(cfg, _float_at(Fraction(2))))
         ast = QNode(FormNode(("P", 3), (Leaf(1), Leaf(2), Leaf(3))))
         with pytest.raises(ZeroDivisionError, match=r"waves \[1, 2, 3\]$"):
             _walk(ctx, ast)
@@ -192,9 +224,10 @@ class TestJetAlgebra:
 def three_full_passes(config, rho, exact, leaf_symbols=None):
     """Reference jet: three passes of the full nonlinearity over the real
     covector, each adding its causal inverse, then its four-wave
-    component; returns (matrix, [u after each pass])."""
-    of = GaussianRational.of if exact else _float_of
-    ctx = JetContext(config, rho, of, leaf_symbols=leaf_symbols)
+    component; returns (matrix, [u after each pass]).  The exact route runs
+    over Q(rho); the float route at ``rho``."""
+    ctx = (exact_context(config, leaf_symbols) if exact
+           else JetContext(config, _float_at(rho), leaf_symbols))
     v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
     u, iterates = v, []
     for _ in range(3):
@@ -210,20 +243,15 @@ def three_full_passes(config, rho, exact, leaf_symbols=None):
 
 def float_walk(ast, config, rho):
     """The float walk of ``ast`` on its own float ``JetContext``."""
-    return np.array(_walk(JetContext(config, rho, _float_of), ast)[0])
-
-
-def exact_walk_equals(ctx, ast, want):
-    """The exact walk of ``ast`` is real and equals ``want`` entry for
-    entry."""
-    got, _ = _walk(ctx, ast)
-    return [[(x.re, x.im) for x in row] for row in got] == [
-        [(y, 0) for y in row] for row in want]
+    return np.array(_walk(JetContext(config, _float_at(rho)), ast)[0])
 
 
 def exact_bits(x):
-    """A Gaussian rational, or a complex float by exact value and sign."""
-    if isinstance(x, GaussianRational):
+    """An exact value as a canonical rational, or a complex float by exact
+    value and sign."""
+    if isinstance(x, BaseValue):
+        return x.base.rational(x)
+    if isinstance(x, RhoRational):
         return x
     return tuple((y.as_integer_ratio(), bool(np.signbit(y)))
                  for y in (x.real, x.imag))
@@ -247,7 +275,8 @@ class TestGradedJet:
         # third pass repeats the second
         assert field_bits(iterates[2]) == field_bits(iterates[1])
         assert field_bits(iterates[1]) != field_bits(iterates[0])
-        got = interaction_total_jet(config, rho, exact, leaf_symbols=leaf)
+        got = (exact_total_jet(config, leaf) if exact
+               else interaction_total_jet(config, rho, leaf_symbols=leaf))
         assert ([[exact_bits(x) for x in row] for row in got]
                 == [[exact_bits(x) for x in row] for row in want])
 
@@ -255,24 +284,17 @@ class TestGradedJet:
 class TestExactJet:
     def test_total_matches_enumerated_engine(self, config):
         tot = total_symbol(config)
+        jet = exact_total_jet(config)
         for rho in (Fraction(2), Fraction(3), Fraction(5, 2)):
-            exact_at = mat_eval_at(tot["matrix"], rho)
-            jet = interaction_total_jet(config, rho, exact=True)
-            for i in range(4):
-                for j in range(4):
-                    assert jet[i][j].im == 0
-                    assert jet[i][j].re == exact_at[i][j]
+            assert mat_eval_at(jet, rho) == mat_eval_at(tot["matrix"], rho)
 
     def test_total_vanishes_for_rank_one_polarizations(self, config):
-        jet = interaction_total_jet(config, Fraction(2), exact=True)
-        assert not any(x for row in jet for x in row)
+        assert mat_is_zero(exact_total_jet(config))
 
     def test_transverse_traceless_total_is_nonzero(self, config,
                                                    tt_symbols):
-        jet = interaction_total_jet(config, Fraction(2), exact=True,
-                                    leaf_symbols=tt_symbols)
-        assert any(x for row in jet for x in row)
-        assert all(x.im == 0 for row in jet for x in row)
+        jet = exact_total_jet(config, tt_symbols)
+        assert any(x for row in mat_eval_at(jet, Fraction(2)) for x in row)
 
     def test_gauge_slot_annihilation_pattern(self, config, tt_symbols):
         """The total vanishes iff at least two slots are pure gauge.
@@ -280,7 +302,8 @@ class TestExactJet:
         A pure-gauge polarization is sym(zeta (x) w); the published choice
         (w = zeta/2 in every slot) is the all-gauge corner.  With
         transverse-traceless data elsewhere, one gauge slot leaves the total
-        nonzero, two gauge slots kill it exactly.
+        nonzero, two gauge slots kill it exactly.  The gauge tensors are
+        built from zeta at rho = 2, so the jet is compared there.
         """
         rho = Fraction(2)
 
@@ -291,8 +314,7 @@ class TestExactJet:
                     for a in range(4)]
 
         def nonzero(leaf):
-            mat = interaction_total_jet(config, rho, exact=True,
-                                        leaf_symbols=leaf)
+            mat = mat_eval_at(exact_total_jet(config, leaf), rho)
             return any(x for row in mat for x in row)
 
         assert nonzero(tt_symbols)
@@ -312,13 +334,8 @@ class TestExactJet:
         """Engine with overridden leaf symbols equals the jet iteration."""
         total = tt_evaluator.total()["matrix"]
         rho = Fraction(2)
-        exact_at = mat_eval_at(total, rho)
-        jet = interaction_total_jet(config, rho, exact=True,
-                                    leaf_symbols=tt_symbols)
-        for i in range(4):
-            for j in range(4):
-                assert jet[i][j].im == 0
-                assert jet[i][j].re == exact_at[i][j]
+        jet = exact_total_jet(config, tt_symbols)
+        assert mat_eval_at(jet, rho) == mat_eval_at(total, rho)
 
 
 class TestFloatOracle:
@@ -369,11 +386,12 @@ class TestFloatOracle:
             got = float_walk(term.ast, config, rho)
             err = max_rel_diff(mat_eval_at(value.matrix, rho), got)
             assert err <= 1e-9, (n, term.perm, term.forms)
-        for rho in (Fraction(2), Fraction(5, 2)):
-            ctx = JetContext(config, rho, GaussianRational.of)
-            for n, term, value in members:
-                assert exact_walk_equals(ctx, term.ast,
-                                         mat_eval_at(value.matrix, rho)), (
+        ctx = exact_context(config)
+        for n, term, value in members:
+            got = exact_walk(ctx, term.ast)
+            for rho in (Fraction(2), Fraction(5, 2)):
+                assert (mat_eval_at(got, rho)
+                        == mat_eval_at(value.matrix, rho)), (
                     rho, n, term.perm, term.forms)
 
     def test_float_total_within_cancellation_noise(self, config):
@@ -390,7 +408,7 @@ class TestFloatOracle:
                            tuple(Leaf(i) for i in range(1, k + 1)))
             with pytest.raises(OracleUnsupported):
                 float_walk(ast, config, Fraction(2))
-            ctx = JetContext(config, Fraction(2), GaussianRational.of)
+            ctx = exact_context(config)
             with pytest.raises(OracleUnsupported):
                 _walk(ctx, ast)
 
@@ -406,15 +424,11 @@ class TestConfigurationAtRho:
                 for i in tt_symbols}
         total = mat_eval_at(
             Evaluator(cfg, leaf_symbols=leaf).total()["matrix"], rho)
-        jet = interaction_total_jet(cfg, rho, exact=True,
-                                    leaf_symbols=tt_symbols)
-        assert [[(x.re, x.im) for x in row] for row in jet] == [
-            [(x, 0) for x in row] for row in total]
+        assert mat_eval_at(exact_total_jet(cfg, tt_symbols), rho) == total
         ast = nested_chain(1, 2, 3)
         want = mat_eval_at(Evaluator(cfg).eval(ast).matrix, rho)
         assert max_rel_diff(want, float_walk(ast, cfg, rho)) <= 1e-9
-        assert exact_walk_equals(JetContext(cfg, rho, GaussianRational.of),
-                                 ast, want)
+        assert mat_eval_at(exact_walk(exact_context(cfg), ast), rho) == want
 
 
 class TestBeyondFloatRange:
@@ -422,13 +436,16 @@ class TestBeyondFloatRange:
     rho = 1e7 on; there the float route runs in ``np.longdouble``."""
 
     def test_conversion(self):
+        float_of = _float_at(0)
         # in range: the float's own bits
-        assert _float_of(Fraction(1, 3)) == np.clongdouble(1 / 3)
+        assert (float_of(RhoRational.const(Fraction(1, 3)))
+                == np.clongdouble(1 / 3))
         # above and below the float range, and a quotient in range whose
         # numerator and denominator overflow even an np.longdouble
         for x in (Fraction(10**400 + 1, 3), Fraction(-3, 10**400 + 1),
                   Fraction(10**5000 + 7, 3 * 10**4650 + 1)):
-            got = Fraction(*_float_of(x).real.as_integer_ratio())
+            got = Fraction(
+                *float_of(RhoRational.const(x)).real.as_integer_ratio())
             assert abs(got / x - 1) < Fraction(1, 10**18)
 
     def test_not_a_number_passes_no_bound(self):

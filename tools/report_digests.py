@@ -1,6 +1,6 @@
 """Digest the reports of the behaviour check for refactors.
 
-Runs ten reports through ``python -m gwsym`` with the checkout's ``src``
+Runs eleven reports through ``python -m gwsym`` with the checkout's ``src``
 on ``PYTHONPATH`` and prints one line per report: the exit code, the
 SHA-256 of stdout, and the arguments.  A refactor keeps every line.
 
@@ -26,6 +26,9 @@ REPORTS = [
     ["--format", "machine", "oracle", "--rho", "12"],
     ["--format", "machine", "oracle", "--rho", "1e20"],
     DENSE + ["oracle"],
+    # an exact check at a rho outside the scenario, on a base with a
+    # non-monomial element
+    DENSE + ["oracle", "--rho", "5/2"],
     DENSE + ["verify", "total"],
     DENSE + ["verify", "items"],
     DENSE + ["verify", "all"],
