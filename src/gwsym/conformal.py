@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RhoRational
-from .forms import SlotValue, symbol_of_form
+from .forms import SlotValue, _symbols_of_forms
 from .interaction import form_family, mat_is_zero, mat_scale, mat_sub
 from .nullcone import standard_config
 from .tensor import MINKOWSKI, norm_sq
@@ -32,36 +32,32 @@ def _fit_exponent(base_matrix, scaled_matrix, lam: Fraction) -> int:
     raise NonHomogeneousError("ratio of evaluations is not a pure power")
 
 
-def _weight(evaluate) -> int:
-    """Verified weight of ``evaluate`` (metric -> matrix) under rescaling.
+def _weights(evaluate) -> list:
+    """Verified weight of each matrix of ``evaluate`` (metric -> list of
+    matrices) under rescaling.
 
     Evaluates on the background metric and on its rescaling by lambda^2,
     for two different rational lambda, and fits the exact integer
-    exponent of each; the two fits must agree.
+    exponent of each matrix; the two fits must agree.
     """
     base = evaluate(MINKOWSKI)
-    exponents = set()
-    for lam in (Fraction(2), Fraction(3)):
-        scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
-        exponents.add(_fit_exponent(base, evaluate(scaled_metric), lam))
-    if len(exponents) != 1:
-        raise NonHomogeneousError(f"exponent fit disagrees: {exponents}")
-    return exponents.pop()
-
-
-def form_scaling_degree(form_key) -> int:
-    """Verified weight of one coefficient form on fixed wave slot data."""
-    form = form_family()[form_key]
-    config = standard_config()
-    assignment = {s: SlotValue.wave(config.zeta(s))
-                  for s in range(1, form.arity + 1)}
-    return _weight(lambda metric: symbol_of_form(form, assignment, metric)[0])
+    lams = (Fraction(2), Fraction(3))
+    scaled = [evaluate(MINKOWSKI.scale_conformal(RhoRational.const(lam * lam)))
+              for lam in lams]
+    weights = []
+    for i, matrix in enumerate(base):
+        exponents = {_fit_exponent(matrix, values[i], lam)
+                     for lam, values in zip(lams, scaled)}
+        if len(exponents) != 1:
+            raise NonHomogeneousError(f"exponent fit disagrees: {exponents}")
+        weights.append(exponents.pop())
+    return weights
 
 
 def wave_operator_degree() -> int:
     """Weight of the principal wave-operator coefficient (one inverse metric)."""
     xi = standard_config().subset_sum((1, 2, 3))
-    weight = _weight(lambda metric: ((norm_sq(metric, xi),),))
+    (weight,) = _weights(lambda metric: [((norm_sq(metric, xi),),)])
     if weight != -2:
         raise NonHomogeneousError(
             f"wave operator scaling came out as {weight}")
@@ -105,7 +101,16 @@ def canonical_chain():
 
 
 def verified_degree_table() -> dict:
-    """All six form weights, each verified by exact evaluation."""
-    return {key: form_scaling_degree(key)
-            for key in (("P", 2), ("P", 3), ("P", 4),
-                        ("Hhat", 2), ("Hhat", 3), ("Hhat", 4))}
+    """All six form weights, each verified by exact evaluation on fixed
+    wave slot data.  Per metric, one ``CoprimeBase`` of the denominators of
+    all six forms' slots serves every form walk."""
+    keys = (("P", 2), ("P", 3), ("P", 4), ("Hhat", 2), ("Hhat", 3),
+            ("Hhat", 4))
+    config = standard_config()
+    waves = {s: SlotValue.wave(config.zeta(s)) for s in range(1, 5)}
+    items = []
+    for key in keys:
+        form = form_family()[key]
+        items.append((form, {s: waves[s] for s in range(1, form.arity + 1)}))
+    return dict(zip(keys, _weights(
+        lambda metric: [rows for rows, _ in _symbols_of_forms(items, metric)])))

@@ -14,7 +14,10 @@ the constructors and printing.
 
 Where every denominator is known in advance to be a product of a few
 polynomials, ``CoprimeBase`` carries values as a numerator over exponents
-on their coprime base, and its sums and products need no gcd at all.
+on their coprime base, and its sums and products need no polynomial gcd.
+Such a value is flat: the numerator's ints and one exponent tuple that
+the base holds once for all values with those exponents, so each distinct
+value costs one object and its operations build no ``RhoPoly``.
 """
 from __future__ import annotations
 
@@ -103,8 +106,20 @@ class RhoPoly:
         return Fraction(self._c[max(self._c)], self._d)
 
     def eval_at(self, x: Fraction) -> Fraction:
+        """The value at ``x`` = p/q: Horner's rule over the exponents
+        present, on the ints, for N = sum c_e p^e q^(D - e), then one
+        Fraction N/(d q^D)."""
+        c = self._c
+        if not c:
+            return Fraction(0)
         x = Fraction(x)
-        return sum((c * x ** e for e, c in self.terms.items()), Fraction(0))
+        p, q = x.numerator, x.denominator
+        top = last = max(c)
+        n = 0
+        for e in sorted(c, reverse=True):
+            n = n * p ** (last - e) + c[e] * q ** (top - e)
+            last = e
+        return Fraction(n * p ** last, self._d * q ** top)
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other: "RhoPoly") -> "RhoPoly":
@@ -112,22 +127,7 @@ class RhoPoly:
             return self
         if not self._c:
             return other
-        da, db = self._d, other._d
-        if da == db:
-            c = dict(self._c)
-            mb = 1
-        else:
-            g = gcd(da, db)
-            ma, mb = db // g, da // g
-            c = {e: v * ma for e, v in self._c.items()}
-            da *= ma
-        for e, v in other._c.items():
-            v = v * mb + c.get(e, 0)
-            if v:
-                c[e] = v
-            else:
-                del c[e]
-        return _poly(c, da)
+        return RhoPoly._of(*_plus(self._c, self._d, other._c, other._d))
 
     def __neg__(self) -> "RhoPoly":
         return RhoPoly._of({e: -v for e, v in self._c.items()}, self._d)
@@ -136,25 +136,7 @@ class RhoPoly:
         return self + (-other)
 
     def __mul__(self, other: "RhoPoly") -> "RhoPoly":
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            # shift and scale: a product of nonzero coefficients is nonzero
-            (eb, cb), = b.items()
-            if cb == 1:
-                c = {e + eb: v for e, v in a.items()}
-            else:
-                c = {e + eb: v * cb for e, v in a.items()}
-        else:
-            c = {}
-            get = c.get
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    c[e] = get(e, 0) + c1 * c2
-            c = {e: v for e, v in c.items() if v}
-        return _poly(c, self._d * other._d)
+        return _poly(_times(self._c, other._c), self._d * other._d)
 
     def scale(self, c) -> "RhoPoly":
         c = Fraction(c)
@@ -218,18 +200,64 @@ class RhoPoly:
         return f"RhoPoly({format_poly(self)})"
 
 
+def _reduced(c: dict, d: int) -> tuple:
+    """``(c, d)`` with the common factor of ``d`` > 0 and the values of
+    ``c`` (int exponents >= 0 to nonzero ints) divided out, computed only
+    when ``d != 1``."""
+    if d != 1:
+        g = gcd(d, *c.values())
+        if g != 1:
+            c = {e: v // g for e, v in c.items()}
+            d //= g
+    return c, d
+
+
 def _poly(c: dict, d: int) -> RhoPoly:
     """Trusted constructor for int data that may share a factor.
 
     ``c`` as for ``RhoPoly._of``; ``d`` > 0.  The common factor of ``d``
     and the values of ``c`` is divided out.
     """
-    if d != 1:
-        g = gcd(d, *c.values())
-        if g != 1:
-            c = {e: v // g for e, v in c.items()}
-            d //= g
-    return RhoPoly._of(c, d)
+    return RhoPoly._of(*_reduced(c, d))
+
+
+def _plus(a: dict, da: int, b: dict, db: int) -> tuple:
+    """``a/da + b/db`` for nonzero int polynomials over canonical
+    denominators, as reduced ``(c, d)``."""
+    if da == db:
+        c = dict(a)
+        mb = 1
+    else:
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        c = {e: v * ma for e, v in a.items()}
+        da *= ma
+    for e, v in b.items():
+        v = v * mb + c.get(e, 0)
+        if v:
+            c[e] = v
+        else:
+            del c[e]
+    return _reduced(c, da)
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two int polynomials, not reduced."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # shift and scale: a product of nonzero coefficients is nonzero
+        (eb, cb), = b.items()
+        if cb == 1:
+            return {e + eb: v for e, v in a.items()}
+        return {e + eb: v * cb for e, v in a.items()}
+    c = {}
+    get = c.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c[e] = get(e, 0) + c1 * c2
+    return {e: v for e, v in c.items() if v}
 
 
 def _primitive(c: dict) -> dict:
@@ -572,7 +600,9 @@ class CoprimeBase:
     smaller exponents by multiplying in cached cofactor powers.  Neither
     computes a gcd, so an interior value is not reduced: the numerator may
     keep base factors that a reduced form would cancel.  ``rational``
-    returns the canonical ``RhoRational`` with one gcd.
+    returns the canonical ``RhoRational`` with one gcd.  The base holds
+    each distinct exponent tuple of its values once, so values compare
+    exponents by identity first.
 
     ``lift`` brings a ``RhoRational`` onto the base.  Its denominator must
     divide a product of powers of the elements, as the denominators of the
@@ -583,8 +613,10 @@ class CoprimeBase:
 
     def __init__(self, polys):
         self.elements = factor_refinement(polys)
-        self.zero = BaseValue(_POLY_ZERO, (0,) * len(self.elements), self)
-        self.one = BaseValue(_POLY_ONE, self.zero.exps, self)
+        zeros = (0,) * len(self.elements)
+        self._exps = {zeros: zeros}     # each exponent tuple, held once
+        self.zero = BaseValue({}, 1, zeros, self)
+        self.one = BaseValue({0: 1}, 1, zeros, self)
         self._powers = {}
         self._vectors = {}
         self._lifts = {}
@@ -639,7 +671,10 @@ class CoprimeBase:
         if den.degree > 0:
             raise ArithmeticError(
                 f"denominator {format_poly(den)} is not on the base")
-        return BaseValue(num.scale(1 / den.lc), tuple(exps), self)
+        num = num.scale(1 / den.lc)
+        exps = tuple(exps)
+        return BaseValue(num._c, num._d, self._exps.setdefault(exps, exps),
+                         self)
 
     def inverse(self, x) -> "BaseValue":
         """1/x for an ``x`` whose numerator is a constant times a product
@@ -651,9 +686,9 @@ class CoprimeBase:
         denominator multiplied out and reduced by the canonical
         constructor, one gcd per value however many operations built it.
         """
-        num = v.num
-        if not num._c:
+        if not v.c:
             return ZERO
+        num = v.num
         pos = _positive(v.exps)
         if any(pos):
             num = num * self.power(pos)
@@ -676,12 +711,12 @@ class CoprimeBase:
         for c, left, right in terms:
             right = self._vector(right)
             for i, a in enumerate(self._vector(left)):
-                if not a.num._c:
+                if not a.c:
                     continue
                 ca = c * a
                 row = rows[i]
                 for j, b in enumerate(right):
-                    if not b.num._c:
+                    if not b.c:
                         continue
                     x = ca * b
                     row[j] = x if row[j] is None else row[j] + x
@@ -690,55 +725,69 @@ class CoprimeBase:
 
 
 class BaseValue:
-    """``num`` times the product of ``base.elements[i] ** exps[i]``.
+    """The numerator c/d times the product of ``base.elements[i] **
+    exps[i]``.
 
-    Not reduced: equal values can differ in representation, so ``==`` is
-    structural and serves only as a cache key; truth is nonzero value.
-    Operands of ``+``, ``-``, ``*`` and ``/`` share one base, except that an
-    int or Fraction factor scales the numerator; a ``RhoRational`` comes
-    onto the base by ``lift`` only.  A divisor's numerator must be a
-    constant, as ``CoprimeBase.inverse`` requires.
+    Flat: ``c`` maps exponents to nonzero ints over the positive int ``d``,
+    canonical as ``RhoPoly._c`` over ``RhoPoly._d``, and ``exps`` is the
+    base's one object for its tuple.  Every operation runs on these ints;
+    ``num`` is the numerator as a ``RhoPoly``, built on each access.  Not
+    reduced: equal values can differ in ``exps``, so ``==`` is structural
+    and serves only as a cache key; truth is nonzero value.  Operands of
+    ``+``, ``-``, ``*`` and ``/`` share one base, except that an int or
+    Fraction factor scales the numerator; a ``RhoRational`` comes onto the
+    base by ``lift`` only.  A divisor's numerator must be a constant, as
+    ``CoprimeBase.inverse`` requires.
     """
 
-    __slots__ = ("num", "exps", "base", "_hash")
+    __slots__ = ("c", "d", "exps", "base", "_hash")
 
-    def __init__(self, num: RhoPoly, exps: tuple, base: CoprimeBase):
-        self.num = num
+    def __init__(self, c: dict, d: int, exps: tuple, base: CoprimeBase):
+        self.c = c
+        self.d = d
         self.exps = exps
         self.base = base
         self._hash = None
 
+    @property
+    def num(self) -> RhoPoly:
+        return RhoPoly._of(self.c, self.d)
+
     def is_zero(self) -> bool:
-        return not self.num._c
+        return not self.c
 
     def __bool__(self):
-        return bool(self.num._c)
+        return bool(self.c)
 
     def __add__(self, other):
-        b = other.num
-        if not b._c:
+        b = other.c
+        if not b:
             return self
-        a = self.num
-        if not a._c:
+        a = self.c
+        if not a:
             return other
+        base = self.base
         ea, eb = self.exps, other.exps
-        if ea != eb:
+        if ea is not eb:
             e = tuple(map(min, ea, eb))
-            power = self.base.power
-            if e != ea:
-                a = a * power(tuple(x - y for x, y in zip(ea, e)))
-            if e != eb:
-                b = b * power(tuple(x - y for x, y in zip(eb, e)))
+            e = base._exps.setdefault(e, e)
+            if e is not ea:
+                a = _times(a, base.power(tuple(map(int.__sub__, ea, e)))._c)
+            if e is not eb:
+                b = _times(b, base.power(tuple(map(int.__sub__, eb, e)))._c)
             ea = e
-        num = a + b
-        if not num._c:
-            return self.base.zero
-        return BaseValue(num, ea, self.base)
+        # the cofactor powers are primitive, so a and b stay canonical over
+        # their denominators
+        c, d = _plus(a, self.d, b, other.d)
+        if not c:
+            return base.zero
+        return BaseValue(c, d, ea, base)
 
     def __neg__(self):
-        if not self.num._c:
+        if not self.c:
             return self
-        return BaseValue(-self.num, self.exps, self.base)
+        return BaseValue({e: -v for e, v in self.c.items()}, self.d,
+                         self.exps, self.base)
 
     def __sub__(self, other):
         return self + -other
@@ -748,31 +797,37 @@ class BaseValue:
                 and isinstance(other, (int, Fraction))):
             if not other:
                 return self.base.zero
-            return BaseValue(self.num.scale(other), self.exps, self.base)
-        a, b = self.num, other.num
-        if not a._c or not b._c:
+            n = other.numerator
+            c, d = _reduced({e: v * n for e, v in self.c.items()},
+                            self.d * other.denominator)
+            return BaseValue(c, d, self.exps, self.base)
+        a, b = self.c, other.c
+        if not a or not b:
             return self.base.zero
-        return BaseValue(a * b, tuple(map(int.__add__, self.exps, other.exps)),
-                         self.base)
+        c, d = _reduced(_times(a, b), self.d * other.d)
+        e = tuple(map(int.__add__, self.exps, other.exps))
+        return BaseValue(c, d, self.base._exps.setdefault(e, e), self.base)
 
     def __truediv__(self, other):
         """The quotient by an ``other`` whose numerator is a constant, the
         only divisors whose inverse stays on the base."""
-        d = other.num
-        if not d._c:
+        b = other.c
+        if not b:
             raise ZeroDivisionError("division by zero on the base")
-        if d.degree != 0:
+        if max(b):
             raise ArithmeticError(
-                f"numerator {format_poly(d)} is not on the base")
-        if not self.num._c:
+                f"numerator {format_poly(other.num)} is not on the base")
+        if not self.c:
             return self
-        return BaseValue(self.num.scale(1 / d.lc),
-                         tuple(map(int.__sub__, self.exps, other.exps)),
-                         self.base)
+        # times other.d / b[0], the sign carried by the numerator
+        n, m = (b[0], other.d) if b[0] > 0 else (-b[0], -other.d)
+        c, d = _reduced({e: v * m for e, v in self.c.items()}, self.d * n)
+        e = tuple(map(int.__sub__, self.exps, other.exps))
+        return BaseValue(c, d, self.base._exps.setdefault(e, e), self.base)
 
     def __eq__(self, other):
         return (other.__class__ is BaseValue and self.exps == other.exps
-                and self.num == other.num)
+                and self.d == other.d and self.c == other.c)
 
     def __hash__(self):
         h = self._hash

@@ -622,13 +622,25 @@ def symbol_of_form(form: FormalTensorPoly, assignment,
     outer-product decomposition, walked on a ``CoprimeBase`` of
     ``form_denominators`` onto which the slot coefficients are lifted.
     """
-    slots = dict(assignment)
-    base = CoprimeBase(form_denominators(metric, slots.values()))
-    lifted = {s: SlotValue(v.matrix, v.covector,
-                           tuple((base.lift(c), l, r) for c, l, r in v.outer))
-              for s, v in slots.items()}
-    terms, i_power = symbol_outer_of_form(form, lifted, metric)
-    return base.matrix(terms), i_power
+    return _symbols_of_forms(((form, assignment),), metric)[0]
+
+
+def _symbols_of_forms(items, metric: Metric4) -> list:
+    """``symbol_of_form`` of each (form, assignment) of ``items``, every
+    walk on one ``CoprimeBase`` of the ``form_denominators`` of all their
+    slots."""
+    items = [(form, dict(assignment)) for form, assignment in items]
+    base = CoprimeBase([p for _, slots in items
+                        for p in form_denominators(metric, slots.values())])
+    out = []
+    for form, slots in items:
+        lifted = {s: SlotValue(v.matrix, v.covector,
+                               tuple((base.lift(c), l, r)
+                                     for c, l, r in v.outer))
+                  for s, v in slots.items()}
+        terms, i_power = symbol_outer_of_form(form, lifted, metric)
+        out.append((base.matrix(terms), i_power))
+    return out
 
 
 def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,

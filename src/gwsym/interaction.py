@@ -41,17 +41,17 @@ from .tensor import CoVec4, Sym2T, norm_sq, rank_one
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     wave: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QNode:
     child: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormNode:
     form: tuple  # ('P'|'Hhat', k)
     children: tuple
@@ -356,18 +356,35 @@ _SHAPES = {
 }
 
 
+#: every term tree node built so far, one per distinct subtree, keyed by
+#: the leaf's wave, or by the form (if any) and the ids of the already
+#: shared children, so no lookup hashes a subtree; bounded by the finite
+#: set of trees the shapes give
+_NODES = {}
+
+
+def _shared(key, cls, *fields):
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = cls(*fields)
+    return node
+
+
 def _build(shape, perm: tuple, forms: tuple):
     """The term tree of ``shape`` with leaves ``perm[i]`` and coefficient
-    forms ``forms`` assigned in preorder."""
+    forms ``forms`` assigned in preorder, as shared nodes: equal subtrees
+    of every tree built are one object."""
     forms = iter(forms)
 
     def node(s):
         if isinstance(s, int):
-            return Leaf(perm[s])
+            return _shared(perm[s], Leaf, perm[s])
         if isinstance(s, QNode):
-            return QNode(node(s.child))
+            child = node(s.child)
+            return _shared((id(child),), QNode, child)
         form = next(forms)
-        return FormNode(form, tuple(node(c) for c in s))
+        children = tuple(node(c) for c in s)
+        return _shared((form, *map(id, children)), FormNode, form, children)
     return node(shape)
 
 

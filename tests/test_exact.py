@@ -420,3 +420,15 @@ def test_gcd_matches_fraction_reference(f_terms, g_terms, h_terms):
     a, b = _ref_mul(f, g), _ref_mul(f, _ref_add(h, {1: Fraction(1, 3)}))
     for x, y in ((a, b), (b, a), (a, h), (g, h)):
         _same(_poly_gcd(RhoPoly(x), RhoPoly(y)), _ref_gcd(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_terms, st.one_of(st.integers(-10 ** 6, 10 ** 6), wide_coeffs,
+                            st.fractions(max_denominator=10 ** 9)))
+def test_eval_at_matches_fraction_reference(terms, x):
+    # Horner's rule on the ints gives the value of the Fraction sum
+    p = RhoPoly(terms)
+    got = p.eval_at(x)
+    assert type(got) is Fraction
+    assert got == sum((c * Fraction(x) ** e for e, c in p.terms.items()),
+                      Fraction(0))

@@ -1,5 +1,6 @@
 """Interaction term trees: enumeration, exact evaluation, families, totals."""
 import gc
+import itertools
 import weakref
 from pathlib import Path
 
@@ -438,6 +439,27 @@ def _value(tree, leaf, norm_inverse):
     a = _value(tree[1], leaf, norm_inverse)
     b = _value(tree[2], leaf, norm_inverse)
     return a + b if op == "+" else a * b
+
+
+class TestSharedTrees:
+    def test_equal_subtrees_are_one_object(self, config):
+        # the builders share one node per distinct subtree, across calls
+        roots = [t.ast for t in enumerate_all() + enumerate_all()]
+        roots += [t.ast for t in summed_terms()]
+        for n in range(1, 9):
+            roots += [t.ast for t in item_value(n, config)["members"]]
+        roots += [nested_chain(*p) for p in itertools.permutations((1, 2, 3))]
+        seen = {}
+        todo = list(roots)
+        while todo:
+            node = todo.pop()
+            first = seen.setdefault(node, node)
+            if first is not node:
+                pytest.fail(f"two objects for one subtree: {node!r}")
+            if isinstance(node, QNode):
+                todo.append(node.child)
+            elif isinstance(node, FormNode):
+                todo.extend(node.children)
 
 
 class TestCoprimeBase:

@@ -111,6 +111,47 @@ class TestExactRoute:
             assert base.rational(a / d) == x / y
 
 
+class TestFlatValues:
+    """Base values are ints over one shared exponent tuple: a value built
+    by different operation orders has one representation."""
+
+    @pytest.mark.parametrize("name", ["standard", "dense"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_operation_order_gives_one_representation(self, name, data):
+        ctx = named_context(name)
+        base = ctx.one.base
+        x, y, z = (base.lift(data.draw(on_base(base))) for _ in range(3))
+        n = ctx.norm[data.draw(st.sampled_from(sorted(
+            (t for t in ctx.norm if 1 < len(t) < 4), key=sorted)))]
+        pairs = [((x * y) * z, x * (z * y)),
+                 (x * (y + z), z * x + x * y),
+                 ((x / n) * y, (y * x) / n),
+                 ((x * Fraction(-3, 2)) * y, (y * -3) * x * Fraction(1, 2)),
+                 (x - y, -(y - x))]
+        # a sum that vanishes on the way drops to base.zero's exponents
+        if x + y and z + y:
+            pairs.append(((x + y) + z, x + (z + y)))
+        for a, b in pairs:
+            assert (a.c, a.d, a.exps) == (b.c, b.d, b.exps)
+            assert a.exps is b.exps
+            assert a == b and hash(a) == hash(b)
+            assert base.rational(a) == base.rational(b)
+
+    @pytest.mark.parametrize("name", ["standard", "dense"])
+    def test_division_names_a_numerator_off_the_base(self, name):
+        base = named_context(name).one.base
+        x = base.lift(RhoRational.rho_power(3, 5) + 7)
+        # a sum of two element powers keeps a numerator of positive degree
+        d = base.one + base.lift(RhoRational(base.elements[-1]))
+        assert d.num.degree > 0
+        want = re.escape(f"numerator {format_poly(d.num)} is not on the base")
+        with pytest.raises(ArithmeticError, match=want):
+            x / d
+        with pytest.raises(ZeroDivisionError):
+            x / base.zero
+
+
 class TestExactCertificate:
     """The jet over Q(rho) equals the engine's total as rational functions,
     which two sample points cannot show."""

@@ -2,7 +2,9 @@
 
 Runs eleven reports through ``python -m gwsym`` with the checkout's ``src``
 on ``PYTHONPATH`` and prints one line per report: the exit code, the
-SHA-256 of stdout, and the arguments.  A refactor keeps every line.
+SHA-256 of stdout, and the arguments.  A refactor keeps every line.  Each
+report's peak resident set size (``os.wait4``'s rusage) goes to stderr, so
+stdout stays diffable between checkouts.
 
     python tools/report_digests.py [CHECKOUT]
 
@@ -41,10 +43,18 @@ def main(argv) -> int:
                                        os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
     for args in REPORTS:
-        out = subprocess.run([sys.executable, "-m", "gwsym", *args], cwd=root,
-                             env=env, capture_output=True)
-        digest = hashlib.sha256(out.stdout).hexdigest()
-        print(out.returncode, digest, " ".join(args), flush=True)
+        proc = subprocess.Popen([sys.executable, "-m", "gwsym", *args],
+                                cwd=root, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        with proc.stdout:
+            digest = hashlib.sha256(proc.stdout.read()).hexdigest()
+        # reaped here for its rusage, so Popen must not wait for it again
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        print(proc.returncode, digest, " ".join(args), flush=True)
+        # ru_maxrss is in KiB on Linux
+        print(f"{usage.ru_maxrss / 1024:.2f} MB peak RSS", " ".join(args),
+              file=sys.stderr, flush=True)
     return 0
 
 
