@@ -45,6 +45,35 @@ def _fmt(x: RhoRational) -> str:
     return format_rho_rational(x)
 
 
+#: the longest sample point that report names spell out as ``str(Fraction)``
+RHO_NAME_LIMIT = 40
+
+
+def _rho_name(rho: Fraction) -> str:
+    """A sample point as verdict and value names and claims show it.
+
+    ``str(rho)`` when it has at most ``RHO_NAME_LIMIT`` characters.  A
+    longer one is written with the trailing zeros of its numerator and
+    denominator as a power of ten, ``a/b e k`` (``1e400`` for 10^400), when
+    that fits the limit, and otherwise as the first 16 hex digits of the
+    SHA-256 of ``str(rho)``.  Each form is canonical, so a name stands for
+    one value.
+    """
+    text = str(rho)
+    if len(text) <= RHO_NAME_LIMIT:
+        return text
+    num, den = (str(n) for n in (rho.numerator, rho.denominator))
+    a, b = num.rstrip("0"), den.rstrip("0")
+    exponent = (len(num) - len(a)) - (len(den) - len(b))
+    short = (a if b == "1" else f"{a}/{b}") + f"e{exponent}"
+    if len(short) <= RHO_NAME_LIMIT:
+        return short
+    # imported here only: loading OpenSSL adds about 3.7 MB to the peak
+    # resident memory of every report
+    import hashlib
+    return "sha256-" + hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -405,18 +434,19 @@ def suite_total(report: Report, scenario: Scenario):
 
     for rho in scenario.oracle_rho:
         agree, err, scale = _total_dual_path(cfg, tot["matrix"], rho)
-        s.verdict(f"exact-dual-path-rho-{rho}", agree,
+        name = _rho_name(rho)
+        s.verdict(f"exact-dual-path-rho-{name}", agree,
                   f"enumerated exact total equals the independent exact jet "
-                  f"iteration at rho = {rho} (structural equality)")
+                  f"iteration at rho = {name} (structural equality)")
         # a scale beyond the float range is an np.longdouble, which a format
         # spec would print as inf
-        s.value(f"float-oracle-cancellation-scale-rho-{rho}",
+        s.value(f"float-oracle-cancellation-scale-rho-{name}",
                 np.format_float_scientific(scale, precision=3, unique=False,
                                            exp_digits=2))
-        s.value(f"float-oracle-max-rel-diff-rho-{rho}", f"{err:.3e}")
-        s.verdict(f"float-dual-path-rho-{rho}", err <= 1e-9,
+        s.value(f"float-oracle-max-rel-diff-rho-{name}", f"{err:.3e}")
+        s.verdict(f"float-dual-path-rho-{name}", err <= 1e-9,
                   f"floating-point jet oracle agrees to 1e-9 relative at "
-                  f"rho = {rho} (relative to the cancelled-term scale where "
+                  f"rho = {name} (relative to the cancelled-term scale where "
                   "entries vanish)",
                   detail="the exact dual path above is the decisive check; "
                          "roundoff in the float path is proportional to the "
@@ -481,22 +511,23 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     res = eval_I_cancellation(cfg)
     for rho_v in values:
         ctx = JetContext(cfg, _float_at(rho_v))
+        name = _rho_name(rho_v)
         for key, value in sorted(res["terms"].items(),
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]
             exact_at = mat_eval_at(value.matrix, rho_v)
             err = max_rel_diff(exact_at, _walk(ctx, nested_chain(*key))[0])
-            s.verdict(f"term-{label}-rho-{rho_v}", err <= 1e-9,
-                      f"term ({label}) dual-path agreement at rho = {rho_v} "
+            s.verdict(f"term-{label}-rho-{name}", err <= 1e-9,
+                      f"term ({label}) dual-path agreement at rho = {name} "
                       f"(max rel diff {err:.2e})")
         agree, err, _ = _total_dual_path(cfg, total_symbol(cfg)["matrix"],
                                          rho_v)
-        s.value(f"total-float-max-rel-diff-rho-{rho_v}", f"{err:.3e}")
-        s.verdict(f"total-float-dual-path-rho-{rho_v}", err <= 1e-9,
+        s.value(f"total-float-max-rel-diff-rho-{name}", f"{err:.3e}")
+        s.verdict(f"total-float-dual-path-rho-{name}", err <= 1e-9,
                   f"floating-point jet total agrees with the enumerated "
-                  f"total to 1e-9 relative at rho = {rho_v}")
-        s.verdict(f"total-exact-jet-rho-{rho_v}", agree,
-                  f"exact jet total equals the enumerated total at rho = {rho_v}")
+                  f"total to 1e-9 relative at rho = {name}")
+        s.verdict(f"total-exact-jet-rho-{name}", agree,
+                  f"exact jet total equals the enumerated total at rho = {name}")
     return report
 
 

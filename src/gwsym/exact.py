@@ -600,9 +600,13 @@ class CoprimeBase:
     smaller exponents by multiplying in cached cofactor powers.  Neither
     computes a gcd, so an interior value is not reduced: the numerator may
     keep base factors that a reduced form would cancel.  ``rational``
-    returns the canonical ``RhoRational`` with one gcd.  The base holds
-    each distinct exponent tuple of its values once, so values compare
-    exponents by identity first.
+    returns the canonical ``RhoRational`` with one gcd, memoized per
+    distinct value, so equal values convert once, to one object.  The base
+    holds each distinct exponent tuple of its values once, so values
+    compare exponents by identity first, and ``shared`` gives a holder of
+    many values (an ``Evaluator``'s node values) one object per distinct
+    value.  That table and the conversion memo live as long as the base,
+    so an evaluator's die with it.
 
     ``lift`` brings a ``RhoRational`` onto the base.  Its denominator must
     divide a product of powers of the elements, as the denominators of the
@@ -620,6 +624,8 @@ class CoprimeBase:
         self._powers = {}
         self._vectors = {}
         self._lifts = {}
+        self._values = {}       # each distinct value, held once
+        self._rationals = {}    # value -> its canonical RhoRational
 
     def power(self, exps: tuple) -> RhoPoly:
         """The product of the elements to the non-negative ``exps``."""
@@ -681,13 +687,25 @@ class CoprimeBase:
         of elements, such as a subset norm."""
         return self.one / self.lift(x)
 
+    def shared(self, v: "BaseValue") -> "BaseValue":
+        """The base's one object equal to ``v`` (``v`` itself the first
+        time): a holder of many values keeps each distinct one once."""
+        return self._values.setdefault(v, v)
+
     def rational(self, v: "BaseValue") -> RhoRational:
         """The canonical ``RhoRational`` of ``v``: its numerator and
         denominator multiplied out and reduced by the canonical
         constructor, one gcd per value however many operations built it.
+        Memoized: equal values get one object, converted once.
         """
         if not v.c:
             return ZERO
+        r = self._rationals.get(v)
+        if r is None:
+            r = self._rationals[v] = self._rational(v)
+        return r
+
+    def _rational(self, v: "BaseValue") -> RhoRational:
         num = v.num
         pos = _positive(v.exps)
         if any(pos):
@@ -733,7 +751,8 @@ class BaseValue:
     base's one object for its tuple.  Every operation runs on these ints;
     ``num`` is the numerator as a ``RhoPoly``, built on each access.  Not
     reduced: equal values can differ in ``exps``, so ``==`` is structural
-    and serves only as a cache key; truth is nonzero value.  Operands of
+    and serves only as a cache key, and the hash reads the same flat
+    ``(d, c, exps)``; truth is nonzero value.  Operands of
     ``+``, ``-``, ``*`` and ``/`` share one base, except that an int or
     Fraction factor scales the numerator; a ``RhoRational`` comes onto the
     base by ``lift`` only.  A divisor's numerator must be a constant, as
@@ -832,7 +851,8 @@ class BaseValue:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.num, self.exps))
+            h = self._hash = hash((self.d, frozenset(self.c.items()),
+                                   self.exps))
         return h
 
     def __repr__(self):

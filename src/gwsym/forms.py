@@ -143,7 +143,7 @@ class FormalTensorPoly:
     """Canonicalized sum of monomials with free indices (mu, nu) and a fixed
     arity."""
 
-    __slots__ = ("monomials", "arity", "_plan")
+    __slots__ = ("monomials", "arity", "_plan", "_paths")
 
     def __init__(self, monomials, arity=None):
         monomials = tuple(monomials)
@@ -328,9 +328,17 @@ def reduced_ricci_expansion(k: int):
     Returns a dict with the quasilinear part (two derivatives on one slot),
     the two-derivative semilinear part, and the count of discarded
     sub-two-derivative monomials (zero in this constant-background frame).
+    The expansion runs once per k; each call gets a new dict of the same
+    immutable forms.
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
+    return dict(_expansion_parts(k))
+
+
+@functools.cache
+def _expansion_parts(k: int) -> tuple:
+    """The items of ``reduced_ricci_expansion(k)``, computed once."""
     monos = _expansion_monomials(k)
     quasi, semi, discarded = [], [], 0
     for m in monos:
@@ -342,11 +350,9 @@ def reduced_ricci_expansion(k: int):
             quasi.append(m)
         else:
             semi.append(m)
-    return {
-        "quasilinear": FormalTensorPoly(quasi, arity=k) if quasi else None,
-        "semilinear": FormalTensorPoly(semi, arity=k) if semi else None,
-        "discarded_count": discarded,
-    }
+    return (("quasilinear", FormalTensorPoly(quasi, arity=k) if quasi else None),
+            ("semilinear", FormalTensorPoly(semi, arity=k) if semi else None),
+            ("discarded_count", discarded))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +657,10 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
     and covectors, never an outer-product decomposition.  Each monomial is
     one exact ``numpy.einsum`` over object arrays, with a factor's slot
     matrix on its two indices, the slot covector on each derivative index
-    and the inverse metric on each h pair, summed down to (mu, nu).
+    and the inverse metric on each h pair, summed down to (mu, nu).  The
+    operands of a monomial have the same shapes on every assignment, so
+    its greedy contraction path is searched once per form
+    (``_paths_of``).
     """
     slots, i_power = _prepare_slots(form, assignment)
 
@@ -666,8 +675,9 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
     matrix = {s: exact([[v.matrix[i][j] for j in range(4)] for i in range(4)])
               for s, v in slots.items()}
     covector = {s: exact(v.covector.c) for s, v in slots.items()}
+    paths = _paths_of(form)
     rows = np.full((4, 4), ZERO, dtype=object)
-    for mono in form.monomials:
+    for index, mono in enumerate(form.monomials):
         # einsum labels: mu is 0, nu is 1, the contraction names follow,
         # and the leading axis takes the next one
         label = {n: k for k, n in
@@ -680,9 +690,23 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
                 operands += [covector[f.slot], [lead, label[d]]]
         for pair in mono.hinv:
             operands += [inv, [lead, *(label[n] for n in pair)]]
-        (value,) = np.einsum(*operands, [lead, 0, 1], optimize="greedy")
+        operands.append([lead, 0, 1])
+        if paths[index] is None:
+            paths[index], _ = np.einsum_path(*operands, optimize="greedy")
+        (value,) = np.einsum(*operands, optimize=paths[index])
         rows = rows + value * RhoRational.const(mono.coeff)
     return tuple(map(tuple, rows)), i_power
+
+
+def _paths_of(form: FormalTensorPoly) -> list:
+    """The greedy ``numpy.einsum`` contraction path of each monomial of
+    ``form`` in ``symbol_of_form_by_assignment``, None until first found."""
+    try:
+        return form._paths
+    except AttributeError:
+        paths = [None] * len(form.monomials)
+        object.__setattr__(form, "_paths", paths)
+        return paths
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ without evaluating them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
@@ -41,20 +41,45 @@ from .tensor import CoVec4, Sym2T, norm_sq, rank_one
 # ---------------------------------------------------------------------------
 
 
+def _node_hash(node) -> int:
+    """The hash a node took from its fields when it was built, once: its
+    children's are cached already, so no memo keyed by nodes hashes a
+    subtree again."""
+    return node._hash
+
+
 @dataclass(frozen=True, slots=True)
 class Leaf:
     wave: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.wave,)))
+
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True, slots=True)
 class QNode:
     child: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.child,)))
+
+    __hash__ = _node_hash
 
 
 @dataclass(frozen=True, slots=True)
 class FormNode:
     form: tuple  # ('P'|'Hhat', k)
     children: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.form, self.children)))
+
+    __hash__ = _node_hash
 
 
 class CharacteristicDenominatorError(ArithmeticError):
@@ -107,7 +132,7 @@ def mat_of(tensor) -> tuple:
     return tuple(tuple(row) for row in tensor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolValue:
     """Evaluated term: total covector, leaves, real matrix.
 
@@ -122,17 +147,19 @@ class SymbolValue:
     covector: CoVec4
     leaves: tuple
     outer: tuple
+    _matrix: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
-    @cached_property
+    @property
     def matrix(self) -> tuple:
-        return matrix_of_outer(self.outer)
+        m = self._matrix
+        if m is None:
+            m = matrix_of_outer(self.outer)
+            object.__setattr__(self, "_matrix", m)
+        return m
 
     def entry_order(self):
         return mat_max_degree(self.matrix)
-
-    def scale(self, s) -> "SymbolValue":
-        return SymbolValue(self.covector, self.leaves,
-                           tuple((c * s, l, r) for c, l, r in self.outer))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +202,10 @@ class Evaluator:
     bound on it, and one dict of metric pairings, one of pairing products
     and one ``base`` serve every form evaluation.  Values and bounds share
     one memo of each node's covector, and of each causal inverse's norm,
-    keyed by the multiset of the node's waves.
+    keyed by the multiset of the node's waves.  Every coefficient a node
+    value holds is the base's one object for that value
+    (``CoprimeBase.shared``), so equal coefficients of many nodes are
+    stored once and their matrix entries are converted once.
     """
 
     def __init__(self, config: NullConfig, leaf_symbols: dict = None):
@@ -276,14 +306,19 @@ class Evaluator:
         return n
 
     def _eval(self, ast) -> SymbolValue:
+        share = self.base.shared
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
             lift = self.base.lift
             return SymbolValue(sv.covector, (ast.wave,),
-                               tuple((lift(c), l, r) for c, l, r in sv.outer))
+                               tuple((share(lift(c)), l, r)
+                                     for c, l, r in sv.outer))
         if isinstance(ast, QNode):
             child = self.eval(ast.child)
-            return child.scale(self.base.inverse(self._norm(child.leaves)))
+            s = self.base.inverse(self._norm(child.leaves))
+            return SymbolValue(child.covector, child.leaves,
+                               tuple((share(c * s), l, r)
+                                     for c, l, r in child.outer))
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
             outer, node_power = symbol_outer_of_form(
@@ -291,8 +326,9 @@ class Evaluator:
                 self.metric, self.pairings, self.products)
             if node_power % 2:
                 raise ArithmeticError("odd derivative count in a retained form")
-            if (node_power // 2) % 2:
-                outer = tuple((-c, l, r) for c, l, r in outer)
+            negate = (node_power // 2) % 2
+            outer = tuple((share(-c if negate else c), l, r)
+                          for c, l, r in outer)
             leaves = tuple(itertools.chain.from_iterable(
                 c.leaves for c in children))
             return SymbolValue(self._covector(leaves), leaves, outer)

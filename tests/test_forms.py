@@ -93,6 +93,15 @@ class TestReducedExpansion:
         for (kind, k), form in fam.items():
             assert {len(m.hinv) for m in form.monomials} == {k}
 
+    def test_each_call_gets_its_own_dict(self):
+        # the expansion runs once per k, but no caller can change what the
+        # next one reads
+        parts = reduced_ricci_expansion(3)
+        semi = parts["semilinear"]
+        parts["semilinear"] = None
+        again = reduced_ricci_expansion(3)
+        assert again is not parts and again["semilinear"] is semi
+
     def test_bad_homogeneity(self):
         with pytest.raises(ValueError):
             reduced_ricci_expansion(0)

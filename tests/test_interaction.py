@@ -22,7 +22,8 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                _terms)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.scenario import load_scenario
-from gwsym.tensor import CoVec4, MINKOWSKI, pairing, rank_one, sym_outer
+from gwsym.tensor import (CoVec4, MINKOWSKI, Sym2T, pairing, rank_one,
+                          sym_outer)
 
 DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
 
@@ -460,6 +461,65 @@ class TestSharedTrees:
                 todo.append(node.child)
             elif isinstance(node, FormNode):
                 todo.extend(node.children)
+
+
+def _tt_seed_0_evaluator(config):
+    """A fresh evaluator on the benchmark's tt-total wave symbols, seed 0,
+    after that workload's term loop."""
+    import importlib.util
+    path = Path(__file__).resolve().parent.parent / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    raw = child.tt_polarizations(0)
+    ev = Evaluator(config, leaf_symbols={
+        i: SlotValue(Sym2T(raw[i]), config.zeta(i)) for i in raw})
+    for term in enumerate_all():
+        ev.eval(term.ast).matrix
+    return ev
+
+
+class TestSharedValues:
+    @pytest.mark.parametrize("name", ["standard", "dense", "tt"])
+    def test_held_coefficients_are_one_object_per_value(self, name, config,
+                                                        dense_evaluator):
+        if name == "tt":
+            ev = _tt_seed_0_evaluator(config)
+        else:
+            ev = dense_evaluator if name == "dense" else Evaluator(config)
+            ev.total()
+        held = [c for v in ev.cache.values() for c, _, _ in v.outer]
+        first = {}
+        assert all(first.setdefault(c, c) is c for c in held)
+        assert len(held) > 2 * len(first)
+        if name == "tt":
+            # each distinct matrix entry converted once
+            entries = [x for v in ev.cache.values() if len(v.leaves) == 4
+                       for row in v.matrix for x in row if not x.is_zero()]
+            assert len({id(x) for x in entries}) <= 1.05 * len(set(entries))
+
+    def test_equal_values_convert_to_one_rational(self, dense_evaluator):
+        base = dense_evaluator.base
+        x, z = base.lift(rr("rho^3 + 2")), base.lift(rr("-5/3"))
+        y = base.inverse(RhoRational(base.elements[-1]))
+        n = base.inverse(dense_evaluator._norm((1, 2)))
+        for a, b in (((x * y) * z, z * (y * x)),
+                     (x * (y + n), n * x + y * x),
+                     ((x + y) * n, n * y + x * n)):
+            assert a is not b and a == b
+            assert base.rational(a) is base.rational(b)
+            assert base.shared(a) is base.shared(b)
+
+    def test_node_hash_is_cached_and_structural(self, evaluator):
+        # a directly built tree equals its shared twin, hashes as it does
+        # and finds its memo entry
+        shared = nested_chain(1, 2, 3)
+        P2 = ("P", 2)
+        direct = FormNode(P2, (Leaf(1), QNode(FormNode(P2, (
+            Leaf(2), QNode(FormNode(P2, (Leaf(3), Leaf(4)))))))))
+        assert direct is not shared and direct == shared
+        assert hash(direct) == hash(shared)
+        assert evaluator.eval(direct) is evaluator.eval(shared)
 
 
 class TestCoprimeBase:

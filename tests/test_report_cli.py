@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gwsym.cli import run
+from gwsym.cli import RHO_NAME_LIMIT, _rho_name, run
 from gwsym.report import Report, TraceLine, Verdict, parse_machine
 from gwsym.scenario import (Scenario, ScenarioError, float_exponent,
                             load_scenario, parse_scenario)
@@ -378,6 +378,42 @@ class TestCli:
         assert code == 0
         sections = parse_machine(out).sections
         assert [s.title for s in sections] == ["floating-point oracle"]
+
+    def test_oracle_names_a_huge_rho_short(self, capsys):
+        # the dense scenario accepts rho = 10^400; its names and claims
+        # read 1e400, not 401 digits
+        dense = str(Path(__file__).resolve().parent.parent / "bench"
+                    / "dense.scn")
+        for fmt in ("text", "machine"):
+            code, out = _run(["--scenario", dense, "--format", fmt, "oracle",
+                              "--rho", "1e400"], capsys)
+            assert code == 0
+            assert max(map(len, out.splitlines())) <= 160
+        report = parse_machine(out)
+        assert report.to_machine() == out
+        names = [e.name for s in report.sections for e in s.entries
+                 if isinstance(e, Verdict)]
+        assert "total-exact-jet-rho-1e400" in names
+        assert all(len(name) <= 30 + RHO_NAME_LIMIT for name in names)
+
+    @pytest.mark.parametrize("rho, name", [
+        (Fraction(10 ** 20), "100000000000000000000"),
+        (Fraction(10 ** 39), str(10 ** 39)),     # 40 characters, spelled out
+        (Fraction(10 ** 40), "1e40"),
+        (Fraction(10 ** 400), "1e400"),
+        (Fraction(25 * 10 ** 299), "25e299"),
+        (Fraction(10 ** 400, 3), "1/3e400"),
+        (Fraction(7, 10 ** 60), "7e-60"),
+    ])
+    def test_rho_names(self, rho, name):
+        assert _rho_name(rho) == name
+
+    def test_rho_name_without_a_short_decimal_form(self):
+        # no power of ten to factor out: a digest of the exact value
+        a, b = (_rho_name(Fraction(10 ** 400 + k)) for k in (1, 2))
+        assert a.startswith("sha256-") and len(a) <= RHO_NAME_LIMIT
+        assert a != b
+        assert a == _rho_name(Fraction(10 ** 400 + 1))
 
     def test_cancellation_scale_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "big.scn"

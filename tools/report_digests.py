@@ -7,10 +7,14 @@ report's peak resident set size (``os.wait4``'s rusage) goes to stderr, so
 stdout stays diffable between checkouts.
 
     python tools/report_digests.py [CHECKOUT]
+    python tools/report_digests.py CHECKOUT PARENT
 
 CHECKOUT defaults to the checkout holding this script; pass another one
-(say, an unpacked parent commit) to digest its reports with the same list,
-then diff the two outputs.  Standard library only.
+(say, an unpacked parent commit) to digest its reports with the same list.
+With two checkouts each report runs on both, one after the other; stdout
+gets only the reports whose exit code or digest differs (one line per
+checkout), stderr the two peak RSS figures side by side, and the exit code
+is 1 on any difference.  Standard library only.
 """
 import hashlib
 import os
@@ -37,25 +41,45 @@ REPORTS = [
 ]
 
 
-def main(argv) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+def _digest(root: Path, args) -> tuple:
+    """(exit code, SHA-256 of stdout, peak RSS in MB) of one report."""
     path = os.pathsep.join(p for p in (str(root / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, "-m", "gwsym", *args],
+                            cwd=root, env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        digest = hashlib.sha256(proc.stdout.read()).hexdigest()
+    # reaped here for its rusage, so Popen must not wait for it again
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux
+    return proc.returncode, digest, usage.ru_maxrss / 1024
+
+
+def main(argv) -> int:
+    roots = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent]
+    if len(roots) > 2:
+        print("usage: report_digests.py [CHECKOUT [PARENT]]", file=sys.stderr)
+        return 2
+    differ = False
     for args in REPORTS:
-        proc = subprocess.Popen([sys.executable, "-m", "gwsym", *args],
-                                cwd=root, env=env, stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL)
-        with proc.stdout:
-            digest = hashlib.sha256(proc.stdout.read()).hexdigest()
-        # reaped here for its rusage, so Popen must not wait for it again
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        print(proc.returncode, digest, " ".join(args), flush=True)
-        # ru_maxrss is in KiB on Linux
-        print(f"{usage.ru_maxrss / 1024:.2f} MB peak RSS", " ".join(args),
-              file=sys.stderr, flush=True)
-    return 0
+        args_text = " ".join(args)
+        runs = [_digest(root, args) for root in roots]
+        if len(runs) == 1:
+            (code, digest, rss), = runs
+            print(code, digest, args_text, flush=True)
+            print(f"{rss:.2f} MB peak RSS", args_text, file=sys.stderr,
+                  flush=True)
+            continue
+        (code, digest, rss), (pcode, pdigest, prss) = runs
+        if (code, digest) != (pcode, pdigest):
+            differ = True
+            print(code, digest, args_text, flush=True)
+            print(pcode, pdigest, args_text, "(parent)", flush=True)
+        print(f"{rss:.2f} MB {prss:.2f} MB peak RSS (parent second)",
+              args_text, file=sys.stderr, flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
