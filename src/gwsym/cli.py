@@ -11,10 +11,9 @@ with the cross-validated value, never silently corrected.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import NEG_INF, RhoRational, format_rho_rational
 from .conformal import (canonical_chain, compose_total_weight,
@@ -29,8 +28,9 @@ from .interaction import (classify_rho40_terms,
                           nested_chain, total_symbol, _coefficient_of)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
-from .oracle import (JetContext, _float_at, _walk, cancellation_scale,
-                     exact_total_jet, interaction_total_jet, max_rel_diff)
+from .oracle import (FLOAT_CONTEXT, JetContext, _float_at, _walk,
+                     cancellation_scale, exact_total_jet,
+                     interaction_total_jet, max_rel_diff)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -410,6 +410,15 @@ def _total_dual_path(cfg, matrix, rho):
     return exact_agrees, float_err, scale
 
 
+def _scientific(x) -> str:
+    """A ``Decimal`` as ``1.234e+30``: four significant digits, rounded as
+    ``FLOAT_CONTEXT`` rounds, and an exponent of at least two digits."""
+    with decimal.localcontext(FLOAT_CONTEXT):
+        mantissa, exponent = f"{x:.3e}".split("e")
+    # a zero's printed exponent follows its stored one: 0 gives 0.000e+3
+    return f"{mantissa}e{int(exponent) if x else 0:+03d}"
+
+
 def suite_total(report: Report, scenario: Scenario):
     cfg = scenario.config
     s = report.section("grand total")
@@ -438,11 +447,8 @@ def suite_total(report: Report, scenario: Scenario):
         s.verdict(f"exact-dual-path-rho-{name}", agree,
                   f"enumerated exact total equals the independent exact jet "
                   f"iteration at rho = {name} (structural equality)")
-        # a scale beyond the float range is an np.longdouble, which a format
-        # spec would print as inf
         s.value(f"float-oracle-cancellation-scale-rho-{name}",
-                np.format_float_scientific(scale, precision=3, unique=False,
-                                           exp_digits=2))
+                _scientific(scale))
         s.value(f"float-oracle-max-rel-diff-rho-{name}", f"{err:.3e}")
         s.verdict(f"float-dual-path-rho-{name}", err <= 1e-9,
                   f"floating-point jet oracle agrees to 1e-9 relative at "
@@ -516,7 +522,9 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]
             exact_at = mat_eval_at(value.matrix, rho_v)
-            err = max_rel_diff(exact_at, _walk(ctx, nested_chain(*key))[0])
+            with decimal.localcontext(FLOAT_CONTEXT):
+                walked = _walk(ctx, nested_chain(*key))[0]
+            err = max_rel_diff(exact_at, walked)
             s.verdict(f"term-{label}-rho-{name}", err <= 1e-9,
                       f"term ({label}) dual-path agreement at rho = {name} "
                       f"(max rel diff {err:.2e})")

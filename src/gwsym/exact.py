@@ -533,7 +533,7 @@ def _coerce(x) -> RhoRational:
     if isinstance(x, RhoRational):
         return x
     if isinstance(x, (int, Fraction)):
-        # numpy's sums over object arrays start from the integer 0
+        # sum() starts from the integer 0
         return RhoRational.const(x) if x else ZERO
     raise TypeError(f"cannot coerce {type(x).__name__} to RhoRational")
 

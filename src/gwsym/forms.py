@@ -13,8 +13,9 @@ evaluate principal symbols.
 Symbols are evaluated two independent ways: through the slots' outer-product
 decompositions, where metric pairs collapse to vector pairings
 (``symbol_of_form``), and, as the reference for cross-checks, by summing
-every index over 0..3 with one exact ``numpy.einsum`` per monomial on the
-slot matrices and covectors (``symbol_of_form_by_assignment``).  The first
+every index over 0..3 with one exact sparse contraction per monomial on
+the nonzero entries of the slot matrices, covectors and inverse metric
+(``symbol_of_form_by_assignment``).  The first
 route walks the slots once for all monomials of a form: every monomial
 holds each slot once, so one choice of outer term per slot gives all of
 them the same product of slot coefficients, which is formed once per
@@ -37,11 +38,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import CoprimeBase, ONE, RhoRational, ZERO
 from .tensor import CoVec4, MINKOWSKI, Metric4, Sym2T, pairing
@@ -143,7 +143,7 @@ class FormalTensorPoly:
     """Canonicalized sum of monomials with free indices (mu, nu) and a fixed
     arity."""
 
-    __slots__ = ("monomials", "arity", "_plan", "_paths")
+    __slots__ = ("monomials", "arity", "_plan")
 
     def __init__(self, monomials, arity=None):
         monomials = tuple(monomials)
@@ -655,58 +655,93 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
 
     The reference route for cross-checks: it reads only the slot matrices
     and covectors, never an outer-product decomposition.  Each monomial is
-    one exact ``numpy.einsum`` over object arrays, with a factor's slot
+    one exact sparse contraction (``_contract``), with a factor's slot
     matrix on its two indices, the slot covector on each derivative index
-    and the inverse metric on each h pair, summed down to (mu, nu).  The
-    operands of a monomial have the same shapes on every assignment, so
-    its greedy contraction path is searched once per form
-    (``_paths_of``).
+    and the inverse metric on each h pair, summed down to (mu, nu).
     """
     slots, i_power = _prepare_slots(form, assignment)
-
-    def exact(entries):
-        # every operand gets a leading axis of length 1, kept in the result,
-        # so that no intermediate sums out to zero dimensions: where a
-        # closed sub-product (a trace) does, numpy's pairwise contraction
-        # returns a bare object that it cannot contract further
-        return np.array([entries], dtype=object)
-
-    inv = exact(metric.inv)
-    matrix = {s: exact([[v.matrix[i][j] for j in range(4)] for i in range(4)])
-              for s, v in slots.items()}
-    covector = {s: exact(v.covector.c) for s, v in slots.items()}
-    paths = _paths_of(form)
-    rows = np.full((4, 4), ZERO, dtype=object)
-    for index, mono in enumerate(form.monomials):
-        # einsum labels: mu is 0, nu is 1, the contraction names follow,
-        # and the leading axis takes the next one
-        label = {n: k for k, n in
-                 enumerate(dict.fromkeys((*FREE_PAIR, *mono.names())))}
-        lead = len(label)
+    inv = _nonzero(metric.inv)
+    matrix = {s: _nonzero(v.matrix) for s, v in slots.items()}
+    covector = {s: {(a,): x for a, x in enumerate(v.covector.c)
+                    if not x.is_zero()} for s, v in slots.items()}
+    rows = [[ZERO] * 4 for _ in range(4)]
+    for mono in form.monomials:
         operands = []
         for f in mono.factors:
-            operands += [matrix[f.slot], [lead, *(label[n] for n in f.idx)]]
-            for d in f.derivs:
-                operands += [covector[f.slot], [lead, label[d]]]
-        for pair in mono.hinv:
-            operands += [inv, [lead, *(label[n] for n in pair)]]
-        operands.append([lead, 0, 1])
-        if paths[index] is None:
-            paths[index], _ = np.einsum_path(*operands, optimize="greedy")
-        (value,) = np.einsum(*operands, optimize=paths[index])
-        rows = rows + value * RhoRational.const(mono.coeff)
+            operands.append((f.idx, matrix[f.slot]))
+            operands += [((d,), covector[f.slot]) for d in f.derivs]
+        operands += [(pair, inv) for pair in mono.hinv]
+        coeff = RhoRational.const(mono.coeff)
+        for (mu, nu), x in _contract(operands).items():
+            rows[mu][nu] = rows[mu][nu] + x * coeff
     return tuple(map(tuple, rows)), i_power
 
 
-def _paths_of(form: FormalTensorPoly) -> list:
-    """The greedy ``numpy.einsum`` contraction path of each monomial of
-    ``form`` in ``symbol_of_form_by_assignment``, None until first found."""
-    try:
-        return form._paths
-    except AttributeError:
-        paths = [None] * len(form.monomials)
-        object.__setattr__(form, "_paths", paths)
-        return paths
+def _nonzero(rows) -> dict:
+    """The nonzero entries of a 4x4 matrix, by (row, column)."""
+    return {(i, j): rows[i][j] for i in range(4) for j in range(4)
+            if not rows[i][j].is_zero()}
+
+
+def _contract(operands) -> dict:
+    """The product of sparse tensors summed over every index name but mu
+    and nu, as {(mu value, nu value): nonzero value}.
+
+    An operand is (names, entries), ``entries`` mapping a tuple of index
+    values, one per name, to a nonzero value.  One summed name at a time,
+    the operands holding it are multiplied together and the name summed
+    out, starting with the name whose operands have the fewest entries in
+    all.
+    """
+    for names, _ in operands:
+        if len(set(names)) < len(names):
+            raise FormError(f"index repeated within {names}")
+    ops = list(operands)
+    summed = {n for names, _ in ops for n in names} - set(FREE_PAIR)
+    while summed:
+        name = min(summed, key=lambda n: (
+            math.prod(len(e) for names, e in ops if n in names), n))
+        summed.remove(name)
+        held = [op for op in ops if name in op[0]]
+        ops = [op for op in ops if name not in op[0]]
+        ops.append(_sum_out(_join(held), name))
+    names, entries = _join(ops)
+    if sorted(names) != sorted(FREE_PAIR):
+        raise FormError("every monomial must carry both free indices")
+    mu = names.index("mu")
+    return {(key[mu], key[1 - mu]): x for key, x in entries.items()}
+
+
+def _join(ops) -> tuple:
+    """The product of sparse operands, over the union of their names."""
+    names, entries = ops[0]
+    for names2, entries2 in ops[1:]:
+        shared = [n for n in names2 if n in names]
+        at1 = [names.index(n) for n in shared]
+        at2 = [names2.index(n) for n in shared]
+        rest = [k for k, n in enumerate(names2) if n not in names]
+        by_shared = {}
+        for key, y in entries2.items():
+            by_shared.setdefault(tuple(key[k] for k in at2), []).append(
+                (tuple(key[k] for k in rest), y))
+        entries = {key + tail: x * y for key, x in entries.items()
+                   for tail, y in by_shared.get(tuple(key[k] for k in at1),
+                                                ())}
+        names = names + tuple(names2[k] for k in rest)
+    return names, entries
+
+
+def _sum_out(op, name) -> tuple:
+    """An operand summed over the values of one of its names; zero sums
+    are dropped."""
+    names, entries = op
+    k = names.index(name)
+    sums = {}
+    for key, x in entries.items():
+        rest = key[:k] + key[k + 1:]
+        sums[rest] = sums[rest] + x if rest in sums else x
+    return (names[:k] + names[k + 1:],
+            {key: x for key, x in sums.items() if not x.is_zero()})
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ configuration through one ``JetContext``: its own inverse metric, and
 covector sums, squared norms and wave amplitudes computed exactly over
 Q(rho), each converted once.  The exact route lifts them onto a coprime
 base of their own (``CoprimeBase.lift``) and stays over Q(rho); the float
-route evaluates them at a concrete rho as complex floating point, with
-imaginary parts zero.  Every term carries two derivatives, so its symbol
+route evaluates them at a concrete rho, each rounded once to a ``Decimal``
+of ``FLOAT_CONTEXT``.  Every term carries two derivatives, so its symbol
 over i xi is minus its value over the real covector xi, on which both
 routes run: the jet adds the causal inverse of N(u), and the walk negates
 each coefficient node.
@@ -35,14 +35,13 @@ contraction, so a fault in a shared contraction fails both comparisons.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
-from math import inf
-from sys import float_info
-
-import numpy as np
+from math import nan
 
 from .exact import ONE, ZERO, CoprimeBase, RhoRational
 from .interaction import Leaf, QNode, nested_chain
@@ -55,35 +54,38 @@ FULL = frozenset({1, 2, 3, 4})
 # Scalars
 # ---------------------------------------------------------------------------
 
-def _real(x):
-    """``float(x)``, or an ``np.longdouble`` where a float would overflow
-    or underflow.
+#: The float route's arithmetic: 19 significant digits and exponents within
+#: about +-4932, as in the x87 extended double it replaced.  Nothing traps:
+#: as in IEEE arithmetic an overflow gives an infinity and an invalid
+#: operation a NaN, which ``cancellation_scale`` and ``max_rel_diff`` test
+#: for.  Every float entry point runs in a copy of it (``_float_route``), so
+#: no result depends on the caller's decimal context.
+FLOAT_CONTEXT = decimal.Context(prec=19, Emax=4932, Emin=-4932, traps=[])
 
-    ``x`` is a rational or a float.  A rational outside the normal float
-    range converts through its numerator and denominator, each cut to its
-    top 63 bits and scaled back by a power of two, so that neither
-    overflows on its own.
-    """
-    try:
-        f = float(x)
-    except OverflowError:
-        f = inf
-    if not x or float_info.min <= abs(f) < inf:
-        return f
-    if isinstance(x, (float, np.floating)):
-        return np.longdouble(x)
+
+def _float_route(f):
+    """``f`` run in a copy of ``FLOAT_CONTEXT``."""
+    @functools.wraps(f)
+    def run(*args, **kwargs):
+        with decimal.localcontext(FLOAT_CONTEXT):
+            return f(*args, **kwargs)
+    return run
+
+
+def _real(x):
+    """A rational or a float as a ``Decimal`` of ``FLOAT_CONTEXT``,
+    rounded once; a ``Decimal`` is returned as it is."""
+    if isinstance(x, Decimal):
+        return x
     x = Fraction(x)
-    n, d = x.numerator, x.denominator
-    sn = max(0, abs(n).bit_length() - 63)
-    sd = max(0, d.bit_length() - 63)
-    return np.ldexp(np.longdouble(n >> sn) / np.longdouble(d >> sd), sn - sd)
+    return FLOAT_CONTEXT.divide(Decimal(x.numerator), Decimal(x.denominator))
 
 
 def _float_at(rho):
     """The float route's conversion: an exact value evaluated at ``rho``,
-    as a complex float, once per distinct value."""
+    rounded once, once per distinct value."""
     rho = Fraction(rho)
-    return functools.cache(lambda x: np.clongdouble(_real(x.eval_at(rho))))
+    return functools.cache(lambda x: _real(x.eval_at(rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +412,15 @@ def _exact_jet(config: NullConfig, overrides: tuple) -> tuple:
 _ExactAt = namedtuple("_ExactAt", "re im")
 
 
+@_float_route
 def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
                           leaf_symbols=None):
     """Full four-wave interaction symbol at ``rho`` via the jet iteration.
 
-    Returns the 4x4 matrix in complex floating point (imaginary parts
-    zero), in the same normalization as the exact engine.  With ``exact``,
-    each entry is ``exact_total_jet`` at rho as an exact ``re`` with a zero
-    ``im``, the form the benchmark harness reads.
+    Returns the 4x4 matrix of ``Decimal``s of ``FLOAT_CONTEXT``, in the
+    same normalization as the exact engine.  With ``exact``, each entry is
+    ``exact_total_jet`` at rho as an exact ``re`` with a zero ``im``, the
+    form the benchmark harness reads.
     """
     if exact:
         rho = Fraction(rho)
@@ -473,7 +476,8 @@ def _walk(ctx, node):
     return [[-x for x in row] for row in result.get(s) or ctx.zero_mat()], s
 
 
-def cancellation_scale(config: NullConfig, rho):
+@_float_route
+def cancellation_scale(config: NullConfig, rho) -> Decimal:
     """Intrinsic magnitude of the largest single interaction term.
 
     The grand total is a sum with massive top-order cancellations; any
@@ -481,35 +485,39 @@ def cancellation_scale(config: NullConfig, rho):
     summand, so relative agreement is only meaningful against this scale
     once entries cancel below it.  Computed from the six nested-chain
     permutation terms, which dominate every other term, on one float
-    ``JetContext``.  Past the float range the scale is an ``np.longdouble``;
-    one that is not finite raises ``OverflowError`` instead of loosening
-    every comparison against it.
+    ``JetContext``.  An entry that is not finite raises ``OverflowError``
+    instead of loosening every comparison against the scale.
     """
     ctx = JetContext(config, _float_at(rho))
-    scale = 0.0
+    scale = Decimal(0)
     for a, b, c in itertools.permutations((1, 2, 3)):
-        m = np.array(_walk(ctx, nested_chain(a, b, c))[0])
-        scale = max(scale, _real(np.max(np.abs(m))))
-    if not np.isfinite(scale):
-        raise OverflowError(f"cancellation scale overflows at rho = {rho}")
+        for row in _walk(ctx, nested_chain(a, b, c))[0]:
+            for x in row:
+                if not x.is_finite():
+                    raise OverflowError(
+                        f"cancellation scale overflows at rho = {rho}")
+                scale = max(scale, abs(x))
     return scale
 
 
-def max_rel_diff(exact_matrix_at_rho, oracle_matrix, floor: float = 0.0) -> float:
+@_float_route
+def max_rel_diff(exact_matrix_at_rho, oracle_matrix, floor=0) -> float:
     """Max per-entry relative difference.
 
     Each entry is compared relative to max(|exact|, |oracle|, floor); the
     floor is the caller's noise scale (zero for plain relative comparison).
-    Entries are compared as floats, and as ``np.longdouble`` outside the
-    normal float range (``_real``).  A difference that is not a number makes
-    the result not a number, so no comparison with a bound passes.
+    Entries are compared as ``Decimal``s of ``FLOAT_CONTEXT`` (``_real``).
+    A difference that is not a number makes the result not a number, so no
+    comparison with a bound passes.
     """
-    b = np.asarray(oracle_matrix)
-    if np.max(np.abs(b.imag)) > 1e-6 * max(1.0, np.max(np.abs(b.real))):
-        raise ArithmeticError("oracle matrix has a non-negligible imaginary part")
-    diffs = [0.0]
-    for row_a, row_b in zip(exact_matrix_at_rho, b.real):
+    # two zeros compare as equal
+    floor = max(_real(floor), Decimal("1e-300"))
+    worst = Decimal(0)
+    for row_a, row_b in zip(exact_matrix_at_rho, oracle_matrix):
         for x, y in zip(row_a, row_b):
             x, y = _real(x), _real(y)
-            diffs.append(abs(x - y) / max(abs(x), abs(y), floor, 1e-300))
-    return float(np.max(diffs))
+            diff = abs(x - y) / max(abs(x), abs(y), floor)
+            if diff.is_nan():
+                return nan
+            worst = max(worst, diff)
+    return float(worst)

@@ -20,21 +20,21 @@ Custom covectors must pass the configuration validation (each light-like,
 independent, light-like sum) before use.  Every oracle rho value must
 exceed 1, keep the configuration regular (each covector component defined
 there, and no pair or triple of covectors summing to a light-like covector
-there) and keep the float oracle's values inside the ``np.longdouble``
-range.
+there) and keep the float oracle's values inside the range of its
+``decimal`` context.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import log
-
-import numpy as np
 
 from .exact import parse_rho_rational
 from .interaction import shared_evaluator, summed_terms
 from .nullcone import ConfigError, NullConfig, standard_config
+from .oracle import FLOAT_CONTEXT
 from .tensor import CoVec4, norm_sq
 
 
@@ -78,7 +78,8 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
     Every value must exceed 1.  At each value every covector component must
     be defined, and every pair and triple subset sum must have nonzero
     squared norm (the causal-inverse nodes divide by it).  And rho^D must
-    not pass the largest ``np.longdouble``, where D is ``float_exponent``.
+    not pass the largest value of ``FLOAT_CONTEXT``, where D is
+    ``float_exponent``.
     """
     for rho in rho_values:
         if rho <= 1:
@@ -99,16 +100,17 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
                         f"oracle rho {rho}: |{name}|^2 vanishes (waves "
                         f"{list(subset)})")
     degree = float_exponent(config)
-    largest = np.finfo(np.longdouble).max
+    largest = FLOAT_CONTEXT.next_minus(Decimal("Infinity"))
+    log_largest = float(FLOAT_CONTEXT.ln(largest))
     for rho in rho_values:
         log_rho = log(rho.numerator) - log(rho.denominator)
-        if degree * log_rho > np.log(largest):
-            edge = np.exp(np.log(largest) / degree)
+        if degree * log_rho > log_largest:
+            edge = FLOAT_CONTEXT.exp(Decimal(log_largest / degree))
             raise ScenarioError(
                 f"oracle rho {rho} overflows the float oracle: its values "
-                f"grow like rho^{degree}, past the largest np.longdouble "
-                f"({np.format_float_scientific(largest, precision=2)}) for "
-                f"rho above {np.format_float_scientific(edge, precision=3)}")
+                f"grow like rho^{degree}, past its largest value (just "
+                f"below 1e+{FLOAT_CONTEXT.Emax + 1}) for rho above "
+                f"{edge:.3e}")
 
 
 def float_exponent(config: NullConfig) -> int:

@@ -11,10 +11,9 @@ value and that the published value is not reproduced, and the PASS line
 names the refuted constant.  A changed engine value or a reproduced
 published constant fails.
 """
+import decimal
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from gwsym.cli import _published_form_matches
 from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
@@ -31,8 +30,8 @@ from gwsym.interaction import (classify_rho40_terms, enumerate_all,
 from gwsym.nullcone import (FlatPoint, NullConfig, backtrace_sources,
                             base_directions, solve_null_scale,
                             standard_config)
-from gwsym.oracle import (JetContext, _float_at, _jet_base, _walk,
-                          cancellation_scale, exact_total_jet,
+from gwsym.oracle import (FLOAT_CONTEXT, JetContext, _float_at, _jet_base,
+                          _walk, cancellation_scale, exact_total_jet,
                           interaction_total_jet, max_rel_diff)
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
@@ -224,7 +223,10 @@ def test_criterion_08_items(config):
     inner34 = [t for t in items[6]["members"] if t.perm[0] != 3]
     inner34_at = mat_eval_at(items[6]["subcase_inner34"], rho)
     fctx = JetContext(config, _float_at(rho))
-    float_sum = sum(t.sign * np.array(_walk(fctx, t.ast)[0]) for t in inner34)
+    with decimal.localcontext(FLOAT_CONTEXT):
+        walks = [(t.sign, _walk(fctx, t.ast)[0]) for t in inner34]
+        float_sum = [[sum(c * m[i][j] for c, m in walks) for j in range(4)]
+                     for i in range(4)]
     float_ok = max_rel_diff(inner34_at, float_sum) <= 1e-9
     base = _jet_base(config)
     ctx = JetContext(config, base.lift)

@@ -1,14 +1,18 @@
 """Independent verification paths: the jet iteration and float evaluation."""
+import contextlib
+import decimal
 import functools
+import io
 import itertools
+import math
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +23,8 @@ from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
                                eval_I_cancellation, mat_eval_at, mat_is_zero,
                                nested_chain, total_symbol)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
-from gwsym.oracle import (FULL, JetContext, OracleUnsupported, _add_into,
-                          _disjoint, _float_at, _jet_base,
+from gwsym.oracle import (FLOAT_CONTEXT, FULL, JetContext, OracleUnsupported,
+                          _add_into, _disjoint, _float_at, _jet_base,
                           _nonlinearity, _walk, cancellation_scale,
                           exact_total_jet, interaction_total_jet,
                           max_rel_diff)
@@ -241,15 +245,11 @@ class TestJetAlgebra:
     def test_float_jet_independent_of_hash_seed(self):
         """The float jet's roundoff is printed in reports, so its summation
         order must not follow set or string hashing."""
-        # clongdouble.tobytes() includes uninitialised padding bytes, so the
-        # entries are compared by exact value and sign instead
-        code = ("import numpy as np\n"
-                "from gwsym.nullcone import standard_config\n"
+        code = ("from gwsym.nullcone import standard_config\n"
                 "from gwsym.oracle import interaction_total_jet\n"
-                "m = np.array(interaction_total_jet(standard_config(), 2),\n"
-                "             dtype=np.clongdouble)\n"
-                "for x in np.concatenate([m.real.ravel(), m.imag.ravel()]):\n"
-                "    print(x.as_integer_ratio(), np.signbit(x))\n")
+                "for row in interaction_total_jet(standard_config(), 2):\n"
+                "    for x in row:\n"
+                "        print(str(x))\n")
         src = os.path.dirname(os.path.dirname(
             sys.modules["gwsym.oracle"].__file__))
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -258,44 +258,64 @@ class TestJetAlgebra:
                                env=dict(os.environ, PYTHONPATH=path,
                                         PYTHONHASHSEED=seed)).stdout
                 for seed in ("0", "12345")]
-        assert outs[0].count("\n") == 32
+        assert outs[0].count("\n") == 16
         assert outs[0] == outs[1]
+
+    def test_float_route_independent_of_callers_context(self, config):
+        """Every float entry point runs in the oracle's own context."""
+        rho = Fraction(2)
+
+        def results():
+            jet = interaction_total_jet(config, rho)
+            scale = cancellation_scale(config, rho)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.run(["--format", "machine", "oracle", "--rho",
+                                "2"]) == 0
+            return ([[x.as_tuple() for x in row] for row in jet],
+                    scale.as_tuple(), out.getvalue())
+
+        want = results()
+        with decimal.localcontext(decimal.Context(prec=5, Emax=10)):
+            got = results()
+        assert got == want
 
 
 def three_full_passes(config, rho, exact, leaf_symbols=None):
     """Reference jet: three passes of the full nonlinearity over the real
     covector, each adding its causal inverse, then its four-wave
     component; returns (matrix, [u after each pass]).  The exact route runs
-    over Q(rho); the float route at ``rho``."""
+    over Q(rho); the float route at ``rho``, in the oracle's context."""
     ctx = (exact_context(config, leaf_symbols) if exact
            else JetContext(config, _float_at(rho), leaf_symbols))
     v = {frozenset({i}): ctx.amplitudes[i] for i in range(1, 5)}
     u, iterates = v, []
-    for _ in range(3):
-        nonlinear = _nonlinearity(ctx, u)
-        u = dict(v)
-        for s, m in nonlinear.items():
-            if len(s) < 4:
-                n = ctx.norm[s]
-                _add_into(u, s, [[x / n for x in row] for row in m])
-        iterates.append(u)
-    return _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat(), iterates
+    with decimal.localcontext(FLOAT_CONTEXT):
+        for _ in range(3):
+            nonlinear = _nonlinearity(ctx, u)
+            u = dict(v)
+            for s, m in nonlinear.items():
+                if len(s) < 4:
+                    n = ctx.norm[s]
+                    _add_into(u, s, [[x / n for x in row] for row in m])
+            iterates.append(u)
+        return _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat(), iterates
 
 
 def float_walk(ast, config, rho):
-    """The float walk of ``ast`` on its own float ``JetContext``."""
-    return np.array(_walk(JetContext(config, _float_at(rho)), ast)[0])
+    """The float walk of ``ast`` on its own float ``JetContext``, in the
+    oracle's context."""
+    with decimal.localcontext(FLOAT_CONTEXT):
+        return _walk(JetContext(config, _float_at(rho)), ast)[0]
 
 
 def exact_bits(x):
-    """An exact value as a canonical rational, or a complex float by exact
-    value and sign."""
+    """An exact value as a canonical rational, or a ``Decimal`` by sign,
+    digits and exponent."""
     if isinstance(x, BaseValue):
         return x.base.rational(x)
     if isinstance(x, RhoRational):
         return x
-    return tuple((y.as_integer_ratio(), bool(np.signbit(y)))
-                 for y in (x.real, x.imag))
+    return x.as_tuple()
 
 
 def field_bits(field):
@@ -383,8 +403,10 @@ class TestFloatOracle:
     def test_leaf(self, config):
         got = float_walk(Leaf(1), config, Fraction(2))
         want = mat_eval_at(rank_one(config.zeta(1)).m, Fraction(2))
-        assert np.allclose(np.asarray(got, dtype=np.complex128),
-                           np.array(want, dtype=float))
+        # each entry is its exact value rounded once
+        with decimal.localcontext(FLOAT_CONTEXT):
+            assert got == [[Decimal(x.numerator) / x.denominator for x in row]
+                           for row in want]
 
     def test_chain_terms_dual_path(self, config):
         res = eval_I_cancellation(config)
@@ -474,35 +496,34 @@ class TestConfigurationAtRho:
 
 class TestBeyondFloatRange:
     """The nested-chain terms reach rho^50, past the float range from
-    rho = 1e7 on; there the float route runs in ``np.longdouble``."""
+    rho = 1e7 on; the float route's ``Decimal``s reach just below 1e4933."""
 
     def test_conversion(self):
         float_of = _float_at(0)
-        # in range: the float's own bits
+        # in range: the value rounded once to 19 digits
         assert (float_of(RhoRational.const(Fraction(1, 3)))
-                == np.clongdouble(1 / 3))
+                == Decimal("0.3333333333333333333"))
         # above and below the float range, and a quotient in range whose
-        # numerator and denominator overflow even an np.longdouble
+        # numerator and denominator overflow even the oracle's context
         for x in (Fraction(10**400 + 1, 3), Fraction(-3, 10**400 + 1),
                   Fraction(10**5000 + 7, 3 * 10**4650 + 1)):
-            got = Fraction(
-                *float_of(RhoRational.const(x)).real.as_integer_ratio())
+            got = Fraction(float_of(RhoRational.const(x)))
             assert abs(got / x - 1) < Fraction(1, 10**18)
 
     def test_not_a_number_passes_no_bound(self):
         exact = [[Fraction(1)] * 4 for _ in range(4)]
-        oracle = np.ones((4, 4), dtype=np.clongdouble)
-        oracle[1][2] = np.nan
-        assert np.isnan(max_rel_diff(exact, oracle))
+        oracle = [[Decimal(1)] * 4 for _ in range(4)]
+        oracle[1][2] = Decimal("NaN")
+        assert math.isnan(max_rel_diff(exact, oracle))
 
     def test_scale_stays_finite(self, config):
         rho = Fraction(10**7)
         scale = cancellation_scale(config, rho)
-        assert np.isfinite(scale) and scale > np.finfo(np.float64).max
+        assert scale.is_finite() and scale > sys.float_info.max
         res = eval_I_cancellation(config)
         for key, value in res["terms"].items():
             got = float_walk(nested_chain(*key), config, rho)
             assert max_rel_diff(mat_eval_at(value.matrix, rho), got) <= 1e-9
-        # past the np.longdouble range too, the scale raises, not inf
-        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+        # past the oracle's range too, the scale raises, not inf
+        with pytest.raises(OverflowError):
             cancellation_scale(config, Fraction(10**100))

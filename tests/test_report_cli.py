@@ -252,8 +252,8 @@ class TestCli:
     @pytest.mark.parametrize("rho", ["1e71", "1e100"])
     def test_rho_past_float_range_rejected(self, rho, capsys):
         # the float oracle's values grow like rho^(50 + 2 * 10) on the
-        # standard configuration, past the np.longdouble range from about
-        # rho = 2.87e70; the rho is rejected before any suite runs
+        # standard configuration, past the float oracle's range from about
+        # rho = 2.96e70; the rho is rejected before any suite runs
         assert run(["oracle", "--rho", rho]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -369,10 +369,10 @@ class TestCli:
         assert not [e for s in sections for e in s.entries
                     if isinstance(e, TraceLine)]
 
-    @pytest.mark.parametrize("rho", ["1e7", "1e20", "2.87e70"])
+    @pytest.mark.parametrize("rho", ["1e7", "1e20", "2.87e70", "2.96e70"])
     def test_oracle_beyond_float_range(self, rho, capsys):
         # the terms reach rho^50, past the float range (1e350 at rho = 1e7);
-        # 2.87e70 is just below the largest rho the scenario check accepts
+        # 2.96e70 is just below the largest rho the scenario check accepts
         code, out = _run(["--format", "machine", "oracle", "--rho", rho],
                          capsys)
         assert code == 0

@@ -28,7 +28,8 @@ REPORTS = [
     ["verify", "all"],
     ["--format", "machine", "oracle", "--rho", "2"],
     ["--format", "machine", "oracle", "--rho", "5/2"],
-    # 22 decades between covector components, and the np.longdouble route
+    # 22 decades between covector components, and float values past the
+    # float64 range
     ["--format", "machine", "oracle", "--rho", "12"],
     ["--format", "machine", "oracle", "--rho", "1e20"],
     DENSE + ["oracle"],
