@@ -30,7 +30,7 @@ from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
 from .oracle import (FLOAT_CONTEXT, JetContext, _float_at, _walk,
                      cancellation_scale, exact_total_jet,
-                     interaction_total_jet, max_rel_diff)
+                     interaction_total_jet, max_rel_diff, scale_of_terms)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -394,20 +394,19 @@ def _published_form_matches(cfg, matrix) -> dict:
     return matches
 
 
-def _total_dual_path(cfg, matrix, rho):
+def _total_dual_path(cfg, matrix, rho, scale):
     """Check an enumerated total against both jets at one rho.
 
-    Returns ``(exact_agrees, float_err, scale)``: whether the exact jet
-    over Q(rho), evaluated at rho, equals the matrix there entry by entry,
-    and the float jet's largest relative difference measured against the
-    cancelled-term scale ``scale``.
+    Returns ``(exact_agrees, float_err)``: whether the exact jet over
+    Q(rho), evaluated at rho, equals the matrix there entry by entry, and
+    the float jet's largest relative difference measured against the
+    cancelled-term scale ``scale`` (``cancellation_scale`` at rho).
     """
     exact_at = mat_eval_at(matrix, rho)
     exact_agrees = mat_eval_at(exact_total_jet(cfg), rho) == exact_at
-    scale = cancellation_scale(cfg, rho)
     float_err = max_rel_diff(exact_at, interaction_total_jet(cfg, rho),
                              floor=scale)
-    return exact_agrees, float_err, scale
+    return exact_agrees, float_err
 
 
 def _scientific(x) -> str:
@@ -442,7 +441,8 @@ def suite_total(report: Report, scenario: Scenario):
                   "(both are nonzero; the total is zero)")
 
     for rho in scenario.oracle_rho:
-        agree, err, scale = _total_dual_path(cfg, tot["matrix"], rho)
+        scale = cancellation_scale(cfg, rho)
+        agree, err = _total_dual_path(cfg, tot["matrix"], rho, scale)
         name = _rho_name(rho)
         s.verdict(f"exact-dual-path-rho-{name}", agree,
                   f"enumerated exact total equals the independent exact jet "
@@ -518,18 +518,20 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     for rho_v in values:
         ctx = JetContext(cfg, _float_at(rho_v))
         name = _rho_name(rho_v)
+        walked = []
         for key, value in sorted(res["terms"].items(),
                                  key=lambda kv: _CHAIN_LABELS[kv[0]]):
             label = _CHAIN_LABELS[key]
             exact_at = mat_eval_at(value.matrix, rho_v)
             with decimal.localcontext(FLOAT_CONTEXT):
-                walked = _walk(ctx, nested_chain(*key))[0]
-            err = max_rel_diff(exact_at, walked)
+                walked.append(_walk(ctx, nested_chain(*key))[0])
+            err = max_rel_diff(exact_at, walked[-1])
             s.verdict(f"term-{label}-rho-{name}", err <= 1e-9,
                       f"term ({label}) dual-path agreement at rho = {name} "
                       f"(max rel diff {err:.2e})")
-        agree, err, _ = _total_dual_path(cfg, total_symbol(cfg)["matrix"],
-                                         rho_v)
+        # the scale of the six terms just walked, on the same context
+        agree, err = _total_dual_path(cfg, total_symbol(cfg)["matrix"], rho_v,
+                                      scale_of_terms(walked, rho_v))
         s.value(f"total-float-max-rel-diff-rho-{name}", f"{err:.3e}")
         s.verdict(f"total-float-dual-path-rho-{name}", err <= 1e-9,
                   f"floating-point jet total agrees with the enumerated "

@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import CoprimeBase, ONE, RhoRational, ZERO
@@ -52,22 +52,14 @@ FREE_PAIR = ("mu", "nu")
 ZERO_MAT = tuple((ZERO,) * 4 for _ in range(4))
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One wave-slot occurrence: u^(slot)_{idx[0] idx[1]} with derivatives."""
-
-    slot: int
-    idx: tuple
-    derivs: tuple = ()
+#: one wave-slot occurrence: u^(slot)_{idx[0] idx[1]} with derivatives
+Factor = namedtuple("Factor", "slot idx derivs", defaults=((),))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "coeff factors hinv", defaults=((),))):
     """coeff * product of factors * product of explicit h^{ab} pairs."""
 
-    coeff: Fraction
-    factors: tuple
-    hinv: tuple = ()
+    __slots__ = ()
 
     def names(self):
         out = []
@@ -173,20 +165,37 @@ class FormalTensorPoly:
         object.__setattr__(self, "monomials", tuple(canon))
         object.__setattr__(self, "arity", arity)
 
+    @staticmethod
+    def _of(monomials, arity) -> "FormalTensorPoly":
+        """Trusted constructor for canonical monomials: each is its own
+        canonical key ``(factors, hinv)``, the keys are distinct and sorted
+        and no coefficient is zero."""
+        self = object.__new__(FormalTensorPoly)
+        object.__setattr__(self, "monomials", tuple(monomials))
+        object.__setattr__(self, "arity", arity)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("FormalTensorPoly is immutable")
 
     def scale(self, c: Fraction) -> "FormalTensorPoly":
         c = Fraction(c)
-        return FormalTensorPoly(
-            (Monomial(m.coeff * c, m.factors, m.hinv) for m in self.monomials),
-            arity=self.arity)
+        return FormalTensorPoly._of(
+            (Monomial(m.coeff * c, m.factors, m.hinv)
+             for m in self.monomials if c), self.arity)
 
     def __add__(self, other: "FormalTensorPoly") -> "FormalTensorPoly":
+        """The sum, merged like the constructor merges but without
+        canonicalizing again: both operands' monomials are canonical."""
         if self.arity != other.arity:
             raise FormError("cannot add forms with different arity")
-        return FormalTensorPoly(self.monomials + other.monomials,
-                                arity=self.arity)
+        coeffs = {}
+        for m in self.monomials + other.monomials:
+            key = (m.factors, m.hinv)
+            coeffs[key] = coeffs.get(key, 0) + m.coeff
+        return FormalTensorPoly._of(
+            (Monomial(c, *key) for key, c in sorted(coeffs.items()) if c),
+            self.arity)
 
     def __eq__(self, other):
         return (isinstance(other, FormalTensorPoly)
@@ -418,7 +427,6 @@ _ENTRY_BASIS = tuple(CoVec4([ONE if k == i else ZERO for k in range(4)])
                      for i in range(4))
 
 
-@dataclass(frozen=True)
 class SlotValue:
     """Symbol data bound to a slot.
 
@@ -430,17 +438,19 @@ class SlotValue:
     given it is built once, on the shared sparse entry basis.
     """
 
-    matrix: Sym2T
-    covector: CoVec4
-    outer: tuple = None
+    __slots__ = ("matrix", "covector", "outer")
 
-    def __post_init__(self):
-        if self.outer is not None:
-            return
-        object.__setattr__(self, "outer", tuple(
-            (self.matrix[i][j], _ENTRY_BASIS[i], _ENTRY_BASIS[j])
-            for i in range(4) for j in range(4)
-            if not self.matrix[i][j].is_zero()))
+    def __init__(self, matrix: Sym2T, covector: CoVec4, outer: tuple = None):
+        if outer is None:
+            outer = tuple((matrix[i][j], _ENTRY_BASIS[i], _ENTRY_BASIS[j])
+                          for i in range(4) for j in range(4)
+                          if not matrix[i][j].is_zero())
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "covector", covector)
+        object.__setattr__(self, "outer", outer)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SlotValue is immutable")
 
     @staticmethod
     def wave(zeta: CoVec4) -> "SlotValue":
@@ -744,7 +754,6 @@ def _sum_out(op, name) -> tuple:
             {key: x for key, x in sums.items() if not x.is_zero()})
 
 
-@dataclass(frozen=True)
 class _Step:
     """Contraction plan of one monomial.
 
@@ -752,14 +761,24 @@ class _Step:
     vector of the level's outer term), the level being the slot minus one.
     ``before`` holds the metric pairs of two covectors, paired before the
     walk; ``pairs_at[level]`` the pairs whose last outer vector is fixed
-    at that level; ``mu`` and ``nu`` the refs of the free indices.
+    at that level; ``mu`` and ``nu`` the refs of the free indices.  A
+    slotted class, not a named tuple: the walk reads its fields in its
+    innermost loops, and a slot read costs about half a named-tuple field
+    read on CPython 3.11.
     """
 
-    coeff: Fraction
-    before: tuple
-    pairs_at: tuple
-    mu: tuple
-    nu: tuple
+    __slots__ = ("coeff", "before", "pairs_at", "mu", "nu")
+
+    def __init__(self, coeff: Fraction, before: tuple, pairs_at: tuple,
+                 mu: tuple, nu: tuple):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "pairs_at", pairs_at)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_Step is immutable")
 
 
 def _step_of(mono: Monomial, depth: int) -> _Step:

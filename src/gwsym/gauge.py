@@ -6,7 +6,7 @@ field (so the answers are uniform in large rho).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .exact import RhoRational, ZERO
@@ -79,12 +79,8 @@ def _constraint_matrix(kind: ConstraintKind, metric: Metric4, cov: CoVec4):
         len(_SYM_BASIS)
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    dimension: int
-    fiber_dimension: int
-    rank: int
-    degenerate: bool
+DimensionResult = namedtuple("DimensionResult",
+                             "dimension fiber_dimension rank degenerate")
 
 
 def constraint_space_dim(kind: ConstraintKind, metric: Metric4,

@@ -26,7 +26,7 @@ without evaluating them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
@@ -48,38 +48,66 @@ def _node_hash(node) -> int:
     return node._hash
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self, name, value):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Leaf:
-    wave: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("wave", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.wave,)))
+    def __init__(self, wave: int):
+        object.__setattr__(self, "wave", wave)
+        object.__setattr__(self, "_hash", hash((wave,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Leaf:
+            return NotImplemented
+        return self.wave == other.wave
+
+    def __repr__(self):
+        return f"Leaf(wave={self.wave!r})"
 
     __hash__ = _node_hash
+    __setattr__ = _frozen
 
 
-@dataclass(frozen=True, slots=True)
 class QNode:
-    child: object
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("child", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.child,)))
+    def __init__(self, child):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "_hash", hash((child,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not QNode:
+            return NotImplemented
+        return self.child == other.child
+
+    def __repr__(self):
+        return f"QNode(child={self.child!r})"
 
     __hash__ = _node_hash
+    __setattr__ = _frozen
 
 
-@dataclass(frozen=True, slots=True)
 class FormNode:
-    form: tuple  # ('P'|'Hhat', k)
-    children: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("form", "children", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.form, self.children)))
+    def __init__(self, form: tuple, children: tuple):  # form: ('P'|'Hhat', k)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_hash", hash((form, children)))
+
+    def __eq__(self, other):
+        if other.__class__ is not FormNode:
+            return NotImplemented
+        return self.form == other.form and self.children == other.children
+
+    def __repr__(self):
+        return f"FormNode(form={self.form!r}, children={self.children!r})"
 
     __hash__ = _node_hash
+    __setattr__ = _frozen
 
 
 class CharacteristicDenominatorError(ArithmeticError):
@@ -132,7 +160,6 @@ def mat_of(tensor) -> tuple:
     return tuple(tuple(row) for row in tensor)
 
 
-@dataclass(frozen=True, slots=True)
 class SymbolValue:
     """Evaluated term: total covector, leaves, real matrix.
 
@@ -144,11 +171,21 @@ class SymbolValue:
     decomposition.
     """
 
-    covector: CoVec4
-    leaves: tuple
-    outer: tuple
-    _matrix: tuple = field(default=None, init=False, repr=False,
-                           compare=False)
+    __slots__ = ("covector", "leaves", "outer", "_matrix")
+
+    def __init__(self, covector: CoVec4, leaves: tuple, outer: tuple):
+        object.__setattr__(self, "covector", covector)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "_matrix", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not SymbolValue:
+            return NotImplemented
+        return (self.covector == other.covector and self.leaves == other.leaves
+                and self.outer == other.outer)
+
+    __setattr__ = _frozen
 
     @property
     def matrix(self) -> tuple:
@@ -433,16 +470,8 @@ def _arities(shape) -> tuple:
     return sum((_arities(c) for c in shape), (len(shape),))
 
 
-@dataclass(frozen=True)
-class SignedTerm:
-    """One concrete interaction term with its sign and provenance."""
-
-    sign: int
-    ast: object
-    hclass: int
-    shape: int
-    perm: tuple
-    forms: tuple
+#: one concrete interaction term with its sign and provenance
+SignedTerm = namedtuple("SignedTerm", "sign ast hclass shape perm forms")
 
 
 def _signed_term(hclass: int, shape: int, perm: tuple, forms: tuple):

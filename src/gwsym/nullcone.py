@@ -7,7 +7,7 @@ interaction point), with the causal future treated as closed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import RhoRational, ZERO
@@ -141,14 +141,10 @@ def standard_config() -> NullConfig:
 # Flat causal model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatPoint:
+class FlatPoint(namedtuple("FlatPoint", "x0 x1 x2 x3")):
     """Point of Minkowski space with exact rational coordinates."""
 
-    x0: Fraction
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
+    __slots__ = ()
 
     @staticmethod
     def of(*coords) -> "FlatPoint":
@@ -172,13 +168,8 @@ def causally_unrelated(p: FlatPoint, q: FlatPoint) -> bool:
     return not (in_causal_future(p, q) or in_causal_future(q, p))
 
 
-@dataclass(frozen=True)
-class BacktraceResult:
-    sources: tuple
-    pair_table: dict
-    all_unrelated: bool
-    directions: tuple
-    independent_directions: bool
+BacktraceResult = namedtuple("BacktraceResult", "sources pair_table "
+                             "all_unrelated directions independent_directions")
 
 
 def future_null_direction(zeta: CoVec4, rho_value: Fraction,

@@ -489,9 +489,17 @@ def cancellation_scale(config: NullConfig, rho) -> Decimal:
     instead of loosening every comparison against the scale.
     """
     ctx = JetContext(config, _float_at(rho))
+    return scale_of_terms((_walk(ctx, nested_chain(*key))[0]
+                           for key in itertools.permutations((1, 2, 3))), rho)
+
+
+@_float_route
+def scale_of_terms(matrices, rho) -> Decimal:
+    """``cancellation_scale`` from the six nested-chain terms already
+    walked at ``rho``: the largest magnitude of their entries."""
     scale = Decimal(0)
-    for a, b, c in itertools.permutations((1, 2, 3)):
-        for row in _walk(ctx, nested_chain(a, b, c))[0]:
+    for matrix in matrices:
+        for row in matrix:
             for x in row:
                 if not x.is_finite():
                     raise OverflowError(

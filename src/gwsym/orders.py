@@ -6,24 +6,25 @@ order claims stay auditable end to end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 LABELS = ("source-conormal", "flowout", "interaction-cone",
           "point-conormal", "paired")
 
 
-@dataclass(frozen=True)
 class MicroOrder:
     """Exact rational order on a labelled Lagrangian."""
 
-    value: Fraction
-    lagrangian: str
+    __slots__ = ("value", "lagrangian")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.lagrangian not in LABELS:
-            raise ValueError(f"unknown Lagrangian label {self.lagrangian!r}")
+    def __init__(self, value: Fraction, lagrangian: str):
+        object.__setattr__(self, "value", Fraction(value))
+        if lagrangian not in LABELS:
+            raise ValueError(f"unknown Lagrangian label {lagrangian!r}")
+        object.__setattr__(self, "lagrangian", lagrangian)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MicroOrder is immutable")
 
     def shifted(self, delta) -> "MicroOrder":
         return MicroOrder(self.value + Fraction(delta), self.lagrangian)

@@ -6,34 +6,21 @@ The machine format is line-delimited and versioned: tab-separated records
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 SCHEMA_VERSION = "1"
 
-
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    claim: str
-    detail: str = ""
+Verdict = namedtuple("Verdict", "name passed claim detail", defaults=("",))
+Value = namedtuple("Value", "key value")
+TraceLine = namedtuple("TraceLine", "text")
 
 
-@dataclass(frozen=True)
-class Value:
-    key: str
-    value: str
-
-
-@dataclass(frozen=True)
-class TraceLine:
-    text: str
-
-
-@dataclass
 class Section:
-    title: str
-    entries: list = field(default_factory=list)
+    __slots__ = ("title", "entries")
+
+    def __init__(self, title, entries=None):
+        self.title = title
+        self.entries = [] if entries is None else entries
 
     def verdict(self, name, passed, claim, detail=""):
         self.entries.append(Verdict(name, bool(passed), claim, detail))
@@ -45,9 +32,11 @@ class Section:
         self.entries.append(TraceLine(str(text)))
 
 
-@dataclass
 class Report:
-    sections: list = field(default_factory=list)
+    __slots__ = ("sections",)
+
+    def __init__(self, sections=None):
+        self.sections = [] if sections is None else sections
 
     def section(self, title) -> Section:
         s = Section(title)

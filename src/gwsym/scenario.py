@@ -26,7 +26,6 @@ there) and keep the float oracle's values inside the range of its
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import log
@@ -45,13 +44,18 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
 class Scenario:
-    config: NullConfig
-    oracle_rho: tuple = (Fraction(2), Fraction(3))
-    format: str = "text"
-    out: str = None
-    custom_config: bool = False
+    __slots__ = ("config", "oracle_rho", "format", "out", "custom_config")
+
+    def __init__(self, config: NullConfig,
+                 oracle_rho: tuple = (Fraction(2), Fraction(3)),
+                 format: str = "text", out: str = None,
+                 custom_config: bool = False):
+        self.config = config
+        self.oracle_rho = oracle_rho
+        self.format = format
+        self.out = out
+        self.custom_config = custom_config
 
     @staticmethod
     def default() -> "Scenario":

@@ -14,7 +14,8 @@ from gwsym.forms import (FREE_PAIR, ZERO_MAT, Factor, FormalTensorPoly,
                          FormError, Monomial, SlotValue, build_form_family,
                          explicit_hhat2, form_denominators, matrix_of_outer,
                          merge_outer, reduced_ricci_expansion, symbol_of_form,
-                         symbol_of_form_by_assignment, symbol_outer_of_form)
+                         symbol_of_form_by_assignment, symbol_outer_of_form,
+                         _canonical_monomial)
 from gwsym.nullcone import NullConfig, standard_config
 from gwsym.scenario import load_scenario
 from gwsym.tensor import (MINKOWSKI, CoVec4, Metric4, Sym2T, pairing,
@@ -107,6 +108,43 @@ class TestReducedExpansion:
             reduced_ricci_expansion(0)
         with pytest.raises(ValueError):
             reduced_ricci_expansion(5)
+
+
+class TestFormArithmetic:
+    """``scale`` and ``+`` merge canonical monomials without canonicalizing
+    them again; the canonicalizing constructor is the reference."""
+
+    @staticmethod
+    def canonical(monomials, arity):
+        return FormalTensorPoly(list(monomials), arity=arity)
+
+    def test_monomials_are_their_own_canonical_keys(self):
+        for _, form in family_and_summed_forms():
+            for m in form.monomials:
+                assert _canonical_monomial(m) == (m.factors, m.hinv)
+
+    @pytest.mark.parametrize("c", [2, Fraction(-1, 3), 0])
+    def test_scale_matches_constructor(self, c):
+        for _, form in family_and_summed_forms():
+            scaled = form.scale(c)
+            assert scaled == self.canonical(
+                (Monomial(m.coeff * c, m.factors, m.hinv)
+                 for m in form.monomials), form.arity)
+            assert bool(scaled.monomials) == (c != 0)
+
+    def test_sum_matches_constructor(self):
+        fam = build_form_family()
+        for k in (2, 3, 4):
+            p, h = fam[("P", k)], fam[("Hhat", k)]
+            for a, b in ((p, h), (h, p), (p, p.scale(Fraction(-1, 3)))):
+                assert a + b == self.canonical(a.monomials + b.monomials, k)
+            assert not (h + h.scale(-1)).monomials
+            assert (h + h.scale(-1)).arity == k
+
+    def test_sum_of_different_arities(self):
+        fam = build_form_family()
+        with pytest.raises(FormError, match="different arity"):
+            fam[("P", 2)] + fam[("P", 3)]
 
 
 class TestSymbolEvaluation:

@@ -3,8 +3,9 @@
 Runs eleven reports through ``python -m gwsym`` with the checkout's ``src``
 on ``PYTHONPATH`` and prints one line per report: the exit code, the
 SHA-256 of stdout, and the arguments.  A refactor keeps every line.  Each
-report's peak resident set size (``os.wait4``'s rusage) goes to stderr, so
-stdout stays diffable between checkouts.
+report's peak resident set size and CPU seconds (user plus system, from
+``os.wait4``'s rusage) go to stderr, so stdout stays diffable between
+checkouts.
 
     python tools/report_digests.py [CHECKOUT]
     python tools/report_digests.py CHECKOUT PARENT
@@ -13,7 +14,7 @@ CHECKOUT defaults to the checkout holding this script; pass another one
 (say, an unpacked parent commit) to digest its reports with the same list.
 With two checkouts each report runs on both, one after the other; stdout
 gets only the reports whose exit code or digest differs (one line per
-checkout), stderr the two peak RSS figures side by side, and the exit code
+checkout), stderr both checkouts' figures side by side, and the exit code
 is 1 on any difference.  Standard library only.
 """
 import hashlib
@@ -43,7 +44,8 @@ REPORTS = [
 
 
 def _digest(root: Path, args) -> tuple:
-    """(exit code, SHA-256 of stdout, peak RSS in MB) of one report."""
+    """(exit code, SHA-256 of stdout, peak RSS in MB, CPU seconds) of one
+    report."""
     path = os.pathsep.join(p for p in (str(root / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen([sys.executable, "-m", "gwsym", *args],
@@ -55,7 +57,8 @@ def _digest(root: Path, args) -> tuple:
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     # ru_maxrss is in KiB on Linux
-    return proc.returncode, digest, usage.ru_maxrss / 1024
+    return (proc.returncode, digest, usage.ru_maxrss / 1024,
+            usage.ru_utime + usage.ru_stime)
 
 
 def main(argv) -> int:
@@ -68,18 +71,18 @@ def main(argv) -> int:
         args_text = " ".join(args)
         runs = [_digest(root, args) for root in roots]
         if len(runs) == 1:
-            (code, digest, rss), = runs
+            (code, digest, rss, cpu), = runs
             print(code, digest, args_text, flush=True)
-            print(f"{rss:.2f} MB peak RSS", args_text, file=sys.stderr,
-                  flush=True)
+            print(f"{rss:.2f} MB peak RSS, {cpu:.2f} s CPU", args_text,
+                  file=sys.stderr, flush=True)
             continue
-        (code, digest, rss), (pcode, pdigest, prss) = runs
+        (code, digest, rss, cpu), (pcode, pdigest, prss, pcpu) = runs
         if (code, digest) != (pcode, pdigest):
             differ = True
             print(code, digest, args_text, flush=True)
             print(pcode, pdigest, args_text, "(parent)", flush=True)
-        print(f"{rss:.2f} MB {prss:.2f} MB peak RSS (parent second)",
-              args_text, file=sys.stderr, flush=True)
+        print(f"{rss:.2f} MB {prss:.2f} MB peak RSS, {cpu:.2f} s {pcpu:.2f} s "
+              "CPU (parent second)", args_text, file=sys.stderr, flush=True)
     return 1 if differ else 0
 
 
