@@ -18,19 +18,19 @@ from fractions import Fraction
 from .exact import NEG_INF, RhoRational, format_rho_rational
 from .conformal import (canonical_chain, compose_total_weight,
                         q_diag_weight, verified_degree_table)
-from .forms import explicit_hhat2, reduced_ricci_expansion
+from .forms import (SlotValue, explicit_hhat2, reduced_ricci_expansion,
+                    symbol_of_form_by_assignment, symbols_of_forms)
 from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, \
     harmonic_gauge_residual
-from .interaction import (classify_rho40_terms,
+from .interaction import (classify_rho40_terms, coefficient_of,
                           eval_I_cancellation, form_family, item_value,
                           mat_add, mat_eval_at, mat_max_degree, mat_of,
                           mat_scale, mat_sub, mat_sum, mat_is_zero,
-                          nested_chain, total_symbol, _coefficient_of)
+                          nested_chain, total_symbol)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
-from .oracle import (FLOAT_CONTEXT, JetContext, _float_at, _walk,
-                     cancellation_scale, exact_total_jet,
-                     interaction_total_jet, max_rel_diff, scale_of_terms)
+from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
+                     max_rel_diff)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -145,19 +145,18 @@ def suite_derive_forms(report: Report, scenario: Scenario):
               "formula term for term")
     # Dual evaluation paths must agree on every form: on the wave symbols,
     # and on a non-symmetric slot matrix, where the order of a factor's two
-    # indices shows.
-    from .forms import SlotValue, symbol_of_form, symbol_of_form_by_assignment
+    # indices shows.  Every decomposition walk runs on one base.
     cfg = standard_config()
     shift = tuple(tuple(RhoRational.const(i + 1 if j == (i + 1) % 4 else 0)
                         for j in range(4)) for i in range(4))
-    for key, form in sorted(fam.items()):
-        zetas = {slot: cfg.zeta(slot) for slot in range(1, form.arity + 1)}
-        assignments = ({k: SlotValue.wave(z) for k, z in zetas.items()},
-                       {k: SlotValue(shift, z) for k, z in zetas.items()})
+    items = [(form, {k: slot(cfg.zeta(k)) for k in range(1, form.arity + 1)})
+             for _, form in sorted(fam.items())
+             for slot in (SlotValue.wave, lambda z: SlotValue(shift, z))]
+    symbols = symbols_of_forms(items)
+    for i, key in enumerate(sorted(fam)):
         s.verdict(f"dual-evaluation-{key[0]}{key[1]}",
-                  all(symbol_of_form(form, a)
-                      == symbol_of_form_by_assignment(form, a)
-                      for a in assignments),
+                  all(symbols[j] == symbol_of_form_by_assignment(*items[j])
+                      for j in (2 * i, 2 * i + 1)),
                   "decomposition and index-assignment evaluations agree")
     listing = report.section("form monomial listings")
     for key, form in sorted(fam.items()):
@@ -306,8 +305,8 @@ def suite_items(report: Report, scenario: Scenario):
               mat_max_degree(mat_sum([items[1]["matrix"],
                                       items[2]["matrix"]])) < 40,
               "families 1 and 2 cancel at the top entry order")
-    c1 = _coefficient_of(items[1]["matrix"], a4)
-    c2 = _coefficient_of(items[2]["matrix"], a4)
+    c1 = coefficient_of(items[1]["matrix"], a4)
+    c2 = coefficient_of(items[2]["matrix"], a4)
     s.value("item-1-coefficient", _fmt(c1))
     s.value("item-2-coefficient", _fmt(c2))
     s.verdict("item-2-published", c2 == r20,
@@ -316,8 +315,8 @@ def suite_items(report: Report, scenario: Scenario):
     for n, (p_want, h_want, h_published) in {
             3: (Fraction(-1, 2), Fraction(3, 4), Fraction(3, 2)),
             8: (Fraction(1, 2), Fraction(-3, 4), Fraction(-3, 2))}.items():
-        cp = _coefficient_of(items[n]["p_part"], a4)
-        ch = _coefficient_of(items[n]["hhat_part"], a4)
+        cp = coefficient_of(items[n]["p_part"], a4)
+        ch = coefficient_of(items[n]["hhat_part"], a4)
         s.value(f"item-{n}-quasilinear-coefficient", _fmt(cp))
         s.value(f"item-{n}-semilinear-coefficient", _fmt(ch))
         s.verdict(f"item-{n}-quasilinear-published",
@@ -394,19 +393,17 @@ def _published_form_matches(cfg, matrix) -> dict:
     return matches
 
 
-def _total_dual_path(cfg, matrix, rho, scale):
-    """Check an enumerated total against both jets at one rho.
-
-    Returns ``(exact_agrees, float_err)``: whether the exact jet over
-    Q(rho), evaluated at rho, equals the matrix there entry by entry, and
-    the float jet's largest relative difference measured against the
-    cancelled-term scale ``scale`` (``cancellation_scale`` at rho).
-    """
+def _total_dual_path(cfg, matrix, rho):
+    """``(exact_agrees, float_err, oracle)`` of an enumerated total at one
+    rho: whether the exact jet over Q(rho) equals it there entry by entry,
+    and the largest relative difference of the float total of ``oracle``,
+    the ``float_oracle`` at rho, measured against its cancellation scale.
+    The exact jet runs first, while no float value is held."""
     exact_at = mat_eval_at(matrix, rho)
     exact_agrees = mat_eval_at(exact_total_jet(cfg), rho) == exact_at
-    float_err = max_rel_diff(exact_at, interaction_total_jet(cfg, rho),
-                             floor=scale)
-    return exact_agrees, float_err
+    oracle = float_oracle(cfg, rho)
+    float_err = max_rel_diff(exact_at, oracle.total, floor=oracle.scale)
+    return exact_agrees, float_err, oracle
 
 
 def _scientific(x) -> str:
@@ -441,23 +438,27 @@ def suite_total(report: Report, scenario: Scenario):
                   "(both are nonzero; the total is zero)")
 
     for rho in scenario.oracle_rho:
-        scale = cancellation_scale(cfg, rho)
-        agree, err = _total_dual_path(cfg, tot["matrix"], rho, scale)
-        name = _rho_name(rho)
-        s.verdict(f"exact-dual-path-rho-{name}", agree,
-                  f"enumerated exact total equals the independent exact jet "
-                  f"iteration at rho = {name} (structural equality)")
-        s.value(f"float-oracle-cancellation-scale-rho-{name}",
-                _scientific(scale))
-        s.value(f"float-oracle-max-rel-diff-rho-{name}", f"{err:.3e}")
-        s.verdict(f"float-dual-path-rho-{name}", err <= 1e-9,
-                  f"floating-point jet oracle agrees to 1e-9 relative at "
-                  f"rho = {name} (relative to the cancelled-term scale where "
-                  "entries vanish)",
-                  detail="the exact dual path above is the decisive check; "
-                         "roundoff in the float path is proportional to the "
-                         "largest cancelled summand")
+        _total_at(s, cfg, tot["matrix"], rho)
     return report
+
+
+def _total_at(s, cfg, matrix, rho):
+    """``suite_total``'s checks at one rho; its ``float_oracle`` dies here."""
+    agree, err, oracle = _total_dual_path(cfg, matrix, rho)
+    name = _rho_name(rho)
+    s.verdict(f"exact-dual-path-rho-{name}", agree,
+              f"enumerated exact total equals the independent exact jet "
+              f"iteration at rho = {name} (structural equality)")
+    s.value(f"float-oracle-cancellation-scale-rho-{name}",
+            _scientific(oracle.scale))
+    s.value(f"float-oracle-max-rel-diff-rho-{name}", f"{err:.3e}")
+    s.verdict(f"float-dual-path-rho-{name}", err <= 1e-9,
+              f"floating-point jet oracle agrees to 1e-9 relative at "
+              f"rho = {name} (relative to the cancelled-term scale where "
+              "entries vanish)",
+              detail="the exact dual path above is the decisive check; "
+                     "roundoff in the float path is proportional to the "
+                     "largest cancelled summand")
 
 
 def suite_conformal(report: Report, scenario: Scenario):
@@ -481,7 +482,6 @@ def suite_conformal(report: Report, scenario: Scenario):
 
     # End-to-end: one complete interaction term under metric rescaling.
     from .interaction import Evaluator, FormNode
-    from .forms import SlotValue
     cfg = standard_config()
     lam = Fraction(2)
     ast = FormNode(("Hhat", 2), nested_chain(1, 2, 3).children)
@@ -514,31 +514,31 @@ def suite_oracle(report: Report, scenario: Scenario, rho=None):
     cfg = scenario.config
     values = [Fraction(rho)] if rho is not None else list(scenario.oracle_rho)
     s = report.section("floating-point oracle")
-    res = eval_I_cancellation(cfg)
+    terms = eval_I_cancellation(cfg)["terms"]
     for rho_v in values:
-        ctx = JetContext(cfg, _float_at(rho_v))
-        name = _rho_name(rho_v)
-        walked = []
-        for key, value in sorted(res["terms"].items(),
-                                 key=lambda kv: _CHAIN_LABELS[kv[0]]):
-            label = _CHAIN_LABELS[key]
-            exact_at = mat_eval_at(value.matrix, rho_v)
-            with decimal.localcontext(FLOAT_CONTEXT):
-                walked.append(_walk(ctx, nested_chain(*key))[0])
-            err = max_rel_diff(exact_at, walked[-1])
-            s.verdict(f"term-{label}-rho-{name}", err <= 1e-9,
-                      f"term ({label}) dual-path agreement at rho = {name} "
-                      f"(max rel diff {err:.2e})")
-        # the scale of the six terms just walked, on the same context
-        agree, err = _total_dual_path(cfg, total_symbol(cfg)["matrix"], rho_v,
-                                      scale_of_terms(walked, rho_v))
-        s.value(f"total-float-max-rel-diff-rho-{name}", f"{err:.3e}")
-        s.verdict(f"total-float-dual-path-rho-{name}", err <= 1e-9,
-                  f"floating-point jet total agrees with the enumerated "
-                  f"total to 1e-9 relative at rho = {name}")
-        s.verdict(f"total-exact-jet-rho-{name}", agree,
-                  f"exact jet total equals the enumerated total at rho = {name}")
+        _oracle_at(s, cfg, terms, rho_v)
     return report
+
+
+def _oracle_at(s, cfg, terms, rho):
+    """``suite_oracle``'s checks at one rho; its ``float_oracle`` dies here."""
+    agree, err, oracle = _total_dual_path(cfg, total_symbol(cfg)["matrix"],
+                                          rho)
+    name = _rho_name(rho)
+    for key, value in sorted(terms.items(),
+                             key=lambda kv: _CHAIN_LABELS[kv[0]]):
+        label = _CHAIN_LABELS[key]
+        term_err = max_rel_diff(mat_eval_at(value.matrix, rho),
+                                oracle.chains[key])
+        s.verdict(f"term-{label}-rho-{name}", term_err <= 1e-9,
+                  f"term ({label}) dual-path agreement at rho = {name} "
+                  f"(max rel diff {term_err:.2e})")
+    s.value(f"total-float-max-rel-diff-rho-{name}", f"{err:.3e}")
+    s.verdict(f"total-float-dual-path-rho-{name}", err <= 1e-9,
+              f"floating-point jet total agrees with the enumerated "
+              f"total to 1e-9 relative at rho = {name}")
+    s.verdict(f"total-exact-jet-rho-{name}", agree,
+              f"exact jet total equals the enumerated total at rho = {name}")
 
 
 SUITES = {

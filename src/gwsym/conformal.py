@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RhoRational
-from .forms import SlotValue, _symbols_of_forms
-from .interaction import form_family, mat_is_zero, mat_scale, mat_sub
+from .forms import SlotValue, symbols_of_forms
+from .interaction import form_family
 from .nullcone import standard_config
 from .tensor import MINKOWSKI, norm_sq
 
@@ -22,14 +22,17 @@ class NonHomogeneousError(ArithmeticError):
 
 
 def _fit_exponent(base_matrix, scaled_matrix, lam: Fraction) -> int:
-    """The integer w with scaled == lam^w * base, else raises."""
-    if mat_is_zero(base_matrix):
+    """The w in -16..16 with scaled == lam^w * base, else raises; the ratio
+    at base's first nonzero entry is the one candidate, checked once."""
+    pairs = [(b, x) for brow, srow in zip(base_matrix, scaled_matrix)
+             for b, x in zip(brow, srow)]
+    ratio = next((x / b for b, x in pairs if not b.is_zero()), None)
+    if ratio is None:
         raise NonHomogeneousError("a zero evaluation has no weight")
-    for w in range(-16, 17):
-        factor = RhoRational.const(lam ** w)
-        if mat_is_zero(mat_sub(scaled_matrix, mat_scale(base_matrix, factor))):
-            return w
-    raise NonHomogeneousError("ratio of evaluations is not a pure power")
+    w = {RhoRational.const(lam ** k): k for k in range(-16, 17)}.get(ratio)
+    if w is None or any(x != ratio * b for b, x in pairs):
+        raise NonHomogeneousError("ratio of evaluations is not a pure power")
+    return w
 
 
 def _weights(evaluate) -> list:
@@ -113,4 +116,4 @@ def verified_degree_table() -> dict:
         form = form_family()[key]
         items.append((form, {s: waves[s] for s in range(1, form.arity + 1)}))
     return dict(zip(keys, _weights(
-        lambda metric: [rows for rows, _ in _symbols_of_forms(items, metric)])))
+        lambda metric: [rows for rows, _ in symbols_of_forms(items, metric)])))

@@ -426,7 +426,7 @@ class RhoRational:
 
     # -- field operations ---------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         if self.num.is_zero():
             return other
         if other.num.is_zero():
@@ -462,14 +462,14 @@ class RhoRational:
         return RhoRational._raw(-self.num, self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
         if self.den == _POLY_ONE and other.den == _POLY_ONE:
@@ -502,11 +502,11 @@ class RhoRational:
         return RhoRational._raw(self.den.scale(1 / c), self.num.scale(1 / c))
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         return self * other._inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self._inverse()
+        return coerce(other) * self._inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -529,7 +529,9 @@ ZERO = RhoRational.const(0)
 ONE = RhoRational.const(1)
 
 
-def _coerce(x) -> RhoRational:
+def coerce(x) -> RhoRational:
+    """``x`` as a ``RhoRational``; an int or a ``Fraction`` becomes a
+    constant."""
     if isinstance(x, RhoRational):
         return x
     if isinstance(x, (int, Fraction)):
@@ -656,7 +658,7 @@ class CoprimeBase:
         memoized."""
         hit = self._lifts.get(x)
         if hit is None:
-            hit = self._lifts[x] = self._lift(_coerce(x))
+            hit = self._lifts[x] = self._lift(coerce(x))
         return hit
 
     def _lift(self, x: RhoRational) -> "BaseValue":

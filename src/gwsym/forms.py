@@ -12,7 +12,7 @@ evaluate principal symbols.
 
 Symbols are evaluated two independent ways: through the slots' outer-product
 decompositions, where metric pairs collapse to vector pairings
-(``symbol_of_form``), and, as the reference for cross-checks, by summing
+(``symbols_of_forms``), and, as the reference for cross-checks, by summing
 every index over 0..3 with one exact sparse contraction per monomial on
 the nonzero entries of the slot matrices, covectors and inverse metric
 (``symbol_of_form_by_assignment``).  The first
@@ -24,7 +24,7 @@ law, as in Aji and McEliece, "The generalized distributive law", 2000).
 The walk runs on one scalar: the slot coefficients lie on one
 ``CoprimeBase`` (``BaseValue``), each metric pairing is lifted onto it once,
 and every sum and product stays on it.  An ``Evaluator`` keeps its node
-values on its own base; ``symbol_of_form`` builds a base from the
+values on its own base; ``symbols_of_forms`` builds one base from the
 denominators the walk meets (``form_denominators``) and lifts its
 ``RhoRational`` slots onto it.  Matrices are built only at the output
 boundary, by ``CoprimeBase.matrix``, with canonical ``RhoRational`` entries.
@@ -519,7 +519,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
 
     The slot coefficients must be ``BaseValue`` on one ``CoprimeBase``,
     which covers the denominators of ``form_denominators``; the terms'
-    coefficients are on it too.  ``symbol_of_form`` evaluates slots with
+    coefficients are on it too.  ``symbols_of_forms`` evaluates slots with
     ``RhoRational`` coefficients.
 
     ``pairings`` caches the metric pairings by their two vectors and
@@ -538,7 +538,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     bases = {getattr(terms[0][0], "base", None) for terms in decomps if terms}
     if None in bases or len(bases) > 1:
         raise TypeError("slot coefficients are not on one CoprimeBase; "
-                        "call symbol_of_form for RhoRational slots")
+                        "call symbols_of_forms for RhoRational slots")
     if not bases or not all(decomps):
         return (), i_power
     (base,) = bases
@@ -625,26 +625,20 @@ def form_denominators(metric: Metric4, slots) -> list:
     return polys
 
 
-def symbol_of_form(form: FormalTensorPoly, assignment,
-                   metric: Metric4 = MINKOWSKI):
-    """Evaluate a form on slot symbols; returns (rows, i_power).
+def symbols_of_forms(items, metric: Metric4 = MINKOWSKI) -> list:
+    """Evaluate each (form, assignment) of ``items`` on its slot symbols;
+    returns one (rows, i_power) per item.
 
     Each slot's tensor is replaced by its symbol matrix and each derivative
     by the slot's covector component (one factor of i per derivative; the
     returned matrix excludes the i's, whose total power is reported).
     ``rows`` is a plain 4x4 tuple matrix of canonical ``RhoRational``: a
     single slot-ordered monomial need not be symmetric, only
-    permutation-summed combinations are.  The value is built from the
-    outer-product decomposition, walked on a ``CoprimeBase`` of
-    ``form_denominators`` onto which the slot coefficients are lifted.
+    permutation-summed combinations are.  Each value is built from the
+    outer-product decomposition, and every walk runs on one
+    ``CoprimeBase`` of the ``form_denominators`` of all the items' slots,
+    onto which the slot coefficients are lifted.
     """
-    return _symbols_of_forms(((form, assignment),), metric)[0]
-
-
-def _symbols_of_forms(items, metric: Metric4) -> list:
-    """``symbol_of_form`` of each (form, assignment) of ``items``, every
-    walk on one ``CoprimeBase`` of the ``form_denominators`` of all their
-    slots."""
     items = [(form, dict(assignment)) for form, assignment in items]
     base = CoprimeBase([p for _, slots in items
                         for p in form_denominators(metric, slots.values())])
@@ -661,7 +655,8 @@ def _symbols_of_forms(items, metric: Metric4) -> list:
 
 def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
                                  metric: Metric4 = MINKOWSKI):
-    """``symbol_of_form`` summed over concrete index assignments.
+    """``symbols_of_forms`` of one form, summed over concrete index
+    assignments.
 
     The reference route for cross-checks: it reads only the slot matrices
     and covectors, never an outer-product decomposition.  Each monomial is

@@ -666,9 +666,9 @@ def eval_I_cancellation(config: NullConfig):
     for key in itertools.permutations((1, 2, 3)):
         order.append((key, ev.eval(nested_chain(*key))))
     a4 = mat_of(rank_one(config.zeta(4)))
-    coeffs = {key: _coefficient_of(value.matrix, a4) for key, value in order}
+    coeffs = {key: coefficient_of(value.matrix, a4) for key, value in order}
     total = mat_sum(value.matrix for _, value in order)
-    total_coeff = _coefficient_of(total, a4)
+    total_coeff = coefficient_of(total, a4)
     return {
         "terms": dict(order),
         "coefficients": coeffs,
@@ -678,7 +678,7 @@ def eval_I_cancellation(config: NullConfig):
     }
 
 
-def _coefficient_of(matrix, direction):
+def coefficient_of(matrix, direction):
     """The scalar c with matrix == c * direction, or None if not parallel."""
     coeff = None
     for i in range(4):

@@ -23,7 +23,7 @@ each coefficient node.
   components on fewer waves, so two passes fix the two- and three-wave
   components, and the last evaluation computes the four-wave component
   alone.  ``exact_total_jet`` runs it once per configuration over Q(rho);
-  ``interaction_total_jet`` runs it in floating point at one rho.
+  ``float_oracle`` runs it in floating point at one rho.
 
 * A walk over one term tree (``_walk``) on the same scalars.  A P_k node
   is the jet's quasilinear part on single components, with the chain of its
@@ -57,7 +57,7 @@ FULL = frozenset({1, 2, 3, 4})
 #: The float route's arithmetic: 19 significant digits and exponents within
 #: about +-4932, as in the x87 extended double it replaced.  Nothing traps:
 #: as in IEEE arithmetic an overflow gives an infinity and an invalid
-#: operation a NaN, which ``cancellation_scale`` and ``max_rel_diff`` test
+#: operation a NaN, which ``float_oracle`` and ``max_rel_diff`` test
 #: for.  Every float entry point runs in a copy of it (``_float_route``), so
 #: no result depends on the caller's decimal context.
 FLOAT_CONTEXT = decimal.Context(prec=19, Emax=4932, Emin=-4932, traps=[])
@@ -476,36 +476,33 @@ def _walk(ctx, node):
     return [[-x for x in row] for row in result.get(s) or ctx.zero_mat()], s
 
 
-@_float_route
-def cancellation_scale(config: NullConfig, rho) -> Decimal:
-    """Intrinsic magnitude of the largest single interaction term.
+FloatOracle = namedtuple("FloatOracle", "chains scale total")
 
-    The grand total is a sum with massive top-order cancellations; any
-    floating-point route carries roundoff proportional to the largest
-    summand, so relative agreement is only meaningful against this scale
-    once entries cancel below it.  Computed from the six nested-chain
-    permutation terms, which dominate every other term, on one float
-    ``JetContext``.  An entry that is not finite raises ``OverflowError``
-    instead of loosening every comparison against the scale.
+
+@_float_route
+def float_oracle(config: NullConfig, rho) -> FloatOracle:
+    """The float route at ``rho``, on one ``JetContext``: the walks of the
+    six nested-chain terms keyed by permutation of (1, 2, 3), their
+    cancellation scale, and the jet's total.
+
+    The total is a sum with massive top-order cancellations, so its float
+    roundoff is proportional to the largest summand; relative agreement is
+    measured against the largest entry of the six nested-chain terms, which
+    dominate every other term.  An entry that is not finite raises
+    ``OverflowError`` instead of loosening every comparison against it.
     """
     ctx = JetContext(config, _float_at(rho))
-    return scale_of_terms((_walk(ctx, nested_chain(*key))[0]
-                           for key in itertools.permutations((1, 2, 3))), rho)
-
-
-@_float_route
-def scale_of_terms(matrices, rho) -> Decimal:
-    """``cancellation_scale`` from the six nested-chain terms already
-    walked at ``rho``: the largest magnitude of their entries."""
+    chains = {key: _walk(ctx, nested_chain(*key))[0]
+              for key in itertools.permutations((1, 2, 3))}
     scale = Decimal(0)
-    for matrix in matrices:
+    for matrix in chains.values():
         for row in matrix:
             for x in row:
                 if not x.is_finite():
                     raise OverflowError(
                         f"cancellation scale overflows at rho = {rho}")
                 scale = max(scale, abs(x))
-    return scale
+    return FloatOracle(chains, scale, _total_jet(ctx))
 
 
 @_float_route

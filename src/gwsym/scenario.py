@@ -14,7 +14,9 @@ with ``#`` are ignored.  Keys:
   out            optional output path
 
 Any other key is an error, so a misspelt key cannot fall back to a default
-unnoticed.
+unnoticed.  So is a file that is not UTF-8, and a number with more digits
+than Python converts to an int (``sys.get_int_max_str_digits``, 4300 by
+default).
 
 Custom covectors must pass the configuration validation (each light-like,
 independent, light-like sum) before use.  Every oracle rho value must
@@ -26,6 +28,8 @@ there) and keep the float oracle's values inside the range of its
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import log
@@ -62,18 +66,36 @@ class Scenario:
         return Scenario(config=standard_config())
 
 
+def _check_digits(where: str, text: str) -> None:
+    """Reject a number in ``text`` with more digits than Python converts
+    to an int (``sys.get_int_max_str_digits``), naming ``where``."""
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if limit and longest > limit:
+        raise ScenarioError(f"{where} has a number of {longest} digits, "
+                            f"over the limit of {limit}")
+
+
 def _parse_covector(name: str, text: str) -> CoVec4:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ScenarioError(f"{name} needs 4 components, got {len(parts)}")
     values = []
     for k, part in enumerate(parts, start=1):
+        _check_digits(f"component {k} of {name}", part)
         try:
             values.append(parse_rho_rational(part))
         except ValueError as exc:
             raise ScenarioError(f"bad covector component {k} of {name}: "
                                 f"{exc}") from exc
     return CoVec4(tuple(values))
+
+
+def _text(rho: Fraction) -> str:
+    """``str(rho)``, through ``Decimal``, whose ``str`` has no length limit,
+    unlike that of an int."""
+    num, den = (str(Decimal(n)) for n in (rho.numerator, rho.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 def check_oracle_rho(config: NullConfig, rho_values) -> None:
@@ -87,13 +109,13 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
     """
     for rho in rho_values:
         if rho <= 1:
-            raise ScenarioError(f"oracle rho {rho} must exceed 1")
+            raise ScenarioError(f"oracle rho {_text(rho)} must exceed 1")
         for i, zeta in enumerate(config.zetas, start=1):
             for k, x in enumerate(zeta, start=1):
                 if x.den.eval_at(rho) == 0:
                     raise ScenarioError(
-                        f"oracle rho {rho}: component {k} of zeta{i} is "
-                        "undefined")
+                        f"oracle rho {_text(rho)}: component {k} of "
+                        f"zeta{i} is undefined")
     for size in (2, 3):
         for subset in itertools.combinations(range(1, 5), size):
             norm = norm_sq(config.metric, config.subset_sum(subset))
@@ -101,8 +123,8 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
                 if norm.eval_at(rho) == 0:
                     name = "+".join(f"zeta{i}" for i in subset)
                     raise ScenarioError(
-                        f"oracle rho {rho}: |{name}|^2 vanishes (waves "
-                        f"{list(subset)})")
+                        f"oracle rho {_text(rho)}: |{name}|^2 vanishes "
+                        f"(waves {list(subset)})")
     degree = float_exponent(config)
     largest = FLOAT_CONTEXT.next_minus(Decimal("Infinity"))
     log_largest = float(FLOAT_CONTEXT.ln(largest))
@@ -111,9 +133,9 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
         if degree * log_rho > log_largest:
             edge = FLOAT_CONTEXT.exp(Decimal(log_largest / degree))
             raise ScenarioError(
-                f"oracle rho {rho} overflows the float oracle: its values "
-                f"grow like rho^{degree}, past its largest value (just "
-                f"below 1e+{FLOAT_CONTEXT.Emax + 1}) for rho above "
+                f"oracle rho {_text(rho)} overflows the float oracle: its "
+                f"values grow like rho^{degree}, past its largest value "
+                f"(just below 1e+{FLOAT_CONTEXT.Emax + 1}) for rho above "
                 f"{edge:.3e}")
 
 
@@ -166,15 +188,18 @@ def parse_scenario(text: str) -> Scenario:
 
     rho_values = (Fraction(2), Fraction(3))
     if "oracle_rho" in pairs:
+        texts = pairs["oracle_rho"].split()
+        for k, text in enumerate(texts, start=1):
+            _check_digits(f"value {k} of oracle_rho", text)
         try:
-            rho_values = tuple(Fraction(v) for v in pairs["oracle_rho"].split())
+            rho_values = tuple(Fraction(v) for v in texts)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"bad oracle_rho: {exc}") from exc
         if not rho_values:
             raise ScenarioError("oracle_rho must list at least one value")
         for k, rho in enumerate(rho_values):
             if rho in rho_values[:k]:
-                raise ScenarioError(f"oracle_rho lists {rho} twice")
+                raise ScenarioError(f"oracle_rho lists {_text(rho)} twice")
     check_oracle_rho(config, rho_values)
 
     fmt = pairs.get("format", "text")
@@ -186,5 +211,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"byte {exc.start}: not valid UTF-8 "
+                            f"({exc.reason})") from exc
+    return parse_scenario(text)

@@ -5,12 +5,8 @@ and lowering is always explicit through a Metric4; signature is (-,+,+,+).
 """
 from __future__ import annotations
 
-from .exact import (ONE, ZERO, RhoPoly, RhoRational, _coerce,
+from .exact import (ONE, ZERO, RhoPoly, RhoRational, coerce,
                     format_rho_rational)
-
-
-def _cv(x) -> RhoRational:
-    return _coerce(x)
 
 
 class CoVec4:
@@ -19,7 +15,7 @@ class CoVec4:
     __slots__ = ("c", "_hash")
 
     def __init__(self, components):
-        comps = tuple(_cv(x) for x in components)
+        comps = tuple(coerce(x) for x in components)
         if len(comps) != 4:
             raise ValueError("CoVec4 needs exactly 4 components")
         object.__setattr__(self, "c", comps)
@@ -44,7 +40,7 @@ class CoVec4:
         return CoVec4(tuple(-a for a in self.c))
 
     def scale(self, s) -> "CoVec4":
-        s = _cv(s)
+        s = coerce(s)
         return CoVec4(tuple(s * a for a in self.c))
 
     def is_zero(self) -> bool:
@@ -71,7 +67,7 @@ class Sym2T:
     __slots__ = ("m",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(_cv(x) for x in row) for row in rows)
+        rows = tuple(tuple(coerce(x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("Sym2T needs a 4x4 matrix")
         for i in range(4):
@@ -91,7 +87,7 @@ class Sym2T:
                            for ra, rb in zip(self.m, other.m)))
 
     def scale(self, s) -> "Sym2T":
-        s = _cv(s)
+        s = coerce(s)
         return Sym2T(tuple(tuple(s * a for a in row) for row in self.m))
 
     def __eq__(self, other):
@@ -193,7 +189,7 @@ class Metric4:
 
     def scale_conformal(self, factor) -> "Metric4":
         """Metric multiplied by a constant conformal factor."""
-        s = _cv(factor)
+        s = coerce(factor)
         return Metric4(tuple(tuple(s * x for x in row) for row in self.m))
 
     def __eq__(self, other):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from gwsym.cli import _published_form_matches
 from gwsym.exact import NEG_INF, RhoRational, parse_rho_rational
 from gwsym.forms import (SlotValue, build_form_family, explicit_hhat2,
-                         reduced_ricci_expansion, symbol_of_form)
+                         reduced_ricci_expansion, symbols_of_forms)
 from gwsym.gauge import ConstraintKind, constraint_space_dim, \
     conservation_residual, harmonic_gauge_residual
 from gwsym.interaction import (classify_rho40_terms, enumerate_all,
@@ -26,13 +26,13 @@ from gwsym.interaction import (classify_rho40_terms, enumerate_all,
                                mat_eval_at, mat_is_zero, mat_max_degree,
                                mat_of, mat_scale, mat_sub,
                                predict_entry_order, shared_evaluator,
-                               total_symbol, _coefficient_of)
+                               total_symbol, coefficient_of)
 from gwsym.nullcone import (FlatPoint, NullConfig, backtrace_sources,
                             base_directions, solve_null_scale,
                             standard_config)
 from gwsym.oracle import (FLOAT_CONTEXT, JetContext, _float_at, _jet_base,
-                          _walk, cancellation_scale, exact_total_jet,
-                          interaction_total_jet, max_rel_diff)
+                          _walk, exact_total_jet, float_oracle,
+                          max_rel_diff)
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
                              verified_degree_table)
@@ -146,12 +146,11 @@ def test_criterion_06_rank_one_identities(config):
                 ok = ok and got == want
     fam = build_form_family()
     for i, j in ((1, 2), (3, 4), (1, 4)):
-        a, _ = symbol_of_form(fam[("Hhat", 2)],
-                              {1: SlotValue.wave(zetas[i]),
-                               2: SlotValue.wave(zetas[j])})
-        b, _ = symbol_of_form(fam[("Hhat", 2)],
-                              {1: SlotValue.wave(zetas[j]),
-                               2: SlotValue.wave(zetas[i])})
+        (a, _), (b, _) = symbols_of_forms(
+            [(fam[("Hhat", 2)], {1: SlotValue.wave(zetas[i]),
+                                 2: SlotValue.wave(zetas[j])}),
+             (fam[("Hhat", 2)], {1: SlotValue.wave(zetas[j]),
+                                 2: SlotValue.wave(zetas[i])})])
         total = mat_add(a, b)
         h = pairing(MINKOWSKI, zetas[i], zetas[j])
         want = mat_of(sym_outer(zetas[i], zetas[j]).scale(
@@ -200,8 +199,8 @@ def test_criterion_08_items(config):
     c34 = RhoRational.const(Fraction(3, 4))
     items = {n: item_value(n, config) for n in (1, 2, 5, 6, 7)}
 
-    c1 = _coefficient_of(items[1]["matrix"], a4)
-    c2 = _coefficient_of(items[2]["matrix"], a4)
+    c1 = coefficient_of(items[1]["matrix"], a4)
+    c2 = coefficient_of(items[2]["matrix"], a4)
     ok_12 = (c1 + c2).infinity_degree < 20
     ok_7 = mat_max_degree(mat_sub(items[7]["matrix"],
                                   mat_scale(mat_sub(a24, a14),
@@ -278,9 +277,8 @@ def test_criterion_09_total(config):
         exact_at = mat_eval_at(tot["matrix"], rho)
         jet_at = mat_eval_at(exact_total_jet(config), rho)
         dual_ok = dual_ok and jet_at == exact_at
-        fl = interaction_total_jet(config, rho)
-        err = max_rel_diff(exact_at, fl,
-                           floor=cancellation_scale(config, rho))
+        oracle = float_oracle(config, rho)
+        err = max_rel_diff(exact_at, oracle.total, floor=oracle.scale)
         dual_ok = dual_ok and err <= 1e-9
     # the comparison `gwsym verify total` reports: neither form matches
     match_report = _published_form_matches(config, tot["matrix"])

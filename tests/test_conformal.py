@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from gwsym.conformal import (NonHomogeneousError, canonical_chain,
-                             compose_total_weight, q_diag_weight,
-                             verified_degree_table, wave_operator_degree)
+from gwsym.conformal import (NonHomogeneousError, _fit_exponent,
+                             canonical_chain, compose_total_weight,
+                             q_diag_weight, verified_degree_table,
+                             wave_operator_degree)
 from gwsym.exact import RhoRational
 from gwsym.forms import SlotValue
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode, mat_is_zero,
@@ -106,3 +107,36 @@ def test_non_homogeneous_detection():
         # a zero evaluation matches every power: it has no weight
         from gwsym.interaction import ZERO_MAT
         _fit_exponent(ZERO_MAT, ZERO_MAT, Fraction(2))
+
+
+
+class TestFitExponent:
+    """``_fit_exponent`` reads the ratio at the first nonzero entry and
+    checks it on every entry."""
+
+    LAM = Fraction(2)
+    BASE = ((RhoRational.const(3), RhoRational.rho_power(2)),
+            (RhoRational.const(0), RhoRational.rho_power(-1)))
+
+    def test_pure_power(self):
+        for w in (-16, -4, 0, 3, 16):
+            scaled = mat_scale(self.BASE, RhoRational.const(self.LAM ** w))
+            assert _fit_exponent(self.BASE, scaled, self.LAM) == w
+
+    def test_first_ratio_alone_is_not_enough(self):
+        # the first entry scales by lam^-4, one other entry does not: a
+        # nonzero one, or one that is zero in the base
+        scaled = mat_scale(self.BASE, RhoRational.const(self.LAM ** -4))
+        for i, j, x in ((0, 1, RhoRational.rho_power(2)),
+                        (1, 0, RhoRational.const(1))):
+            broken = [list(row) for row in scaled]
+            broken[i][j] = x
+            with pytest.raises(NonHomogeneousError, match="not a pure power"):
+                _fit_exponent(self.BASE, broken, self.LAM)
+
+    @pytest.mark.parametrize("factor", [
+        RhoRational.const(Fraction(2) ** 17), RhoRational.const(3),
+        RhoRational.rho_power(1)])
+    def test_ratio_outside_the_powers(self, factor):
+        with pytest.raises(NonHomogeneousError, match="not a pure power"):
+            _fit_exponent(self.BASE, mat_scale(self.BASE, factor), self.LAM)

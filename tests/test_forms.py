@@ -13,9 +13,9 @@ from gwsym.exact import CoprimeBase, RhoRational, ZERO, parse_rho_rational
 from gwsym.forms import (FREE_PAIR, ZERO_MAT, Factor, FormalTensorPoly,
                          FormError, Monomial, SlotValue, build_form_family,
                          explicit_hhat2, form_denominators, matrix_of_outer,
-                         merge_outer, reduced_ricci_expansion, symbol_of_form,
+                         merge_outer, reduced_ricci_expansion,
                          symbol_of_form_by_assignment, symbol_outer_of_form,
-                         _canonical_monomial)
+                         symbols_of_forms, _canonical_monomial)
 from gwsym.nullcone import NullConfig, standard_config
 from gwsym.scenario import load_scenario
 from gwsym.tensor import (MINKOWSKI, CoVec4, Metric4, Sym2T, pairing,
@@ -29,9 +29,15 @@ def rr(text):
     return parse_rho_rational(text)
 
 
+def symbol_of(form, assignment, metric=MINKOWSKI):
+    """(rows, i_power) of one form: ``symbols_of_forms`` of one item."""
+    (symbol,) = symbols_of_forms([(form, assignment)], metric)
+    return symbol
+
+
 def on_base(assignment, metric=MINKOWSKI):
     """(base, slots): the slots of ``assignment`` lifted onto a base of
-    their ``form_denominators``, as ``symbol_of_form`` lifts them."""
+    their ``form_denominators``, as ``symbols_of_forms`` lifts them."""
     base = CoprimeBase(form_denominators(metric, assignment.values()))
     return base, {s: SlotValue(v.matrix, v.covector,
                                tuple((base.lift(c), l, r)
@@ -153,7 +159,7 @@ class TestSymbolEvaluation:
         for key, form in sorted(fam.items()):
             assignment = {s: SlotValue.wave(config.zeta(s))
                           for s in range(1, form.arity + 1)}
-            a, ia = symbol_of_form(form, assignment)
+            a, ia = symbol_of(form, assignment)
             b, ib = symbol_of_form_by_assignment(form, assignment)
             assert a == b and ia == ib == 2
 
@@ -166,7 +172,7 @@ class TestSymbolEvaluation:
             assignment = {s: SlotValue(rank_one(config.zeta(s)),
                                        config.zeta(s))
                           for s in range(1, form.arity + 1)}
-            a, _ = symbol_of_form(form, assignment)
+            a, _ = symbol_of(form, assignment)
             b, _ = symbol_of_form_by_assignment(form, assignment)
             assert a == b, key
 
@@ -176,7 +182,7 @@ class TestSymbolEvaluation:
         fam = build_form_family()
         z3, z4 = config.zeta(3), config.zeta(4)
         assignment = {1: SlotValue.wave(z3), 2: SlotValue.wave(z4)}
-        rows, i_power = symbol_of_form(fam[("P", 2)], assignment)
+        rows, i_power = symbol_of(fam[("P", 2)], assignment)
         from gwsym.tensor import pairing
         p = pairing(MINKOWSKI, z3, z4)
         want = rank_one(z4).scale(p * p)
@@ -190,8 +196,8 @@ class TestSymbolEvaluation:
             zi, zj = config.zeta(i), config.zeta(j)
             one = {1: SlotValue.wave(zi), 2: SlotValue.wave(zj)}
             two = {1: SlotValue.wave(zj), 2: SlotValue.wave(zi)}
-            a, ipow = symbol_of_form(fam[("Hhat", 2)], one)
-            b, _ = symbol_of_form(fam[("Hhat", 2)], two)
+            a, ipow = symbol_of(fam[("Hhat", 2)], one)
+            b, _ = symbol_of(fam[("Hhat", 2)], two)
             assert ipow == 2
             total = tuple(tuple(x + y for x, y in zip(ra, rb))
                           for ra, rb in zip(a, b))
@@ -210,8 +216,8 @@ class TestSymbolEvaluation:
         c = rr("3/2")
         scaled[2] = SlotValue(rank_one(z[1]).scale(c), z[1],
                               outer=((c, z[1], z[1]),))
-        a, _ = symbol_of_form(form, base)
-        b, _ = symbol_of_form(form, scaled)
+        a, _ = symbol_of(form, base)
+        b, _ = symbol_of(form, scaled)
         assert b == tuple(tuple(c * x for x in row) for row in a)
         # additivity in a slot
         w = config.zeta(4)
@@ -223,15 +229,15 @@ class TestSymbolEvaluation:
         other[2] = SlotValue.wave(w)
         # covector must match for derivative terms; use same covector z[1]
         other[2] = SlotValue(rank_one(w), z[1], outer=((rr("1"), w, w),))
-        av, _ = symbol_of_form(form, added)
-        bv, _ = symbol_of_form(form, other)
+        av, _ = symbol_of(form, added)
+        bv, _ = symbol_of(form, other)
         assert av == tuple(tuple(x + y for x, y in zip(ra, rb))
                            for ra, rb in zip(a, bv))
 
     def test_missing_slot(self, config):
         fam = build_form_family()
         with pytest.raises(FormError):
-            symbol_of_form(fam[("P", 2)], {1: SlotValue.wave(config.zeta(1))})
+            symbol_of(fam[("P", 2)], {1: SlotValue.wave(config.zeta(1))})
 
     @pytest.mark.parametrize("monomial, message", [
         # two slot factors contracted directly, with no h pair between
@@ -265,8 +271,8 @@ class TestSymbolEvaluation:
         with_outer = {1: SlotValue.wave(z1), 2: SlotValue.wave(z2)}
         without = {1: SlotValue(rank_one(z1), z1),
                    2: SlotValue(rank_one(z2), z2)}
-        a, _ = symbol_of_form(fam[("Hhat", 2)], with_outer)
-        b, _ = symbol_of_form(fam[("Hhat", 2)], without)
+        a, _ = symbol_of(fam[("Hhat", 2)], with_outer)
+        b, _ = symbol_of(fam[("Hhat", 2)], without)
         assert a == b
 
     def test_entry_basis_is_shared(self, config):
@@ -286,7 +292,7 @@ class TestSymbolEvaluation:
         assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
         _, lifted = on_base(assignment)
         terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], lifted)
-        rows, _ = symbol_of_form(fam[("Hhat", 2)], assignment)
+        rows, _ = symbol_of(fam[("Hhat", 2)], assignment)
         assert matrix_of_outer(terms) == rows
         assert matrix_of_outer(()) == ZERO_MAT
 
@@ -299,7 +305,7 @@ class TestSymbolEvaluation:
         _, other = on_base(rational)
         for slots in (rational, {1: rational[1], 2: one[2]},
                       {1: one[1], 2: other[2]}):
-            with pytest.raises(TypeError, match="symbol_of_form"):
+            with pytest.raises(TypeError, match="call symbols_of_forms"):
                 symbol_outer_of_form(form, slots)
 
 
@@ -317,12 +323,12 @@ class TestReferenceRoute:
     def test_non_diagonal_metric(self, config):
         for key, form in sorted(build_form_family().items()):
             assignment = self.waves(config, form)
-            a = symbol_of_form(form, assignment, self.NON_DIAGONAL)
+            a = symbol_of(form, assignment, self.NON_DIAGONAL)
             b = symbol_of_form_by_assignment(form, assignment,
                                              self.NON_DIAGONAL)
             assert a == b, key
             # the metric reaches the value: Minkowski gives another one
-            assert a != symbol_of_form(form, assignment), key
+            assert a != symbol_of(form, assignment), key
 
     def test_non_symmetric_slot(self, config):
         # both routes evaluate the canonical monomials as written, so they
@@ -337,7 +343,7 @@ class TestReferenceRoute:
             for s in range(1, form.arity + 1):
                 assignment = self.waves(config, form)
                 assignment[s] = SlotValue(skew, config.zeta(s))
-                assert (symbol_of_form(form, assignment)
+                assert (symbol_of(form, assignment)
                         == symbol_of_form_by_assignment(form, assignment)), \
                     (key, s)
 
@@ -360,7 +366,7 @@ class TestReferenceRoute:
                                                  config.zeta(s + 1)),
                                        config.zeta(s + 1))
                           for s in range(1, form.arity + 1)}
-            want = symbol_of_form(form, assignment)
+            want = symbol_of(form, assignment)
             assert symbol_of_form_by_assignment(form, assignment) == want
             assert any(not x.is_zero() for r in want[0] for x in r)
 
@@ -375,12 +381,12 @@ class TestReferenceRoute:
                  2: SlotValue.wave(z2)}
         want = symbol_of_form_by_assignment(form, honest)
         assert symbol_of_form_by_assignment(form, lying) == want
-        assert symbol_of_form(form, honest) == want
-        assert symbol_of_form(form, lying) != want
+        assert symbol_of(form, honest) == want
+        assert symbol_of(form, lying) != want
 
     @pytest.mark.parametrize("case", ["dense", "scaled-metric"])
     def test_non_monomial_denominators(self, config, case):
-        # the base symbol_of_form builds covers every denominator the walk
+        # the base symbols_of_forms builds covers every denominator the walk
         # meets: those of the dense scenario's covectors, or of the inverse
         # of (rho^2 + 1) * Minkowski
         if case == "dense":
@@ -396,7 +402,7 @@ class TestReferenceRoute:
                      for s in range(1, form.arity + 1)}):
                 want = symbol_of_form_by_assignment(form, assignment,
                                                     cfg.metric)
-                assert symbol_of_form(form, assignment, cfg.metric) == want
+                assert symbol_of(form, assignment, cfg.metric) == want
                 assert any(not x.is_zero() for r in want[0] for x in r)
 
     def test_entries_are_exact(self, config):
@@ -515,7 +521,7 @@ class TestDepthFirstContraction:
         for key, form in family:
             assert walk_matches_flat_product(form, assignment), key
         for key, form in family:
-            assert (symbol_of_form(form, assignment)
+            assert (symbol_of(form, assignment)
                     == symbol_of_form_by_assignment(form, assignment)), key
 
 

@@ -18,7 +18,7 @@ from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                mat_scale, mat_sub, mat_sum, nested_chain,
                                predict_entry_order, shared_evaluator,
                                summed_terms, total_symbol, _SUMMED,
-                               _coefficient_of, _family_keys, _sum_terms,
+                               coefficient_of, _family_keys, _sum_terms,
                                _terms)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.scenario import load_scenario
@@ -212,7 +212,7 @@ class TestChainCancellation:
         res = eval_I_cancellation(config)
         a4 = mat_of(rank_one(config.zeta(4)))
         for key, v in res["terms"].items():
-            assert _coefficient_of(v.matrix, a4) is not None
+            assert coefficient_of(v.matrix, a4) is not None
 
 
 class TestItems:
@@ -220,8 +220,8 @@ class TestItems:
         v1 = item_value(1, config)["matrix"]
         v2 = item_value(2, config)["matrix"]
         a4 = mat_of(rank_one(config.zeta(4)))
-        c1 = _coefficient_of(v1, a4)
-        c2 = _coefficient_of(v2, a4)
+        c1 = coefficient_of(v1, a4)
+        c2 = coefficient_of(v2, a4)
         assert c1 == rr("(-rho^40 - rho^20 - 1/4)/(rho^20)")
         assert c2 == rr("rho^20")
         # cancellation at the rho^20 * A4 level
@@ -230,13 +230,13 @@ class TestItems:
     def test_item_3_and_8_parts(self, config):
         a4 = mat_of(rank_one(config.zeta(4)))
         r3 = item_value(3, config)
-        assert _coefficient_of(r3["p_part"], a4) == \
+        assert coefficient_of(r3["p_part"], a4) == \
             rr("(-1/2*rho^40 - 1/2*rho^20 - 1/8)/(rho^20)")
-        assert _coefficient_of(r3["hhat_part"], a4) == \
+        assert coefficient_of(r3["hhat_part"], a4) == \
             rr("(3/4*rho^40 + 3/4*rho^20 + 3/16)/(rho^20)")
         r8 = item_value(8, config)
-        assert _coefficient_of(r8["p_part"], a4) == rr("1/2*rho^20")
-        assert _coefficient_of(r8["hhat_part"], a4) == rr("-3/4*rho^20")
+        assert coefficient_of(r8["p_part"], a4) == rr("1/2*rho^20")
+        assert coefficient_of(r8["hhat_part"], a4) == rr("-3/4*rho^20")
         total = mat_add(r3["matrix"], r8["matrix"])
         assert mat_max_degree(total) < 40
 

@@ -25,10 +25,9 @@ from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.oracle import (FLOAT_CONTEXT, FULL, JetContext, OracleUnsupported,
                           _add_into, _disjoint, _float_at, _jet_base,
-                          _nonlinearity, _walk, cancellation_scale,
-                          exact_total_jet, interaction_total_jet,
-                          max_rel_diff)
-from gwsym.scenario import load_scenario
+                          _nonlinearity, _walk, exact_total_jet,
+                          float_oracle, interaction_total_jet, max_rel_diff)
+from gwsym.scenario import Scenario, load_scenario
 from gwsym.tensor import MINKOWSKI, Sym2T, rank_one
 
 DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
@@ -267,12 +266,16 @@ class TestJetAlgebra:
 
         def results():
             jet = interaction_total_jet(config, rho)
-            scale = cancellation_scale(config, rho)
+            oracle = float_oracle(config, rho)
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert cli.run(["--format", "machine", "oracle", "--rho",
                                 "2"]) == 0
             return ([[x.as_tuple() for x in row] for row in jet],
-                    scale.as_tuple(), out.getvalue())
+                    oracle.scale.as_tuple(),
+                    [[x.as_tuple() for x in row] for row in oracle.total],
+                    {key: [[x.as_tuple() for x in row] for row in m]
+                     for key, m in oracle.chains.items()},
+                    out.getvalue())
 
         want = results()
         with decimal.localcontext(decimal.Context(prec=5, Emax=10)):
@@ -461,9 +464,32 @@ class TestFloatOracle:
         tot = total_symbol(config)
         for rho in (Fraction(2), Fraction(3)):
             exact_at = mat_eval_at(tot["matrix"], rho)
-            got = interaction_total_jet(config, rho)
-            scale = cancellation_scale(config, rho)
-            assert max_rel_diff(exact_at, got, floor=scale) <= 1e-9
+            oracle = float_oracle(config, rho)
+            assert max_rel_diff(exact_at, oracle.total,
+                                floor=oracle.scale) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["standard", "dense"])
+    def test_float_oracle_is_the_float_jet_and_walks(self, name):
+        """``float_oracle`` reads one context: its total equals
+        ``interaction_total_jet`` digit for digit, each chain equals its
+        walk on a context of its own, and the scale is their largest
+        entry."""
+        scenario = (Scenario.default() if name == "standard"
+                    else load_scenario(DENSE_SCENARIO))
+        config = scenario.config
+        for rho in scenario.oracle_rho:
+            oracle = float_oracle(config, rho)
+            assert ([[exact_bits(x) for x in row] for row in oracle.total]
+                    == [[exact_bits(x) for x in row]
+                        for row in interaction_total_jet(config, rho)])
+            assert sorted(oracle.chains) == sorted(
+                itertools.permutations((1, 2, 3)))
+            for key, got in oracle.chains.items():
+                want = float_walk(nested_chain(*key), config, rho)
+                assert ([[exact_bits(x) for x in row] for row in got]
+                        == [[exact_bits(x) for x in row] for row in want])
+            assert oracle.scale == max(abs(x) for m in oracle.chains.values()
+                                       for row in m for x in row)
 
     def test_unsupported(self, config):
         for k in (3, 4):
@@ -518,7 +544,7 @@ class TestBeyondFloatRange:
 
     def test_scale_stays_finite(self, config):
         rho = Fraction(10**7)
-        scale = cancellation_scale(config, rho)
+        scale = float_oracle(config, rho).scale
         assert scale.is_finite() and scale > sys.float_info.max
         res = eval_I_cancellation(config)
         for key, value in res["terms"].items():
@@ -526,4 +552,4 @@ class TestBeyondFloatRange:
             assert max_rel_diff(mat_eval_at(value.matrix, rho), got) <= 1e-9
         # past the oracle's range too, the scale raises, not inf
         with pytest.raises(OverflowError):
-            cancellation_scale(config, Fraction(10**100))
+            float_oracle(config, Fraction(10**100))

@@ -320,6 +320,49 @@ class TestCli:
         assert captured.err == ("scenario error: line 2: unknown key "
                                 "'oracle-rho'\n")
 
+    @pytest.mark.parametrize("content, message", [
+        # not UTF-8: the offset of the first bad byte
+        (b"zeta1 = \xff\xfe1, 0, 1, 0\n",
+         "byte 8: not valid UTF-8 (invalid start byte)"),
+        (b"format = machine\noracle_rho = 2 \xe2\x82\n",
+         "byte 32: not valid UTF-8 (invalid continuation byte)"),
+        # numbers longer than Python converts to an int
+        (TestScenario.deeply_nested("1" * 5000).encode(),
+         "component 1 of zeta1 has a number of 5000 digits, over the limit "
+         "of 4300"),
+        (TestScenario.deeply_nested("rho^" + "0" * 4301).encode(),
+         "component 1 of zeta1 has a number of 4301 digits, over the limit "
+         "of 4300"),
+        (("oracle_rho = 2 " + "7" * 5000 + "\n").encode(),
+         "value 2 of oracle_rho has a number of 5000 digits, over the limit "
+         "of 4300"),
+        # values whose decimal expansion passes that limit
+        (b"oracle_rho = 1e5000\n", "oracle rho 1" + "0" * 5000 + " overflows"),
+        (b"oracle_rho = 1e-5000\n",
+         "oracle rho 1/1" + "0" * 5000 + " must exceed 1"),
+    ], ids=["utf8-start-byte", "utf8-continuation-byte", "zeta-digits",
+            "zeta-exponent-digits", "rho-digits", "rho-1e5000",
+            "rho-1e-5000"])
+    def test_loader_fails_cleanly(self, content, message, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(content)
+        assert run(["--scenario", str(path), "verify", "total"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("scenario error: " + message)
+
+    @pytest.mark.parametrize("rho, message", [
+        ("1e5000", "oracle rho 1" + "0" * 5000 + " overflows"),
+        ("1e-5000", "oracle rho 1/1" + "0" * 5000 + " must exceed 1")],
+        ids=["1e5000", "1e-5000"])
+    def test_huge_rho_fails_cleanly(self, rho, message, capsys):
+        assert run(["oracle", "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("bad rho value: " + message)
+
     def test_python_m_gwsym(self):
         src = Path(__file__).parent.parent / "src"
         path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
@@ -341,21 +384,55 @@ class TestCli:
 
     def test_oracle_float_total_verdict(self, monkeypatch, capsys):
         import gwsym.cli as cli
-        real = cli.interaction_total_jet
+        real = cli.float_oracle
 
-        def off_float(config, rho, exact=False, leaf_symbols=None):
-            got = real(config, rho, exact, leaf_symbols)
-            if not exact:
-                # far beyond 1e-9 of the scale the verdict is relative to
-                got[0][0] += cli.cancellation_scale(config, rho)
+        def off_float(config, rho):
+            got = real(config, rho)
+            # far beyond 1e-9 of the scale the verdict is relative to
+            got.total[0][0] += got.scale
             return got
-        monkeypatch.setattr(cli, "interaction_total_jet", off_float)
+        monkeypatch.setattr(cli, "float_oracle", off_float)
         code, out = _run(["--format", "machine", "oracle", "--rho", "2"],
                          capsys)
         assert code == 1
         failing = [v.name for s in parse_machine(out).sections
                    for v in s.entries if isinstance(v, Verdict) and not v.passed]
         assert failing == ["total-float-dual-path-rho-2"]
+
+    @pytest.mark.parametrize("argv, samples", [
+        (["oracle", "--rho", "2"], 1), (["verify", "total"], 2)],
+        ids=["oracle", "verify-total"])
+    def test_one_float_context_per_rho(self, argv, samples, monkeypatch,
+                                       capsys):
+        # the nested-chain walks, their scale and the float jet's total
+        # read one float context per sample point
+        from decimal import Decimal
+        from gwsym import oracle
+        init = oracle.JetContext.__init__
+        built = []
+
+        def counting(ctx, *args, **kwargs):
+            init(ctx, *args, **kwargs)
+            built.append(isinstance(ctx.one, Decimal))
+        monkeypatch.setattr(oracle.JetContext, "__init__", counting)
+        code, _ = _run(["--format", "machine"] + argv, capsys)
+        assert code == 0
+        assert built.count(True) == samples
+
+    def test_derive_forms_builds_one_base(self, monkeypatch, capsys):
+        # all twelve dual-evaluation walks run on one coprime base
+        from gwsym import exact
+        init = exact.CoprimeBase.__init__
+        built = []
+
+        def counting(base, *args, **kwargs):
+            init(base, *args, **kwargs)
+            built.append(base)
+        monkeypatch.setattr(exact.CoprimeBase, "__init__", counting)
+        code, out = _run(["--format", "machine", "derive", "forms"], capsys)
+        assert code == 0
+        assert out.count("verdict\tdual-evaluation-") == 6
+        assert len(built) == 1
 
     def test_oracle_at_large_rho(self, capsys):
         # the float oracles read exact subset norms, so none of them
