@@ -25,8 +25,8 @@ from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, 
 from .interaction import (classify_rho40_terms, coefficient_of,
                           eval_I_cancellation, form_family, item_value,
                           mat_add, mat_eval_at, mat_max_degree, mat_of,
-                          mat_scale, mat_sub, mat_sum, mat_is_zero,
-                          nested_chain, total_symbol)
+                          mat_scale, mat_sub, mat_is_zero, nested_chain,
+                          shared_evaluator, total_symbol)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
 from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
@@ -34,7 +34,7 @@ from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
-                       load_scenario)
+                       load_scenario, rho_name)
 from .tensor import MINKOWSKI, rank_one, sym_outer
 
 USAGE_EXIT = 2
@@ -43,35 +43,6 @@ FAIL_EXIT = 1
 
 def _fmt(x: RhoRational) -> str:
     return format_rho_rational(x)
-
-
-#: the longest sample point that report names spell out as ``str(Fraction)``
-RHO_NAME_LIMIT = 40
-
-
-def _rho_name(rho: Fraction) -> str:
-    """A sample point as verdict and value names and claims show it.
-
-    ``str(rho)`` when it has at most ``RHO_NAME_LIMIT`` characters.  A
-    longer one is written with the trailing zeros of its numerator and
-    denominator as a power of ten, ``a/b e k`` (``1e400`` for 10^400), when
-    that fits the limit, and otherwise as the first 16 hex digits of the
-    SHA-256 of ``str(rho)``.  Each form is canonical, so a name stands for
-    one value.
-    """
-    text = str(rho)
-    if len(text) <= RHO_NAME_LIMIT:
-        return text
-    num, den = (str(n) for n in (rho.numerator, rho.denominator))
-    a, b = num.rstrip("0"), den.rstrip("0")
-    exponent = (len(num) - len(a)) - (len(den) - len(b))
-    short = (a if b == "1" else f"{a}/{b}") + f"e{exponent}"
-    if len(short) <= RHO_NAME_LIMIT:
-        return short
-    # imported here only: loading OpenSSL adds about 3.7 MB to the peak
-    # resident memory of every report
-    import hashlib
-    return "sha256-" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +272,10 @@ def suite_items(report: Report, scenario: Scenario):
                 "configuration only; values reported above")
         return report
 
+    ev = shared_evaluator(cfg)
     s.verdict("items-1-2-cancel",
-              mat_max_degree(mat_sum([items[1]["matrix"],
-                                      items[2]["matrix"]])) < 40,
+              mat_max_degree(ev.sum(items[1]["members"]
+                                    + items[2]["members"])) < 40,
               "families 1 and 2 cancel at the top entry order")
     c1 = coefficient_of(items[1]["matrix"], a4)
     c2 = coefficient_of(items[2]["matrix"], a4)
@@ -330,8 +302,8 @@ def suite_items(report: Report, scenario: Scenario):
                          "published value drops the squared-norm denominator "
                          "of the inner pair, a factor 2")
     s.verdict("items-3-8-cancel",
-              mat_max_degree(mat_sum([items[3]["matrix"],
-                                      items[8]["matrix"]])) < 40,
+              mat_max_degree(ev.sum(items[3]["members"]
+                                    + items[8]["members"])) < 40,
               "families 3 and 8 cancel at the top entry order")
 
     s.verdict("item-5-published",
@@ -356,8 +328,8 @@ def suite_items(report: Report, scenario: Scenario):
               detail="engine (cross-validated): 3/8 rho^30 (A14 - A24); the "
                      "published evaluation of its own symbol expression "
                      "drops the 1/2 from the triple-norm reciprocal")
-    five67 = mat_sum([items[5]["matrix"], items[6]["matrix"],
-                      items[7]["matrix"]])
+    five67 = ev.sum(items[5]["members"] + items[6]["members"]
+                    + items[7]["members"])
     s.verdict("items-5-6-7-cancel", mat_max_degree(five67) < 40,
               "families 5, 6 and 7 cancel at the top entry order")
 
@@ -445,7 +417,7 @@ def suite_total(report: Report, scenario: Scenario):
 def _total_at(s, cfg, matrix, rho):
     """``suite_total``'s checks at one rho; its ``float_oracle`` dies here."""
     agree, err, oracle = _total_dual_path(cfg, matrix, rho)
-    name = _rho_name(rho)
+    name = rho_name(rho)
     s.verdict(f"exact-dual-path-rho-{name}", agree,
               f"enumerated exact total equals the independent exact jet "
               f"iteration at rho = {name} (structural equality)")
@@ -524,7 +496,7 @@ def _oracle_at(s, cfg, terms, rho):
     """``suite_oracle``'s checks at one rho; its ``float_oracle`` dies here."""
     agree, err, oracle = _total_dual_path(cfg, total_symbol(cfg)["matrix"],
                                           rho)
-    name = _rho_name(rho)
+    name = rho_name(rho)
     for key, value in sorted(terms.items(),
                              key=lambda kv: _CHAIN_LABELS[kv[0]]):
         label = _CHAIN_LABELS[key]

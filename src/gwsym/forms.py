@@ -459,20 +459,6 @@ class SlotValue:
                          outer=((RhoRational.const(1), zeta, zeta),))
 
 
-def merge_outer(terms) -> tuple:
-    """Combine outer-product terms sharing the same vector pair."""
-    acc = {}
-    for c, left, right in terms:
-        if c.is_zero():
-            continue
-        key = (left, right)
-        if key in acc:
-            acc[key] = acc[key] + c
-        else:
-            acc[key] = c
-    return tuple((c, l, r) for (l, r), c in acc.items() if not c.is_zero())
-
-
 def matrix_of_outer(terms) -> tuple:
     """The canonical 4x4 matrix of outer-product terms (c, left, right)
     whose coefficients lie on one ``CoprimeBase``."""

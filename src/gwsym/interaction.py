@@ -10,7 +10,9 @@ covectors, the inverse metric, the leaf symbols and the subset norms.  An
 ``Evaluator`` refines them into a ``CoprimeBase`` and keeps the
 coefficients of its node values on it, so its sums and products run no
 polynomial gcd; each matrix it returns is canonical ``RhoRational``,
-converted once per entry.  Every coefficient form carries
+converted once per entry.  Every sum of signed terms goes through
+``Evaluator.sum``, which adds their coefficients on the base and builds
+one matrix for the sum.  Every coefficient form carries
 an even number of derivatives, each a factor of the imaginary unit, so a
 form node folds i^(2m) into the sign (-1)^m and matrices are real.
 An overall (2*pi)^-3 is factored out of every complete four-wave term.
@@ -30,9 +32,10 @@ from collections import namedtuple
 from functools import cached_property
 
 from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
+# ZERO_MAT is imported from this module by the benchmark and the tests
 from .forms import (SlotValue, ZERO_MAT, build_form_family,
                     entry_order_bound, form_denominators, matrix_of_outer,
-                    merge_outer, symbol_outer_of_form)
+                    symbol_outer_of_form)
 from .nullcone import NullConfig
 from .tensor import CoVec4, Sym2T, norm_sq, rank_one
 
@@ -129,13 +132,6 @@ def mat_add(a, b):
 
 def mat_scale(a, s):
     return tuple(tuple(s * x for x in row) for row in a)
-
-
-def mat_sum(mats):
-    total = ZERO_MAT
-    for m in mats:
-        total = mat_add(total, m)
-    return total
 
 
 def mat_sub(a, b):
@@ -377,15 +373,36 @@ class Evaluator:
         A term is linear in each coefficient form, so the terms of one
         shape and permutation sum to one tree with the form P_k + Hhat_k
         at every coefficient node: the 1488 terms add up as the 264
-        ``summed_terms``, whose values one ``_sum_terms`` merges.  The
-        result holds the ``matrix`` and its ``entry_order``.  It is
-        computed once per evaluator; callers must not modify it.
+        ``summed_terms``, which one ``sum`` adds.  The result holds the
+        ``matrix`` and its ``entry_order``.  It is computed once per
+        evaluator; callers must not modify it.
         """
         if self._total is None:
-            matrix = _sum_terms(self, summed_terms())
+            matrix = self.sum(summed_terms())
             self._total = {"matrix": matrix,
                            "entry_order": mat_max_degree(matrix)}
         return self._total
+
+    def sum(self, terms) -> tuple:
+        """The canonical matrix of the exact signed sum of ``terms``, each
+        a ``SignedTerm`` or a tuple that starts ``(sign, ast)``, with sign
+        +1 or -1: the one summation path.
+
+        The signed ``outer`` triples of all terms are grouped by their
+        (left, right) covector pair and their coefficients added on the
+        base, so ``matrix_of_outer`` builds one matrix for the whole sum
+        rather than one per term.
+        """
+        merged = {}
+        for sign, ast, *_ in terms:
+            for c, left, right in self.eval(ast).outer:
+                if sign < 0:
+                    c = -c
+                key = (left, right)
+                hit = merged.get(key)
+                merged[key] = c if hit is None else hit + c
+        return matrix_of_outer(tuple((c, l, r) for (l, r), c in merged.items()
+                                     if c))
 
 
 _EVALUATORS = {}
@@ -517,15 +534,6 @@ def enumerate_all():
 
 
 # ---------------------------------------------------------------------------
-# Entry-order prediction (degree bound, attained absent cancellation)
-# ---------------------------------------------------------------------------
-
-def predict_entry_order(ast, config: NullConfig):
-    """Compositional upper bound on the evaluated term's max entry degree."""
-    return shared_evaluator(config).order_bound(ast)
-
-
-# ---------------------------------------------------------------------------
 # Families, items, totals
 # ---------------------------------------------------------------------------
 
@@ -604,24 +612,6 @@ def classify_rho40_terms(config: NullConfig):
     }
 
 
-def _sum_terms(ev: Evaluator, members) -> tuple:
-    """Exact signed sum of terms, added in the outer-product basis.
-
-    The signed ``outer`` triples of all members are grouped by their
-    (left, right) covector pair and their coefficients added (term signs
-    are +1 or -1), so the 4x4 matrix is built once for the whole sum
-    rather than once per term.
-    """
-    signed = []
-    for term in members:
-        outer = ev.eval(term.ast).outer
-        if term.sign == 1:
-            signed.extend(outer)
-        else:
-            signed.extend((-c, l, r) for c, l, r in outer)
-    return matrix_of_outer(merge_outer(signed))
-
-
 def item_value(n: int, config: NullConfig):
     """Exact signed sum of one top-order family (1..8).
 
@@ -632,18 +622,16 @@ def item_value(n: int, config: NullConfig):
         raise ValueError("item number must be 1..8")
     ev = shared_evaluator(config)
     terms = [_signed_term(*key) for key in _family_keys()[n]]
-    total = _sum_terms(ev, terms)
-    result = {"matrix": total, "members": terms}
+    result = {"matrix": ev.sum(terms), "members": terms}
     if n == 6:
-        k3 = [t for t in terms if t.perm[0] != 3]
-        i3 = [t for t in terms if t.perm[0] == 3]
-        result["subcase_inner34"] = _sum_terms(ev, k3)
-        result["subcase_outer3"] = _sum_terms(ev, i3)
+        result["subcase_inner34"] = ev.sum(t for t in terms
+                                           if t.perm[0] != 3)
+        result["subcase_outer3"] = ev.sum(t for t in terms if t.perm[0] == 3)
     if n == 3 or n == 8:
-        p_part = [t for t in terms if all(f[0] == "P" for f in t.forms)]
-        h_part = [t for t in terms if any(f[0] == "Hhat" for f in t.forms)]
-        result["p_part"] = _sum_terms(ev, p_part)
-        result["hhat_part"] = _sum_terms(ev, h_part)
+        result["p_part"] = ev.sum(t for t in terms
+                                  if all(f[0] == "P" for f in t.forms))
+        result["hhat_part"] = ev.sum(t for t in terms
+                                     if any(f[0] == "Hhat" for f in t.forms))
     return result
 
 
@@ -662,18 +650,17 @@ def eval_I_cancellation(config: NullConfig):
     exact sum are returned.
     """
     ev = shared_evaluator(config)
-    order = []
-    for key in itertools.permutations((1, 2, 3)):
-        order.append((key, ev.eval(nested_chain(*key))))
+    chains = {key: nested_chain(*key)
+              for key in itertools.permutations((1, 2, 3))}
+    terms = {key: ev.eval(ast) for key, ast in chains.items()}
     a4 = mat_of(rank_one(config.zeta(4)))
-    coeffs = {key: coefficient_of(value.matrix, a4) for key, value in order}
-    total = mat_sum(value.matrix for _, value in order)
-    total_coeff = coefficient_of(total, a4)
+    total = ev.sum((1, ast) for ast in chains.values())
     return {
-        "terms": dict(order),
-        "coefficients": coeffs,
+        "terms": terms,
+        "coefficients": {key: coefficient_of(value.matrix, a4)
+                         for key, value in terms.items()},
         "sum_matrix": total,
-        "sum_coefficient": total_coeff,
+        "sum_coefficient": coefficient_of(total, a4),
         "sum_entry_order": mat_max_degree(total),
     }
 

@@ -58,10 +58,7 @@ class NullConfig:
         return self.zetas[i - 1]
 
     def total(self) -> CoVec4:
-        t = self.zetas[0]
-        for z in self.zetas[1:]:
-            t = t + z
-        return t
+        return self.subset_sum(range(1, 5))
 
     def subset_sum(self, indices) -> CoVec4:
         out = None
@@ -180,8 +177,7 @@ def future_null_direction(zeta: CoVec4, rho_value: Fraction,
     makes backtrace times read as coordinate-time offsets.
     """
     rho_value = Fraction(rho_value)
-    raised = [c.eval_at(rho_value) for c in
-              (x for x in _raise_numeric(zeta, rho_value, metric))]
+    raised = [c.eval_at(rho_value) for c in _raise_numeric(zeta, metric)]
     t = raised[0]
     if t == 0:
         raise ConfigError("covector raises to a spatial vector")
@@ -191,7 +187,7 @@ def future_null_direction(zeta: CoVec4, rho_value: Fraction,
     return tuple(x / t for x in raised)
 
 
-def _raise_numeric(zeta: CoVec4, rho_value: Fraction, metric: Metric4):
+def _raise_numeric(zeta: CoVec4, metric: Metric4):
     inv = metric.inv
     for a in range(4):
         total = ZERO

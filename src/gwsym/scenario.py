@@ -91,40 +91,51 @@ def _parse_covector(name: str, text: str) -> CoVec4:
     return CoVec4(tuple(values))
 
 
-def _text(rho: Fraction) -> str:
-    """``str(rho)``, through ``Decimal``, whose ``str`` has no length limit,
-    unlike that of an int."""
+#: the longest sample point that names and messages spell out in full
+RHO_NAME_LIMIT = 40
+
+
+def rho_name(rho: Fraction) -> str:
+    """A sample point as verdict and value names, claims and messages show
+    it.
+
+    Its spelling ``a`` or ``a/b`` (``str(rho)``) when that has at most
+    ``RHO_NAME_LIMIT`` characters.  A longer one is written with the
+    trailing zeros of its numerator and denominator as a power of ten,
+    ``a/b e k`` (``1e400`` for 10^400), when that fits the limit, and
+    otherwise as the first 16 hex digits of the SHA-256 of its spelling.
+    Each form is canonical, so a name stands for one value.  The spelling
+    goes through ``Decimal``, whose ``str`` has no length limit, unlike
+    that of an int.
+    """
     num, den = (str(Decimal(n)) for n in (rho.numerator, rho.denominator))
-    return num if den == "1" else f"{num}/{den}"
+    text = num if den == "1" else f"{num}/{den}"
+    if len(text) <= RHO_NAME_LIMIT:
+        return text
+    a, b = num.rstrip("0"), den.rstrip("0")
+    exponent = (len(num) - len(a)) - (len(den) - len(b))
+    short = (a if b == "1" else f"{a}/{b}") + f"e{exponent}"
+    if len(short) <= RHO_NAME_LIMIT:
+        return short
+    # imported here only: loading OpenSSL adds about 3.7 MB to the peak
+    # resident memory of every report
+    import hashlib
+    return "sha256-" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def check_oracle_rho(config: NullConfig, rho_values) -> None:
     """Reject sample values outside the oracles' domain.
 
-    Every value must exceed 1.  At each value every covector component must
-    be defined, and every pair and triple subset sum must have nonzero
-    squared norm (the causal-inverse nodes divide by it).  And rho^D must
-    not pass the largest value of ``FLOAT_CONTEXT``, where D is
-    ``float_exponent``.
+    Every value must exceed 1, and rho^D must not pass the largest value
+    of ``FLOAT_CONTEXT``, where D is ``float_exponent``.  These two are
+    checked first, so a value past the float range is rejected before it
+    is evaluated exactly.  At each value every covector component must be
+    defined, and every pair and triple subset sum must have nonzero squared
+    norm (the causal-inverse nodes divide by it).
     """
     for rho in rho_values:
         if rho <= 1:
-            raise ScenarioError(f"oracle rho {_text(rho)} must exceed 1")
-        for i, zeta in enumerate(config.zetas, start=1):
-            for k, x in enumerate(zeta, start=1):
-                if x.den.eval_at(rho) == 0:
-                    raise ScenarioError(
-                        f"oracle rho {_text(rho)}: component {k} of "
-                        f"zeta{i} is undefined")
-    for size in (2, 3):
-        for subset in itertools.combinations(range(1, 5), size):
-            norm = norm_sq(config.metric, config.subset_sum(subset))
-            for rho in rho_values:
-                if norm.eval_at(rho) == 0:
-                    name = "+".join(f"zeta{i}" for i in subset)
-                    raise ScenarioError(
-                        f"oracle rho {_text(rho)}: |{name}|^2 vanishes "
-                        f"(waves {list(subset)})")
+            raise ScenarioError(f"oracle rho {rho_name(rho)} must exceed 1")
     degree = float_exponent(config)
     largest = FLOAT_CONTEXT.next_minus(Decimal("Infinity"))
     log_largest = float(FLOAT_CONTEXT.ln(largest))
@@ -133,10 +144,26 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
         if degree * log_rho > log_largest:
             edge = FLOAT_CONTEXT.exp(Decimal(log_largest / degree))
             raise ScenarioError(
-                f"oracle rho {_text(rho)} overflows the float oracle: its "
+                f"oracle rho {rho_name(rho)} overflows the float oracle: its "
                 f"values grow like rho^{degree}, past its largest value "
                 f"(just below 1e+{FLOAT_CONTEXT.Emax + 1}) for rho above "
                 f"{edge:.3e}")
+    for rho in rho_values:
+        for i, zeta in enumerate(config.zetas, start=1):
+            for k, x in enumerate(zeta, start=1):
+                if x.den.eval_at(rho) == 0:
+                    raise ScenarioError(
+                        f"oracle rho {rho_name(rho)}: component {k} of "
+                        f"zeta{i} is undefined")
+    for size in (2, 3):
+        for subset in itertools.combinations(range(1, 5), size):
+            norm = norm_sq(config.metric, config.subset_sum(subset))
+            for rho in rho_values:
+                if norm.eval_at(rho) == 0:
+                    name = "+".join(f"zeta{i}" for i in subset)
+                    raise ScenarioError(
+                        f"oracle rho {rho_name(rho)}: |{name}|^2 vanishes "
+                        f"(waves {list(subset)})")
 
 
 def float_exponent(config: NullConfig) -> int:
@@ -199,7 +226,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("oracle_rho must list at least one value")
         for k, rho in enumerate(rho_values):
             if rho in rho_values[:k]:
-                raise ScenarioError(f"oracle_rho lists {_text(rho)} twice")
+                raise ScenarioError(f"oracle_rho lists {rho_name(rho)} twice")
     check_oracle_rho(config, rho_values)
 
     fmt = pairs.get("format", "text")

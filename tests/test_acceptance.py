@@ -24,8 +24,7 @@ from gwsym.gauge import ConstraintKind, constraint_space_dim, \
 from gwsym.interaction import (classify_rho40_terms, enumerate_all,
                                eval_I_cancellation, item_value, mat_add,
                                mat_eval_at, mat_is_zero, mat_max_degree,
-                               mat_of, mat_scale, mat_sub,
-                               predict_entry_order, shared_evaluator,
+                               mat_of, mat_scale, mat_sub, shared_evaluator,
                                total_symbol, coefficient_of)
 from gwsym.nullcone import (FlatPoint, NullConfig, backtrace_sources,
                             base_directions, solve_null_scale,
@@ -374,7 +373,7 @@ def test_criterion_12_cross_module(config):
     ev = shared_evaluator(config)
     ok = True
     for term in enumerate_all():
-        bound = predict_entry_order(term.ast, config)
+        bound = shared_evaluator(config).order_bound(term.ast)
         exact = ev.eval(term.ast).entry_order()
         if exact > bound:
             ok = False
@@ -382,7 +381,7 @@ def test_criterion_12_cross_module(config):
     cls = classify_rho40_terms(config)
     for n, members in cls["families"].items():
         for term, value, order in members:
-            if order != predict_entry_order(term.ast, config):
+            if order != shared_evaluator(config).order_bound(term.ast):
                 ok = False
     ok = ok and budget.ok()
     assert _verdict(12, ok, "exact order never exceeds the prediction over "

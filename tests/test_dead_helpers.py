@@ -10,7 +10,7 @@ PACKAGE = sorted((ROOT / "src" / "gwsym").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 #: the acceptance criteria read these; nothing in the package does
-ALLOWED = {"sandwich", "double_sandwich", "predict_entry_order"}
+ALLOWED = {"sandwich", "double_sandwich"}
 
 
 def _references(tree):

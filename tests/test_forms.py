@@ -13,7 +13,7 @@ from gwsym.exact import CoprimeBase, RhoRational, ZERO, parse_rho_rational
 from gwsym.forms import (FREE_PAIR, ZERO_MAT, Factor, FormalTensorPoly,
                          FormError, Monomial, SlotValue, build_form_family,
                          explicit_hhat2, form_denominators, matrix_of_outer,
-                         merge_outer, reduced_ricci_expansion,
+                         reduced_ricci_expansion,
                          symbol_of_form_by_assignment, symbol_outer_of_form,
                          symbols_of_forms, _canonical_monomial)
 from gwsym.nullcone import NullConfig, standard_config
@@ -422,7 +422,7 @@ def flat_outer_of_form(form, assignment, metric=MINKOWSKI):
     """Reference for ``symbol_outer_of_form``: every choice of one outer
     term per factor, in product order, with the whole coefficient product
     formed before the metric pairs are checked."""
-    out = []
+    merged = {}
     for mono in form.monomials:
         values = [assignment[f.slot] for f in mono.factors]
         for choice in itertools.product(*(v.outer for v in values)):
@@ -437,8 +437,9 @@ def flat_outer_of_form(form, assignment, metric=MINKOWSKI):
             for a, b in mono.hinv:
                 scalar = scalar * pairing(metric, vector[a], vector[b])
             if not scalar.is_zero():
-                out.append((scalar, vector["mu"], vector["nu"]))
-    return merge_outer(out)
+                key = (vector["mu"], vector["nu"])
+                merged[key] = merged.get(key, ZERO) + scalar
+    return tuple((c, l, r) for (l, r), c in merged.items() if not c.is_zero())
 
 
 def flat_leaf_groups(form, assignment, metric=MINKOWSKI):

@@ -1,25 +1,25 @@
 """Interaction term trees: enumeration, exact evaluation, families, totals."""
+import functools
 import gc
 import itertools
 import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from gwsym import forms, interaction
 from gwsym.exact import BaseValue, NEG_INF, RhoRational, parse_rho_rational
-from gwsym.forms import SlotValue
+from gwsym.forms import SlotValue, matrix_of_outer
 from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
-                               FormNode, Leaf, QNode, classify_rho40_terms,
+                               FormNode, Leaf, QNode, ZERO_MAT,
+                               classify_rho40_terms,
                                enumerate_H, enumerate_all,
                                eval_I_cancellation, item_value,
                                mat_add, mat_max_degree, mat_of,
-                               mat_scale, mat_sub, mat_sum, nested_chain,
-                               predict_entry_order, shared_evaluator,
-                               summed_terms, total_symbol, _SUMMED,
-                               coefficient_of, _family_keys, _sum_terms,
-                               _terms)
+                               mat_scale, mat_sub, nested_chain,
+                               shared_evaluator, summed_terms, total_symbol,
+                               _SUMMED, coefficient_of, _family_keys, _terms)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.scenario import load_scenario
 from gwsym.tensor import (CoVec4, MINKOWSKI, Sym2T, pairing, rank_one,
@@ -39,16 +39,34 @@ def dense_evaluator():
     return Evaluator(load_scenario(DENSE_SCENARIO).config)
 
 
+def add_all(mats):
+    """The matrices added one by one with ``mat_add``."""
+    return functools.reduce(mat_add, mats, ZERO_MAT)
+
+
 def plain_signed_sum(ev, terms):
     """Signed term-by-term matrix sum, the reference for the engine's sums."""
-    return mat_sum(mat_scale(ev.eval(term.ast).matrix,
+    return add_all(mat_scale(ev.eval(term.ast).matrix,
                              RhoRational.const(term.sign)) for term in terms)
 
 
+def merged_signed_sum(ev, terms):
+    """Signed sum of terms added in the outer-product basis, one list of
+    coefficients per (left, right) pair: a reference that builds one
+    matrix for the whole sum, not one per term."""
+    merged = {}
+    for term in terms:
+        for c, left, right in ev.eval(term.ast).outer:
+            merged.setdefault((left, right), []).append(c * term.sign)
+    return matrix_of_outer(tuple(
+        (sum(cs[1:], cs[0]), left, right)
+        for (left, right), cs in merged.items()))
+
+
 def class_sums(ev):
-    """Each class as the ``_sum_terms`` of its trees with P_k + Hhat_k at
-    every coefficient node."""
-    return {k: _sum_terms(ev, _terms(k, (_SUMMED,))) for k in range(1, 6)}
+    """Each class as the ``Evaluator.sum`` of its trees with P_k + Hhat_k
+    at every coefficient node."""
+    return {k: ev.sum(_terms(k, (_SUMMED,))) for k in range(1, 6)}
 
 
 GOLDEN_SHAPE_COUNTS = {1: 24, 2: 72, 3: 48, 4: 24, 5: 96}
@@ -276,7 +294,7 @@ class TestItems:
         assert (c24 - rr("-3/8*rho^30")).infinity_degree < 30
 
     def test_items_5_6_7_cancel_at_top(self, config):
-        total = mat_sum(item_value(n, config)["matrix"] for n in (5, 6, 7))
+        total = add_all(item_value(n, config)["matrix"] for n in (5, 6, 7))
         assert mat_max_degree(total) < 40
 
     def test_item_4_is_minus_chain_sum(self, config):
@@ -350,6 +368,40 @@ class TestClassification:
         assert cls["outside_max_order"] == outside_max
 
 
+class TestSum:
+    """``Evaluator.sum``, the one summation path, against the term-by-term
+    reference."""
+
+    @pytest.mark.parametrize("name", ["tt", "dense"])
+    @seed(27)
+    @settings(max_examples=30, deadline=None)
+    @given(picks=st.sets(st.integers(0, 1487), max_size=24))
+    def test_random_subset_matches_term_by_term(self, name, picks,
+                                                tt_evaluator,
+                                                dense_evaluator):
+        # 30 examples per evaluator: subsets of up to 24 of the 1488 terms
+        ev = {"tt": tt_evaluator, "dense": dense_evaluator}[name]
+        terms = enumerate_all()
+        chosen = [terms[i] for i in sorted(picks)]
+        assert ev.sum(chosen) == plain_signed_sum(ev, chosen)
+
+    def test_empty_sum(self, evaluator):
+        assert evaluator.sum([]) == ZERO_MAT
+
+    def test_family_unions_and_chain_sum(self, config, evaluator):
+        # the sums behind the items-*-cancel verdicts and the cancellation
+        items = {n: item_value(n, config) for n in range(1, 9)}
+        for families in ((1, 2), (3, 8), (5, 6, 7)):
+            members = [t for n in families for t in items[n]["members"]]
+            want = plain_signed_sum(evaluator, members)
+            assert evaluator.sum(members) == want
+            assert mat_max_degree(want) < 40
+        chains = [nested_chain(*key)
+                  for key in itertools.permutations((1, 2, 3))]
+        want = add_all(evaluator.eval(ast).matrix for ast in chains)
+        assert eval_I_cancellation(config)["sum_matrix"] == want
+
+
 class TestTotal:
     def test_total_is_identically_zero(self, config):
         tot = total_symbol(config)
@@ -360,7 +412,7 @@ class TestTotal:
         per_class = class_sums(shared_evaluator(config))
         orders = {k: mat_max_degree(v) for k, v in per_class.items()}
         assert orders == {1: 20, 2: 40, 3: 40, 4: 30, 5: 30}
-        assert total_symbol(config)["matrix"] == mat_sum(per_class.values())
+        assert total_symbol(config)["matrix"] == add_all(per_class.values())
 
     def test_per_class_matches_term_by_term_sum(self, evaluator,
                                                 tt_evaluator,
@@ -369,24 +421,24 @@ class TestTotal:
         # P_k + Hhat_k at every coefficient node; by multilinearity each
         # class equals the signed sum of its terms one by one.  The
         # reference is the plain matrix sum on the standard configuration;
-        # elsewhere it is the terms' sum in the outer-product basis, as the
-        # items use it, which spares building 1488 term matrices.
+        # elsewhere it is the terms' sum in the outer-product basis, merged
+        # by a dict of its own, which spares building 1488 term matrices.
         for ev, reference in ((evaluator, plain_signed_sum),
-                              (tt_evaluator, _sum_terms),
-                              (dense_evaluator, _sum_terms)):
+                              (tt_evaluator, merged_signed_sum),
+                              (dense_evaluator, merged_signed_sum)):
             per_class = class_sums(ev)
             for k in range(1, 6):
                 assert per_class[k] == reference(ev, enumerate_H(k)), k
             assert any(mat_max_degree(m) > NEG_INF
                        for m in per_class.values())
-            assert ev.total()["matrix"] == mat_sum(per_class.values())
+            assert ev.total()["matrix"] == add_all(per_class.values())
 
     def test_override_total_matches_term_by_term_sum(self, tt_evaluator):
         # the total of an evaluator with overridden wave symbols uses the
         # same summation, and is computed once
         tot = tt_evaluator.total()
         plain = plain_signed_sum(tt_evaluator, enumerate_H(4))
-        assert _sum_terms(tt_evaluator, _terms(4, (_SUMMED,))) == plain
+        assert tt_evaluator.sum(_terms(4, (_SUMMED,))) == plain
         assert mat_max_degree(plain) > NEG_INF
         assert tt_evaluator.total() is tot
 
@@ -721,7 +773,7 @@ class TestEvaluationProperties:
 class TestOrderPrediction:
     def test_prediction_bounds_all_terms(self, config, evaluator):
         for term in enumerate_all():
-            bound = predict_entry_order(term.ast, config)
+            bound = shared_evaluator(config).order_bound(term.ast)
             exact = evaluator.eval(term.ast).entry_order()
             assert exact <= bound
 
@@ -742,4 +794,5 @@ class TestOrderPrediction:
         cls = classify_rho40_terms(config)
         for n, members in cls["families"].items():
             for term, value, order in members:
-                assert order == predict_entry_order(term.ast, config)
+                assert order == shared_evaluator(config).order_bound(
+                    term.ast)

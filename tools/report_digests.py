@@ -1,6 +1,6 @@
 """Digest the reports of the behaviour check for refactors.
 
-Runs eleven reports through ``python -m gwsym`` with the checkout's ``src``
+Runs twelve reports through ``python -m gwsym`` with the checkout's ``src``
 on ``PYTHONPATH`` and prints one line per report: the exit code, the
 SHA-256 of stdout, and the arguments.  A refactor keeps every line.  Each
 report's peak resident set size and CPU seconds (user plus system, from
@@ -40,6 +40,10 @@ REPORTS = [
     DENSE + ["verify", "total"],
     DENSE + ["verify", "items"],
     DENSE + ["verify", "all"],
+    # float exponent 0, so a sample point whose digits pass Python's limit
+    # for converting an int to a string is valid; its names read 1e5000
+    ["--scenario", "tools/rho_free.scn", "--format", "machine", "oracle",
+     "--rho", "1e5000"],
 ]
 
 
