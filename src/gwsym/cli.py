@@ -545,6 +545,11 @@ def build_parser():
     return parser
 
 
+def _output_error(path, exc: OSError) -> int:
+    print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return USAGE_EXIT
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -579,14 +584,12 @@ def run(argv=None) -> int:
             print(f"bad rho value: {exc}", file=sys.stderr)
             return USAGE_EXIT
     if scenario.out:
-        # a path that cannot be written is reported before any suite runs
+        # a path that cannot be opened is reported before any suite runs
         try:
             with open(scenario.out, "w", encoding="utf-8"):
                 pass
         except OSError as exc:
-            print(f"output error: {scenario.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return USAGE_EXIT
+            return _output_error(scenario.out, exc)
 
     report = Report()
     try:
@@ -616,8 +619,12 @@ def run(argv=None) -> int:
             else report.to_text())
     sys.stdout.write(text)
     if scenario.out:
-        with open(scenario.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        # a write can still fail on a path that opened, say on a full disk
+        try:
+            with open(scenario.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _output_error(scenario.out, exc)
     return 0 if report.all_passed() else FAIL_EXIT
 
 

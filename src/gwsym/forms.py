@@ -147,14 +147,9 @@ class FormalTensorPoly:
         merged = {}
         for m in monomials:
             key = _canonical_monomial(m)
-            if key in merged:
-                old, _ = merged[key]
-                merged[key] = (old + m.coeff, merged[key][1])
-            else:
-                merged[key] = (m.coeff, m)
+            merged[key] = merged.get(key, 0) + m.coeff
         canon = []
-        for key in sorted(merged):
-            coeff, _ = merged[key]
+        for key, coeff in sorted(merged.items()):
             if coeff == 0:
                 continue
             fac_rep, h_rep = key

@@ -1,16 +1,18 @@
 """Symbol-level gauge and conservation constraints.
 
 Linear constraint residuals on symmetric-tensor symbols, and exact solution
-space dimensions computed by fraction-free rank over the rational-function
+space dimensions computed by Gauss-Jordan rank over the rational-function
 field (so the answers are uniform in large rho).
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from fractions import Fraction
 
 from .exact import RhoRational, ZERO
-from .tensor import CoVec4, Metric4, Sym2T, rank
+from .tensor import (CoVec4, Metric4, Sym2T, contract_first, rank,
+                     raise_index)
 
 
 class ConstraintKind(Enum):
@@ -21,19 +23,7 @@ class ConstraintKind(Enum):
 
 def conservation_residual(metric: Metric4, eta: CoVec4, a: Sym2T) -> CoVec4:
     """residual_j = m^{pk} eta_p A_{kj}; zero iff A satisfies the law."""
-    inv = metric.inv
-    out = []
-    for j in range(4):
-        total = ZERO
-        for p in range(4):
-            if eta[p].is_zero():
-                continue
-            for k in range(4):
-                if inv[p][k].is_zero() or a[k][j].is_zero():
-                    continue
-                total = total + inv[p][k] * eta[p] * a[k][j]
-        out.append(total)
-    return CoVec4(out)
+    return CoVec4(contract_first(raise_index(metric, eta), a))
 
 
 def harmonic_gauge_residual(metric: Metric4, xi: CoVec4, a: Sym2T) -> CoVec4:
@@ -46,7 +36,7 @@ def harmonic_gauge_residual(metric: Metric4, xi: CoVec4, a: Sym2T) -> CoVec4:
             if inv[p][q].is_zero() or a[p][q].is_zero():
                 continue
             trace = trace + inv[p][q] * a[p][q]
-    half = RhoRational.const(1) / RhoRational.const(2)
+    half = RhoRational.const(Fraction(1, 2))
     return CoVec4(tuple(-first[mu] + half * xi[mu] * trace for mu in range(4)))
 
 

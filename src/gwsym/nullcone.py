@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import RhoRational, ZERO
-from .tensor import CoVec4, MINKOWSKI, Metric4, norm_sq, pairing, rank
+from .exact import RhoRational
+from .tensor import (CoVec4, MINKOWSKI, Metric4, norm_sq, pairing, raise_index,
+                     rank)
 
 
 class ConfigError(ValueError):
@@ -177,7 +178,7 @@ def future_null_direction(zeta: CoVec4, rho_value: Fraction,
     makes backtrace times read as coordinate-time offsets.
     """
     rho_value = Fraction(rho_value)
-    raised = [c.eval_at(rho_value) for c in _raise_numeric(zeta, metric)]
+    raised = [c.eval_at(rho_value) for c in raise_index(metric, zeta)]
     t = raised[0]
     if t == 0:
         raise ConfigError("covector raises to a spatial vector")
@@ -185,17 +186,6 @@ def future_null_direction(zeta: CoVec4, rho_value: Fraction,
         raised = [-x for x in raised]
         t = -t
     return tuple(x / t for x in raised)
-
-
-def _raise_numeric(zeta: CoVec4, metric: Metric4):
-    inv = metric.inv
-    for a in range(4):
-        total = ZERO
-        for b in range(4):
-            if inv[a][b].is_zero() or zeta[b].is_zero():
-                continue
-            total = total + inv[a][b] * zeta[b]
-        yield total
 
 
 def backtrace_sources(q0: FlatPoint, config: NullConfig, rho_value,

@@ -5,8 +5,7 @@ and lowering is always explicit through a Metric4; signature is (-,+,+,+).
 """
 from __future__ import annotations
 
-from .exact import (ONE, ZERO, RhoPoly, RhoRational, coerce,
-                    format_rho_rational)
+from .exact import ONE, ZERO, RhoRational, coerce, format_rho_rational
 
 
 class CoVec4:
@@ -104,71 +103,34 @@ class Sym2T:
 ZERO_SYM2 = Sym2T(tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
 
 
-def _mat_mul(a, b):
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(4)), ZERO)
-                       for j in range(4)) for i in range(4))
+def _reduce(rows):
+    """Gauss-Jordan elimination over the field Q(rho).
 
-
-def _mat_identity():
-    return tuple(tuple(ONE if i == j else ZERO for j in range(4))
-                 for i in range(4))
-
-
-def _mat_inverse(m):
-    # Gauss-Jordan over the exact field.
-    a = [list(row) for row in m]
-    inv = [list(row) for row in _mat_identity()]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(4):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
-def rank(matrix) -> int:
-    """Fraction-free (Bareiss) rank of a matrix over the field Q(rho).
-
-    Rows are first cleared to polynomials; rank is invariant under the
-    nonzero row scalings.
+    Returns the reduced row echelon form of ``rows`` (RhoRational entries)
+    and its pivot columns.
     """
-    cleared = []
-    for row in matrix:
-        den = RhoPoly.const(1)
-        for x in row:
-            den = den * x.den
-        cleared.append([x.num * (den // x.den) for x in row])
-    rows = [r for r in cleared if any(not x.is_zero() for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    prev = RhoPoly.const(1)
-    r = 0
-    for c in range(ncols):
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows))
                       if not rows[i][c].is_zero()), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            for j in range(c + 1, ncols):
-                num = rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]
-                rows[i][j] = num // prev
-            rows[i][c] = RhoPoly()
-        prev = rows[r][c]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank(matrix) -> int:
+    """Rank of a matrix over the field Q(rho): its number of pivots."""
+    return len(_reduce(matrix)[1])
 
 
 class Metric4:
@@ -179,7 +141,14 @@ class Metric4:
     def __init__(self, rows):
         tensor = Sym2T(rows)
         object.__setattr__(self, "m", tensor.m)
-        object.__setattr__(self, "inv", _mat_inverse(tensor.m))
+        # the inverse is the right half of the reduced [m | I]
+        reduced, pivots = _reduce(
+            row + tuple(ONE if i == j else ZERO for j in range(4))
+            for i, row in enumerate(tensor.m))
+        if pivots[:4] != [0, 1, 2, 3]:
+            raise ValueError("matrix is singular")
+        object.__setattr__(self, "inv",
+                           tuple(tuple(row[4:]) for row in reduced))
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric4 is immutable")
@@ -222,37 +191,47 @@ def norm_sq(metric: Metric4, zeta: CoVec4) -> RhoRational:
     return pairing(metric, zeta, zeta)
 
 
-def _sandwich_matrix(metric: Metric4, tensors) -> tuple:
-    """m^{-1} S1 m^{-1} S2 ... m^{-1} as a plain 4x4 tuple matrix."""
-    out = metric.inv
-    for t in tensors:
-        out = _mat_mul(out, t.m if isinstance(t, Sym2T) else t)
-        out = _mat_mul(out, metric.inv)
-    return out
+def raise_index(metric: Metric4, zeta) -> tuple:
+    """The vector m^{ab} zeta_b of a covector (or any 4-sequence)."""
+    inv = metric.inv
+    out = []
+    for a in range(4):
+        total = ZERO
+        for b in range(4):
+            if inv[a][b].is_zero() or zeta[b].is_zero():
+                continue
+            total = total + inv[a][b] * zeta[b]
+        out.append(total)
+    return tuple(out)
 
 
-def sandwich(metric: Metric4, tensor: Sym2T, xi: CoVec4) -> RhoRational:
-    """(m^{-1} S m^{-1})^{pq} xi_p xi_q."""
-    return chain_sandwich(metric, [tensor], xi)
-
-
-def double_sandwich(metric: Metric4, s1: Sym2T, s2: Sym2T,
-                    xi: CoVec4) -> RhoRational:
-    """(m^{-1} S1 m^{-1} S2 m^{-1})^{pq} xi_p xi_q."""
-    return chain_sandwich(metric, [s1, s2], xi)
+def contract_first(v, t) -> tuple:
+    """The covector v^a t_{ab}: a vector contracted with t's first index."""
+    out = []
+    for b in range(4):
+        total = ZERO
+        for a in range(4):
+            if v[a].is_zero() or t[a][b].is_zero():
+                continue
+            total = total + v[a] * t[a][b]
+        out.append(total)
+    return tuple(out)
 
 
 def chain_sandwich(metric: Metric4, tensors, xi: CoVec4) -> RhoRational:
-    """(m^{-1} S1 m^{-1} ... Sk m^{-1})^{pq} xi_p xi_q for any chain."""
-    mid = _sandwich_matrix(metric, tensors)
+    """(m^{-1} S1 m^{-1} ... Sk m^{-1})^{pq} xi_p xi_q for any chain.
+
+    The raised xi is contracted with each S on its first index and raised
+    again; the last vector pairs with xi.
+    """
+    v = raise_index(metric, xi)
+    for t in tensors:
+        v = raise_index(metric, contract_first(v, t))
     total = ZERO
-    for p in range(4):
-        if xi[p].is_zero():
+    for q in range(4):
+        if v[q].is_zero() or xi[q].is_zero():
             continue
-        for q in range(4):
-            if mid[p][q].is_zero() or xi[q].is_zero():
-                continue
-            total = total + mid[p][q] * xi[p] * xi[q]
+        total = total + v[q] * xi[q]
     return total
 
 

@@ -35,8 +35,8 @@ from gwsym.oracle import (FLOAT_CONTEXT, JetContext, _float_at, _jet_base,
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
                              verified_degree_table)
-from gwsym.tensor import (MINKOWSKI, double_sandwich, pairing, rank_one,
-                          sandwich, sym_outer)
+from gwsym.tensor import (MINKOWSKI, chain_sandwich, pairing, rank_one,
+                          sym_outer)
 
 
 def rr(text):
@@ -132,13 +132,14 @@ def test_criterion_06_rank_one_identities(config):
     for i in range(1, 5):
         for j in range(1, 5):
             p = pairing(MINKOWSKI, zetas[i], zetas[j])
-            ok = ok and sandwich(MINKOWSKI, rank_one(zetas[i]),
-                                 zetas[j]) == p * p
+            ok = ok and chain_sandwich(MINKOWSKI, [rank_one(zetas[i])],
+                                       zetas[j]) == p * p
     for i in range(1, 5):
         for j in range(1, 5):
             for k in range(1, 5):
-                got = double_sandwich(MINKOWSKI, rank_one(zetas[i]),
-                                      rank_one(zetas[j]), zetas[k])
+                got = chain_sandwich(MINKOWSKI, [rank_one(zetas[i]),
+                                                 rank_one(zetas[j])],
+                                     zetas[k])
                 want = (pairing(MINKOWSKI, zetas[i], zetas[k])
                         * pairing(MINKOWSKI, zetas[j], zetas[k])
                         * pairing(MINKOWSKI, zetas[i], zetas[j]))

@@ -9,8 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "gwsym").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-#: the acceptance criteria read these; nothing in the package does
-ALLOWED = {"sandwich", "double_sandwich"}
+#: the acceptance criteria read this; nothing in the package does
+ALLOWED = {"chain_sandwich"}
 
 
 def _references(tree):

@@ -570,6 +570,20 @@ class TestCli:
         assert run(["--out", str(report), "oracle", "--rho", "1"]) == 2
         assert not report.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this system")
+    def test_failed_out_write_exits_2(self, tmp_path, capsys):
+        # /dev/full opens, so the start-up check passes; the write fails
+        scenario = tmp_path / "out.scn"
+        scenario.write_text("out = /dev/full\n")
+        for argv in (["--out", "/dev/full"], ["--scenario", str(scenario)]):
+            assert run(argv + ["verify", "orders"]) == 2
+            captured = capsys.readouterr()
+            # the report on stdout is written before the file
+            assert "ALL CHECKS PASSED" in captured.out
+            assert captured.err == ("output error: /dev/full: "
+                                    "No space left on device\n")
+
     @pytest.mark.parametrize("argv, want_code", [
         (["verify", "items"], 1),
         (["verify", "total"], 0),

@@ -7,12 +7,20 @@ import pytest
 from gwsym.exact import RhoRational, parse_rho_rational
 from gwsym.interaction import mat_max_degree
 from gwsym.tensor import (CoVec4, MINKOWSKI, Metric4, Sym2T, ZERO_SYM2,
-                          chain_sandwich, double_sandwich, norm_sq, pairing,
-                          rank, rank_one, sandwich, sym_outer)
+                          chain_sandwich, norm_sq, pairing, rank, rank_one,
+                          sym_outer)
 
 
 def rr(text):
     return parse_rho_rational(text)
+
+
+NON_DIAGONAL = Metric4(((-2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 1, 0),
+                       (0, 0, 0, 5)))
+
+
+def _rows(t):
+    return t.m if isinstance(t, Sym2T) else t
 
 
 PAIRING_TABLE = {
@@ -44,15 +52,15 @@ def test_triple_norms(config):
 
 def test_sandwich_examples(config):
     z3, z4, z1 = config.zeta(3), config.zeta(4), config.zeta(1)
-    assert sandwich(MINKOWSKI, rank_one(z3), z4) == rr("1")
-    assert sandwich(MINKOWSKI, rank_one(z1), z4) == rr("rho^20")
-    assert sandwich(MINKOWSKI, ZERO_SYM2, z4).is_zero()
+    assert chain_sandwich(MINKOWSKI, [rank_one(z3)], z4) == rr("1")
+    assert chain_sandwich(MINKOWSKI, [rank_one(z1)], z4) == rr("rho^20")
+    assert chain_sandwich(MINKOWSKI, [ZERO_SYM2], z4).is_zero()
 
 
 def test_double_sandwich_factorizes(config):
     # rank-one arguments collapse to a product of three pairings
     z1, z2, z4 = config.zeta(1), config.zeta(2), config.zeta(4)
-    got = double_sandwich(MINKOWSKI, rank_one(z1), rank_one(z2), z4)
+    got = chain_sandwich(MINKOWSKI, [rank_one(z1), rank_one(z2)], z4)
     assert got == rr("-rho^20")
     expect = (pairing(MINKOWSKI, z1, z4) * pairing(MINKOWSKI, z2, z4)
               * pairing(MINKOWSKI, z1, z2))
@@ -60,21 +68,28 @@ def test_double_sandwich_factorizes(config):
 
 
 def test_double_sandwich_matches_matrix_product(config):
-    # brute-force triple matrix product oracle
+    # brute-force triple matrix product oracle; the non-diagonal metric and
+    # the non-symmetric chain member read the index order of each
+    # contraction and the symmetry of the inverse
     z1 = config.zeta(1)
     s1, s2 = rank_one(config.zeta(3)), rank_one(config.zeta(4))
-    hinv = MINKOWSKI.inv
-    mats = [hinv, s1.m, hinv, s2.m, hinv]
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = tuple(tuple(sum((prod[i][k] * m[k][j] for k in range(4)),
-                               RhoRational.const(0)) for j in range(4))
-                     for i in range(4))
-    brute = RhoRational.const(0)
-    for p in range(4):
-        for q in range(4):
-            brute = brute + prod[p][q] * z1[p] * z1[q]
-    assert double_sandwich(MINKOWSKI, s1, s2, z1) == brute
+    skew = tuple(tuple(rr(text) for text in row) for row in (
+        ("1", "rho", "0", "2"), ("0", "-1", "1/rho", "0"),
+        ("3", "0", "rho + 1", "0"), ("0", "1", "0", "-2")))
+    for metric, chain in ((MINKOWSKI, [s1, s2]), (NON_DIAGONAL, [s1, s2]),
+                          (NON_DIAGONAL, [skew, s2])):
+        hinv = metric.inv
+        mats = [hinv, _rows(chain[0]), hinv, _rows(chain[1]), hinv]
+        prod = mats[0]
+        for m in mats[1:]:
+            prod = tuple(tuple(sum((prod[i][k] * m[k][j] for k in range(4)),
+                                   RhoRational.const(0)) for j in range(4))
+                         for i in range(4))
+        brute = RhoRational.const(0)
+        for p in range(4):
+            for q in range(4):
+                brute = brute + prod[p][q] * z1[p] * z1[q]
+        assert chain_sandwich(metric, chain, z1) == brute
 
 
 def test_sym_outer(config):
@@ -92,13 +107,18 @@ def test_sym_outer(config):
 
 
 def test_metric_inverse_is_exact():
-    m = Metric4(((-2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 5)))
-    prod = [[sum((m[i][k] * m.inv[k][j] for k in range(4)),
-                 RhoRational.const(0)) for j in range(4)] for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            want = RhoRational.const(1 if i == j else 0)
-            assert prod[i][j] == want
+    # the second metric has rho-dependent, non-monomial entries
+    rho_metric = Metric4(tuple(tuple(rr(text) for text in row) for row in (
+        ("-rho - 1", "1", "0", "rho"), ("1", "rho^2 - 1", "0", "0"),
+        ("0", "0", "rho", "1/(rho + 2)"), ("rho", "0", "1/(rho + 2)", "5"))))
+    for m in (NON_DIAGONAL, rho_metric):
+        prod = [[sum((m[i][k] * m.inv[k][j] for k in range(4)),
+                     RhoRational.const(0)) for j in range(4)]
+                for i in range(4)]
+        for i in range(4):
+            for j in range(4):
+                want = RhoRational.const(1 if i == j else 0)
+                assert prod[i][j] == want
 
 
 def test_singular_metric_rejected():
@@ -143,14 +163,14 @@ def test_rank_one_sandwich_identity():
     for _ in range(20):
         a, xi = _random_covec(rng), _random_covec(rng)
         p = pairing(MINKOWSKI, a, xi)
-        assert sandwich(MINKOWSKI, rank_one(a), xi) == p * p
-        assert sandwich(MINKOWSKI, sym_outer(a, a), xi) == 2 * p * p
+        assert chain_sandwich(MINKOWSKI, [rank_one(a)], xi) == p * p
+        assert chain_sandwich(MINKOWSKI, [sym_outer(a, a)], xi) == 2 * p * p
 
 
 def test_chain_sandwich_generalizes(config):
-    z4 = config.zeta(4)
-    s = rank_one(config.zeta(3))
-    assert chain_sandwich(MINKOWSKI, [s], z4) == sandwich(MINKOWSKI, s, z4)
+    z3, z4 = config.zeta(3), config.zeta(4)
+    p = pairing(MINKOWSKI, z3, z4)
+    assert chain_sandwich(MINKOWSKI, [rank_one(z3)], z4) == p * p
 
 
 def test_rank(config):
@@ -158,3 +178,36 @@ def test_rank(config):
     rows = [list(z.c) for z in config.zetas]
     rows[3] = list(config.zeta(1).c)
     assert rank(rows) == 3
+
+
+def _random_poly(rng):
+    """A small integer polynomial in rho of degree at most 2."""
+    return sum((RhoRational.rho_power(e, rng.randint(-3, 3))
+                for e in range(3)), RhoRational.const(0))
+
+
+def _planted(rng, rows, cols, r):
+    """A rows x cols matrix of small polynomials with an r x r identity
+    block on random rows and columns, so its rank is r."""
+    m = [[_random_poly(rng) for _ in range(cols)] for _ in range(rows)]
+    picked_rows = rng.sample(range(rows), r)
+    picked_cols = rng.sample(range(cols), r)
+    for a, i in enumerate(picked_rows):
+        for b, j in enumerate(picked_cols):
+            m[i][j] = RhoRational.const(1 if a == b else 0)
+    return m
+
+
+def test_planted_rank():
+    # seed 11: for each rank r in 0..4 and width k in {4, 10}, three
+    # products M = A B of a 4 x r and an r x k planted matrix (30 in all)
+    rng = random.Random(11)
+    for r in range(5):
+        for k in (4, 10):
+            for _ in range(3):
+                a, b = _planted(rng, 4, r, r), _planted(rng, r, k, r)
+                m = [[sum((a[i][t] * b[t][j] for t in range(r)),
+                          RhoRational.const(0)) for j in range(k)]
+                     for i in range(4)]
+                transposed = [list(col) for col in zip(*m)]
+                assert rank(m) == rank(transposed) == r

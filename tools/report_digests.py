@@ -15,7 +15,10 @@ CHECKOUT defaults to the checkout holding this script; pass another one
 With two checkouts each report runs on both, one after the other; stdout
 gets only the reports whose exit code or digest differs (one line per
 checkout), stderr both checkouts' figures side by side, and the exit code
-is 1 on any difference.  Standard library only.
+is 1 on any difference.  Every ``--scenario`` path is resolved against
+CHECKOUT and passed as an absolute path to both runs, so a parent that
+lacks a scenario file of the list still reports its own result.  Standard
+library only.
 """
 import hashlib
 import os
@@ -73,6 +76,8 @@ def main(argv) -> int:
     differ = False
     for args in REPORTS:
         args_text = " ".join(args)
+        args = [str(roots[0].resolve() / a) if prev == "--scenario" else a
+                for prev, a in zip([None] + args, args)]
         runs = [_digest(root, args) for root in roots]
         if len(runs) == 1:
             (code, digest, rss, cpu), = runs
