@@ -24,9 +24,9 @@ from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, 
     harmonic_gauge_residual
 from .interaction import (classify_rho40_terms, coefficient_of,
                           eval_I_cancellation, form_family, item_value,
-                          mat_add, mat_eval_at, mat_max_degree, mat_of,
-                          mat_scale, mat_sub, mat_is_zero, nested_chain,
-                          shared_evaluator, total_symbol)
+                          mat_eval_at, mat_max_degree, mat_scale, mat_sub,
+                          mat_is_zero, nested_chain, shared_evaluator,
+                          total_symbol)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
 from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
@@ -236,28 +236,25 @@ def suite_cancellation(report: Report, scenario: Scenario):
     return report
 
 
-def _leading_matches(matrix, target, below: int) -> bool:
-    return mat_max_degree(mat_sub(matrix, target)) < below
-
-
-def _published_basis(cfg):
-    """A14, A24 and rho^30, from which every published leading form is built.
-
-    A14 and A24 are the symmetric outer products of waves 1 and 2 with
-    wave 4.
+def _leads_with(cfg, matrix, c, sign) -> bool:
+    """Whether ``matrix`` agrees with c rho^30 (A14 + sign A24) at entry
+    order 40 and above: every published leading form has that shape.  A14
+    and A24 are the symmetric outer products of waves 1 and 2 with wave 4.
     """
-    a14 = mat_of(sym_outer(cfg.zeta(1), cfg.zeta(4)))
-    a24 = mat_of(sym_outer(cfg.zeta(2), cfg.zeta(4)))
-    return a14, a24, RhoRational.rho_power(30)
+    a14 = sym_outer(cfg.zeta(1), cfg.zeta(4))
+    a24 = sym_outer(cfg.zeta(2), cfg.zeta(4))
+    lead = RhoRational.const(c) * RhoRational.rho_power(30)
+    form = (a14 + a24.scale(sign)).scale(lead)
+    return mat_max_degree(mat_sub(matrix, form.m)) < 40
 
 
 def suite_items(report: Report, scenario: Scenario):
     cfg = scenario.config
     s = report.section("top-order families")
-    a4 = mat_of(rank_one(cfg.zeta(4)))
-    a14, a24, r30 = _published_basis(cfg)
+    a4 = rank_one(cfg.zeta(4))
+    a14 = sym_outer(cfg.zeta(1), cfg.zeta(4))
+    a24 = sym_outer(cfg.zeta(2), cfg.zeta(4))
     r20 = RhoRational.rho_power(20)
-    c38 = RhoRational.const(Fraction(3, 8))
 
     items = {n: item_value(n, cfg) for n in range(1, 9)}
     for n in range(1, 9):
@@ -307,22 +304,17 @@ def suite_items(report: Report, scenario: Scenario):
               "families 3 and 8 cancel at the top entry order")
 
     s.verdict("item-5-published",
-              _leading_matches(items[5]["matrix"],
-                               mat_scale(mat_sub(a14, a24),
-                                         RhoRational.const(Fraction(-3, 8)) * r30), 40),
+              _leads_with(cfg, items[5]["matrix"], Fraction(-3, 8), -1),
               "family 5 leads with -3/8 rho^30 (A14 - A24)")
     s.verdict("item-7-published",
-              _leading_matches(items[7]["matrix"],
-                               mat_scale(mat_sub(a24, a14), c38 * r30), 40),
+              _leads_with(cfg, items[7]["matrix"], Fraction(-3, 8), -1),
               "family 7 leads with 3/8 rho^30 (A24 - A14)")
-    sub34 = items[6]["subcase_inner34"]
-    sub3 = items[6]["subcase_outer3"]
     s.verdict("item-6-outer3-published",
-              _leading_matches(sub3, mat_scale(mat_sub(a14, a24), c38 * r30), 40),
+              _leads_with(cfg, items[6]["subcase_outer3"], Fraction(3, 8), -1),
               "family 6, outer-wave-3 subcase, leads with 3/8 rho^30 (A14 - A24)")
     s.verdict("item-6-inner34-published",
-              _leading_matches(sub34, mat_scale(mat_sub(a14, a24),
-                                                RhoRational.const(Fraction(3, 4)) * r30), 40),
+              _leads_with(cfg, items[6]["subcase_inner34"], Fraction(3, 4),
+                          -1),
               "family 6, inner-pair-(3,4) subcase, leads with 3/4 rho^30 "
               "(A14 - A24) as published",
               detail="engine (cross-validated): 3/8 rho^30 (A14 - A24); the "
@@ -354,15 +346,9 @@ def _published_form_matches(cfg, matrix) -> dict:
     configuration's entry order 40; the comparison means nothing on other
     configurations.
     """
-    a14, a24, r30 = _published_basis(cfg)
-    matches = {}
-    for name, form in (("difference-form", mat_sub(a14, a24)),
-                       ("sum-form", mat_add(a14, a24))):
-        for sign, tag in ((1, "+"), (-1, "-")):
-            coeff = RhoRational.const(Fraction(3 * sign, 8)) * r30
-            matches[f"{tag}{name}"] = _leading_matches(
-                matrix, mat_scale(form, coeff), 40)
-    return matches
+    return {f"{tag}{name}": _leads_with(cfg, matrix, Fraction(3 * c, 8), sign)
+            for name, sign in (("difference-form", -1), ("sum-form", 1))
+            for c, tag in ((1, "+"), (-1, "-"))}
 
 
 def _total_dual_path(cfg, matrix, rho):

@@ -27,9 +27,9 @@ without evaluating them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
-from functools import cached_property
 
 from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
 # ZERO_MAT is imported from this module by the benchmark and the tests
@@ -44,73 +44,51 @@ from .tensor import CoVec4, Sym2T, norm_sq, rank_one
 # ---------------------------------------------------------------------------
 
 
-def _node_hash(node) -> int:
-    """The hash a node took from its fields when it was built, once: its
-    children's are cached already, so no memo keyed by nodes hashes a
-    subtree again."""
-    return node._hash
-
-
 def _frozen(self, name, value):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Leaf:
-    __slots__ = ("wave", "_hash")
+class _Node:
+    """The record body of the term-tree nodes: the fields a class lists in
+    ``_fields``, set once, and the hash of their values, taken when the
+    node is built.  A child's hash is cached already, so no memo keyed by
+    nodes hashes a subtree again."""
 
-    def __init__(self, wave: int):
-        object.__setattr__(self, "wave", wave)
-        object.__setattr__(self, "_hash", hash((wave,)))
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values))
 
     def __eq__(self, other):
-        if other.__class__ is not Leaf:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.wave == other.wave
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self._fields)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
-        return f"Leaf(wave={self.wave!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
-    __hash__ = _node_hash
     __setattr__ = _frozen
 
 
-class QNode:
-    __slots__ = ("child", "_hash")
-
-    def __init__(self, child):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "_hash", hash((child,)))
-
-    def __eq__(self, other):
-        if other.__class__ is not QNode:
-            return NotImplemented
-        return self.child == other.child
-
-    def __repr__(self):
-        return f"QNode(child={self.child!r})"
-
-    __hash__ = _node_hash
-    __setattr__ = _frozen
+class Leaf(_Node):
+    __slots__ = _fields = ("wave",)
 
 
-class FormNode:
-    __slots__ = ("form", "children", "_hash")
+class QNode(_Node):
+    __slots__ = _fields = ("child",)
 
-    def __init__(self, form: tuple, children: tuple):  # form: ('P'|'Hhat', k)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", hash((form, children)))
 
-    def __eq__(self, other):
-        if other.__class__ is not FormNode:
-            return NotImplemented
-        return self.form == other.form and self.children == other.children
-
-    def __repr__(self):
-        return f"FormNode(form={self.form!r}, children={self.children!r})"
-
-    __hash__ = _node_hash
-    __setattr__ = _frozen
+class FormNode(_Node):
+    __slots__ = _fields = ("form", "children")  # form: ('P'|'Hhat', k)
 
 
 class CharacteristicDenominatorError(ArithmeticError):
@@ -199,31 +177,21 @@ class SymbolValue:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_FORM_FAMILY = None
-
 #: form kind of a coefficient node that carries P_k + Hhat_k (``total``)
 _SUMMED = "P+Hhat"
-_SUMMED_FORMS = {}
+
+#: the P and Hhat forms of the family, built once per process
+form_family = functools.cache(build_form_family)
 
 
-def form_family():
-    global _FORM_FAMILY
-    if _FORM_FAMILY is None:
-        _FORM_FAMILY = build_form_family()
-    return _FORM_FAMILY
-
-
+@functools.cache
 def _form_of(key):
     """The form of a coefficient node: a family form, or for
     ``(_SUMMED, k)`` the sum P_k + Hhat_k, kept out of ``form_family``."""
     kind, k = key
     if kind != _SUMMED:
         return form_family()[key]
-    form = _SUMMED_FORMS.get(k)
-    if form is None:
-        family = form_family()
-        form = _SUMMED_FORMS[k] = family[("P", k)] + family[("Hhat", k)]
-    return form
+    return _form_of(("P", k)) + _form_of(("Hhat", k))
 
 
 class Evaluator:
@@ -263,7 +231,7 @@ class Evaluator:
         self._pair_degree = mat_max_degree(self.metric.inv)
         self._total = None
 
-    @cached_property
+    @functools.cached_property
     def base(self) -> CoprimeBase:
         """The coprime base of every denominator evaluation meets, built
         at the first evaluation: the ``form_denominators`` of the leaf
@@ -405,18 +373,10 @@ class Evaluator:
                                      if c))
 
 
-_EVALUATORS = {}
-
-
-def shared_evaluator(config: NullConfig) -> Evaluator:
-    """Process-wide evaluator of ``config`` (terms are shared across
-    analyses).  Only the last configuration's evaluator is held: a new
-    configuration drops the one before it."""
-    ev = _EVALUATORS.get(config)
-    if ev is None:
-        _EVALUATORS.clear()
-        ev = _EVALUATORS[config] = Evaluator(config)
-    return ev
+#: the process-wide evaluator of a configuration (terms are shared across
+#: analyses); only the last configuration's evaluator is held: a new
+#: configuration drops the one before it
+shared_evaluator = functools.lru_cache(maxsize=1)(Evaluator)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,16 @@ def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
     return result
 
 
+def _over_norm(ctx, s, m):
+    """The matrix ``m`` divided by the squared norm of the covector sum
+    over the wave subset ``s``: a causal inverse on the context."""
+    n = ctx.norm[s]
+    if not n:
+        raise ZeroDivisionError(
+            f"characteristic covector sum over waves {sorted(s)}")
+    return [[x / n for x in row] for row in m]
+
+
 def _total_jet(ctx):
     """The four-wave component of the jet iteration on ``ctx``.
 
@@ -380,11 +390,7 @@ def _total_jet(ctx):
         nonlinear = _nonlinearity(ctx, u, sizes=sizes)
         u = dict(v)
         for s, m in nonlinear.items():
-            n = ctx.norm[s]
-            if not n:
-                raise ZeroDivisionError(
-                    f"characteristic covector sum over waves {sorted(s)}")
-            _add_into(u, s, [[x / n for x in row] for row in m])
+            _add_into(u, s, _over_norm(ctx, s, m))
     return (_nonlinearity(ctx, u, sizes=(len(FULL),)).get(FULL)
             or ctx.zero_mat())
 
@@ -448,11 +454,7 @@ def _walk(ctx, node):
         return ctx.amplitudes[node.wave], frozenset({node.wave})
     if isinstance(node, QNode):
         m, s = _walk(ctx, node.child)
-        n = ctx.norm[s]
-        if not n:
-            raise ZeroDivisionError(
-                f"characteristic covector sum over waves {sorted(s)}")
-        return [[x / n for x in row] for row in m], s
+        return _over_norm(ctx, s, m), s
     parts = [_walk(ctx, c) for c in node.children]
     s = frozenset().union(*(t for _, t in parts))
     hinv = {frozenset(): ctx.hinv}

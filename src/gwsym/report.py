@@ -18,9 +18,9 @@ TraceLine = namedtuple("TraceLine", "text")
 class Section:
     __slots__ = ("title", "entries")
 
-    def __init__(self, title, entries=None):
+    def __init__(self, title):
         self.title = title
-        self.entries = [] if entries is None else entries
+        self.entries = []
 
     def verdict(self, name, passed, claim, detail=""):
         self.entries.append(Verdict(name, bool(passed), claim, detail))
@@ -35,8 +35,8 @@ class Section:
 class Report:
     __slots__ = ("sections",)
 
-    def __init__(self, sections=None):
-        self.sections = [] if sections is None else sections
+    def __init__(self):
+        self.sections = []
 
     def section(self, title) -> Section:
         s = Section(title)

@@ -16,7 +16,8 @@ with ``#`` are ignored.  Keys:
 Any other key is an error, so a misspelt key cannot fall back to a default
 unnoticed.  So is a file that is not UTF-8, and a number with more digits
 than Python converts to an int (``sys.get_int_max_str_digits``, 4300 by
-default).
+default).  One leading byte-order mark (U+FEFF) is skipped; the byte
+offset an invalid-UTF-8 error names counts from the start of the file.
 
 Custom covectors must pass the configuration validation (each light-like,
 independent, light-like sum) before use.  Every oracle rho value must
@@ -245,4 +246,4 @@ def load_scenario(path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"byte {exc.start}: not valid UTF-8 "
                             f"({exc.reason})") from exc
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))

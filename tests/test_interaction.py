@@ -335,13 +335,12 @@ class TestClassification:
         assert cls["outside_max_order"] == 40  # attained only by the extras
 
     @pytest.mark.parametrize("scan", ["evaluator", "dense_evaluator"])
-    def test_branch_and_bound_equals_exhaustive_scan(self, scan, request,
-                                                     monkeypatch):
+    def test_branch_and_bound_equals_exhaustive_scan(self, scan, request):
         # on a fresh evaluator the classification answers as a scan of all
         # 1488 terms does; on the dense configuration every term sits far
         # below order 40, so only the best exact order so far stops the scan
         ev = request.getfixturevalue(scan)
-        monkeypatch.setattr(interaction, "_EVALUATORS", {})
+        interaction.shared_evaluator.cache_clear()
         cls = classify_rho40_terms(ev.config)
         fresh = shared_evaluator(ev.config)
         assert fresh is not ev
@@ -663,10 +662,9 @@ class TestEvaluationProperties:
         got = Evaluator(config, leaf_symbols=scaled).eval(ast)
         assert got.matrix == mat_scale(base.matrix, c)
 
-    def test_shared_evaluator_holds_one_configuration(self, config,
-                                                      monkeypatch):
+    def test_shared_evaluator_holds_one_configuration(self, config):
         # a new configuration drops the evaluator of the one before it
-        monkeypatch.setattr(interaction, "_EVALUATORS", {})
+        interaction.shared_evaluator.cache_clear()
         swapped = NullConfig((config.zeta(2), config.zeta(1),
                               config.zeta(3), config.zeta(4)))
         first = shared_evaluator(config)

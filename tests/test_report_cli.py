@@ -322,12 +322,29 @@ class TestCli:
         assert captured.err == ("scenario error: line 2: unknown key "
                                 "'oracle-rho'\n")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark changes neither the report nor the exit code
+        text = b"format = machine\noracle_rho = 5/2\n"
+        results = []
+        for name, content in (("plain.scn", text),
+                              ("marked.scn", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / name
+            path.write_bytes(content)
+            code = run(["--scenario", str(path), "verify", "orders"])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 0 and err == "" and out.startswith("schema\t")
+
     @pytest.mark.parametrize("content, message", [
         # not UTF-8: the offset of the first bad byte
         (b"zeta1 = \xff\xfe1, 0, 1, 0\n",
          "byte 8: not valid UTF-8 (invalid start byte)"),
         (b"format = machine\noracle_rho = 2 \xe2\x82\n",
          "byte 32: not valid UTF-8 (invalid continuation byte)"),
+        # the offset counts the bytes of a byte-order mark too
+        (b"\xef\xbb\xbfformat = machine\noracle_rho = 2 \xe2\x82\n",
+         "byte 35: not valid UTF-8 (invalid continuation byte)"),
         # numbers longer than Python converts to an int
         (TestScenario.deeply_nested("1" * 5000).encode(),
          "component 1 of zeta1 has a number of 5000 digits, over the limit "
@@ -341,7 +358,8 @@ class TestCli:
         # values whose decimal expansion passes that limit
         (b"oracle_rho = 1e5000\n", "oracle rho 1e5000 overflows"),
         (b"oracle_rho = 1e-5000\n", "oracle rho 1e-5000 must exceed 1"),
-    ], ids=["utf8-start-byte", "utf8-continuation-byte", "zeta-digits",
+    ], ids=["utf8-start-byte", "utf8-continuation-byte",
+            "utf8-after-byte-order-mark", "zeta-digits",
             "zeta-exponent-digits", "rho-digits", "rho-1e5000",
             "rho-1e-5000"])
     def test_loader_fails_cleanly(self, content, message, tmp_path, capsys):
