@@ -34,7 +34,7 @@ from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
-                       load_scenario, rho_name)
+                       load_scenario, parse_rho, rho_name)
 from .tensor import MINKOWSKI, rank_one, sym_outer
 
 USAGE_EXIT = 2
@@ -154,8 +154,8 @@ def suite_gauge(report: Report, scenario: Scenario):
     for i in range(1, 5):
         zeta = cfg.zeta(i)
         pol = rank_one(zeta)
-        hg = harmonic_gauge_residual(MINKOWSKI, zeta, pol)
-        cl = conservation_residual(MINKOWSKI, zeta, pol)
+        hg = harmonic_gauge_residual(cfg.metric, zeta, pol)
+        cl = conservation_residual(cfg.metric, zeta, pol)
         s.value(f"gauge-residual-{i}",
                 "(" + ", ".join(_fmt(x) for x in hg) + ")")
         s.value(f"conservation-residual-{i}",
@@ -170,18 +170,18 @@ def suite_gauge(report: Report, scenario: Scenario):
                   "linearized conservation law")
     for kind in (ConstraintKind.ConservationLaw, ConstraintKind.HarmonicGauge):
         for i in (1, 4):
-            res = constraint_space_dim(kind, MINKOWSKI, cfg.zeta(i))
+            res = constraint_space_dim(kind, cfg.metric, cfg.zeta(i))
             s.value(f"dim-{kind.value}-wave{i}",
                     f"{res.dimension} (rank {res.rank} on a "
                     f"{res.fiber_dimension}-dimensional fiber)")
             s.verdict(f"dim-{kind.value}-wave{i}", res.dimension == 6,
                       f"{kind.value} solution space on wave {i} has "
                       "dimension 6")
-    res = constraint_space_dim(ConstraintKind.MaxwellConservation, MINKOWSKI,
+    res = constraint_space_dim(ConstraintKind.MaxwellConservation, cfg.metric,
                                cfg.zeta(1))
     s.verdict("dim-maxwell", res.dimension == 3,
               "current conservation on a light-like covector has dimension 3")
-    zero = constraint_space_dim(ConstraintKind.ConservationLaw, MINKOWSKI,
+    zero = constraint_space_dim(ConstraintKind.ConservationLaw, cfg.metric,
                                 cfg.zeta(1).scale(0))
     s.verdict("dim-degenerate", zero.dimension == 10 and zero.degenerate,
               "the zero covector imposes no constraint (degeneracy flagged)")
@@ -468,13 +468,12 @@ def suite_orders(report: Report, scenario: Scenario):
     return report
 
 
-def suite_oracle(report: Report, scenario: Scenario, rho=None):
+def suite_oracle(report: Report, scenario: Scenario):
     cfg = scenario.config
-    values = [Fraction(rho)] if rho is not None else list(scenario.oracle_rho)
     s = report.section("floating-point oracle")
     terms = eval_I_cancellation(cfg)["terms"]
-    for rho_v in values:
-        _oracle_at(s, cfg, terms, rho_v)
+    for rho in scenario.oracle_rho:
+        _oracle_at(s, cfg, terms, rho)
     return report
 
 
@@ -557,18 +556,14 @@ def run(argv=None) -> int:
     if args.out:
         scenario.out = args.out
 
-    rho = None
     if args.command == "oracle" and args.rho is not None:
         try:
-            rho = Fraction(args.rho)
-        except (ValueError, ZeroDivisionError):
-            print(f"bad rho value: {args.rho!r}", file=sys.stderr)
-            return USAGE_EXIT
-        try:
+            rho = parse_rho(args.rho, "--rho")
             check_oracle_rho(scenario.config, (rho,))
         except ScenarioError as exc:
             print(f"bad rho value: {exc}", file=sys.stderr)
             return USAGE_EXIT
+        scenario.oracle_rho = (rho,)
     if scenario.out:
         # a path that cannot be opened is reported before any suite runs
         try:
@@ -592,7 +587,7 @@ def run(argv=None) -> int:
             else:
                 SUITES[args.what](report, scenario)
         elif args.command == "oracle":
-            suite_oracle(report, scenario, rho=rho)
+            suite_oracle(report, scenario)
     except Exception as exc:  # surface engine failures as verdicts
         command = ("verify " + args.what if args.command == "verify"
                    else args.command)

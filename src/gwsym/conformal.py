@@ -116,4 +116,4 @@ def verified_degree_table() -> dict:
         form = form_family()[key]
         items.append((form, {s: waves[s] for s in range(1, form.arity + 1)}))
     return dict(zip(keys, _weights(
-        lambda metric: [rows for rows, _ in symbols_of_forms(items, metric)])))
+        lambda metric: symbols_of_forms(items, metric))))

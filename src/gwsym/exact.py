@@ -900,6 +900,11 @@ def format_rho_rational(a: RhoRational) -> str:
 MAX_EXPONENT = 200
 
 
+#: the digits of a number in an expression: ASCII only, where
+#: ``str.isdigit`` would also take other scripts' digits and superscripts
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     """Recursive-descent parser for rho expressions.
 
@@ -921,9 +926,9 @@ class _Parser:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 tokens.append(("int", text[i:j]))
                 i = j

@@ -29,10 +29,10 @@ denominators the walk meets (``form_denominators``) and lifts its
 ``RhoRational`` slots onto it.  Matrices are built only at the output
 boundary, by ``CoprimeBase.matrix``, with canonical ``RhoRational`` entries.
 
-Sign bookkeeping: every derivative contributes one factor of the imaginary
-unit at symbol level.  Evaluation returns the real matrix together with the
-accumulated power of i; retained interaction terms always carry even powers,
-which evaluation folds as i^(2m) = (-1)^m.
+Every derivative is a factor i times the covector, so a form whose
+monomials all carry 2m derivatives has the real symbol i^(2m) = (-1)^m
+times its covector contraction; both routes return that real value, and a
+form with an odd or mixed count raises ``FormError``.
 """
 from __future__ import annotations
 
@@ -465,21 +465,24 @@ class MissingSlotError(FormError):
 
 
 def _prepare_slots(form: FormalTensorPoly, assignment):
+    """(slots, i_power, negate): both routes' one sign rule, i^(2m) =
+    (-1)^m, for a form whose monomials all carry 2m derivatives."""
     slots = dict(assignment)
     for s in range(1, form.arity + 1):
         if s not in slots:
             raise MissingSlotError(f"no symbol bound to slot {s}")
     dcounts = form.derivative_counts()
     i_power = dcounts[0] if dcounts else 0
-    if len(dcounts) > 1:
-        raise FormError(f"mixed derivative counts {dcounts}")
-    return slots, i_power
+    if len(dcounts) > 1 or i_power % 2:
+        raise FormError(f"derivative counts {dcounts} are not one even count")
+    return slots, i_power, i_power % 4 == 2
 
 
 def symbol_outer_of_form(form: FormalTensorPoly, assignment,
                          metric: Metric4 = MINKOWSKI, pairings: dict = None,
                          products: dict = None):
-    """Evaluate a form to an outer-product decomposition; (terms, i_power).
+    """Evaluate a form's real symbol to an outer-product decomposition;
+    (terms, i_power), the power of i folded into the terms.
 
     Slot matrices are expanded into their outer decompositions; every
     metric pair then collapses to a pairing of two vectors, so a monomial
@@ -495,8 +498,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     multiplied by the group's pairing product, and the branch's slot
     product is multiplied in once per output pair.  The terms hold each
     output vector pair once, with a nonzero coefficient, in no promised
-    order.  The i factors of the derivatives are excluded from the value
-    and reported as the power.
+    order, each negated when the folded power of i gives -1.
 
     The slot coefficients must be ``BaseValue`` on one ``CoprimeBase``,
     which covers the denominators of ``form_denominators``; the terms'
@@ -508,7 +510,7 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     caller that evaluates many forms on one metric passes the same dicts
     to every call; by default they live for this call only.
     """
-    slots, i_power = _prepare_slots(form, assignment)
+    slots, i_power, negate = _prepare_slots(form, assignment)
     plan = _plan_of(form)
     if pairings is None:
         pairings = {}
@@ -591,7 +593,8 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
             live.append((step, ps))
     if live:
         walk(0, None, live)
-    terms = tuple((c, *out) for out, c in acc.items() if not c.is_zero())
+    terms = tuple((-c if negate else c, *out) for out, c in acc.items()
+                  if not c.is_zero())
     return terms, i_power
 
 
@@ -608,17 +611,15 @@ def form_denominators(metric: Metric4, slots) -> list:
 
 def symbols_of_forms(items, metric: Metric4 = MINKOWSKI) -> list:
     """Evaluate each (form, assignment) of ``items`` on its slot symbols;
-    returns one (rows, i_power) per item.
+    returns one real symbol matrix per item.
 
     Each slot's tensor is replaced by its symbol matrix and each derivative
-    by the slot's covector component (one factor of i per derivative; the
-    returned matrix excludes the i's, whose total power is reported).
-    ``rows`` is a plain 4x4 tuple matrix of canonical ``RhoRational``: a
-    single slot-ordered monomial need not be symmetric, only
-    permutation-summed combinations are.  Each value is built from the
-    outer-product decomposition, and every walk runs on one
-    ``CoprimeBase`` of the ``form_denominators`` of all the items' slots,
-    onto which the slot coefficients are lifted.
+    by i times the slot's covector component.  A matrix is a plain 4x4
+    tuple matrix of canonical ``RhoRational``: a single slot-ordered
+    monomial need not be symmetric, only permutation-summed combinations
+    are.  Each value is built from the outer-product decomposition, and
+    every walk runs on one ``CoprimeBase`` of the ``form_denominators`` of
+    all the items' slots, onto which the slot coefficients are lifted.
     """
     items = [(form, dict(assignment)) for form, assignment in items]
     base = CoprimeBase([p for _, slots in items
@@ -629,8 +630,8 @@ def symbols_of_forms(items, metric: Metric4 = MINKOWSKI) -> list:
                                tuple((base.lift(c), l, r)
                                      for c, l, r in v.outer))
                   for s, v in slots.items()}
-        terms, i_power = symbol_outer_of_form(form, lifted, metric)
-        out.append((base.matrix(terms), i_power))
+        terms, _ = symbol_outer_of_form(form, lifted, metric)
+        out.append(base.matrix(terms))
     return out
 
 
@@ -645,7 +646,7 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
     matrix on its two indices, the slot covector on each derivative index
     and the inverse metric on each h pair, summed down to (mu, nu).
     """
-    slots, i_power = _prepare_slots(form, assignment)
+    slots, _, negate = _prepare_slots(form, assignment)
     inv = _nonzero(metric.inv)
     matrix = {s: _nonzero(v.matrix) for s, v in slots.items()}
     covector = {s: {(a,): x for a, x in enumerate(v.covector.c)
@@ -657,10 +658,10 @@ def symbol_of_form_by_assignment(form: FormalTensorPoly, assignment,
             operands.append((f.idx, matrix[f.slot]))
             operands += [((d,), covector[f.slot]) for d in f.derivs]
         operands += [(pair, inv) for pair in mono.hinv]
-        coeff = RhoRational.const(mono.coeff)
+        coeff = RhoRational.const(-mono.coeff if negate else mono.coeff)
         for (mu, nu), x in _contract(operands).items():
             rows[mu][nu] = rows[mu][nu] + x * coeff
-    return tuple(map(tuple, rows)), i_power
+    return tuple(map(tuple, rows))
 
 
 def _nonzero(rows) -> dict:

@@ -12,10 +12,9 @@ coefficients of its node values on it, so its sums and products run no
 polynomial gcd; each matrix it returns is canonical ``RhoRational``,
 converted once per entry.  Every sum of signed terms goes through
 ``Evaluator.sum``, which adds their coefficients on the base and builds
-one matrix for the sum.  Every coefficient form carries
-an even number of derivatives, each a factor of the imaginary unit, so a
-form node folds i^(2m) into the sign (-1)^m and matrices are real.
-An overall (2*pi)^-3 is factored out of every complete four-wave term.
+one matrix for the sum.  A form node's value is the real symbol
+``forms`` returns.  An overall (2*pi)^-3 is factored out of every
+complete four-wave term.
 
 Only what a result reads is evaluated.  The total uses multilinearity: the
 terms of one shape and permutation sum to one tree with P_k + Hhat_k at
@@ -322,14 +321,10 @@ class Evaluator:
                                      for c, l, r in child.outer))
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
-            outer, node_power = symbol_outer_of_form(
+            outer, _ = symbol_outer_of_form(
                 _form_of(ast.form), dict(enumerate(children, 1)),
                 self.metric, self.pairings, self.products)
-            if node_power % 2:
-                raise ArithmeticError("odd derivative count in a retained form")
-            negate = (node_power // 2) % 2
-            outer = tuple((share(-c if negate else c), l, r)
-                          for c, l, r in outer)
+            outer = tuple((share(c), l, r) for c, l, r in outer)
             leaves = tuple(itertools.chain.from_iterable(
                 c.leaves for c in children))
             return SymbolValue(self._covector(leaves), leaves, outer)

@@ -8,16 +8,19 @@ with ``#`` are ignored.  Keys:
                  200 in absolute value, powers of degree at most 200),
                  e.g.
                  ``zeta4 = rho^10, -rho^10, 0, 0``
-  oracle_rho     whitespace-separated decimal sample values for the
-                 floating-point oracle, each listed once
+  oracle_rho     whitespace-separated rational sample values for the
+                 floating-point oracle (``5/2``, ``2.5``, ``1e20``), each
+                 listed once; ``parse_rho`` reads each, and the
+                 ``--rho`` value too
   format         ``text`` or ``machine``
   out            optional output path
 
-Any other key is an error, so a misspelt key cannot fall back to a default
-unnoticed.  So is a file that is not UTF-8, and a number with more digits
-than Python converts to an int (``sys.get_int_max_str_digits``, 4300 by
-default).  One leading byte-order mark (U+FEFF) is skipped; the byte
-offset an invalid-UTF-8 error names counts from the start of the file.
+Every number is written in the ASCII digits 0-9.  Any other key is an
+error, so a misspelt key cannot fall back to a default unnoticed.  So is a
+file that is not UTF-8, and a number with more digits than Python converts
+to an int (``sys.get_int_max_str_digits``, 4300 by default).  One leading
+byte-order mark (U+FEFF) is skipped; the byte offset an invalid-UTF-8
+error names counts from the start of the file.
 
 Custom covectors must pass the configuration validation (each light-like,
 independent, light-like sum) before use.  Every oracle rho value must
@@ -71,10 +74,25 @@ def _check_digits(where: str, text: str) -> None:
     """Reject a number in ``text`` with more digits than Python converts
     to an int (``sys.get_int_max_str_digits``), naming ``where``."""
     limit = sys.get_int_max_str_digits()
-    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    longest = max(map(len, re.findall(r"[0-9]+", text)), default=0)
     if limit and longest > limit:
         raise ScenarioError(f"{where} has a number of {longest} digits, "
                             f"over the limit of {limit}")
+
+
+def parse_rho(text: str, where: str) -> Fraction:
+    """One sample value of rho, as ``oracle_rho`` and ``--rho`` spell it: a
+    rational number ``Fraction`` reads (``5/2``, ``2.5``, ``1e20``) in
+    ASCII digits.  ``where`` names the value in the error."""
+    _check_digits(where, text)
+    other = [c for c in text if not c.isascii()]
+    if other:
+        raise ScenarioError(f"{where} has the non-ASCII character "
+                            f"{other[0]!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(f"{where} is not a rational number") from None
 
 
 def _parse_covector(name: str, text: str) -> CoVec4:
@@ -216,13 +234,9 @@ def parse_scenario(text: str) -> Scenario:
 
     rho_values = (Fraction(2), Fraction(3))
     if "oracle_rho" in pairs:
-        texts = pairs["oracle_rho"].split()
-        for k, text in enumerate(texts, start=1):
-            _check_digits(f"value {k} of oracle_rho", text)
-        try:
-            rho_values = tuple(Fraction(v) for v in texts)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"bad oracle_rho: {exc}") from exc
+        rho_values = tuple(parse_rho(text, f"value {k} of oracle_rho")
+                           for k, text in enumerate(
+                               pairs["oracle_rho"].split(), start=1))
         if not rho_values:
             raise ScenarioError("oracle_rho must list at least one value")
         for k, rho in enumerate(rho_values):

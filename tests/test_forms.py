@@ -30,7 +30,8 @@ def rr(text):
 
 
 def symbol_of(form, assignment, metric=MINKOWSKI):
-    """(rows, i_power) of one form: ``symbols_of_forms`` of one item."""
+    """The real symbol matrix of one form: ``symbols_of_forms`` of one
+    item."""
     (symbol,) = symbols_of_forms([(form, assignment)], metric)
     return symbol
 
@@ -159,9 +160,10 @@ class TestSymbolEvaluation:
         for key, form in sorted(fam.items()):
             assignment = {s: SlotValue.wave(config.zeta(s))
                           for s in range(1, form.arity + 1)}
-            a, ia = symbol_of(form, assignment)
-            b, ib = symbol_of_form_by_assignment(form, assignment)
-            assert a == b and ia == ib == 2
+            a = symbol_of(form, assignment)
+            assert a == symbol_of_form_by_assignment(form, assignment)
+            # the walk reports the power of i it folded
+            assert symbol_outer_of_form(form, on_base(assignment)[1])[1] == 2
 
     def test_entry_basis_dual_paths_agree(self, config):
         # slots without a decomposition get the shared entry basis; pairings are keyed by the value of their two vectors
@@ -172,39 +174,39 @@ class TestSymbolEvaluation:
             assignment = {s: SlotValue(rank_one(config.zeta(s)),
                                        config.zeta(s))
                           for s in range(1, form.arity + 1)}
-            a, _ = symbol_of(form, assignment)
-            b, _ = symbol_of_form_by_assignment(form, assignment)
-            assert a == b, key
+            a = symbol_of(form, assignment)
+            assert a == symbol_of_form_by_assignment(form, assignment), key
 
     def test_p2_sandwich_value(self, config):
         # rank-one inner slot and an outer derivative covector reduce to the
-        # squared pairing times the outer matrix
+        # squared pairing times the outer matrix, times the i^2 = -1 of the
+        # two derivatives
         fam = build_form_family()
         z3, z4 = config.zeta(3), config.zeta(4)
         assignment = {1: SlotValue.wave(z3), 2: SlotValue.wave(z4)}
-        rows, i_power = symbol_of(fam[("P", 2)], assignment)
+        rows = symbol_of(fam[("P", 2)], assignment)
         from gwsym.tensor import pairing
         p = pairing(MINKOWSKI, z3, z4)
-        want = rank_one(z4).scale(p * p)
-        assert rows == want.m and i_power == 2
+        want = rank_one(z4).scale(-p * p)
+        assert rows == want.m
 
     def test_hhat2_symmetrized_gives_published_pattern(self, config):
-        # both argument orders summed give 3/2 [h(zi,zj)]^2 A^(ij); the
-        # i-power of the two derivatives is reported, not folded, here
+        # both argument orders summed give i^2 3/2 [h(zi,zj)]^2 A^(ij): the
+        # published 3/2 multiplies the i^2 of the two derivatives, which the
+        # real symbol folds
         fam = build_form_family()
         for i, j in ((1, 2), (1, 4), (3, 4)):
             zi, zj = config.zeta(i), config.zeta(j)
             one = {1: SlotValue.wave(zi), 2: SlotValue.wave(zj)}
             two = {1: SlotValue.wave(zj), 2: SlotValue.wave(zi)}
-            a, ipow = symbol_of(fam[("Hhat", 2)], one)
-            b, _ = symbol_of(fam[("Hhat", 2)], two)
-            assert ipow == 2
+            a = symbol_of(fam[("Hhat", 2)], one)
+            b = symbol_of(fam[("Hhat", 2)], two)
             total = tuple(tuple(x + y for x, y in zip(ra, rb))
                           for ra, rb in zip(a, b))
             from gwsym.tensor import pairing
             h = pairing(MINKOWSKI, zi, zj)
             want = sym_outer(zi, zj).scale(
-                RhoRational.const(Fraction(3, 2)) * h * h)
+                RhoRational.const(Fraction(-3, 2)) * h * h)
             assert total == want.m
 
     def test_multilinearity(self, config):
@@ -216,8 +218,8 @@ class TestSymbolEvaluation:
         c = rr("3/2")
         scaled[2] = SlotValue(rank_one(z[1]).scale(c), z[1],
                               outer=((c, z[1], z[1]),))
-        a, _ = symbol_of(form, base)
-        b, _ = symbol_of(form, scaled)
+        a = symbol_of(form, base)
+        b = symbol_of(form, scaled)
         assert b == tuple(tuple(c * x for x in row) for row in a)
         # additivity in a slot
         w = config.zeta(4)
@@ -229,8 +231,8 @@ class TestSymbolEvaluation:
         other[2] = SlotValue.wave(w)
         # covector must match for derivative terms; use same covector z[1]
         other[2] = SlotValue(rank_one(w), z[1], outer=((rr("1"), w, w),))
-        av, _ = symbol_of(form, added)
-        bv, _ = symbol_of(form, other)
+        av = symbol_of(form, added)
+        bv = symbol_of(form, other)
         assert av == tuple(tuple(x + y for x, y in zip(ra, rb))
                            for ra, rb in zip(a, bv))
 
@@ -238,6 +240,29 @@ class TestSymbolEvaluation:
         fam = build_form_family()
         with pytest.raises(FormError):
             symbol_of(fam[("P", 2)], {1: SlotValue.wave(config.zeta(1))})
+
+    @pytest.mark.parametrize("extra", [
+        # one derivative: a symbol i times a real value.  A monomial with
+        # both free indices on slot factors carries an even count, so mu
+        # is left out here
+        Monomial(Fraction(1), (Factor(1, ("a", "b"), ("c",)),
+                               Factor(2, ("d", "nu"))),
+                 (("a", "b"), ("c", "d"))),
+        # no derivative, next to the two of P2's monomial
+        Monomial(Fraction(1), (Factor(1, ("mu", "a")), Factor(2, ("b", "nu"))),
+                 (("a", "b"),)),
+    ], ids=["odd", "mixed"])
+    def test_symbol_not_real_rejected(self, config, extra):
+        # the sign rule folds i^(2m) only; any other form has no real
+        # symbol, on either route
+        monomials = [extra]
+        if extra.derivative_count() == 0:
+            monomials += build_form_family()[("P", 2)].monomials
+        form = FormalTensorPoly(monomials)
+        assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
+        for route in (symbol_of, symbol_of_form_by_assignment):
+            with pytest.raises(FormError, match="not one even count"):
+                route(form, assignment)
 
     @pytest.mark.parametrize("monomial, message", [
         # two slot factors contracted directly, with no h pair between
@@ -271,8 +296,8 @@ class TestSymbolEvaluation:
         with_outer = {1: SlotValue.wave(z1), 2: SlotValue.wave(z2)}
         without = {1: SlotValue(rank_one(z1), z1),
                    2: SlotValue(rank_one(z2), z2)}
-        a, _ = symbol_of(fam[("Hhat", 2)], with_outer)
-        b, _ = symbol_of(fam[("Hhat", 2)], without)
+        a = symbol_of(fam[("Hhat", 2)], with_outer)
+        b = symbol_of(fam[("Hhat", 2)], without)
         assert a == b
 
     def test_entry_basis_is_shared(self, config):
@@ -292,7 +317,7 @@ class TestSymbolEvaluation:
         assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
         _, lifted = on_base(assignment)
         terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], lifted)
-        rows, _ = symbol_of(fam[("Hhat", 2)], assignment)
+        rows = symbol_of(fam[("Hhat", 2)], assignment)
         assert matrix_of_outer(terms) == rows
         assert matrix_of_outer(()) == ZERO_MAT
 
@@ -368,7 +393,7 @@ class TestReferenceRoute:
                           for s in range(1, form.arity + 1)}
             want = symbol_of(form, assignment)
             assert symbol_of_form_by_assignment(form, assignment) == want
-            assert any(not x.is_zero() for r in want[0] for x in r)
+            assert any(not x.is_zero() for r in want for x in r)
 
     def test_reads_the_matrix_not_the_decomposition(self, config):
         # an outer decomposition that contradicts the matrix: the reference
@@ -403,7 +428,7 @@ class TestReferenceRoute:
                 want = symbol_of_form_by_assignment(form, assignment,
                                                     cfg.metric)
                 assert symbol_of(form, assignment, cfg.metric) == want
-                assert any(not x.is_zero() for r in want[0] for x in r)
+                assert any(not x.is_zero() for r in want for x in r)
 
     def test_entries_are_exact(self, config):
         # on sparse entry-basis slots most entries vanish; those are exact
@@ -412,7 +437,7 @@ class TestReferenceRoute:
             assignment = {s: SlotValue(rank_one(config.zeta(s)),
                                        config.zeta(s))
                           for s in range(1, form.arity + 1)}
-            rows, _ = symbol_of_form_by_assignment(form, assignment)
+            rows = symbol_of_form_by_assignment(form, assignment)
             assert len(rows) == 4 and all(len(r) == 4 for r in rows), key
             assert all(type(x) is RhoRational for r in rows for x in r), key
             assert any(x.is_zero() for r in rows for x in r), key
@@ -421,9 +446,11 @@ class TestReferenceRoute:
 def flat_outer_of_form(form, assignment, metric=MINKOWSKI):
     """Reference for ``symbol_outer_of_form``: every choice of one outer
     term per factor, in product order, with the whole coefficient product
-    formed before the metric pairs are checked."""
+    formed before the metric pairs are checked, and a factor i per
+    derivative."""
     merged = {}
     for mono in form.monomials:
+        sign = (-1) ** (mono.derivative_count() // 2)  # i^d, d even
         values = [assignment[f.slot] for f in mono.factors]
         for choice in itertools.product(*(v.outer for v in values)):
             vector = {}
@@ -431,7 +458,7 @@ def flat_outer_of_form(form, assignment, metric=MINKOWSKI):
                 vector[f.idx[0]], vector[f.idx[1]] = left, right
                 for d in f.derivs:
                     vector[d] = v.covector
-            scalar = RhoRational.const(mono.coeff)
+            scalar = RhoRational.const(mono.coeff * sign)
             for c, _, _ in choice:
                 scalar = scalar * c
             for a, b in mono.hinv:

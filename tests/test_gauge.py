@@ -118,3 +118,28 @@ def test_dimension_values(config):
     degenerate = constraint_space_dim(ConstraintKind.MaxwellConservation,
                                       MINKOWSKI, CoVec4((0, 0, 0, 0)))
     assert degenerate.dimension == 4 and degenerate.degenerate
+
+
+def test_suite_gauge_reads_the_configuration_metric(config):
+    # the one-entry frame shear A = I + 1/2 e0 e1^T: the metric A^T eta A
+    # and the covectors A^T zeta_i, which are not light-like under eta, so
+    # a suite that reads eta fails nine verdicts here
+    from gwsym.cli import suite_gauge
+    from gwsym.nullcone import NullConfig
+    from gwsym.report import Report
+    from gwsym.scenario import Scenario
+    from gwsym.tensor import Metric4
+    shear = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    shear[0][1] = Fraction(1, 2)
+    eta = (-1, 1, 1, 1)
+    metric = Metric4(tuple(
+        tuple(sum(shear[k][i] * eta[k] * shear[k][j] for k in range(4))
+              for j in range(4)) for i in range(4)))
+    zetas = [CoVec4(tuple(sum((RhoRational.const(shear[k][i]) * z[k]
+                               for k in range(4)), RhoRational.const(0))
+                          for i in range(4)))
+             for z in config.zetas]
+    report = suite_gauge(Report(), Scenario(NullConfig(zetas, metric)))
+    (section,) = report.sections
+    assert len([e for e in section.entries if hasattr(e, "passed")]) == 14
+    assert report.failures() == []

@@ -155,6 +155,15 @@ class TestScenario:
                                      "zero"):
                 parse_scenario(self.deeply_nested(component))
 
+    @pytest.mark.parametrize("digit", ["\u0661", "\u00b2", "\uff11"],
+                             ids=["arabic-indic", "superscript", "fullwidth"])
+    def test_non_ascii_digit_rejected(self, digit):
+        # str.isdigit takes other scripts' digits and superscripts too; an
+        # expression reads ASCII 0-9 only
+        with pytest.raises(ScenarioError,
+                           match=f"unexpected character '{digit}'"):
+            parse_scenario(self.deeply_nested(digit))
+
     def test_component_count_names_the_covector(self):
         text = self.deeply_nested("1").replace("zeta3 = 1/(2*rho^10), "
                                               "1/(2*rho^10), 0, 0",
@@ -383,6 +392,24 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("bad rho value: " + message)
         assert len(line) <= 160
+
+    @pytest.mark.parametrize("text, message", [
+        ("\u0663", "has the non-ASCII character '\u0663'"),
+        ("2\u00b2", "has the non-ASCII character '\u00b2'"),
+        ("7" * 5000, "has a number of 5000 digits, over the limit of 4300"),
+        ("abc", "is not a rational number"),
+        ("1/0", "is not a rational number"),
+    ], ids=["arabic-indic", "superscript", "digits", "junk", "zero-den"])
+    def test_rho_reads_like_oracle_rho(self, text, message, tmp_path,
+                                       capsys):
+        # --rho and oracle_rho share one reader and its one-line messages
+        assert run(["oracle", "--rho", text]) == 2
+        assert capsys.readouterr().err == f"bad rho value: --rho {message}\n"
+        path = tmp_path / "rho.scn"
+        path.write_text(f"oracle_rho = 2 {text}\n", encoding="utf-8")
+        assert run(["--scenario", str(path), "oracle"]) == 2
+        assert capsys.readouterr().err == ("scenario error: value 2 of "
+                                           f"oracle_rho {message}\n")
 
     def test_python_m_gwsym(self):
         src = Path(__file__).parent.parent / "src"

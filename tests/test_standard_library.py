@@ -61,6 +61,7 @@ def _imported(path):
 @pytest.mark.parametrize(("folder", "allowed"), [
     ("src", {"gwsym"}),
     ("tests", {"gwsym", "pytest", "hypothesis"}),
+    ("tools", set()),
 ])
 def test_sources_import_only_the_standard_library(folder, allowed):
     paths = sorted((ROOT / folder).rglob("*.py"))
