@@ -29,10 +29,11 @@ denominators the walk meets (``form_denominators``) and lifts its
 ``RhoRational`` slots onto it.  Matrices are built only at the output
 boundary, by ``CoprimeBase.matrix``, with canonical ``RhoRational`` entries.
 
-Every derivative is a factor i times the covector, so a form whose
-monomials all carry 2m derivatives has the real symbol i^(2m) = (-1)^m
-times its covector contraction; both routes return that real value, and a
-form with an odd or mixed count raises ``FormError``.
+Every derivative is a factor i times the covector.  A monomial holds
+``mu`` and ``nu`` once each and every other index twice, so its derivative
+count is even, and a form whose monomials all carry 2m derivatives has the
+real symbol i^(2m) = (-1)^m times its covector contraction; both routes
+return that real value, and a form with mixed counts raises ``FormError``.
 """
 from __future__ import annotations
 
@@ -84,8 +85,11 @@ def _check_monomial(m: Monomial, arity):
     for n in m.names():
         counts[n] = counts.get(n, 0) + 1
     for n in FREE_PAIR:
-        if counts.pop(n, 0) > 1:
+        c = counts.pop(n, 0)
+        if c > 1:
             raise FormError(f"free index {n} repeated in {m}")
+        if not c:
+            raise FormError(f"free index {n} missing from {m}")
     for n, c in counts.items():
         if c != 2:
             raise FormError(f"index {n} appears {c} times in {m}")
@@ -473,8 +477,8 @@ def _prepare_slots(form: FormalTensorPoly, assignment):
             raise MissingSlotError(f"no symbol bound to slot {s}")
     dcounts = form.derivative_counts()
     i_power = dcounts[0] if dcounts else 0
-    if len(dcounts) > 1 or i_power % 2:
-        raise FormError(f"derivative counts {dcounts} are not one even count")
+    if len(dcounts) > 1:
+        raise FormError(f"derivative counts {dcounts} are not one count")
     return slots, i_power, i_power % 4 == 2
 
 
@@ -693,8 +697,6 @@ def _contract(operands) -> dict:
         ops = [op for op in ops if name not in op[0]]
         ops.append(_sum_out(_join(held), name))
     names, entries = _join(ops)
-    if sorted(names) != sorted(FREE_PAIR):
-        raise FormError("every monomial must carry both free indices")
     mu = names.index("mu")
     return {(key[mu], key[1 - mu]): x for key, x in entries.items()}
 

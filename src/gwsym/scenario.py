@@ -15,7 +15,9 @@ with ``#`` are ignored.  Keys:
   format         ``text`` or ``machine``
   out            optional output path
 
-Every number is written in the ASCII digits 0-9.  Any other key is an
+Every number is written in the ASCII digits 0-9, with no ``_``
+separator, and a sample value's exponent is at most 100000 in absolute
+value.  Any other key is an
 error, so a misspelt key cannot fall back to a default unnoticed.  So is a
 file that is not UTF-8, and a number with more digits than Python converts
 to an int (``sys.get_int_max_str_digits``, 4300 by default).  One leading
@@ -80,15 +82,28 @@ def _check_digits(where: str, text: str) -> None:
                             f"over the limit of {limit}")
 
 
+#: the largest power of ten, up or down, a sample value may spell
+RHO_EXPONENT_LIMIT = 10 ** 5
+
+
 def parse_rho(text: str, where: str) -> Fraction:
     """One sample value of rho, as ``oracle_rho`` and ``--rho`` spell it: a
     rational number ``Fraction`` reads (``5/2``, ``2.5``, ``1e20``) in
-    ASCII digits.  ``where`` names the value in the error."""
+    ASCII digits, with no ``_`` separator and an exponent of at most
+    ``RHO_EXPONENT_LIMIT`` in absolute value, since ``Fraction`` computes
+    the power of ten before any range check.  ``where`` names the value in
+    the error."""
     _check_digits(where, text)
     other = [c for c in text if not c.isascii()]
     if other:
         raise ScenarioError(f"{where} has the non-ASCII character "
                             f"{other[0]!r}")
+    if "_" in text:
+        raise ScenarioError(f"{where} has the digit separator '_'")
+    exponents = re.findall(r"[eE]([+-]?[0-9]+)", text)
+    if any(abs(int(e)) > RHO_EXPONENT_LIMIT for e in exponents):
+        raise ScenarioError(f"{where} has an exponent past "
+                            f"+-{RHO_EXPONENT_LIMIT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -241,27 +241,27 @@ class TestSymbolEvaluation:
         with pytest.raises(FormError):
             symbol_of(fam[("P", 2)], {1: SlotValue.wave(config.zeta(1))})
 
-    @pytest.mark.parametrize("extra", [
-        # one derivative: a symbol i times a real value.  A monomial with
-        # both free indices on slot factors carries an even count, so mu
-        # is left out here
-        Monomial(Fraction(1), (Factor(1, ("a", "b"), ("c",)),
-                               Factor(2, ("d", "nu"))),
-                 (("a", "b"), ("c", "d"))),
-        # no derivative, next to the two of P2's monomial
-        Monomial(Fraction(1), (Factor(1, ("mu", "a")), Factor(2, ("b", "nu"))),
-                 (("a", "b"),)),
-    ], ids=["odd", "mixed"])
-    def test_symbol_not_real_rejected(self, config, extra):
-        # the sign rule folds i^(2m) only; any other form has no real
-        # symbol, on either route
-        monomials = [extra]
-        if extra.derivative_count() == 0:
-            monomials += build_form_family()[("P", 2)].monomials
-        form = FormalTensorPoly(monomials)
+    def test_odd_derivative_count_rejected(self):
+        # a symbol i times a real value would need an odd count; a monomial
+        # holds mu and nu once and every other index twice, so its count
+        # is even, and one that leaves mu out to carry one derivative is
+        # rejected when built
+        odd = Monomial(Fraction(1), (Factor(1, ("a", "b"), ("c",)),
+                                     Factor(2, ("d", "nu"))),
+                       (("a", "b"), ("c", "d")))
+        with pytest.raises(FormError, match="free index mu missing"):
+            FormalTensorPoly([odd])
+
+    def test_mixed_derivative_counts_rejected(self, config):
+        # no derivative, next to the two of P2's monomial: no real symbol,
+        # on either route
+        extra = Monomial(Fraction(1), (Factor(1, ("mu", "a")),
+                                       Factor(2, ("b", "nu"))), (("a", "b"),))
+        form = FormalTensorPoly(
+            [extra, *build_form_family()[("P", 2)].monomials])
         assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
         for route in (symbol_of, symbol_of_form_by_assignment):
-            with pytest.raises(FormError, match="not one even count"):
+            with pytest.raises(FormError, match="not one count"):
                 route(form, assignment)
 
     @pytest.mark.parametrize("monomial, message", [

@@ -399,7 +399,11 @@ class TestCli:
         ("7" * 5000, "has a number of 5000 digits, over the limit of 4300"),
         ("abc", "is not a rational number"),
         ("1/0", "is not a rational number"),
-    ], ids=["arabic-indic", "superscript", "digits", "junk", "zero-den"])
+        ("1_0", "has the digit separator '_'"),
+        ("1e999999999", "has an exponent past +-100000"),
+        ("1e-999999999", "has an exponent past +-100000"),
+    ], ids=["arabic-indic", "superscript", "digits", "junk", "zero-den",
+            "underscore", "exponent", "negative-exponent"])
     def test_rho_reads_like_oracle_rho(self, text, message, tmp_path,
                                        capsys):
         # --rho and oracle_rho share one reader and its one-line messages

@@ -11,10 +11,9 @@ reports changed) or unseen.  An unseen mutant is a gap in the CLI's
 verdicts; its ``gap`` note names what would close it.  The exit code is 1
 if a mutant survives the tests or its snippet does not occur exactly once.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
-With names, only those mutants run; an unknown name exits 2.  Each mutant
-takes 20-60 s.  Standard library only.
+Each mutant takes 20-60 s.  Standard library only.
 """
 import os
 import shutil
@@ -119,20 +118,15 @@ def run_mutant(m: Mutant, scratch: Path) -> tuple:
     return killed, f"{m.name}: {verdict}; {seen}"
 
 
-def main(argv) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     faults = snippet_faults()
     for fault in faults:
         print(fault)
     if faults:
         return 1
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
     survived = 0
     with tempfile.TemporaryDirectory(prefix="gwsym-mutants-") as scratch:
-        for m in chosen:
+        for m in MUTANTS:
             killed, line = run_mutant(m, Path(scratch))
             survived += not killed
             print(line, flush=True)
@@ -140,4 +134,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
