@@ -623,18 +623,21 @@ def symbols_of_forms(items, metric: Metric4 = MINKOWSKI) -> list:
     monomial need not be symmetric, only permutation-summed combinations
     are.  Each value is built from the outer-product decomposition, and
     every walk runs on one ``CoprimeBase`` of the ``form_denominators`` of
-    all the items' slots, onto which the slot coefficients are lifted.
+    all the items' slots, onto which the slot coefficients are lifted, and
+    shares one dict of metric pairings and one of pairing products.
     """
     items = [(form, dict(assignment)) for form, assignment in items]
     base = CoprimeBase([p for _, slots in items
                         for p in form_denominators(metric, slots.values())])
+    pairings, products = {}, {}
     out = []
     for form, slots in items:
         lifted = {s: SlotValue(v.matrix, v.covector,
                                tuple((base.lift(c), l, r)
                                      for c, l, r in v.outer))
                   for s, v in slots.items()}
-        terms, _ = symbol_outer_of_form(form, lifted, metric)
+        terms, _ = symbol_outer_of_form(form, lifted, metric, pairings,
+                                        products)
         out.append(base.matrix(terms))
     return out
 

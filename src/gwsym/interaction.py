@@ -36,7 +36,7 @@ from .forms import (SlotValue, ZERO_MAT, build_form_family,
                     entry_order_bound, form_denominators, matrix_of_outer,
                     symbol_outer_of_form)
 from .nullcone import NullConfig
-from .tensor import CoVec4, Sym2T, norm_sq, rank_one
+from .tensor import CoVec4, Sym2T, rank_one
 
 # ---------------------------------------------------------------------------
 # AST
@@ -49,26 +49,17 @@ def _frozen(self, name, value):
 
 class _Node:
     """The record body of the term-tree nodes: the fields a class lists in
-    ``_fields``, set once, and the hash of their values, taken when the
-    node is built.  A child's hash is cached already, so no memo keyed by
-    nodes hashes a subtree again."""
+    ``_fields``, set once.  Nodes are interned: building a node whose
+    class and field values are those of one built before returns that one
+    object, so a tree built twice is one tree, and nodes hash and compare
+    by identity.  A node's children are nodes already, so no lookup walks
+    a subtree."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _fields = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash(values))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self._fields)
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, *values):
+        return _interned(cls, values)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -76,6 +67,16 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
     __setattr__ = _frozen
+
+
+@functools.cache
+def _interned(cls, values):
+    """The one node of class ``cls`` with field values ``values``; bounded
+    by the finite set of trees built."""
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, values, strict=True):
+        object.__setattr__(node, name, value)
+    return node
 
 
 class Leaf(_Node):
@@ -200,9 +201,9 @@ class Evaluator:
     rank-one symbol; the SlotValue's covector must be the wave's.
     ``eval`` memoizes the value of every node, ``order_bound`` a degree
     bound on it, and one dict of metric pairings, one of pairing products
-    and one ``base`` serve every form evaluation.  Values and bounds share
-    one memo of each node's covector, and of each causal inverse's norm,
-    keyed by the multiset of the node's waves.  Every coefficient a node
+    and one ``base`` serve every form evaluation.  A node's covector and a
+    causal inverse's norm are the configuration's memoized ``subset_sum``
+    and ``subset_norm`` of the node's waves.  Every coefficient a node
     value holds is the base's one object for that value
     (``CoprimeBase.shared``), so equal coefficients of many nodes are
     stored once and their matrix entries are converted once.
@@ -225,8 +226,6 @@ class Evaluator:
         self.pairings = {}
         self.products = {}
         self._bounds = {}
-        self._covectors = {}
-        self._norms = {}
         self._pair_degree = mat_max_degree(self.metric.inv)
         self._total = None
 
@@ -239,7 +238,7 @@ class Evaluator:
         polys = form_denominators(self.metric, self.slots.values())
         for bits in range(1, 16):
             waves = [i for i in range(1, 5) if bits >> (i - 1) & 1]
-            polys += [x.den for x in self._covector(waves)]
+            polys += [x.den for x in self.config.subset_sum(waves)]
             try:
                 n = self._norm(waves)
             except CharacteristicDenominatorError:
@@ -275,34 +274,20 @@ class Evaluator:
             degree, leaves = self._bound(ast.child)
             return degree - self._norm(leaves).infinity_degree, leaves
         infos = [self._bound(c) for c in ast.children]
+        covector = self.config.subset_sum
         slot_info = {slot: (degree, max(x.infinity_degree
-                                        for x in self._covector(leaves)))
+                                        for x in covector(leaves)))
                      for slot, (degree, leaves) in enumerate(infos, start=1)}
         leaves = tuple(itertools.chain.from_iterable(l for _, l in infos))
         return (entry_order_bound(_form_of(ast.form), slot_info,
                                   self._pair_degree), leaves)
 
-    def _covector(self, waves) -> CoVec4:
-        """Total covector of a multiset of waves, memoized by its sorted
-        tuple; each new one is one addition to that of its prefix."""
-        key = tuple(sorted(waves))
-        hit = self._covectors.get(key)
-        if hit is None:
-            hit = self.slots[key[-1]].covector
-            if len(key) > 1:
-                hit = self._covector(key[:-1]) + hit
-            self._covectors[key] = hit
-        return hit
-
     def _norm(self, waves) -> RhoRational:
-        """``norm_sq`` of the total covector of a multiset of waves,
-        memoized like ``_covector``; raises if it is characteristic."""
-        key = tuple(sorted(waves))
-        n = self._norms.get(key)
-        if n is None:
-            n = self._norms[key] = norm_sq(self.metric, self._covector(key))
+        """The configuration's ``subset_norm`` of a multiset of waves;
+        raises if it is characteristic."""
+        n = self.config.subset_norm(waves)
         if n.is_zero():
-            raise CharacteristicDenominatorError(key)
+            raise CharacteristicDenominatorError(waves)
         return n
 
     def _eval(self, ast) -> SymbolValue:
@@ -327,7 +312,7 @@ class Evaluator:
             outer = tuple((share(c), l, r) for c, l, r in outer)
             leaves = tuple(itertools.chain.from_iterable(
                 c.leaves for c in children))
-            return SymbolValue(self._covector(leaves), leaves, outer)
+            return SymbolValue(self.config.subset_sum(leaves), leaves, outer)
         raise TypeError(f"not a term node: {ast!r}")
 
     def total(self) -> dict:
@@ -401,35 +386,18 @@ _SHAPES = {
 }
 
 
-#: every term tree node built so far, one per distinct subtree, keyed by
-#: the leaf's wave, or by the form (if any) and the ids of the already
-#: shared children, so no lookup hashes a subtree; bounded by the finite
-#: set of trees the shapes give
-_NODES = {}
-
-
-def _shared(key, cls, *fields):
-    node = _NODES.get(key)
-    if node is None:
-        node = _NODES[key] = cls(*fields)
-    return node
-
-
 def _build(shape, perm: tuple, forms: tuple):
     """The term tree of ``shape`` with leaves ``perm[i]`` and coefficient
-    forms ``forms`` assigned in preorder, as shared nodes: equal subtrees
-    of every tree built are one object."""
+    forms ``forms`` assigned in preorder."""
     forms = iter(forms)
 
     def node(s):
         if isinstance(s, int):
-            return _shared(perm[s], Leaf, perm[s])
+            return Leaf(perm[s])
         if isinstance(s, QNode):
-            child = node(s.child)
-            return _shared((id(child),), QNode, child)
+            return QNode(node(s.child))
         form = next(forms)
-        children = tuple(node(c) for c in s)
-        return _shared((form, *map(id, children)), FormNode, form, children)
+        return FormNode(form, tuple(node(c) for c in s))
     return node(shape)
 
 

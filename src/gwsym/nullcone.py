@@ -26,9 +26,13 @@ class NullConfig:
     null: a null pair sum makes its two covectors proportional, a null
     triple sum is parallel to the fourth covector.  Null sums remain with
     ``validate=False``, other signatures, or a repeated wave: |2 zeta_1|^2 = 0.
+
+    The sums of its covectors over multisets of waves and their squared
+    norms on ``metric`` are memoized here, the one engine-side source of
+    both; the memos take no part in equality or hashing.
     """
 
-    __slots__ = ("zetas", "metric")
+    __slots__ = ("zetas", "metric", "_sums", "_norms")
 
     def __init__(self, zetas, metric: Metric4 = MINKOWSKI, validate: bool = True):
         zetas = tuple(zetas)
@@ -36,6 +40,8 @@ class NullConfig:
             raise ConfigError("need exactly four covectors")
         object.__setattr__(self, "zetas", zetas)
         object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_norms", {})
         if validate:
             self._validate()
 
@@ -43,14 +49,13 @@ class NullConfig:
         raise AttributeError("NullConfig is immutable")
 
     def _validate(self):
-        for i, z in enumerate(self.zetas, start=1):
-            n = norm_sq(self.metric, z)
+        for i in range(1, 5):
+            n = self.subset_norm((i,))
             if not n.is_zero():
                 raise ConfigError(f"covector {i} is not light-like: |.|^2 = {n!r}")
         if rank([z.c for z in self.zetas]) < 4:
             raise ConfigError("covectors are linearly dependent")
-        total = self.total()
-        n = norm_sq(self.metric, total)
+        n = self.subset_norm(range(1, 5))
         if not n.is_zero():
             raise ConfigError(f"sum of covectors is not light-like: {n!r}")
 
@@ -61,13 +66,29 @@ class NullConfig:
     def total(self) -> CoVec4:
         return self.subset_sum(range(1, 5))
 
-    def subset_sum(self, indices) -> CoVec4:
-        out = None
-        for i in indices:
-            out = self.zeta(i) if out is None else out + self.zeta(i)
-        if out is None:
-            raise ValueError("empty index set")
-        return out
+    def subset_sum(self, waves) -> CoVec4:
+        """Total covector of a multiset of waves, memoized by its sorted
+        tuple; each new one is one addition to that of its prefix."""
+        key = tuple(sorted(waves))
+        hit = self._sums.get(key)
+        if hit is None:
+            if not key:
+                raise ValueError("empty index set")
+            hit = self.zeta(key[-1])
+            if len(key) > 1:
+                hit = self.subset_sum(key[:-1]) + hit
+            self._sums[key] = hit
+        return hit
+
+    def subset_norm(self, waves) -> RhoRational:
+        """``norm_sq`` on ``metric`` of ``subset_sum(waves)``, memoized
+        like it."""
+        key = tuple(sorted(waves))
+        hit = self._norms.get(key)
+        if hit is None:
+            hit = self._norms[key] = norm_sq(self.metric,
+                                             self.subset_sum(key))
+        return hit
 
     def pairing_table(self) -> dict:
         """All six pairings h(zeta_i, zeta_j), i < j."""
@@ -76,10 +97,8 @@ class NullConfig:
 
     def triple_norm_table(self) -> dict:
         """|zeta_i + zeta_j + zeta_k|^2 for the four triples."""
-        out = {}
-        for triple in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-            out[triple] = norm_sq(self.metric, self.subset_sum(triple))
-        return out
+        return {triple: self.subset_norm(triple)
+                for triple in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))}
 
     def __eq__(self, other):
         return (isinstance(other, NullConfig) and self.zetas == other.zetas

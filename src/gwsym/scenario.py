@@ -44,7 +44,7 @@ from .exact import parse_rho_rational
 from .interaction import shared_evaluator, summed_terms
 from .nullcone import ConfigError, NullConfig, standard_config
 from .oracle import FLOAT_CONTEXT
-from .tensor import CoVec4, norm_sq
+from .tensor import CoVec4
 
 
 _KEYS = ("zeta1", "zeta2", "zeta3", "zeta4", "oracle_rho", "format", "out")
@@ -191,7 +191,7 @@ def check_oracle_rho(config: NullConfig, rho_values) -> None:
                         f"zeta{i} is undefined")
     for size in (2, 3):
         for subset in itertools.combinations(range(1, 5), size):
-            norm = norm_sq(config.metric, config.subset_sum(subset))
+            norm = config.subset_norm(subset)
             for rho in rho_values:
                 if norm.eval_at(rho) == 0:
                     name = "+".join(f"zeta{i}" for i in subset)

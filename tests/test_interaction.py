@@ -562,15 +562,14 @@ class TestSharedValues:
             assert base.shared(a) is base.shared(b)
 
     def test_node_hash_is_cached_and_structural(self, evaluator):
-        # a directly built tree equals its shared twin, hashes as it does
-        # and finds its memo entry
+        # a directly built tree is its shared twin and finds its memo entry
         shared = nested_chain(1, 2, 3)
+        value = evaluator.eval(shared)
         P2 = ("P", 2)
         direct = FormNode(P2, (Leaf(1), QNode(FormNode(P2, (
             Leaf(2), QNode(FormNode(P2, (Leaf(3), Leaf(4)))))))))
-        assert direct is not shared and direct == shared
-        assert hash(direct) == hash(shared)
-        assert evaluator.eval(direct) is evaluator.eval(shared)
+        assert direct is shared
+        assert evaluator.cache[direct] is value
 
 
 class TestCoprimeBase:

@@ -39,6 +39,39 @@ def test_invalid_configs_rejected(config):
         NullConfig((zs[0], zs[1], zs[2], zs[3].scale(2)))  # sum not null
 
 
+def test_subset_sums_and_norms_are_memoized(config, monkeypatch):
+    # a fresh configuration sums each multiset of waves once, by one
+    # addition to its prefix; the memos take no part in equality
+    fresh = NullConfig(config.zetas)
+    subsets = [[w for w in range(1, 5) if bits >> (w - 1) & 1]
+               for bits in range(1, 16)]
+    want = {}
+    for waves in subsets:
+        want[tuple(waves)] = config.zeta(waves[0])
+        for w in waves[1:]:
+            want[tuple(waves)] = want[tuple(waves)] + config.zeta(w)
+    adds = [0]
+    add = CoVec4.__add__
+
+    def counted(a, b):
+        adds[0] += 1
+        return add(a, b)
+
+    monkeypatch.setattr(CoVec4, "__add__", counted)
+    for _ in range(2):
+        for waves in subsets:
+            assert fresh.subset_sum(waves[::-1]) == want[tuple(waves)]
+            assert fresh.subset_norm(waves) is fresh.subset_norm(
+                waves[::-1])
+            assert fresh.subset_norm(waves) == norm_sq(
+                MINKOWSKI, fresh.subset_sum(waves))
+    assert adds[0] <= 11
+    assert fresh.subset_norm((1, 1)).is_zero()
+    assert fresh == config and hash(fresh) == hash(config)
+    with pytest.raises(ValueError, match="empty index set"):
+        fresh.subset_sum(())
+
+
 def test_solve_null_scale_published_value():
     a3 = solve_null_scale(1, -1, RhoRational.rho_power(10), base_directions())
     assert a3 == rr("-1/(2*rho^10)")

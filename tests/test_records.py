@@ -16,7 +16,7 @@ from gwsym.scenario import Scenario
 
 
 def chain():
-    """A nested chain built by hand, sharing no node with the builders."""
+    """A nested chain built by hand, not by the term builders."""
     P2 = ("P", 2)
     return FormNode(P2, (Leaf(1), QNode(FormNode(P2, (Leaf(2), Leaf(3))))))
 
@@ -34,9 +34,11 @@ class TestEquality:
         assert Factor(1, ("a", "b")) != Factor(2, ("a", "b"))
 
     def test_term_nodes(self):
+        # nodes are interned: a tree built twice is one object
         a, b = chain(), chain()
-        assert a == b and hash(a) == hash(b) and a is not b
+        assert a is b and hash(a) == hash(b)
         assert len({a, b, nested_chain(1, 2, 3)}) == 2
+        assert Leaf(1) is Leaf(1)
         assert Leaf(1) != Leaf(2) and QNode(Leaf(1)) != Leaf(1)
         assert FormNode(("P", 2), (Leaf(1), Leaf(2))) != \
             FormNode(("Hhat", 2), (Leaf(1), Leaf(2)))
@@ -49,11 +51,17 @@ class TestEquality:
                 Counted.calls += 1
                 return 7
 
-        node = QNode(FormNode(("P", 2), (Counted(), Leaf(1))))
+        # a node hashes by identity, so no memo keyed by nodes hashes a
+        # subtree; building its twin hashes only the children's tuple
+        child = Counted()
+        node = QNode(FormNode(("P", 2), (child, Leaf(1))))
         built = Counted.calls
+        memo = {node: 1}
         for _ in range(3):
-            assert hash(node) == hash((node.child,))
+            assert memo[node] == 1
         assert Counted.calls == built == 1
+        assert QNode(FormNode(("P", 2), (child, Leaf(1)))) is node
+        assert Counted.calls == 2
 
     def test_symbol_values_of_two_evaluators(self, config):
         a = Evaluator(config).eval(nested_chain(1, 2, 3))

@@ -245,6 +245,22 @@ class TestCli:
         assert code == 0
         assert out.startswith("schema\tgwsym-report")
 
+    def test_backtrace_at_first_sample_value(self, tmp_path, capsys):
+        # zeta3 vanishes and zeta4 is undefined at rho = 2; the backtrace
+        # runs at the loader-checked first sample value instead
+        path = tmp_path / "shifted.scn"
+        path.write_text("zeta1 = 1, 0, 1, 0\n"
+                        "zeta2 = -1, 0, 0, -1\n"
+                        "zeta3 = (1/2)*rho - 1, (1/2)*rho - 1, 0, 0\n"
+                        "zeta4 = 1/(rho-2), -1/(rho-2), 0, 0\n"
+                        "oracle_rho = 3\n")
+        code, out = _run(["--scenario", str(path), "--format", "machine",
+                          "report", "pairing-table"], capsys)
+        assert code == 0
+        report = parse_machine(out)
+        assert "internal error" not in [s.title for s in report.sections]
+        assert report.failures() == []
+
     def test_missing_scenario(self, capsys):
         code = run(["--scenario", "/nonexistent/path", "verify", "orders"])
         assert code == 2

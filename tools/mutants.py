@@ -44,13 +44,13 @@ MUTANTS = [
     Mutant("jet-reads-metric", "src/gwsym/oracle.py",
            "    hinv = config.metric.inv\n",
            "    hinv = config.metric.m\n",
-           ("tests/test_oracle.py",),
+           ("tests/test_oracle.py", "tests/test_configurations.py"),
            gap="every report runs on the Minkowski metric, its own inverse; "
                "a scenario key for the metric (ROADMAP item 11) closes it"),
     Mutant("reduce-below-pivot-only", "src/gwsym/tensor.py",
            "            if i != r and not rows[i][c].is_zero():",
            "            if i > r and not rows[i][c].is_zero():",
-           ("tests/test_tensor.py",),
+           ("tests/test_tensor.py", "tests/test_configurations.py"),
            gap="the reports invert only the diagonal Minkowski metric and "
                "take ranks, which need no elimination above a pivot; a "
                "scenario key for the metric (ROADMAP item 11) closes it"),
@@ -68,6 +68,34 @@ MUTANTS = [
            ("tests/test_report_cli.py",),
            gap="a rule for rejected input: every report reads ASCII "
                "digits, and the loader tests hold the rule"),
+    Mutant("subset-norm-reads-minkowski", "src/gwsym/nullcone.py",
+           "norm_sq(self.metric,", "norm_sq(MINKOWSKI,",
+           ("tests/test_configurations.py", "tests/test_interaction.py",
+            "tests/test_conformal.py")),
+    Mutant("nodes-not-interned", "src/gwsym/interaction.py",
+           "@functools.cache\ndef _interned(", "def _interned(",
+           ("tests/test_records.py", "tests/test_interaction.py"),
+           gap="interning saves work, not values, so no report can change; "
+               "the benchmark's evaluation counters are where it shows"),
+    Mutant("contract-second-index", "src/gwsym/tensor.py",
+           "            if v[a].is_zero() or t[a][b].is_zero():\n"
+           "                continue\n"
+           "            total = total + v[a] * t[a][b]\n",
+           "            if v[a].is_zero() or t[b][a].is_zero():\n"
+           "                continue\n"
+           "            total = total + v[a] * t[b][a]\n",
+           ("tests/test_tensor.py",),
+           gap="acceptance criterion 6 is not a verdict; its report "
+               "(ROADMAP item 7) closes it"),
+    Mutant("chain-drops-raise", "src/gwsym/tensor.py",
+           "        v = raise_index(metric, contract_first(v, t))\n",
+           "        v = contract_first(v, t)\n",
+           ("tests/test_tensor.py", "tests/test_acceptance.py"),
+           gap="acceptance criterion 6 is not a verdict; its report "
+               "(ROADMAP item 7) closes it"),
+    Mutant("rho-name-str-int", "src/gwsym/scenario.py",
+           "(str(Decimal(n)) for n in", "(str(int(n)) for n in",
+           ("tests/test_report_cli.py", "tests/test_loader_property.py")),
 ]
 
 
