@@ -11,6 +11,7 @@ with the cross-validated value, never silently corrected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .interaction import (classify_rho40_terms, coefficient_of,
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
 from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
-                     max_rel_diff)
+                     in_child, max_rel_diff)
 from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
@@ -358,7 +359,8 @@ def _total_dual_path(cfg, matrix, rho):
     rho: whether the exact jet over Q(rho) equals it there entry by entry,
     and the largest relative difference of the float total of ``oracle``,
     the ``float_oracle`` at rho, measured against its cancellation scale.
-    The exact jet runs first, while no float value is held."""
+    The exact jet is read first, while no float value is held; inside
+    ``oracle.in_child`` both are the child's values."""
     exact_at = mat_eval_at(matrix, rho)
     exact_agrees = mat_eval_at(exact_total_jet(cfg), rho) == exact_at
     oracle = float_oracle(cfg, rho)
@@ -575,32 +577,41 @@ def run(argv=None) -> int:
             return _output_error(scenario.out, exc)
 
     report = Report()
-    try:
-        if args.command == "report":
-            suite_pairing_table(report, scenario)
-        elif args.command == "derive":
-            suite_derive_forms(report, scenario)
-        elif args.command == "verify":
-            if args.what == "all":
+    # the commands that read the oracles compute them beside the engine
+    reads_oracles = (args.command == "oracle" or args.command == "verify"
+                     and args.what in ("all", "total"))
+    with (in_child(scenario.config, scenario.oracle_rho) if reads_oracles
+          else contextlib.nullcontext()):
+        try:
+            if args.command == "report":
                 suite_pairing_table(report, scenario)
+            elif args.command == "derive":
                 suite_derive_forms(report, scenario)
-                for suite in SUITES.values():
-                    suite(report, scenario)
-            else:
-                SUITES[args.what](report, scenario)
-        elif args.command == "oracle":
-            suite_oracle(report, scenario)
-    except Exception as exc:  # surface engine failures as verdicts
-        command = ("verify " + args.what if args.command == "verify"
-                   else args.command)
-        section = report.section("internal error")
-        section.verdict("engine", False,
-                        f"evaluation failed in {command}: "
-                        f"{type(exc).__name__}: {exc}")
+            elif args.command == "verify":
+                if args.what == "all":
+                    suite_pairing_table(report, scenario)
+                    suite_derive_forms(report, scenario)
+                    for suite in SUITES.values():
+                        suite(report, scenario)
+                else:
+                    SUITES[args.what](report, scenario)
+            elif args.command == "oracle":
+                suite_oracle(report, scenario)
+        except Exception as exc:  # surface engine failures as verdicts
+            command = ("verify " + args.what if args.command == "verify"
+                       else args.command)
+            section = report.section("internal error")
+            section.verdict("engine", False,
+                            f"evaluation failed in {command}: "
+                            f"{type(exc).__name__}: {exc}")
 
     text = (report.to_machine() if scenario.format == "machine"
             else report.to_text())
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _output_error("stdout", exc)
     if scenario.out:
         # a write can still fail on a path that opened, say on a full disk
         try:

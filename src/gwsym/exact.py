@@ -196,6 +196,11 @@ class RhoPoly:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __reduce__(self):
+        # the frozen __setattr__ rejects slot state: rebuild through _of,
+        # and let the copy compute its own hash
+        return RhoPoly._of, (self._c, self._d)
+
     def __repr__(self):
         return f"RhoPoly({format_poly(self)})"
 
@@ -520,6 +525,9 @@ class RhoRational:
             h = hash((self.num, self.den))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        return RhoRational._raw, (self.num, self.den)
 
     def __repr__(self):
         return f"RhoRational({format_rho_rational(self)})"

@@ -32,12 +32,17 @@ each coefficient node.
 
 Each route is compared only with the engine, and the two share every
 contraction, so a fault in a shared contraction fails both comparisons.
+
+``in_child`` computes the exact jet and the float oracles a command reads
+in a forked child, beside the engine and apart from its memory.
 """
 from __future__ import annotations
 
+import contextlib
 import decimal
 import functools
 import itertools
+import os
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -409,6 +414,10 @@ def exact_total_jet(config: NullConfig, leaf_symbols=None) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _exact_jet(config: NullConfig, overrides: tuple) -> tuple:
+    if not overrides:
+        delivered = _from_child(config, None)
+        if delivered is not None:
+            return delivered
     base = _jet_base(config, dict(overrides))
     jet = _total_jet(JetContext(config, base.lift, dict(overrides)))
     return tuple(tuple(base.rational(x) for x in row) for row in jet)
@@ -493,6 +502,9 @@ def float_oracle(config: NullConfig, rho) -> FloatOracle:
     dominate every other term.  An entry that is not finite raises
     ``OverflowError`` instead of loosening every comparison against it.
     """
+    delivered = _from_child(config, rho)
+    if delivered is not None:
+        return delivered
     ctx = JetContext(config, _float_at(rho))
     chains = {key: _walk(ctx, nested_chain(*key))[0]
               for key in itertools.permutations((1, 2, 3))}
@@ -505,6 +517,131 @@ def float_oracle(config: NullConfig, rho) -> FloatOracle:
                         f"cancellation scale overflows at rho = {rho}")
                 scale = max(scale, abs(x))
     return FloatOracle(chains, scale, _total_jet(ctx))
+
+
+# ---------------------------------------------------------------------------
+# The oracles beside the engine
+# ---------------------------------------------------------------------------
+
+#: the child of the open ``in_child`` block, if any
+_child = None
+
+
+@contextlib.contextmanager
+def in_child(config: NullConfig, rho_values):
+    """Compute the oracle values a command reads in one forked child while
+    the caller runs the engine.
+
+    In the block, ``exact_total_jet(config)`` and ``float_oracle(config,
+    rho)`` for each rho of ``rho_values`` take the child's value; the jet
+    read this way fills the memo as a computed one does.  A value the child
+    did not deliver (it raised, or died) is computed in place at the same
+    call, so an error comes up where it would without the child.  The
+    child forks only where ``os.fork`` exists and no exact jet is memoized,
+    as in a fresh process; otherwise, or if the fork fails, every value is
+    computed in place.  Leaving the block kills a child still running and
+    reaps it.  Yields the child's pid, or None.
+    """
+    global _child
+    if not hasattr(os, "fork") or _exact_jet.cache_info().currsize:
+        yield None
+        return
+    try:
+        child = _Child(config, tuple(rho_values))
+    except OSError:  # no process to spare: compute in place
+        yield None
+        return
+    _child = child
+    try:
+        yield child.pid
+    finally:
+        _child = None
+        child.close()
+
+
+def _from_child(config: NullConfig, key):
+    """The open child's value of ``key`` (None for the exact jet, a rho
+    for a float oracle) on ``config``, taken once; None if it has none."""
+    if _child is None or config != _child.config:
+        return None
+    return _child.take(key)
+
+
+class _Child:
+    """One forked child computing the exact jet of ``config`` and the float
+    oracle at each of ``rho_values``, in that order, into a pipe."""
+
+    def __init__(self, config: NullConfig, rho_values: tuple):
+        self.config = config
+        self.values = {}
+        parent = os.getpid()
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if not self.pid:
+            _serve(config, rho_values, parent, read, write)  # never returns
+        os.close(write)
+        self.pipe = os.fdopen(read, "rb")
+
+    def take(self, key):
+        import pickle  # only a process that starts a child loads it
+        while key not in self.values and not self.pipe.closed:
+            try:
+                got, value = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child ended
+                self._reap()
+                break
+            self.values[got] = value
+        return self.values.pop(key, None)
+
+    def close(self):
+        """Kill the child unless it has been reaped, and reap it."""
+        if not self.pipe.closed:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self):
+        self.pipe.close()
+        os.waitpid(self.pid, 0)
+
+
+def _serve(config: NullConfig, rho_values: tuple, parent: int, read: int,
+           write: int):
+    """The child's whole life, ended by ``os._exit`` on every path: it never
+    returns into the caller, runs no ``atexit`` hook and flushes no
+    inherited buffer.  Each value that computes is pickled into ``write``;
+    one that raises is left out.  Standard streams go to the null device,
+    and a 10 ms timer ends the child once ``parent`` is gone (it may be
+    gone before the child starts)."""
+    try:
+        import pickle
+        import signal
+        os.close(read)
+        null = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(null, fd)
+
+        def orphaned(*_):
+            if os.getppid() != parent:
+                os._exit(0)
+        signal.signal(signal.SIGALRM, orphaned)
+        signal.setitimer(signal.ITIMER_REAL, 0.01, 0.01)
+        with os.fdopen(write, "wb") as pipe:
+            for key in (None, *rho_values):
+                try:
+                    value = (_exact_jet(config, ()) if key is None
+                             else float_oracle(config, key))
+                except Exception:  # the parent computes it and raises
+                    continue
+                pickle.dump((key, value), pipe)
+                pipe.flush()
+    finally:
+        os._exit(0)
 
 
 @_float_route

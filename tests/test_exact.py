@@ -1,4 +1,6 @@
 """Exact scalar arithmetic: canonical forms, degrees, gcds, parsing."""
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -114,6 +116,18 @@ def test_const_is_canonical(c):
 @given(rho_rationals())
 def test_serialization_round_trip(a):
     assert parse_rho_rational(format_rho_rational(a)) == a
+
+
+@pytest.mark.parametrize("num, den", [
+    (0, 1), (Fraction(-3, 7), 1), (RhoPoly({10: 1}), 1),
+    (RhoPoly({2: 3, 0: 1}), RhoPoly({1: 2, 0: 5}))],
+    ids=["zero", "constant", "rho^10", "non-monic-quotient"])
+def test_pickle_and_deepcopy_round_trip(num, den):
+    # the oracle child sends exact values to its parent as pickles
+    x = RhoRational(num, den)
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert y == x and hash(y) == hash(x)
+        assert y == RhoRational(num, den)
 
 
 def test_parser_rejects_garbage():

@@ -180,15 +180,14 @@ class TestExactCertificate:
         assert not same_rationals(mutated, total)
 
     def test_built_once_per_configuration(self, monkeypatch, config,
-                                          tt_symbols, capsys):
-        builds = []
+                                          tt_symbols, capsys, pid_log,
+                                          fresh_jet_memo):
         real = oracle._jet_base
 
         def counted(*args):
-            builds.append(args)
+            pid_log.note()
             return real(*args)
         monkeypatch.setattr(oracle, "_jet_base", counted)
-        oracle._exact_jet.cache_clear()
         # the benchmark's two exact jets, with the same overrides
         for rho in (2, 3):
             interaction_total_jet(config, rho, exact=True,
@@ -196,10 +195,13 @@ class TestExactCertificate:
         equal_copy = {i: [list(row) for row in m]
                       for i, m in tt_symbols.items()}
         exact_total_jet(config, equal_copy)
-        assert len(builds) == 1
-        # the CLI's checks at rho = 2 and 3
+        assert pid_log.pids() == [os.getpid()]
+        # the CLI's checks at rho = 2 and 3, from a fresh memo: the one
+        # build runs in the command's oracle child
+        oracle._exact_jet.cache_clear()
         assert cli.run(["--format", "machine", "verify", "total"]) == 0
-        assert len(builds) == 2
+        assert len(pid_log.pids()) == 2
+        assert pid_log.pids().count(os.getpid()) == 1
         capsys.readouterr()
 
 

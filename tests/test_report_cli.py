@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gwsym import oracle
 from gwsym.cli import run
 from gwsym.report import Report, TraceLine, Verdict, parse_machine
 from gwsym.scenario import (RHO_NAME_LIMIT, Scenario, ScenarioError,
@@ -204,10 +206,114 @@ class TestScenario:
             parse_scenario("oracle_rho = 1/2\n")
 
 
+def _env() -> dict:
+    """The environment of a subprocess that imports gwsym from ``src``."""
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _failing(out) -> list:
+    """The names of the failing verdicts of a machine report."""
+    return [v.name for s in parse_machine(out).sections
+            for v in s.entries if isinstance(v, Verdict) and not v.passed]
+
+
 def _run(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+class TestOracleChild:
+    """The oracles' values computed in a forked child beside the engine."""
+
+    def test_failed_child_value_is_computed_in_place(self, monkeypatch,
+                                                     capsys, fresh_jet_memo):
+        # the child raises at the second sample value; the parent computes
+        # that value itself, and the report is the in-process one
+        parent = os.getpid()
+        real = oracle._float_at
+        in_parent = []
+
+        def float_at(rho):
+            if os.getpid() != parent and rho == 3:
+                raise ArithmeticError("the child fails at rho = 3")
+            if os.getpid() == parent:
+                in_parent.append(rho)
+            return real(rho)
+        monkeypatch.setattr(oracle, "_float_at", float_at)
+        beside = _run(["--format", "machine", "verify", "total"], capsys)
+        assert in_parent == [3]
+        # the memo now holds the jet, so this run computes in place
+        in_place = _run(["--format", "machine", "verify", "total"], capsys)
+        assert in_parent == [3, 2, 3]
+        assert beside == in_place
+        assert beside[0] == 0
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_no_child_left_when_engine_raises(self, error, monkeypatch,
+                                              capsys, fresh_jet_memo):
+        import gwsym.cli as cli
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        def raising(config):
+            raise error("engine fails")
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "total_symbol", raising)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run(["verify", "total"])
+        else:
+            code, out = _run(["--format", "machine", "verify", "total"],
+                             capsys)
+            assert code == 1 and _failing(out) == ["engine"]
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_computes_in_place(self, monkeypatch, capsys,
+                                           fresh_jet_memo):
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+        want = _run(["--format", "machine", "verify", "total"], capsys)
+        oracle._exact_jet.cache_clear()
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _run(["--format", "machine", "verify", "total"],
+                    capsys) == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork")
+                        or not os.path.exists("/proc/self/stat"),
+                        reason="no os.fork, or no /proc")
+    def test_child_ends_with_its_parent(self):
+        script = ("import os\n"
+                  "from gwsym import oracle\n"
+                  "from gwsym.nullcone import standard_config\n"
+                  "with oracle.in_child(standard_config(), (2, 3)) as pid:\n"
+                  "    print(pid, flush=True)\n"
+                  "    os._exit(0)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=_env(),
+                              timeout=60)
+        pid = int(proc.stdout)
+        time.sleep(0.1)
+        assert not _running(pid)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (an orphan's
+    zombie stays until its new parent reaps it)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestCli:
@@ -432,14 +538,24 @@ class TestCli:
                                            f"oracle_rho {message}\n")
 
     def test_python_m_gwsym(self):
-        src = Path(__file__).parent.parent / "src"
-        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "gwsym", "--format", "machine", "verify",
-             "orders"], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=path))
+             "orders"], capture_output=True, text=True, env=_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("schema\tgwsym-report")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_stdout_write_failure_exits_2(self):
+        # exit 1 means a failed verdict; a report that cannot be written
+        # is an output error, as with --out
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gwsym", "verify", "orders"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_env())
+        assert proc.returncode == 2
+        assert proc.stderr == ("output error: stdout: No space left on "
+                               "device\n")
 
     def test_degenerate_rho_exits_2(self, tmp_path, capsys):
         path = tmp_path / "degenerate.txt"
@@ -463,29 +579,52 @@ class TestCli:
         code, out = _run(["--format", "machine", "oracle", "--rho", "2"],
                          capsys)
         assert code == 1
-        failing = [v.name for s in parse_machine(out).sections
-                   for v in s.entries if isinstance(v, Verdict) and not v.passed]
-        assert failing == ["total-float-dual-path-rho-2"]
+        assert _failing(out) == ["total-float-dual-path-rho-2"]
+
+    @pytest.mark.parametrize("argv, failing", [
+        (["verify", "total"], ["exact-dual-path-rho-2",
+                               "exact-dual-path-rho-3"]),
+        (["oracle", "--rho", "2"], ["total-exact-jet-rho-2"])],
+        ids=["verify-total", "oracle"])
+    def test_exact_jet_fault_fails_dual_path(self, argv, failing, monkeypatch,
+                                            capsys, pid_log, fresh_jet_memo):
+        # one entry of the exact jet gains rho^0 in the oracle child; the
+        # exact dual-path verdicts compare the engine with that jet
+        real = oracle._total_jet
+
+        def off_jet(ctx):
+            jet = real(ctx)
+            if not isinstance(ctx.one, Decimal):
+                pid_log.note()
+                jet[0][0] = jet[0][0] + ctx.one
+            return jet
+        monkeypatch.setattr(oracle, "_total_jet", off_jet)
+        code, out = _run(["--format", "machine"] + argv, capsys)
+        assert code == 1
+        assert _failing(out) == failing
+        # the faulty jet came from the child
+        assert len(pid_log.pids()) == 1
+        assert os.getpid() not in pid_log.pids()
 
     @pytest.mark.parametrize("argv, samples", [
         (["oracle", "--rho", "2"], 1), (["verify", "total"], 2)],
         ids=["oracle", "verify-total"])
     def test_one_float_context_per_rho(self, argv, samples, monkeypatch,
-                                       capsys):
+                                       capsys, pid_log, fresh_jet_memo):
         # the nested-chain walks, their scale and the float jet's total
-        # read one float context per sample point
-        from decimal import Decimal
-        from gwsym import oracle
+        # read one float context per sample point; from a fresh memo all
+        # of them are built in the command's oracle child
         init = oracle.JetContext.__init__
-        built = []
 
         def counting(ctx, *args, **kwargs):
             init(ctx, *args, **kwargs)
-            built.append(isinstance(ctx.one, Decimal))
+            if isinstance(ctx.one, Decimal):
+                pid_log.note()
         monkeypatch.setattr(oracle.JetContext, "__init__", counting)
         code, _ = _run(["--format", "machine"] + argv, capsys)
         assert code == 0
-        assert built.count(True) == samples
+        assert len(pid_log.pids()) == samples
+        assert os.getpid() not in pid_log.pids()
 
     def test_derive_forms_builds_one_base(self, monkeypatch, capsys):
         # all twelve dual-evaluation walks run on one coprime base

@@ -96,6 +96,12 @@ MUTANTS = [
     Mutant("rho-name-str-int", "src/gwsym/scenario.py",
            "(str(Decimal(n)) for n in", "(str(int(n)) for n in",
            ("tests/test_report_cli.py", "tests/test_loader_property.py")),
+    Mutant("dual-path-ignores-jet", "src/gwsym/cli.py",
+           "exact_agrees = mat_eval_at(exact_total_jet(cfg), rho) == exact_at",
+           "exact_agrees = mat_eval_at(matrix, rho) == exact_at",
+           ("tests/test_report_cli.py",),
+           gap="the exact jet equals the engine's total in every report, so "
+               "comparing the total with itself changes no verdict"),
 ]
 
 

@@ -5,7 +5,9 @@ on ``PYTHONPATH`` and prints one line per report: the exit code, the
 SHA-256 of stdout, and the arguments.  A refactor keeps every line.  Each
 report's peak resident set size and CPU seconds (user plus system, from
 ``os.wait4``'s rusage) go to stderr, so stdout stays diffable between
-checkouts.
+checkouts.  Those figures include the oracle child that ``verify all``,
+``verify total`` and ``oracle`` fork and reap: CPU seconds add up both
+processes, and the peak is the larger of the two.
 
     python tools/report_digests.py [CHECKOUT]
     python tools/report_digests.py CHECKOUT PARENT
