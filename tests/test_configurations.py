@@ -46,9 +46,9 @@ def valid_configs(draw):
         reject()
 
 
-# 3 examples from seed 3: about 4 s with Python 3.11 on two cores, 0.2-0.3 s
-# per engine total and 0.5-1.7 s per exact jet.  Seeds 31, 1 and 2 draw
-# dearer configurations (jets up to 3.6 s) on which the claim held too
+# 3 examples from seed 3: about 2 s with Python 3.11 on two cores, 0.10-0.14 s
+# per engine total and 0.3-0.9 s per exact jet (CPU time).  Seeds 31, 1 and 2
+# draw dearer configurations (jets up to 1.6 s) on which the claim held too
 @seed(3)
 @settings(max_examples=3, deadline=None)
 @given(config=valid_configs())

@@ -1,14 +1,17 @@
 """Exact scalar arithmetic: canonical forms, degrees, gcds, parsing."""
 import copy
 import pickle
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwsym.exact import (NEG_INF, RhoPoly, RhoRational, factor_refinement,
-                         format_rho_rational, parse_rho_rational)
+from gwsym import exact
+from gwsym.exact import (NEG_INF, CoprimeBase, RhoPoly, RhoRational,
+                         factor_refinement, format_rho_rational,
+                         parse_rho_rational)
 
 
 def rr(text):
@@ -280,8 +283,8 @@ def test_product_with_unit_denominator(n1_terms, n2_terms, d_terms, which):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.integers(-10 ** 6, 10 ** 6), coeffs), rho_rationals(),
-       st.booleans())
+@given(st.one_of(st.sampled_from((1, -1)), st.integers(-10 ** 6, 10 ** 6),
+                coeffs), rho_rationals(), st.booleans())
 def test_product_with_constant(c, a, left):
     # a constant scales the numerator and leaves the denominator alone
     k = RhoRational.const(c)
@@ -446,3 +449,123 @@ def test_eval_at_matches_fraction_reference(terms, x):
     assert type(got) is Fraction
     assert got == sum((c * Fraction(x) ** e for e, c in p.terms.items()),
                       Fraction(0))
+
+
+# -- memos of repeated work ----------------------------------------------------
+
+#: denominators on the base of rho, rho^2 - 1 and rho^2 + 2; those with
+#: rho + 1 or rho - 1 hold the element rho^2 - 1 only in part
+ON_BASE = ("1", "rho", "rho^2", "rho + 1", "(rho + 1)^2", "rho - 1",
+           "rho^2 - 1", "rho^2 + 2", "rho*(rho^2 + 2)",
+           "(rho + 1)*(rho^2 + 2)^2")
+
+
+def _random_poly(rng, degree=3):
+    return RhoPoly({e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for e in range(degree + 1)})
+
+
+def _memo_case(seed):
+    """A base of three elements, one of them non-monomial, and operand
+    pairs drawn from ``seed``: values lifted from denominators in
+    ``ON_BASE``, and sums and products of them, so that they meet many
+    exponent tuples; and, for ``/``, divisors with a constant numerator."""
+    rng = random.Random(seed)
+    base = CoprimeBase([rr(t).num for t in ("rho", "rho^2 - 1",
+                                            "rho^2 + 2")])
+    values = [base.lift(RhoRational(_random_poly(rng),
+                                    rr(rng.choice(ON_BASE)).num))
+              for _ in range(10)]
+    for _ in range(10):
+        a, b = rng.sample(values, 2)
+        values.append(a * b if rng.random() < 0.5 else a + b)
+    divisors = []
+    for _ in range(4):
+        x = RhoRational.const(Fraction(rng.choice((-3, -1, 2, 5)),
+                                       rng.randint(1, 4)))
+        for element in base.elements:
+            k = rng.randint(-2, 2)
+            factor = RhoRational(element)
+            for _ in range(abs(k)):
+                x = x * factor if k > 0 else x / factor
+        divisors.append(base.lift(x))
+    pairs = [tuple(rng.sample(values, 2)) for _ in range(40)]
+    return base, pairs, [(a, b) for a in values[::3] for b in divisors]
+
+
+def _memo_results(base, pairs, quotients):
+    """(base value, expected canonical value) for every operation."""
+    conv = base.rational
+    out = []
+    for a, b in pairs:
+        x, y = conv(a), conv(b)
+        out += [(a + b, x + y), (a - b, x - y), (a * b, x * y)]
+    out += [(a / b, conv(a) / conv(b)) for a, b in quotients]
+    return out
+
+
+def _table_sizes(base):
+    return len(base._exps), len(base._sums)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_base_exponent_tables(seed):
+    # * reads the exponents of its result from the base's table: every
+    # result of +, -, * and / converts to the canonical arithmetic on the
+    # converted operands and holds the base's one tuple for its exponents,
+    # and repeating the operations adds no table entry
+    base, pairs, quotients = _memo_case(seed)
+    assert len(base.elements) == 3
+    assert any(len(e._c) > 1 for e in base.elements)
+    assert all(b.c.keys() == {0} for _, b in quotients)
+    results = _memo_results(base, pairs, quotients)
+    for got, want in results:
+        assert base.rational(got) == want
+        assert got.exps is base._exps[got.exps]
+    sizes = _table_sizes(base)
+    assert all(sizes)
+    again = _memo_results(base, pairs, quotients)
+    assert _table_sizes(base) == sizes
+    assert [(v, v.exps) for v, _ in again] == [(v, v.exps) for v, _ in results]
+
+
+def test_sum_across_denominators_with_a_common_factor():
+    # the cached split of two denominators over their gcd gives the
+    # canonical sum, on the first meeting of the pair and on every later one
+    rng = random.Random(35)
+    shared = [rr(t).num for t in ("rho", "rho + 1", "rho^2 + 2")]
+    others = [rr(t).num for t in ("1", "rho", "rho - 1", "rho^2 + 3")]
+    met = 0
+    for _ in range(30):
+        g = rng.choice(shared)
+        a = RhoRational(_random_poly(rng, 2), g * rng.choice(others))
+        b = RhoRational(_random_poly(rng, 2), g * rng.choice(others))
+        n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+        met += d1 != d2 and RhoRational(d1, d2).den != d2
+        for _ in range(2):
+            for got in (a + b, b + a):
+                assert got == RhoRational(n1 * d2 + n2 * d1, d1 * d2)
+    assert met >= 10
+
+
+def test_repeated_matrix_sum_splits_each_pair_once():
+    # summing two matrices again meets only denominator pairs the split
+    # cache holds: its misses are the distinct pairs of unequal ones
+    rng = random.Random(37)
+    dens = [rr(t).num for t in ("rho", "rho + 1", "rho*(rho + 1)",
+                                "rho^2 + 2", "(rho + 1)*(rho^2 + 2)")]
+
+    def matrix():
+        return [[RhoRational(_random_poly(rng, 2), rng.choice(dens))
+                 for _ in range(4)] for _ in range(4)]
+
+    a, b = matrix(), matrix()
+    entries = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    want = [RhoRational(x.num * y.den + y.num * x.den, x.den * y.den)
+            for x, y in entries]
+    pairs = {(x.den, y.den) for x, y in entries
+             if not x.is_zero() and not y.is_zero() and x.den != y.den}
+    exact._split.cache_clear()
+    for _ in range(3):
+        assert [x + y for x, y in entries] == want
+    assert exact._split.cache_info().misses == len(pairs) >= 5

@@ -102,6 +102,26 @@ MUTANTS = [
            ("tests/test_report_cli.py",),
            gap="the exact jet equals the engine's total in every report, so "
                "comparing the total with itself changes no verdict"),
+    Mutant("exponent-table-left-key", "src/gwsym/exact.py",
+           "        e = base._sums.get((ea, eb))\n        if e is None:\n"
+           "            e = tuple(map(int.__add__, ea, eb))\n"
+           "            e = base._sums[ea, eb] =",
+           "        e = base._sums.get(ea)\n        if e is None:\n"
+           "            e = tuple(map(int.__add__, ea, eb))\n"
+           "            e = base._sums[ea] =",
+           ("tests/test_exact.py", "tests/test_interaction.py")),
+    Mutant("split-cofactors-swapped", "src/gwsym/exact.py",
+           "    return g, d1 // g, d2 // g\n",
+           "    return g, d2 // g, d1 // g\n",
+           ("tests/test_exact.py",),
+           gap="no canonical sum in the reports meets two denominators "
+               "with a common factor (standard and dense verify all split "
+               "7 and 4 distinct pairs, each with gcd 1); the benchmark's "
+               "tt-total meets 42 such pairs in 2592 of its 5266 splits"),
+    Mutant("max-rel-diff-drops-floor", "src/gwsym/oracle.py",
+           'floor = max(_real(floor), Decimal("1e-300"))',
+           'floor = Decimal("1e-300")',
+           ("tests/test_oracle.py", "tests/test_report_cli.py")),
 ]
 
 
