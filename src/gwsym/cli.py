@@ -128,9 +128,11 @@ def suite_derive_forms(report: Report, scenario: Scenario):
              for slot in (SlotValue.wave, lambda z: SlotValue(shift, z))]
     symbols = symbols_of_forms(items)
     for i, key in enumerate(sorted(fam)):
+        pair = slice(2 * i, 2 * i + 2)
         s.verdict(f"dual-evaluation-{key[0]}{key[1]}",
-                  all(symbols[j] == symbol_of_form_by_assignment(*items[j])
-                      for j in (2 * i, 2 * i + 1)),
+                  all(symbol == symbol_of_form_by_assignment(form, slots)
+                      for symbol, (form, slots) in zip(symbols[pair],
+                                                       items[pair])),
                   "decomposition and index-assignment evaluations agree")
     listing = report.section("form monomial listings")
     for key, form in sorted(fam.items()):

@@ -136,16 +136,13 @@ def _canonical_monomial(m: Monomial) -> tuple:
 
 
 class FormalTensorPoly:
-    """Canonicalized sum of monomials with free indices (mu, nu) and a fixed
-    arity."""
+    """Canonicalized sum of monomials with free indices (mu, nu) and the
+    arity its caller states: every monomial holds each slot 1..arity once."""
 
     __slots__ = ("monomials", "arity", "_plan")
 
-    def __init__(self, monomials, arity=None):
+    def __init__(self, monomials, arity):
         monomials = tuple(monomials)
-        if arity is None:
-            arity = max((f.slot for m in monomials for f in m.factors),
-                        default=0)
         for m in monomials:
             _check_monomial(m, arity)
         merged = {}
@@ -483,8 +480,7 @@ def _prepare_slots(form: FormalTensorPoly, assignment):
 
 
 def symbol_outer_of_form(form: FormalTensorPoly, assignment,
-                         metric: Metric4 = MINKOWSKI, pairings: dict = None,
-                         products: dict = None):
+                         metric: Metric4, pairings: dict, products: dict):
     """Evaluate a form's real symbol to an outer-product decomposition;
     (terms, i_power), the power of i folded into the terms.
 
@@ -512,14 +508,10 @@ def symbol_outer_of_form(form: FormalTensorPoly, assignment,
     ``pairings`` caches the metric pairings by their two vectors and
     ``products`` the pairing products by their multiset of values.  A
     caller that evaluates many forms on one metric passes the same dicts
-    to every call; by default they live for this call only.
+    to every call.
     """
     slots, i_power, negate = _prepare_slots(form, assignment)
     plan = _plan_of(form)
-    if pairings is None:
-        pairings = {}
-    if products is None:
-        products = {}
     depth = form.arity
     decomps = [slots[s].outer for s in range(1, depth + 1)]
     bases = {getattr(terms[0][0], "base", None) for terms in decomps if terms}

@@ -116,9 +116,9 @@ def base_directions():
             CoVec4((1, -1, 0, 0)))
 
 
-def solve_null_scale(alpha1, alpha2, alpha4, tilde_zetas,
-                     metric: Metric4 = MINKOWSKI) -> RhoRational:
-    """Unique alpha3 making |a1 z1 + a2 z2 + a3 z3 + a4 z4|^2 vanish.
+def solve_null_scale(alpha1, alpha2, alpha4, tilde_zetas) -> RhoRational:
+    """Unique alpha3 making |a1 z1 + a2 z2 + a3 z3 + a4 z4|^2 vanish under
+    Minkowski.
 
     All four covectors must be light-like, so the norm is linear in alpha3;
     a vanishing linear coefficient is reported with the offending pairings.
@@ -126,7 +126,7 @@ def solve_null_scale(alpha1, alpha2, alpha4, tilde_zetas,
     a1, a2, a4 = (x if isinstance(x, RhoRational) else RhoRational.const(x)
                   for x in (alpha1, alpha2, alpha4))
     z1, z2, z3, z4 = tilde_zetas
-    p = lambda a, b: pairing(metric, a, b)
+    p = lambda a, b: pairing(MINKOWSKI, a, b)
     linear = 2 * (a1 * p(z1, z3) + a2 * p(z2, z3) + a4 * p(z3, z4))
     constant = 2 * (a1 * a2 * p(z1, z2) + a1 * a4 * p(z1, z4)
                     + a2 * a4 * p(z2, z4))
@@ -190,7 +190,7 @@ BacktraceResult = namedtuple("BacktraceResult", "sources pair_table "
 
 
 def future_null_direction(zeta: CoVec4, rho_value: Fraction,
-                          metric: Metric4 = MINKOWSKI) -> tuple:
+                          metric: Metric4) -> tuple:
     """Future-pointing null vector dual to ``zeta`` at a concrete rho.
 
     The raised vector is rescaled so its time component equals one, which

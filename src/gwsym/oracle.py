@@ -138,7 +138,7 @@ def _exact_inputs(config: NullConfig, overrides: tuple):
     return hinv, xi, norm, amplitudes
 
 
-def _jet_base(config: NullConfig, leaf_symbols=None) -> CoprimeBase:
+def _jet_base(config: NullConfig, leaf_symbols) -> CoprimeBase:
     """The exact route's coprime base, refined from the denominators of
     the exact inputs of ``JetContext(config, ...)`` and the numerators of
     the subset norms: every input lifts onto it, and every causal inverse
@@ -185,7 +185,7 @@ class JetContext:
 # scalars.  No matrix is written to once a field is built, so fields may
 # share matrices (every iterate shares the wave amplitudes).
 
-def _disjoint(*fields, sizes=range(5)):
+def _disjoint(*fields, sizes):
     """(union, matrices) for each choice of pairwise disjoint subsets, one
     component per field, in nested iteration order of the fields.
 
@@ -343,7 +343,7 @@ def _semilinear(ctx, result, gamma1, gamma2, u2, g, sizes):
             _add_into(result, s, mat)
 
 
-def _nonlinearity(ctx, u, sizes=(2, 3, 4)):
+def _nonlinearity(ctx, u, sizes):
     """The quadratic-and-higher part of the reduced wave operator.
 
     N(u) = -(g^{pq} - h^{pq}) d_p d_q u
@@ -428,14 +428,15 @@ _ExactAt = namedtuple("_ExactAt", "re im")
 
 
 @_float_route
-def interaction_total_jet(config: NullConfig, rho, exact: bool = False,
-                          leaf_symbols=None):
+def interaction_total_jet(config: NullConfig, rho, exact: bool,
+                          leaf_symbols):
     """Full four-wave interaction symbol at ``rho`` via the jet iteration.
 
     Returns the 4x4 matrix of ``Decimal``s of ``FLOAT_CONTEXT``, in the
     same normalization as the exact engine.  With ``exact``, each entry is
     ``exact_total_jet`` at rho as an exact ``re`` with a zero ``im``, the
-    form the benchmark harness reads.
+    form the benchmark harness reads.  ``leaf_symbols`` overrides the wave
+    amplitudes as in ``JetContext``; None keeps the rank-one ones.
     """
     if exact:
         rho = Fraction(rho)

@@ -1,8 +1,8 @@
 """Rule engine for microlocal order arithmetic.
 
 Orders are exact rationals tagged with the Lagrangian they live on.  Every
-transition happens through a named rule that emits a proof-trace line, so
-order claims stay auditable end to end.
+transition happens through a named rule that emits a proof-trace line into
+the caller's ``Trace``, so order claims stay auditable end to end.
 """
 from __future__ import annotations
 
@@ -53,16 +53,16 @@ SOURCE_ORDER_BOUND = Fraction(-17)
 PAIRED_SECOND_INDEX = Fraction(-1, 2)
 
 
-def distorted_wave_order(source_order: MicroOrder, trace: Trace = None):
+def distorted_wave_order(source_order: MicroOrder, trace: Trace):
     """Orders of the wave generated by a conormal source.
 
     The source sits one order above the convention base: writing its order
     as mu + 1, the causal inverse produces order mu - 1/2 on the flow-out
-    and mu - 1 on the source conormal away from it.
+    and mu - 1 on the source conormal away from it.  Returns both orders,
+    the flow-out one first.
     """
     if source_order.lagrangian != "source-conormal":
         raise ValueError("source must live on the source conormal")
-    trace = trace or Trace()
     mu = source_order.value - 1
     on_flowout = trace.rule(
         "causal-inverse-flowout",
@@ -74,11 +74,11 @@ def distorted_wave_order(source_order: MicroOrder, trace: Trace = None):
         "away from the flow-out the wave keeps order mu - 1 on the source "
         "conormal",
         MicroOrder(mu - 1, "source-conormal"))
-    return on_flowout, on_source, trace
+    return on_flowout, on_source
 
 
 def interaction_order(mu_list, derivative_count: int, inner_q_count: int,
-                      trace: Trace = None) -> MicroOrder:
+                      trace: Trace) -> MicroOrder:
     """Order of a four-wave interaction product on the interaction cone.
 
     The affine rule mu~ + 3/2 + derivatives - 2 * (inner causal inverses)
@@ -87,7 +87,6 @@ def interaction_order(mu_list, derivative_count: int, inner_q_count: int,
     """
     if derivative_count < 0 or inner_q_count < 0:
         raise ValueError("counts must be non-negative")
-    trace = trace or Trace()
     values = []
     for m in mu_list:
         values.append(m.value if isinstance(m, MicroOrder) else Fraction(m))
@@ -104,13 +103,12 @@ def interaction_order(mu_list, derivative_count: int, inner_q_count: int,
     return result
 
 
-def restriction_order(m: MicroOrder, trace: Trace = None) -> MicroOrder:
+def restriction_order(m: MicroOrder, trace: Trace) -> MicroOrder:
     """Restriction to a transversal curve: order m becomes m + 3/4.
 
     The intersection is assumed transversal at a single point; the result
     lives on the conormal of that point.
     """
-    trace = trace or Trace()
     result = MicroOrder(m.value + Fraction(3, 4), "point-conormal")
     trace.rule(
         "curve-restriction",
@@ -120,7 +118,7 @@ def restriction_order(m: MicroOrder, trace: Trace = None) -> MicroOrder:
     return result
 
 
-def geodesic_perturbation_orders(wave_order: MicroOrder, trace: Trace = None):
+def geodesic_perturbation_orders(wave_order: MicroOrder, trace: Trace):
     """Order ledger of the observed geodesic perturbation terms.
 
     Starting from a metric perturbation of order mu conormal to the wave
@@ -128,9 +126,8 @@ def geodesic_perturbation_orders(wave_order: MicroOrder, trace: Trace = None):
     to the observer curve with + 3/4, and two time integrations give the
     displacement order mu - 1 + 3/4.  The pullback term keeps mu + 3/4, so
     it dominates the displacement term by exactly one order; the frame term
-    vanishes along the curve.
+    vanishes along the curve.  Returns the ledger of these orders.
     """
-    trace = trace or Trace()
     mu = wave_order.value
     christoffel = trace.rule(
         "one-derivative",
@@ -157,7 +154,7 @@ def geodesic_perturbation_orders(wave_order: MicroOrder, trace: Trace = None):
         "frame_term_zero": True,
         "dominance_gap": direct.value - solved.value,
     }
-    return ledger, trace
+    return ledger
 
 
 def standard_claims():
@@ -169,8 +166,8 @@ def standard_claims():
     out = []
 
     trace = Trace()
-    flow, src, _ = distorted_wave_order(MicroOrder(Fraction(-16),
-                                                   "source-conormal"), trace)
+    flow, src = distorted_wave_order(MicroOrder(Fraction(-16),
+                                                "source-conormal"), trace)
     out.append(("wave-order-flowout", Fraction(-35, 2), flow.value,
                 tuple(trace.lines)))
     out.append(("wave-order-source", Fraction(-18), src.value,
@@ -205,8 +202,8 @@ def standard_claims():
                 tuple(trace.lines)))
 
     trace = Trace()
-    ledger, _ = geodesic_perturbation_orders(MicroOrder(mu, "interaction-cone"),
-                                             trace)
+    ledger = geodesic_perturbation_orders(MicroOrder(mu, "interaction-cone"),
+                                          trace)
     out.append(("geodesic-displacement", mu - Fraction(1, 4),
                 ledger["displacement"].value, tuple(trace.lines)))
     out.append(("geodesic-pullback", mu + Fraction(3, 4),

@@ -229,7 +229,7 @@ def test_criterion_08_items(config):
         float_sum = [[sum(c * m[i][j] for c, m in walks) for j in range(4)]
                      for i in range(4)]
     float_ok = max_rel_diff(inner34_at, float_sum) <= 1e-9
-    base = _jet_base(config)
+    base = _jet_base(config, None)
     ctx = JetContext(config, base.lift)
     signed = [(t.sign, _walk(ctx, t.ast)[0]) for t in inner34]
     exact_ok = all(

@@ -27,8 +27,8 @@ from gwsym.tensor import Sym2T
 with contextlib.redirect_stdout(io.StringIO()):
     code = gwsym.cli.run(["verify", "cancellation"])
 config = standard_config()
-interaction_total_jet(config, 2, True)
-interaction_total_jet(config, 2, exact=False)
+interaction_total_jet(config, 2, True, None)
+interaction_total_jet(config, 2, exact=False, leaf_symbols=None)
 rows = [[0] * 4 for _ in range(4)]
 rows[1][1], rows[2][2], rows[1][2], rows[2][1] = 1, -1, 2, 2
 overrides = {i: SlotValue(Sym2T(rows), config.zeta(i)) for i in range(1, 5)}

@@ -57,7 +57,7 @@ def by_pair(terms, base):
 
 def walk_matches_flat_product(form, assignment):
     base, lifted = on_base(assignment)
-    terms, _ = symbol_outer_of_form(form, lifted)
+    terms, _ = symbol_outer_of_form(form, lifted, MINKOWSKI, {}, {})
     flat = {(l, r): c for c, l, r in flat_outer_of_form(form, assignment)}
     return by_pair(terms, base) == flat
 
@@ -163,12 +163,15 @@ class TestSymbolEvaluation:
             a = symbol_of(form, assignment)
             assert a == symbol_of_form_by_assignment(form, assignment)
             # the walk reports the power of i it folded
-            assert symbol_outer_of_form(form, on_base(assignment)[1])[1] == 2
+            _, lifted = on_base(assignment)
+            assert symbol_outer_of_form(form, lifted, MINKOWSKI, {},
+                                        {})[1] == 2
 
     def test_entry_basis_dual_paths_agree(self, config):
-        # slots without a decomposition get the shared entry basis; pairings are keyed by the value of their two vectors
-        # and live as long as the dict the caller passes (an Evaluator
-        # keeps its dict for its lifetime, here each call makes its own)
+        # slots without a decomposition get the shared entry basis;
+        # pairings are keyed by the value of their two vectors and live as
+        # long as the dict the caller passes (an Evaluator keeps its dict
+        # for its lifetime, here each call makes its own)
         fam = build_form_family()
         for key, form in sorted(fam.items()):
             assignment = {s: SlotValue(rank_one(config.zeta(s)),
@@ -250,7 +253,7 @@ class TestSymbolEvaluation:
                                      Factor(2, ("d", "nu"))),
                        (("a", "b"), ("c", "d")))
         with pytest.raises(FormError, match="free index mu missing"):
-            FormalTensorPoly([odd])
+            FormalTensorPoly([odd], 2)
 
     def test_mixed_derivative_counts_rejected(self, config):
         # no derivative, next to the two of P2's monomial: no real symbol,
@@ -258,7 +261,7 @@ class TestSymbolEvaluation:
         extra = Monomial(Fraction(1), (Factor(1, ("mu", "a")),
                                        Factor(2, ("b", "nu"))), (("a", "b"),))
         form = FormalTensorPoly(
-            [extra, *build_form_family()[("P", 2)].monomials])
+            [extra, *build_form_family()[("P", 2)].monomials], 2)
         assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
         for route in (symbol_of, symbol_of_form_by_assignment):
             with pytest.raises(FormError, match="not one count"):
@@ -281,12 +284,12 @@ class TestSymbolEvaluation:
     def test_contraction_errors(self, config, monomial, message):
         # valid forms that the contraction cannot evaluate; the error
         # comes again on a second call, so no plan is kept for them
-        form = FormalTensorPoly([monomial])
+        form = FormalTensorPoly([monomial], len(monomial.factors))
         wave = SlotValue.wave(config.zeta(1))
         assignment = {s: wave for s in range(1, form.arity + 1)}
         for _ in range(2):
             with pytest.raises(FormError, match=message):
-                symbol_outer_of_form(form, assignment)
+                symbol_outer_of_form(form, assignment, MINKOWSKI, {}, {})
 
     def test_entry_basis_decomposition(self, config):
         # a slot without an explicit decomposition falls back to the entry
@@ -316,7 +319,8 @@ class TestSymbolEvaluation:
         fam = build_form_family()
         assignment = {s: SlotValue.wave(config.zeta(s)) for s in (1, 2)}
         _, lifted = on_base(assignment)
-        terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], lifted)
+        terms, _ = symbol_outer_of_form(fam[("Hhat", 2)], lifted,
+                                        MINKOWSKI, {}, {})
         rows = symbol_of(fam[("Hhat", 2)], assignment)
         assert matrix_of_outer(terms) == rows
         assert matrix_of_outer(()) == ZERO_MAT
@@ -331,7 +335,7 @@ class TestSymbolEvaluation:
         for slots in (rational, {1: rational[1], 2: one[2]},
                       {1: one[1], 2: other[2]}):
             with pytest.raises(TypeError, match="call symbols_of_forms"):
-                symbol_outer_of_form(form, slots)
+                symbol_outer_of_form(form, slots, MINKOWSKI, {}, {})
 
 
 class TestReferenceRoute:
@@ -385,7 +389,7 @@ class TestReferenceRoute:
                      (("a", "b"), ("p", "q"), ("c", "d"))),
         ]
         for mono in monomials:
-            form = FormalTensorPoly([mono])
+            form = FormalTensorPoly([mono], len(mono.factors))
             # traceless wave slots would make every value vanish
             assignment = {s: SlotValue(sym_outer(config.zeta(s),
                                                  config.zeta(s + 1)),

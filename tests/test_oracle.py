@@ -222,7 +222,7 @@ class TestJetAlgebra:
             if all(not a & b for a, b in itertools.combinations(subsets, 2)):
                 want.append((frozenset().union(*subsets),
                              tuple(m for _, m in combo)))
-        assert list(_disjoint(*fields)) == want
+        assert list(_disjoint(*fields, sizes=range(5))) == want
         assert (_disjoint(*fields, sizes=sizes)
                 == [c for c in want if len(c[0]) in sizes])
 
@@ -236,7 +236,8 @@ class TestJetAlgebra:
             if exact:
                 exact_total_jet(cfg)
             else:
-                interaction_total_jet(cfg, Fraction(2))
+                interaction_total_jet(cfg, Fraction(2), exact=False,
+                                      leaf_symbols=None)
         ctx = (exact_context(cfg) if exact
                else JetContext(cfg, _float_at(Fraction(2))))
         ast = QNode(FormNode(("P", 3), (Leaf(1), Leaf(2), Leaf(3))))
@@ -248,7 +249,9 @@ class TestJetAlgebra:
         order must not follow set or string hashing."""
         code = ("from gwsym.nullcone import standard_config\n"
                 "from gwsym.oracle import interaction_total_jet\n"
-                "for row in interaction_total_jet(standard_config(), 2):\n"
+                "for row in interaction_total_jet(standard_config(), 2,\n"
+                "                                 exact=False,\n"
+                "                                 leaf_symbols=None):\n"
                 "    for x in row:\n"
                 "        print(str(x))\n")
         src = os.path.dirname(os.path.dirname(
@@ -267,7 +270,8 @@ class TestJetAlgebra:
         rho = Fraction(2)
 
         def results():
-            jet = interaction_total_jet(config, rho)
+            jet = interaction_total_jet(config, rho, exact=False,
+                                        leaf_symbols=None)
             oracle = float_oracle(config, rho)
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert cli.run(["--format", "machine", "oracle", "--rho",
@@ -296,14 +300,15 @@ def three_full_passes(config, rho, exact, leaf_symbols=None):
     u, iterates = v, []
     with decimal.localcontext(FLOAT_CONTEXT):
         for _ in range(3):
-            nonlinear = _nonlinearity(ctx, u)
+            nonlinear = _nonlinearity(ctx, u, sizes=(2, 3, 4))
             u = dict(v)
             for s, m in nonlinear.items():
                 if len(s) < 4:
                     n = ctx.norm[s]
                     _add_into(u, s, [[x / n for x in row] for row in m])
             iterates.append(u)
-        return _nonlinearity(ctx, u).get(FULL) or ctx.zero_mat(), iterates
+        return (_nonlinearity(ctx, u, sizes=(2, 3, 4)).get(FULL)
+                or ctx.zero_mat()), iterates
 
 
 def float_walk(ast, config, rho):
@@ -342,7 +347,8 @@ class TestGradedJet:
         assert field_bits(iterates[2]) == field_bits(iterates[1])
         assert field_bits(iterates[1]) != field_bits(iterates[0])
         got = (exact_total_jet(config, leaf) if exact
-               else interaction_total_jet(config, rho, leaf_symbols=leaf))
+               else interaction_total_jet(config, rho, exact=False,
+                                          leaf_symbols=leaf))
         assert ([[exact_bits(x) for x in row] for row in got]
                 == [[exact_bits(x) for x in row] for row in want])
 
@@ -483,7 +489,8 @@ class TestFloatOracle:
             oracle = float_oracle(config, rho)
             assert ([[exact_bits(x) for x in row] for row in oracle.total]
                     == [[exact_bits(x) for x in row]
-                        for row in interaction_total_jet(config, rho)])
+                        for row in interaction_total_jet(
+                            config, rho, exact=False, leaf_symbols=None)])
             assert sorted(oracle.chains) == sorted(
                 itertools.permutations((1, 2, 3)))
             for key, got in oracle.chains.items():

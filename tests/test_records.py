@@ -139,7 +139,7 @@ class TestMessages:
     def test_form_error_names_the_monomial(self):
         twice = Monomial(Fraction(1), (Factor(1, ("mu", "mu")),))
         with pytest.raises(FormError) as info:
-            FormalTensorPoly([twice])
+            FormalTensorPoly([twice], 1)
         assert str(info.value) == (
             "free index mu repeated in Monomial(coeff=Fraction(1, 1), "
             "factors=(Factor(slot=1, idx=('mu', 'mu'), derivs=()),), "

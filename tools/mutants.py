@@ -1,19 +1,20 @@
 """Mutation gate: seeded faults that the tests must catch.
 
 Each mutant names a source file, a snippet that occurs in it exactly once,
-the snippet's replacement and the test files expected to kill it.  For
-each mutant the tool copies the checkout (without ``.git``) into a
-temporary directory, patches the copy, runs the named tests there, then
-runs ``tools/report_digests.py`` on the patched copy against the unpatched
-checkout.  It prints one line per mutant: killed by the tests (and how
-many failed) or survived, and seen by the CLI (how many of the digest
-reports changed) or unseen.  An unseen mutant is a gap in the CLI's
-verdicts; its ``gap`` note names what would close it.  The exit code is 1
-if a mutant survives the tests or its snippet does not occur exactly once.
+the snippet's replacement and the test files expected to kill it.  The tool
+digests the unpatched checkout's reports once, with
+``tools/report_digests.py``.  Then, for each mutant, it copies the checkout
+(without ``.git``) into a temporary directory, patches the copy, runs the
+named tests there and digests the copy's reports.  It prints one line per
+mutant: killed by the tests (and how many failed) or survived, and seen by
+the CLI (the digest reports that changed, by their arguments) or unseen.
+An unseen mutant is a gap in the CLI's verdicts; its ``gap`` note names
+what would close it.  The exit code is 1 if a mutant survives the tests or
+its snippet does not occur exactly once.
 
     python tools/mutants.py
 
-Each mutant takes 20-60 s.  Standard library only.
+Each mutant takes 10-50 s.  Standard library only.
 """
 import os
 import shutil
@@ -122,6 +123,11 @@ MUTANTS = [
            'floor = max(_real(floor), Decimal("1e-300"))',
            'floor = Decimal("1e-300")',
            ("tests/test_oracle.py", "tests/test_report_cli.py")),
+    Mutant("default-restored", "src/gwsym/orders.py",
+           "def restriction_order(m: MicroOrder, trace: Trace)",
+           "def restriction_order(m: MicroOrder, trace: Trace = None)",
+           ("tests/test_option_callers.py",),
+           gap="a default changes no value, so no report can see it"),
 ]
 
 
@@ -143,9 +149,18 @@ def _env(root: Path) -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def run_mutant(m: Mutant, scratch: Path) -> tuple:
+def _digests(root: Path) -> list:
+    """The digest lines of ``root``'s reports: exit code, SHA-256 of
+    stdout and the report's arguments."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_digests.py"),
+         str(root)], capture_output=True, text=True).stdout.splitlines()
+
+
+def run_mutant(m: Mutant, scratch: Path, digests: list) -> tuple:
     """(killed, line): patch a copy of the checkout, run the mutant's
-    tests and the digest comparison on it."""
+    tests on it and compare its digest lines with ``digests``, the
+    unpatched checkout's."""
     tree = scratch / m.name
     shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
@@ -158,16 +173,15 @@ def run_mutant(m: Mutant, scratch: Path) -> tuple:
     failed = [line.split()[1] for line in tests.stdout.splitlines()
               if line.startswith("FAILED ")]
     killed = tests.returncode == 1 and bool(failed)
-    digests = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "report_digests.py"), str(tree),
-         str(ROOT)], capture_output=True, text=True)
-    changed = len(digests.stdout.splitlines()) // 2
+    changed = [line.split(maxsplit=2)[2]
+               for line, want in zip(_digests(tree), digests) if line != want]
     if killed:
         verdict = f"killed by {len(failed)} test(s), first {failed[0]}"
     else:
         verdict = f"SURVIVED (pytest exit {tests.returncode})"
-    seen = (f"seen by the CLI ({changed} of the digest reports changed)"
-            if changed else f"unseen by the CLI: {m.gap or 'no gap noted'}")
+    seen = (f"seen by the CLI ({len(changed)} of the digest reports "
+            f"changed: {'; '.join(changed)})" if changed
+            else f"unseen by the CLI: {m.gap or 'no gap noted'}")
     shutil.rmtree(tree)
     return killed, f"{m.name}: {verdict}; {seen}"
 
@@ -179,9 +193,10 @@ def main() -> int:
     if faults:
         return 1
     survived = 0
+    digests = _digests(ROOT)
     with tempfile.TemporaryDirectory(prefix="gwsym-mutants-") as scratch:
         for m in MUTANTS:
-            killed, line = run_mutant(m, Path(scratch))
+            killed, line = run_mutant(m, Path(scratch), digests)
             survived += not killed
             print(line, flush=True)
     return 1 if survived else 0
