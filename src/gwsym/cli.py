@@ -25,9 +25,7 @@ from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, 
     harmonic_gauge_residual
 from .interaction import (classify_rho40_terms, coefficient_of,
                           eval_I_cancellation, form_family, item_value,
-                          mat_eval_at, mat_max_degree, mat_scale, mat_sub,
-                          mat_is_zero, nested_chain, shared_evaluator,
-                          total_symbol)
+                          nested_chain, shared_evaluator, total_symbol)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
 from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
@@ -36,7 +34,8 @@ from .orders import standard_claims
 from .report import Report
 from .scenario import (Scenario, ScenarioError, check_oracle_rho,
                        load_scenario, parse_rho, rho_name)
-from .tensor import MINKOWSKI, rank_one, sym_outer
+from .tensor import (MINKOWSKI, mat_add, mat_eval_at, mat_is_zero,
+                     mat_max_degree, mat_scale, mat_sub, rank_one, sym_outer)
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -249,8 +248,9 @@ def _leads_with(cfg, matrix, c, sign) -> bool:
     a14 = sym_outer(cfg.zeta(1), cfg.zeta(4))
     a24 = sym_outer(cfg.zeta(2), cfg.zeta(4))
     lead = RhoRational.const(c) * RhoRational.rho_power(30)
-    form = (a14 + a24.scale(sign)).scale(lead)
-    return mat_max_degree(mat_sub(matrix, form.m)) < 40
+    form = mat_scale(mat_add(a14, mat_scale(a24, RhoRational.const(sign))),
+                     lead)
+    return mat_max_degree(mat_sub(matrix, form)) < 40
 
 
 def suite_items(report: Report, scenario: Scenario):
@@ -452,7 +452,8 @@ def suite_conformal(report: Report, scenario: Scenario):
     base = Evaluator(cfg).eval(ast)
     scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
     lam_inv = RhoRational.const(Fraction(1, 2))
-    leaf = {i: SlotValue(rank_one(cfg.zeta(i)).scale(lam_inv), cfg.zeta(i),
+    leaf = {i: SlotValue(mat_scale(rank_one(cfg.zeta(i)), lam_inv),
+                         cfg.zeta(i),
                          outer=((lam_inv, cfg.zeta(i), cfg.zeta(i)),))
             for i in range(1, 5)}
     scaled = Evaluator(NullConfig(cfg.zetas, scaled_metric),

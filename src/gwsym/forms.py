@@ -45,12 +45,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import CoprimeBase, ONE, RhoRational, ZERO
-from .tensor import CoVec4, MINKOWSKI, Metric4, Sym2T, pairing
+from .tensor import CoVec4, MINKOWSKI, Metric4, ZERO_MAT, pairing
 
 FREE_PAIR = ("mu", "nu")
-
-#: the 4x4 zero matrix of canonical ``RhoRational`` entries
-ZERO_MAT = tuple((ZERO,) * 4 for _ in range(4))
 
 
 #: one wave-slot occurrence: u^(slot)_{idx[0] idx[1]} with derivatives
@@ -197,9 +194,6 @@ class FormalTensorPoly:
         return (isinstance(other, FormalTensorPoly)
                 and self.arity == other.arity
                 and self.monomials == other.monomials)
-
-    def __hash__(self):
-        return hash((self.arity, self.monomials))
 
     def derivative_counts(self):
         return sorted({m.derivative_count() for m in self.monomials})
@@ -426,17 +420,18 @@ _ENTRY_BASIS = tuple(CoVec4([ONE if k == i else ZERO for k in range(4)])
 class SlotValue:
     """Symbol data bound to a slot.
 
-    ``matrix`` is a Sym2T, or any 4x4 matrix indexed as ``m[i][j]``: a
-    non-symmetric one lets a cross-check see the order of a factor's two
-    indices.  ``outer`` decomposes the matrix as a sum of scaled outer
-    products, a tuple of (coeff, left CoVec4, right CoVec4); evaluation
-    uses it to collapse index sums into metric pairings.  When none is
-    given it is built once, on the shared sparse entry basis.
+    ``matrix`` is a 4x4 tuple of row tuples of ``RhoRational`` (see
+    ``tensor``), a ``Sym2T`` or not: a non-symmetric one lets a cross-check
+    see the order of a factor's two indices.  ``outer`` decomposes the
+    matrix as a sum of scaled outer products, a tuple of (coeff, left
+    CoVec4, right CoVec4); evaluation uses it to collapse index sums into
+    metric pairings.  When none is given it is built once, on the shared
+    sparse entry basis.
     """
 
     __slots__ = ("matrix", "covector", "outer")
 
-    def __init__(self, matrix: Sym2T, covector: CoVec4, outer: tuple = None):
+    def __init__(self, matrix: tuple, covector: CoVec4, outer: tuple = None):
         if outer is None:
             outer = tuple((matrix[i][j], _ENTRY_BASIS[i], _ENTRY_BASIS[j])
                           for i in range(4) for j in range(4)

@@ -1,8 +1,9 @@
 """Symbol-level gauge and conservation constraints.
 
-Linear constraint residuals on symmetric-tensor symbols, and exact solution
-space dimensions computed by Gauss-Jordan rank over the rational-function
-field (so the answers are uniform in large rho).
+Linear constraint residuals on symmetric-tensor symbols (``tensor``'s 4x4
+row tuples, read as ``a[i][j]``), and exact solution space dimensions
+computed by Gauss-Jordan rank over the rational-function field (so the
+answers are uniform in large rho).
 """
 from __future__ import annotations
 

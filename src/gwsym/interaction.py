@@ -10,11 +10,12 @@ covectors, the inverse metric, the leaf symbols and the subset norms.  An
 ``Evaluator`` refines them into a ``CoprimeBase`` and keeps the
 coefficients of its node values on it, so its sums and products run no
 polynomial gcd; each matrix it returns is canonical ``RhoRational``,
-converted once per entry.  Every sum of signed terms goes through
-``Evaluator.sum``, which adds their coefficients on the base and builds
-one matrix for the sum.  A form node's value is the real symbol
-``forms`` returns.  An overall (2*pi)^-3 is factored out of every
-complete four-wave term.
+converted once per entry, a 4x4 tuple of row tuples as everywhere in the
+package (``tensor`` owns the type and its ``mat_*`` helpers).  Every sum
+of signed terms goes through ``Evaluator.sum``, which adds their
+coefficients on the base and builds one matrix for the sum.  A form
+node's value is the real symbol ``forms`` returns.  An overall (2*pi)^-3
+is factored out of every complete four-wave term.
 
 Only what a result reads is evaluated.  The total uses multilinearity: the
 terms of one shape and permutation sum to one tree with P_k + Hhat_k at
@@ -31,12 +32,13 @@ import itertools
 from collections import namedtuple
 
 from .exact import CoprimeBase, NEG_INF, RhoRational, ZERO
-# ZERO_MAT is imported from this module by the benchmark and the tests
-from .forms import (SlotValue, ZERO_MAT, build_form_family,
-                    entry_order_bound, form_denominators, matrix_of_outer,
-                    symbol_outer_of_form)
+from .forms import (SlotValue, build_form_family, entry_order_bound,
+                    form_denominators, matrix_of_outer, symbol_outer_of_form)
 from .nullcone import NullConfig
-from .tensor import CoVec4, Sym2T, rank_one
+# ZERO_MAT, mat_add, mat_eval_at and mat_scale are not used here: the
+# benchmark's tt-total sum imports them from this module
+from .tensor import (CoVec4, ZERO_MAT, mat_add, mat_eval_at, mat_max_degree,
+                     mat_scale, rank_one)
 
 # ---------------------------------------------------------------------------
 # AST
@@ -100,40 +102,6 @@ class CharacteristicDenominatorError(ArithmeticError):
             f"covector sum over waves {self.waves} is characteristic")
 
 
-# ---------------------------------------------------------------------------
-# Matrices: plain 4x4 tuples of RhoRational (not necessarily symmetric)
-# ---------------------------------------------------------------------------
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, s):
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def mat_max_degree(a):
-    return max(x.infinity_degree for row in a for x in row)
-
-
-def mat_eval_at(a, rho):
-    return [[x.eval_at(rho) for x in row] for row in a]
-
-
-def mat_of(tensor) -> tuple:
-    if isinstance(tensor, Sym2T):
-        return tensor.m
-    return tuple(tuple(row) for row in tensor)
-
-
 class SymbolValue:
     """Evaluated term: total covector, leaves, real matrix.
 
@@ -152,12 +120,6 @@ class SymbolValue:
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "_matrix", None)
-
-    def __eq__(self, other):
-        if other.__class__ is not SymbolValue:
-            return NotImplemented
-        return (self.covector == other.covector and self.leaves == other.leaves
-                and self.outer == other.outer)
 
     __setattr__ = _frozen
 
@@ -269,7 +231,7 @@ class Evaluator:
         """(degree bound, leaves) of a node, compositionally."""
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
-            return mat_max_degree(mat_of(sv.matrix)), (ast.wave,)
+            return mat_max_degree(sv.matrix), (ast.wave,)
         if isinstance(ast, QNode):
             degree, leaves = self._bound(ast.child)
             return degree - self._norm(leaves).infinity_degree, leaves
@@ -576,7 +538,7 @@ def eval_I_cancellation(config: NullConfig):
     chains = {key: nested_chain(*key)
               for key in itertools.permutations((1, 2, 3))}
     terms = {key: ev.eval(ast) for key, ast in chains.items()}
-    a4 = mat_of(rank_one(config.zeta(4)))
+    a4 = rank_one(config.zeta(4))
     total = ev.sum((1, ast) for ast in chains.values())
     return {
         "terms": terms,

@@ -63,9 +63,6 @@ class NullConfig:
         """Covector number i, 1-based."""
         return self.zetas[i - 1]
 
-    def total(self) -> CoVec4:
-        return self.subset_sum(range(1, 5))
-
     def subset_sum(self, waves) -> CoVec4:
         """Total covector of a multiset of waves, memoized by its sorted
         tuple; each new one is one addition to that of its prefix."""

@@ -119,10 +119,12 @@ def parse_machine(text: str) -> Report:
     """Inverse of to_machine (loses nothing).
 
     Blank lines are skipped; any other malformed line raises
-    ``ValueError("line N: ...")``.
+    ``ValueError("line N: ...")``.  The report ends with its one status
+    record, which must agree with its verdicts, so a truncated report does
+    not parse.
     """
     report = Report()
-    section = None
+    section = status = None
     lines = text.split("\n")  # the only line break _esc escapes
     header = lines[0].split("\t")
     if header[:2] != ["schema", "gwsym-report"] or len(header) != 3:
@@ -135,23 +137,36 @@ def parse_machine(text: str) -> Report:
         kind, *fields = map(_unesc, line.split("\t"))
         if kind not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
+        if status is not None:
+            raise ValueError(f"line {lineno}: {kind} record after the "
+                             "status record")
         if len(fields) != _FIELDS[kind]:
             raise ValueError(f"line {lineno}: {kind} record needs "
                              f"{_FIELDS[kind]} fields, got {len(fields)}")
         if kind == "section":
             section = report.section(fields[0])
-        elif kind != "status" and section is None:
+        elif kind == "status":
+            status = fields[0]
+            if status not in ("pass", "fail"):
+                raise ValueError(f"line {lineno}: status {status!r} is "
+                                 "neither 'pass' nor 'fail'")
+            if (status == "pass") != report.all_passed():
+                raise ValueError(f"line {lineno}: status {status!r} "
+                                 "disagrees with the verdicts")
+        elif section is None:
             raise ValueError(f"line {lineno}: {kind} record before any "
                              "section")
         elif kind == "verdict":
-            name, status, claim, detail = fields
-            if status not in ("pass", "fail"):
-                raise ValueError(f"line {lineno}: verdict status {status!r} "
+            name, passed, claim, detail = fields
+            if passed not in ("pass", "fail"):
+                raise ValueError(f"line {lineno}: verdict status {passed!r} "
                                  "is neither 'pass' nor 'fail'")
-            section.entries.append(Verdict(name, status == "pass", claim,
+            section.entries.append(Verdict(name, passed == "pass", claim,
                                            detail))
         elif kind == "value":
             section.entries.append(Value(*fields))
         elif kind == "trace":
             section.entries.append(TraceLine(*fields))
+    if status is None:
+        raise ValueError(f"line {len(lines)}: no status record")
     return report

@@ -1,11 +1,17 @@
-"""Covectors, symmetric 2-tensors and metric contractions in dimension 4.
+"""Covectors, 4x4 matrices and metric contractions in dimension 4.
 
 Everything is exact over the rational-function field in rho.  Index raising
 and lowering is always explicit through a Metric4; signature is (-,+,+,+).
+
+Every exact 4x4 matrix of the package is a tuple of four row tuples of
+``RhoRational``.  ``Sym2T`` is the checked symmetric one: its constructor
+coerces the entries and checks the shape and the symmetry, and ``+`` and
+``*`` on it raise ``TypeError``.  The ``mat_*`` helpers and ``ZERO_MAT``
+are the one matrix arithmetic, on any such tuple.
 """
 from __future__ import annotations
 
-from .exact import ONE, ZERO, RhoRational, coerce, format_rho_rational
+from .exact import ONE, ZERO, RhoRational, coerce
 
 
 class CoVec4:
@@ -32,12 +38,6 @@ class CoVec4:
     def __add__(self, other: "CoVec4") -> "CoVec4":
         return CoVec4(tuple(a + b for a, b in zip(self.c, other.c)))
 
-    def __sub__(self, other: "CoVec4") -> "CoVec4":
-        return CoVec4(tuple(a - b for a, b in zip(self.c, other.c)))
-
-    def __neg__(self) -> "CoVec4":
-        return CoVec4(tuple(-a for a in self.c))
-
     def scale(self, s) -> "CoVec4":
         s = coerce(s)
         return CoVec4(tuple(s * a for a in self.c))
@@ -60,12 +60,14 @@ class CoVec4:
         return "CoVec4(" + ", ".join(repr(a) for a in self.c) + ")"
 
 
-class Sym2T:
-    """Symmetric 4x4 tensor over RhoRational."""
+class Sym2T(tuple):
+    """Symmetric 4x4 tensor over RhoRational: a tuple of four row tuples,
+    checked when built.  ``+`` and ``*`` raise ``TypeError`` rather than
+    join or repeat the rows; the ``mat_*`` helpers do its arithmetic."""
 
-    __slots__ = ("m",)
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(coerce(x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("Sym2T needs a 4x4 matrix")
@@ -73,34 +75,41 @@ class Sym2T:
             for j in range(i + 1, 4):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
-        object.__setattr__(self, "m", rows)
+        return super().__new__(cls, rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Sym2T is immutable")
-
-    def __getitem__(self, i: int):
-        return self.m[i]
-
-    def __add__(self, other: "Sym2T") -> "Sym2T":
-        return Sym2T(tuple(tuple(a + b for a, b in zip(ra, rb))
-                           for ra, rb in zip(self.m, other.m)))
-
-    def scale(self, s) -> "Sym2T":
-        s = coerce(s)
-        return Sym2T(tuple(tuple(s * a for a in row) for row in self.m))
-
-    def __eq__(self, other):
-        return isinstance(other, Sym2T) and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
-    def __repr__(self):
-        return "Sym2T(" + repr([[format_rho_rational(x) for x in r]
-                                for r in self.m]) + ")"
+    __add__ = __mul__ = __rmul__ = None
 
 
-ZERO_SYM2 = Sym2T(tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
+# ---------------------------------------------------------------------------
+# Matrix arithmetic on any 4x4 tuple of row tuples, symmetric or not
+# ---------------------------------------------------------------------------
+
+#: the 4x4 zero matrix of canonical ``RhoRational`` entries
+ZERO_MAT = tuple((ZERO,) * 4 for _ in range(4))
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a, s):
+    return tuple(tuple(s * x for x in row) for row in a)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_is_zero(a) -> bool:
+    return all(x.is_zero() for row in a for x in row)
+
+
+def mat_max_degree(a):
+    return max(x.infinity_degree for row in a for x in row)
+
+
+def mat_eval_at(a, rho):
+    return [[x.eval_at(rho) for x in row] for row in a]
 
 
 def _reduce(rows):
@@ -139,12 +148,12 @@ class Metric4:
     __slots__ = ("m", "inv")
 
     def __init__(self, rows):
-        tensor = Sym2T(rows)
-        object.__setattr__(self, "m", tensor.m)
+        m = Sym2T(rows)
+        object.__setattr__(self, "m", m)
         # the inverse is the right half of the reduced [m | I]
         reduced, pivots = _reduce(
             row + tuple(ONE if i == j else ZERO for j in range(4))
-            for i, row in enumerate(tensor.m))
+            for i, row in enumerate(m))
         if pivots[:4] != [0, 1, 2, 3]:
             raise ValueError("matrix is singular")
         object.__setattr__(self, "inv",
@@ -153,13 +162,9 @@ class Metric4:
     def __setattr__(self, name, value):
         raise AttributeError("Metric4 is immutable")
 
-    def __getitem__(self, i: int):
-        return self.m[i]
-
     def scale_conformal(self, factor) -> "Metric4":
         """Metric multiplied by a constant conformal factor."""
-        s = coerce(factor)
-        return Metric4(tuple(tuple(s * x for x in row) for row in self.m))
+        return Metric4(mat_scale(self.m, coerce(factor)))
 
     def __eq__(self, other):
         return isinstance(other, Metric4) and self.m == other.m

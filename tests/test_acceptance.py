@@ -22,10 +22,8 @@ from gwsym.forms import (SlotValue, build_form_family, explicit_hhat2,
 from gwsym.gauge import ConstraintKind, constraint_space_dim, \
     conservation_residual, harmonic_gauge_residual
 from gwsym.interaction import (classify_rho40_terms, enumerate_all,
-                               eval_I_cancellation, item_value, mat_add,
-                               mat_eval_at, mat_is_zero, mat_max_degree,
-                               mat_of, mat_scale, mat_sub, shared_evaluator,
-                               total_symbol, coefficient_of)
+                               eval_I_cancellation, item_value,
+                               shared_evaluator, total_symbol, coefficient_of)
 from gwsym.nullcone import (FlatPoint, NullConfig, backtrace_sources,
                             base_directions, solve_null_scale,
                             standard_config)
@@ -35,8 +33,9 @@ from gwsym.oracle import (FLOAT_CONTEXT, JetContext, _float_at, _jet_base,
 from gwsym.orders import standard_claims
 from gwsym.conformal import (canonical_chain, compose_total_weight,
                              verified_degree_table)
-from gwsym.tensor import (MINKOWSKI, chain_sandwich, pairing, rank_one,
-                          sym_outer)
+from gwsym.tensor import (MINKOWSKI, chain_sandwich, mat_add, mat_eval_at,
+                          mat_is_zero, mat_max_degree, mat_scale, mat_sub,
+                          pairing, rank_one, sym_outer)
 
 
 def rr(text):
@@ -155,8 +154,8 @@ def test_criterion_06_rank_one_identities(config):
                                  2: SlotValue.wave(zetas[i])})])
         total = mat_add(a, b)
         h = pairing(MINKOWSKI, zetas[i], zetas[j])
-        want = mat_of(sym_outer(zetas[i], zetas[j]).scale(
-            RhoRational.const(Fraction(-3, 2)) * h * h))
+        want = mat_scale(sym_outer(zetas[i], zetas[j]),
+                         RhoRational.const(Fraction(-3, 2)) * h * h)
         ok = ok and total == want
     assert _verdict(6, ok, "rank-one sandwich identities and the symmetrized "
                            "quadratic semilinear value i^2 3/2 [h]^2 A^(ij)")
@@ -193,9 +192,9 @@ def test_criterion_07_chain_terms(config):
 
 def test_criterion_08_items(config):
     budget = Budget(30.0)
-    a4 = mat_of(rank_one(config.zeta(4)))
-    a14 = mat_of(sym_outer(config.zeta(1), config.zeta(4)))
-    a24 = mat_of(sym_outer(config.zeta(2), config.zeta(4)))
+    a4 = rank_one(config.zeta(4))
+    a14 = sym_outer(config.zeta(1), config.zeta(4))
+    a24 = sym_outer(config.zeta(2), config.zeta(4))
     r30 = RhoRational.rho_power(30)
     c38 = RhoRational.const(Fraction(3, 8))
     c34 = RhoRational.const(Fraction(3, 4))
@@ -350,7 +349,7 @@ def test_criterion_10_conformal():
     base = Evaluator(config).eval(ast)
     scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
     lam_inv = RhoRational.const(Fraction(1, lam))
-    leaf = {i: SlotValue(rank_one(config.zeta(i)).scale(lam_inv),
+    leaf = {i: SlotValue(mat_scale(rank_one(config.zeta(i)), lam_inv),
                          config.zeta(i),
                          outer=((lam_inv, config.zeta(i), config.zeta(i)),))
             for i in range(1, 5)}

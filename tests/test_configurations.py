@@ -11,10 +11,10 @@ from hypothesis import given, reject, seed, settings, strategies as st
 
 from gwsym.exact import RhoRational
 from gwsym.forms import SlotValue
-from gwsym.interaction import Evaluator, mat_is_zero
+from gwsym.interaction import Evaluator
 from gwsym.nullcone import ConfigError, NullConfig, solve_null_scale
 from gwsym.oracle import exact_total_jet
-from gwsym.tensor import CoVec4, Metric4, Sym2T
+from gwsym.tensor import CoVec4, Metric4, Sym2T, mat_is_zero
 
 #: the plane coordinates the null directions project from; larger ones
 #: give longer coefficients and a slower exact jet

@@ -12,10 +12,10 @@ from gwsym.conformal import (NonHomogeneousError, _fit_exponent,
                              wave_operator_degree)
 from gwsym.exact import RhoRational
 from gwsym.forms import SlotValue
-from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode, mat_is_zero,
-                               mat_scale, mat_sub)
+from gwsym.interaction import Evaluator, FormNode, Leaf, QNode
 from gwsym.nullcone import NullConfig
-from gwsym.tensor import MINKOWSKI, rank_one
+from gwsym.tensor import (MINKOWSKI, mat_is_zero, mat_scale, mat_sub,
+                          rank_one)
 
 
 EXPECTED_TABLE = {("P", 2): -4, ("P", 3): -6, ("P", 4): -8,
@@ -83,7 +83,7 @@ def test_end_to_end_minus_12(config):
         base = Evaluator(config).eval(ast)
         scaled_metric = MINKOWSKI.scale_conformal(RhoRational.const(lam * lam))
         lam_inv = RhoRational.const(Fraction(1, lam))
-        leaf = {i: SlotValue(rank_one(config.zeta(i)).scale(lam_inv),
+        leaf = {i: SlotValue(mat_scale(rank_one(config.zeta(i)), lam_inv),
                              config.zeta(i),
                              outer=((lam_inv, config.zeta(i), config.zeta(i)),))
                 for i in range(1, 5)}
@@ -105,7 +105,7 @@ def test_non_homogeneous_detection():
         _fit_exponent(base, other, Fraction(2))
     with pytest.raises(NonHomogeneousError):
         # a zero evaluation matches every power: it has no weight
-        from gwsym.interaction import ZERO_MAT
+        from gwsym.tensor import ZERO_MAT
         _fit_exponent(ZERO_MAT, ZERO_MAT, Fraction(2))
 
 

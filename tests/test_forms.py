@@ -10,7 +10,7 @@ from pathlib import Path
 
 from gwsym import interaction
 from gwsym.exact import CoprimeBase, RhoRational, ZERO, parse_rho_rational
-from gwsym.forms import (FREE_PAIR, ZERO_MAT, Factor, FormalTensorPoly,
+from gwsym.forms import (FREE_PAIR, Factor, FormalTensorPoly,
                          FormError, Monomial, SlotValue, build_form_family,
                          explicit_hhat2, form_denominators, matrix_of_outer,
                          reduced_ricci_expansion,
@@ -18,8 +18,8 @@ from gwsym.forms import (FREE_PAIR, ZERO_MAT, Factor, FormalTensorPoly,
                          symbols_of_forms, _canonical_monomial)
 from gwsym.nullcone import NullConfig, standard_config
 from gwsym.scenario import load_scenario
-from gwsym.tensor import (MINKOWSKI, CoVec4, Metric4, Sym2T, pairing,
-                          rank_one, sym_outer)
+from gwsym.tensor import (MINKOWSKI, ZERO_MAT, CoVec4, Metric4, Sym2T,
+                          mat_add, mat_scale, pairing, rank_one, sym_outer)
 
 
 DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
@@ -190,8 +190,8 @@ class TestSymbolEvaluation:
         rows = symbol_of(fam[("P", 2)], assignment)
         from gwsym.tensor import pairing
         p = pairing(MINKOWSKI, z3, z4)
-        want = rank_one(z4).scale(-p * p)
-        assert rows == want.m
+        want = mat_scale(rank_one(z4), -p * p)
+        assert rows == want
 
     def test_hhat2_symmetrized_gives_published_pattern(self, config):
         # both argument orders summed give i^2 3/2 [h(zi,zj)]^2 A^(ij): the
@@ -208,9 +208,9 @@ class TestSymbolEvaluation:
                           for ra, rb in zip(a, b))
             from gwsym.tensor import pairing
             h = pairing(MINKOWSKI, zi, zj)
-            want = sym_outer(zi, zj).scale(
-                RhoRational.const(Fraction(-3, 2)) * h * h)
-            assert total == want.m
+            want = mat_scale(sym_outer(zi, zj),
+                             RhoRational.const(Fraction(-3, 2)) * h * h)
+            assert total == want
 
     def test_multilinearity(self, config):
         fam = build_form_family()
@@ -219,7 +219,7 @@ class TestSymbolEvaluation:
         base = {s: SlotValue.wave(z[s - 1]) for s in (1, 2, 3)}
         scaled = dict(base)
         c = rr("3/2")
-        scaled[2] = SlotValue(rank_one(z[1]).scale(c), z[1],
+        scaled[2] = SlotValue(mat_scale(rank_one(z[1]), c), z[1],
                               outer=((c, z[1], z[1]),))
         a = symbol_of(form, base)
         b = symbol_of(form, scaled)
@@ -227,7 +227,7 @@ class TestSymbolEvaluation:
         # additivity in a slot
         w = config.zeta(4)
         added = dict(base)
-        summed_matrix = rank_one(z[1]) + rank_one(w)
+        summed_matrix = mat_add(rank_one(z[1]), rank_one(w))
         added[2] = SlotValue(summed_matrix, z[1],
                              outer=((rr("1"), z[1], z[1]), (rr("1"), w, w)))
         other = dict(base)

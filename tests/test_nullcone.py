@@ -25,7 +25,7 @@ def test_standard_config_components(config):
 
 def test_standard_config_invariants(config):
     # construction validates: each null, independent, null sum
-    assert norm_sq(MINKOWSKI, config.total()).is_zero()
+    assert norm_sq(MINKOWSKI, config.subset_sum(range(1, 5))).is_zero()
 
 
 def test_invalid_configs_rejected(config):

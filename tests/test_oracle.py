@@ -20,15 +20,14 @@ from gwsym import cli, oracle
 from gwsym.exact import BaseValue, RhoPoly, RhoRational, format_poly
 from gwsym.forms import SlotValue
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
-                               eval_I_cancellation, mat_eval_at, mat_is_zero,
-                               nested_chain, total_symbol)
+                               eval_I_cancellation, nested_chain, total_symbol)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.oracle import (FLOAT_CONTEXT, FULL, JetContext, OracleUnsupported,
                           _add_into, _disjoint, _float_at, _jet_base,
                           _nonlinearity, _walk, exact_total_jet,
                           float_oracle, interaction_total_jet, max_rel_diff)
 from gwsym.scenario import Scenario, load_scenario
-from gwsym.tensor import MINKOWSKI, Sym2T, rank_one
+from gwsym.tensor import MINKOWSKI, Sym2T, mat_eval_at, mat_is_zero, rank_one
 
 DENSE_SCENARIO = Path(__file__).resolve().parent.parent / "bench" / "dense.scn"
 
@@ -413,7 +412,7 @@ class TestExactJet:
 class TestFloatOracle:
     def test_leaf(self, config):
         got = float_walk(Leaf(1), config, Fraction(2))
-        want = mat_eval_at(rank_one(config.zeta(1)).m, Fraction(2))
+        want = mat_eval_at(rank_one(config.zeta(1)), Fraction(2))
         # each entry is its exact value rounded once
         with decimal.localcontext(FLOAT_CONTEXT):
             assert got == [[Decimal(x.numerator) / x.denominator for x in row]

@@ -56,6 +56,16 @@ class TestReport:
         (HEADER + "section\ts\ntrace\n", "line 3: trace record needs 1"),
         (HEADER + "section\ts\nverdict\tv\tPASS\tclaim\t\n",
          "line 3: verdict status 'PASS' is neither"),
+        (HEADER + "section\ts\nstatus\tmaybe\n",
+         "line 3: status 'maybe' is neither 'pass' nor 'fail'"),
+        (HEADER + "section\ts\nverdict\tv\tfail\tclaim\t\nstatus\tpass\n",
+         "line 4: status 'pass' disagrees with the verdicts"),
+        (HEADER + "section\ts\nstatus\tpass\n\nstatus\tpass\n",
+         "line 5: status record after the status record"),
+        (HEADER + "section\ts\nstatus\tpass\nvalue\tk\tv\n",
+         "line 4: value record after the status record"),
+        (HEADER + "section\ts\nvalue\tk\tv\n", "line 4: no status record"),
+        (HEADER, "line 2: no status record"),
     ])
     def test_parse_rejects_malformed_lines(self, text, message):
         with pytest.raises(ValueError, match=message):

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gwsym.exact import RhoRational, parse_rho_rational
-from gwsym.interaction import mat_max_degree
-from gwsym.tensor import (CoVec4, MINKOWSKI, Metric4, Sym2T, ZERO_SYM2,
-                          chain_sandwich, norm_sq, pairing, rank, rank_one,
-                          sym_outer)
+from gwsym.tensor import (CoVec4, MINKOWSKI, Metric4, Sym2T, ZERO_MAT,
+                          chain_sandwich, mat_add, mat_max_degree, mat_scale,
+                          norm_sq, pairing, rank, rank_one, sym_outer)
 
 
 def rr(text):
@@ -17,10 +16,6 @@ def rr(text):
 
 NON_DIAGONAL = Metric4(((-2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 1, 0),
                        (0, 0, 0, 5)))
-
-
-def _rows(t):
-    return t.m if isinstance(t, Sym2T) else t
 
 
 PAIRING_TABLE = {
@@ -54,7 +49,7 @@ def test_sandwich_examples(config):
     z3, z4, z1 = config.zeta(3), config.zeta(4), config.zeta(1)
     assert chain_sandwich(MINKOWSKI, [rank_one(z3)], z4) == rr("1")
     assert chain_sandwich(MINKOWSKI, [rank_one(z1)], z4) == rr("rho^20")
-    assert chain_sandwich(MINKOWSKI, [ZERO_SYM2], z4).is_zero()
+    assert chain_sandwich(MINKOWSKI, [ZERO_MAT], z4).is_zero()
 
 
 def test_double_sandwich_factorizes(config):
@@ -79,7 +74,7 @@ def test_double_sandwich_matches_matrix_product(config):
     for metric, chain in ((MINKOWSKI, [s1, s2]), (NON_DIAGONAL, [s1, s2]),
                           (NON_DIAGONAL, [skew, s2])):
         hinv = metric.inv
-        mats = [hinv, _rows(chain[0]), hinv, _rows(chain[1]), hinv]
+        mats = [hinv, chain[0], hinv, chain[1], hinv]
         prod = mats[0]
         for m in mats[1:]:
             prod = tuple(tuple(sum((prod[i][k] * m[k][j] for k in range(4)),
@@ -95,9 +90,9 @@ def test_double_sandwich_matches_matrix_product(config):
 def test_sym_outer(config):
     z = config.zeta(1)
     doubled = sym_outer(z, z)
-    assert doubled == rank_one(z).scale(2)
+    assert doubled == mat_scale(rank_one(z), 2)
     a14 = sym_outer(z, config.zeta(4))
-    assert mat_max_degree(a14.m) == 10
+    assert mat_max_degree(a14) == 10
     e0 = CoVec4((1, 0, 0, 0))
     e1 = CoVec4((0, 1, 0, 0))
     m = sym_outer(e0, e1)
@@ -112,7 +107,7 @@ def test_metric_inverse_is_exact():
         ("-rho - 1", "1", "0", "rho"), ("1", "rho^2 - 1", "0", "0"),
         ("0", "0", "rho", "1/(rho + 2)"), ("rho", "0", "1/(rho + 2)", "5"))))
     for m in (NON_DIAGONAL, rho_metric):
-        prod = [[sum((m[i][k] * m.inv[k][j] for k in range(4)),
+        prod = [[sum((m.m[i][k] * m.inv[k][j] for k in range(4)),
                      RhoRational.const(0)) for j in range(4)]
                 for i in range(4)]
         for i in range(4):
@@ -129,16 +124,47 @@ def test_singular_metric_rejected():
 def test_sym2t_rejects_asymmetric():
     rows = [[0] * 4 for _ in range(4)]
     rows[0][1] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
         Sym2T(rows)
+    for shape in ([[0] * 4] * 3, [[0] * 4] * 3 + [[0] * 3]):
+        with pytest.raises(ValueError, match="needs a 4x4 matrix"):
+            Sym2T(shape)
 
 
-def test_sym2t_repr_shows_denominators():
-    rows = [[0] * 4 for _ in range(4)]
-    rows[0][0], rows[1][1] = RhoRational.rho_power(-10), 1
-    text = repr(Sym2T(rows))
-    assert text.startswith("Sym2T([['(1)/(rho^10)', '0', '0', '0'], "
-                           "['0', '1', '0', '0'], ")
+def _checked(seed):
+    """A Sym2T of small rational entries and the plain rows it was built
+    from."""
+    rng = random.Random(seed)
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            rows[i][j] = rows[j][i] = RhoRational.const(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    plain = tuple(tuple(row) for row in rows)
+    return Sym2T(rows), plain
+
+
+def test_sym2t_is_its_tuple_of_rows():
+    m, plain = _checked(1)
+    assert m == plain and plain == m
+    assert hash(m) == hash(plain)
+    assert isinstance(MINKOWSKI.m, Sym2T)
+    assert isinstance(NON_DIAGONAL.m, Sym2T)
+
+
+def test_sym2t_has_no_operators():
+    # + would join the rows and * repeat them; the mat_* helpers add and
+    # scale
+    m, _ = _checked(2)
+    for op in (lambda: m + m, lambda: 2 * m, lambda: m * 2):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_mat_add_is_entrywise_on_sym2t():
+    (a, pa), (b, pb) = _checked(3), _checked(4)
+    assert mat_add(a, b) == tuple(tuple(pa[i][j] + pb[i][j] for j in range(4))
+                                  for i in range(4))
 
 
 def _random_covec(rng):

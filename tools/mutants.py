@@ -128,6 +128,20 @@ MUTANTS = [
            "def restriction_order(m: MicroOrder, trace: Trace = None)",
            ("tests/test_option_callers.py",),
            gap="a default changes no value, so no report can see it"),
+    Mutant("sym2t-skips-symmetry", "src/gwsym/tensor.py",
+           "                if rows[i][j] != rows[j][i]:\n",
+           "                if False:\n",
+           ("tests/test_tensor.py",),
+           gap="no report reads a matrix from its input; scenario keys for "
+               "the polarizations and the metric (ROADMAP items 4 and 11) "
+               "close it"),
+    Mutant("child-sends-jet-only", "src/gwsym/oracle.py",
+           "            for key in (None, *rho_values):\n",
+           "            for key in (None,):\n",
+           ("tests/test_report_cli.py",),
+           gap="the parent computes whatever the child does not deliver, "
+               "so no report changes; the cost shows only in verify-all "
+               "verdict_s"),
 ]
 
 
