@@ -401,9 +401,22 @@ def suite_total(report: Report, scenario: Scenario):
                   "the exact total matches neither published leading form "
                   "(both are nonzero; the total is zero)")
 
+    _certify_total(s, cfg)
     for rho in scenario.oracle_rho:
         _total_at(s, cfg, tot["matrix"], rho)
     return report
+
+
+def _certify_total(s, cfg):
+    """The verdict that the enumerated total is the exact jet over Q(rho):
+    both are canonical, so the matrices are equal exactly when their
+    entries are equal rational functions.  Inside ``oracle.in_child`` the
+    jet is the child's value, read after the engine's total so that the
+    two are computed side by side."""
+    total = total_symbol(cfg)["matrix"]
+    s.verdict("total-exact-certificate", exact_total_jet(cfg) == total,
+              "enumerated exact total equals the independent exact jet "
+              "iteration as a matrix of rational functions of rho")
 
 
 def _total_at(s, cfg, matrix, rho):
@@ -479,6 +492,7 @@ def suite_oracle(report: Report, scenario: Scenario):
     cfg = scenario.config
     s = report.section("floating-point oracle")
     terms = eval_I_cancellation(cfg)["terms"]
+    _certify_total(s, cfg)
     for rho in scenario.oracle_rho:
         _oracle_at(s, cfg, terms, rho)
     return report

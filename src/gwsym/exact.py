@@ -351,13 +351,15 @@ def _rho_power_gcd(single: dict, other: dict) -> RhoPoly:
 # 42 of them with a common factor, in 5266 sums
 @functools.lru_cache(maxsize=1024)
 def _split(d1: RhoPoly, d2: RhoPoly) -> tuple:
-    """``(g, d1 // g, d2 // g)`` with ``g = gcd(d1, d2)``: two denominators
-    over their common factor.  Canonical sums meet few distinct pairs of
+    """``(g, d1 // g, d2 // g, lcm)`` with ``g = gcd(d1, d2)`` and ``lcm =
+    d1 * (d2 // g)``: two denominators over their common factor, and the
+    denominator of their sum.  Canonical sums meet few distinct pairs of
     denominators, each many times."""
     g = _poly_gcd(d1, d2)
     if g.degree == 0:
-        return g, d1, d2
-    return g, d1 // g, d2 // g
+        return g, d1, d2, d1 * d2
+    d2g = d2 // g
+    return g, d1 // g, d2g, d1 * d2g
 
 
 class RhoRational:
@@ -451,14 +453,12 @@ class RhoRational:
         # a/d1 + c/d2 with g = gcd(d1, d2): the sum's numerator can share a
         # factor with g only, so reduce by gcd(numerator, g) rather than by
         # a gcd against the whole product of the denominators.
-        d1, d2 = self.den, other.den
-        g, d1g, d2g = _split(d1, d2)
-        if g.degree == 0:
-            return RhoRational._raw(self.num * d2 + other.num * d1, d1 * d2)
+        g, d1g, d2g, den = _split(self.den, other.den)
         num = self.num * d2g + other.num * d1g
+        if g.degree == 0:
+            return RhoRational._raw(num, den)
         if num.is_zero():
             return ZERO
-        den = d1 * d2g
         g = _poly_gcd(num, g)
         if g.degree == 0:
             return RhoRational._raw(num, den)

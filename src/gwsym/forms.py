@@ -45,7 +45,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import CoprimeBase, ONE, RhoRational, ZERO
-from .tensor import CoVec4, MINKOWSKI, Metric4, ZERO_MAT, pairing
+from .tensor import (CoVec4, MINKOWSKI, Metric4, ZERO_MAT, mat_max_degree,
+                     pairing)
 
 FREE_PAIR = ("mu", "nu")
 
@@ -418,30 +419,47 @@ _ENTRY_BASIS = tuple(CoVec4([ONE if k == i else ZERO for k in range(4)])
 
 
 class SlotValue:
-    """Symbol data bound to a slot.
+    """A symbol at a covector: a slot's input or a term node's value.
 
-    ``matrix`` is a 4x4 tuple of row tuples of ``RhoRational`` (see
-    ``tensor``), a ``Sym2T`` or not: a non-symmetric one lets a cross-check
-    see the order of a factor's two indices.  ``outer`` decomposes the
-    matrix as a sum of scaled outer products, a tuple of (coeff, left
-    CoVec4, right CoVec4); evaluation uses it to collapse index sums into
-    metric pairings.  When none is given it is built once, on the shared
-    sparse entry basis.
+    ``outer`` decomposes the symbol as a sum of scaled outer products, a
+    tuple of (coeff, left CoVec4, right CoVec4); evaluation uses it to
+    collapse index sums into metric pairings.  ``leaves`` are the waves of
+    a term node, in order, and empty for a caller's slot.  ``matrix`` is a
+    4x4 tuple of row tuples of ``RhoRational`` (see ``tensor``), a
+    ``Sym2T`` or not: a non-symmetric one lets a cross-check see the order
+    of a factor's two indices.  A caller gives the matrix, and ``outer``
+    then defaults to the matrix on the shared sparse entry basis.  An
+    ``Evaluator`` gives ``None`` and an ``outer`` whose coefficients lie on
+    its base: the canonical matrix is built from it on first read only,
+    since inner nodes and summed terms need only the decomposition.
     """
 
-    __slots__ = ("matrix", "covector", "outer")
+    __slots__ = ("covector", "outer", "leaves", "_matrix")
 
-    def __init__(self, matrix: tuple, covector: CoVec4, outer: tuple = None):
+    def __init__(self, matrix, covector: CoVec4, outer: tuple = None,
+                 leaves: tuple = ()):
         if outer is None:
             outer = tuple((matrix[i][j], _ENTRY_BASIS[i], _ENTRY_BASIS[j])
                           for i in range(4) for j in range(4)
                           if not matrix[i][j].is_zero())
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "covector", covector)
         object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("SlotValue is immutable")
+
+    @property
+    def matrix(self) -> tuple:
+        m = self._matrix
+        if m is None:
+            m = matrix_of_outer(self.outer)
+            object.__setattr__(self, "_matrix", m)
+        return m
+
+    def entry_order(self):
+        return mat_max_degree(self.matrix)
 
     @staticmethod
     def wave(zeta: CoVec4) -> "SlotValue":

@@ -37,16 +37,12 @@ from .forms import (SlotValue, build_form_family, entry_order_bound,
 from .nullcone import NullConfig
 # ZERO_MAT, mat_add, mat_eval_at and mat_scale are not used here: the
 # benchmark's tt-total sum imports them from this module
-from .tensor import (CoVec4, ZERO_MAT, mat_add, mat_eval_at, mat_max_degree,
+from .tensor import (ZERO_MAT, mat_add, mat_eval_at, mat_max_degree,
                      mat_scale, rank_one)
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
-
-
-def _frozen(self, name, value):
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class _Node:
@@ -68,7 +64,8 @@ class _Node:
                            for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
-    __setattr__ = _frozen
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 @functools.cache
@@ -102,39 +99,6 @@ class CharacteristicDenominatorError(ArithmeticError):
             f"covector sum over waves {self.waves} is characteristic")
 
 
-class SymbolValue:
-    """Evaluated term: total covector, leaves, real matrix.
-
-    ``outer`` is the value's outer-product decomposition, carried so nested
-    evaluation can keep collapsing index contractions into pairings; from
-    an ``Evaluator`` its coefficients are ``BaseValue`` on the evaluator's
-    base.  The 4x4 ``matrix`` of canonical ``RhoRational`` is built from it
-    on first access only: inner nodes and summed terms need only the
-    decomposition.
-    """
-
-    __slots__ = ("covector", "leaves", "outer", "_matrix")
-
-    def __init__(self, covector: CoVec4, leaves: tuple, outer: tuple):
-        object.__setattr__(self, "covector", covector)
-        object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "_matrix", None)
-
-    __setattr__ = _frozen
-
-    @property
-    def matrix(self) -> tuple:
-        m = self._matrix
-        if m is None:
-            m = matrix_of_outer(self.outer)
-            object.__setattr__(self, "_matrix", m)
-        return m
-
-    def entry_order(self):
-        return mat_max_degree(self.matrix)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -161,8 +125,9 @@ class Evaluator:
 
     ``leaf_symbols`` maps a wave to the SlotValue that replaces its
     rank-one symbol; the SlotValue's covector must be the wave's.
-    ``eval`` memoizes the value of every node, ``order_bound`` a degree
-    bound on it, and one dict of metric pairings, one of pairing products
+    ``eval`` memoizes the value of every node, a ``SlotValue`` that holds
+    the node's waves as its ``leaves``, ``order_bound`` a degree bound on
+    it, and one dict of metric pairings, one of pairing products
     and one ``base`` serve every form evaluation.  A node's covector and a
     causal inverse's norm are the configuration's memoized ``subset_sum``
     and ``subset_norm`` of the node's waves.  Every coefficient a node
@@ -208,7 +173,7 @@ class Evaluator:
             polys += [n.num, n.den]
         return CoprimeBase(polys)
 
-    def eval(self, ast) -> SymbolValue:
+    def eval(self, ast) -> SlotValue:
         hit = self.cache.get(ast)
         if hit is not None:
             return hit
@@ -252,20 +217,20 @@ class Evaluator:
             raise CharacteristicDenominatorError(waves)
         return n
 
-    def _eval(self, ast) -> SymbolValue:
+    def _eval(self, ast) -> SlotValue:
         share = self.base.shared
         if isinstance(ast, Leaf):
             sv = self.slots[ast.wave]
             lift = self.base.lift
-            return SymbolValue(sv.covector, (ast.wave,),
-                               tuple((share(lift(c)), l, r)
-                                     for c, l, r in sv.outer))
+            return SlotValue(None, sv.covector,
+                             tuple((share(lift(c)), l, r)
+                                   for c, l, r in sv.outer), (ast.wave,))
         if isinstance(ast, QNode):
             child = self.eval(ast.child)
             s = self.base.inverse(self._norm(child.leaves))
-            return SymbolValue(child.covector, child.leaves,
-                               tuple((share(c * s), l, r)
-                                     for c, l, r in child.outer))
+            return SlotValue(None, child.covector,
+                             tuple((share(c * s), l, r)
+                                   for c, l, r in child.outer), child.leaves)
         if isinstance(ast, FormNode):
             children = [self.eval(c) for c in ast.children]
             outer, _ = symbol_outer_of_form(
@@ -274,7 +239,8 @@ class Evaluator:
             outer = tuple((share(c), l, r) for c, l, r in outer)
             leaves = tuple(itertools.chain.from_iterable(
                 c.leaves for c in children))
-            return SymbolValue(self.config.subset_sum(leaves), leaves, outer)
+            return SlotValue(None, self.config.subset_sum(leaves), outer,
+                             leaves)
         raise TypeError(f"not a term node: {ast!r}")
 
     def total(self) -> dict:
@@ -460,7 +426,7 @@ def classify_rho40_terms(config: NullConfig):
     order found so far: every term after it provably stays below both, so
     the scan is as exact as one over all 1488 terms.
 
-    Returns a dict with the families (lists of (SignedTerm, SymbolValue,
+    Returns a dict with the families (lists of (SignedTerm, SlotValue,
     order)), the exact maximal order outside them, and the terms outside
     them at order 40 or more ((SignedTerm, order), in enumeration order).
     """

@@ -571,3 +571,7 @@ def test_repeated_matrix_sum_splits_each_pair_once():
     for _ in range(3):
         assert [x + y for x, y in entries] == want
     assert exact._split.cache_info().misses == len(pairs) >= 5
+    for d1, d2 in pairs:
+        g, d1g, d2g, lcm = exact._split(d1, d2)
+        assert g * lcm == d1 * d2 and lcm == d1 * d2g == d2 * d1g
+    assert exact._split.cache_info().misses == len(pairs)

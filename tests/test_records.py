@@ -8,7 +8,7 @@ from gwsym.forms import (Factor, FormalTensorPoly, FormError, Monomial,
                          SlotValue, _Step)
 from gwsym.gauge import DimensionResult
 from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode, SignedTerm,
-                               SymbolValue, nested_chain)
+                               nested_chain)
 from gwsym.nullcone import BacktraceResult, FlatPoint
 from gwsym.orders import MicroOrder
 from gwsym.report import Report, Section, TraceLine, Value, Verdict
@@ -72,6 +72,13 @@ class TestEquality:
         other = Evaluator(config).eval(nested_chain(2, 1, 3))
         assert fields(a) != fields(other)
 
+    def test_node_values_are_slot_values(self, config):
+        # a node's value is the record a caller binds to a slot, holding
+        # the node's waves; a caller's slot holds none
+        value = Evaluator(config).eval(nested_chain(1, 2, 3))
+        assert type(value) is SlotValue and value.leaves == (1, 2, 3, 4)
+        assert SlotValue.wave(config.zeta(1)).leaves == ()
+
 
 FROZEN = [
     (Factor(1, ("a", "b")), "slot"),
@@ -80,7 +87,6 @@ FROZEN = [
     (Leaf(1), "wave"),
     (QNode(Leaf(1)), "child"),
     (FormNode(("P", 2), (Leaf(1), Leaf(2))), "children"),
-    (SymbolValue(None, (1,), ()), "outer"),
     (SlotValue(None, None, ()), "outer"),
     (SignedTerm(1, Leaf(1), 1, 0, (1, 2, 3, 4), ()), "sign"),
     (Verdict("v", True, "claim"), "passed"),

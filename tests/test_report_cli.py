@@ -592,14 +592,17 @@ class TestCli:
         assert _failing(out) == ["total-float-dual-path-rho-2"]
 
     @pytest.mark.parametrize("argv, failing", [
-        (["verify", "total"], ["exact-dual-path-rho-2",
+        (["verify", "total"], ["total-exact-certificate",
+                               "exact-dual-path-rho-2",
                                "exact-dual-path-rho-3"]),
-        (["oracle", "--rho", "2"], ["total-exact-jet-rho-2"])],
+        (["oracle", "--rho", "2"], ["total-exact-certificate",
+                                    "total-exact-jet-rho-2"])],
         ids=["verify-total", "oracle"])
     def test_exact_jet_fault_fails_dual_path(self, argv, failing, monkeypatch,
                                             capsys, pid_log, fresh_jet_memo):
         # one entry of the exact jet gains rho^0 in the oracle child; the
-        # exact dual-path verdicts compare the engine with that jet
+        # certificate over Q(rho) and the exact dual-path verdicts compare
+        # the engine with that jet
         real = oracle._total_jet
 
         def off_jet(ctx):
@@ -615,6 +618,23 @@ class TestCli:
         # the faulty jet came from the child
         assert len(pid_log.pids()) == 1
         assert os.getpid() not in pid_log.pids()
+
+    def test_certificate_sees_a_jet_fault_the_samples_miss(self, monkeypatch,
+                                                           capsys):
+        # one jet entry off by (rho - 2)(rho - 3) agrees with the engine at
+        # both sample points; only the certificate over Q(rho) fails
+        import gwsym.cli as cli
+        from gwsym.exact import parse_rho_rational
+        real = cli.exact_total_jet
+
+        def off_jet(config):
+            rows = [list(row) for row in real(config)]
+            rows[0][0] = rows[0][0] + parse_rho_rational("(rho - 2)*(rho - 3)")
+            return tuple(map(tuple, rows))
+        monkeypatch.setattr(cli, "exact_total_jet", off_jet)
+        code, out = _run(["--format", "machine", "verify", "total"], capsys)
+        assert code == 1
+        assert _failing(out) == ["total-exact-certificate"]
 
     @pytest.mark.parametrize("argv, samples", [
         (["oracle", "--rho", "2"], 1), (["verify", "total"], 2)],
@@ -838,6 +858,7 @@ class TestCli:
         code, out = _run(["--scenario", str(path), "--format", "machine",
                           "verify", "total"], capsys)
         assert code == 0
+        assert "verdict\ttotal-exact-certificate\tpass" in out
         assert "matches-" not in out and "published-forms" not in out
         assert "published leading forms are defined on the standard " \
                "configuration only" in out

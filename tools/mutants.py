@@ -103,6 +103,11 @@ MUTANTS = [
            ("tests/test_report_cli.py",),
            gap="the exact jet equals the engine's total in every report, so "
                "comparing the total with itself changes no verdict"),
+    Mutant("certificate-ignores-jet", "src/gwsym/cli.py",
+           "exact_total_jet(cfg) == total,", "total == total,",
+           ("tests/test_report_cli.py",),
+           gap="the exact jet equals the engine's total in every report, so "
+               "comparing the total with itself changes no verdict"),
     Mutant("exponent-table-left-key", "src/gwsym/exact.py",
            "        e = base._sums.get((ea, eb))\n        if e is None:\n"
            "            e = tuple(map(int.__add__, ea, eb))\n"
@@ -112,8 +117,8 @@ MUTANTS = [
            "            e = base._sums[ea] =",
            ("tests/test_exact.py", "tests/test_interaction.py")),
     Mutant("split-cofactors-swapped", "src/gwsym/exact.py",
-           "    return g, d1 // g, d2 // g\n",
-           "    return g, d2 // g, d1 // g\n",
+           "    return g, d1 // g, d2g, d1 * d2g\n",
+           "    return g, d2g, d1 // g, d1 * d2g\n",
            ("tests/test_exact.py",),
            gap="no canonical sum in the reports meets two denominators "
                "with a common factor (standard and dense verify all split "
