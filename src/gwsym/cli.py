@@ -16,16 +16,17 @@ import decimal
 import sys
 from fractions import Fraction
 
-from .exact import NEG_INF, RhoRational, format_rho_rational
+from .exact import (NEG_INF, RhoRational, format_rho_rational,
+                    parse_rho_rational)
 from .conformal import (canonical_chain, compose_total_weight,
                         q_diag_weight, verified_degree_table)
 from .forms import (SlotValue, explicit_hhat2, reduced_ricci_expansion,
                     symbol_of_form_by_assignment, symbols_of_forms)
 from .gauge import ConstraintKind, constraint_space_dim, conservation_residual, \
     harmonic_gauge_residual
-from .interaction import (classify_rho40_terms, coefficient_of,
-                          eval_I_cancellation, form_family, item_value,
-                          nested_chain, shared_evaluator, total_symbol)
+from .interaction import (classify_rho40_terms, coefficient_of, form_family,
+                          item_value, nested_chain, shared_evaluator,
+                          total_symbol)
 from .nullcone import (FlatPoint, NullConfig, backtrace_sources,
                        standard_config)
 from .oracle import (FLOAT_CONTEXT, exact_total_jet, float_oracle,
@@ -205,14 +206,24 @@ _CHAIN_LABELS = {(1, 2, 3): "a", (2, 1, 3): "b", (1, 3, 2): "c",
                  (3, 1, 2): "d", (2, 3, 1): "e", (3, 2, 1): "f"}
 
 
+def _chain_terms(cfg):
+    """The six nested-chain terms' values, keyed by their first three
+    waves, and the terms' unsigned sum: family 4's members, and minus its
+    matrix, since class 5 enters with sign -1."""
+    family = item_value(4, cfg)
+    ev = shared_evaluator(cfg)
+    terms = {t.perm[:3]: ev.eval(t.ast) for t in family["members"]}
+    return terms, mat_scale(family["matrix"], RhoRational.const(-1))
+
+
 def suite_cancellation(report: Report, scenario: Scenario):
     cfg = scenario.config
     s = report.section("nested-chain cancellation")
-    res = eval_I_cancellation(cfg)
-    from .exact import parse_rho_rational
-    for key in sorted(res["coefficients"], key=lambda k: _CHAIN_LABELS[k]):
+    terms, total = _chain_terms(cfg)
+    a4 = rank_one(cfg.zeta(4))
+    for key in sorted(terms, key=_CHAIN_LABELS.__getitem__):
         label = _CHAIN_LABELS[key]
-        coeff = res["coefficients"][key]
+        coeff = coefficient_of(terms[key].matrix, a4)
         s.value(f"term-{label}-coefficient",
                 _fmt(coeff) if coeff is not None else "not a polarization "
                                                       "multiple")
@@ -225,14 +236,14 @@ def suite_cancellation(report: Report, scenario: Scenario):
                       diff.infinity_degree <= 10,
                       f"term ({label}) leading coefficient matches the "
                       "published value up to the fixed global sign")
-    if res["sum_coefficient"] is not None:
-        s.value("sum-coefficient", _fmt(res["sum_coefficient"]))
+    sum_coefficient = coefficient_of(total, a4)
+    if sum_coefficient is not None:
+        s.value("sum-coefficient", _fmt(sum_coefficient))
     if not scenario.custom_config:
-        s.verdict("sum-cancels",
-                  res["sum_coefficient"].infinity_degree <= 30,
+        s.verdict("sum-cancels", sum_coefficient.infinity_degree <= 30,
                   "the six-term sum cancels to coefficient order at most 30 "
-                  f"(engine: order {res['sum_coefficient'].infinity_degree})")
-        orders = sorted(v.entry_order() for v in res["terms"].values())
+                  f"(engine: order {sum_coefficient.infinity_degree})")
+        orders = sorted(v.entry_order() for v in terms.values())
         s.value("individual-entry-orders", str(orders))
         s.verdict("max-entry-order-50", max(orders) == 50,
                   "the largest individual term has matrix entry order 50 "
@@ -491,7 +502,7 @@ def suite_orders(report: Report, scenario: Scenario):
 def suite_oracle(report: Report, scenario: Scenario):
     cfg = scenario.config
     s = report.section("floating-point oracle")
-    terms = eval_I_cancellation(cfg)["terms"]
+    terms, _ = _chain_terms(cfg)
     _certify_total(s, cfg)
     for rho in scenario.oracle_rho:
         _oracle_at(s, cfg, terms, rho)

@@ -19,11 +19,12 @@ is factored out of every complete four-wave term.
 
 Only what a result reads is evaluated.  The total uses multilinearity: the
 terms of one shape and permutation sum to one tree with P_k + Hhat_k at
-every coefficient node, so 264 trees replace 1488 terms.  The top-order
-classification evaluates the family members and then scans the other
-terms by branch and bound on a compositional degree bound
-(``Evaluator.order_bound``), which proves most of them below the top order
-without evaluating them.
+every coefficient node, so 264 trees replace 1488 terms.  The eight
+top-order families are built from one key table (``_family_keys``) and
+read through ``item_value`` alone.  The top-order classification scans
+only the terms outside them, by branch and bound on a compositional
+degree bound (``Evaluator.order_bound``), which proves most of them below
+the top order without evaluating them.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .nullcone import NullConfig
 # ZERO_MAT, mat_add, mat_eval_at and mat_scale are not used here: the
 # benchmark's tt-total sum imports them from this module
 from .tensor import (ZERO_MAT, mat_add, mat_eval_at, mat_max_degree,
-                     mat_scale, rank_one)
+                     mat_scale)
 
 # ---------------------------------------------------------------------------
 # AST
@@ -418,34 +419,25 @@ def _family_keys():
 
 
 def classify_rho40_terms(config: NullConfig):
-    """Group the top-order terms into the eight families, by branch and bound.
+    """The terms outside the eight families that reach the top order, by
+    branch and bound.
 
-    The 34 family members are evaluated exactly.  The other terms are
-    visited in decreasing order of ``Evaluator.order_bound`` and evaluated
-    until the first whose bound is below 40 and not above the best exact
-    order found so far: every term after it provably stays below both, so
-    the scan is as exact as one over all 1488 terms.
+    The 34 family members are left out; ``item_value`` reads them.  The
+    other terms are visited in decreasing order of
+    ``Evaluator.order_bound`` and evaluated until the first whose bound is
+    below 40 and not above the best exact order found so far: every term
+    after it provably stays below both, so the scan is as exact as one over
+    all 1454 of them.
 
-    Returns a dict with the families (lists of (SignedTerm, SlotValue,
-    order)), the exact maximal order outside them, and the terms outside
-    them at order 40 or more ((SignedTerm, order), in enumeration order).
+    Returns a dict with the exact maximal order outside the families and
+    the terms outside them at order 40 or more ((SignedTerm, order), in
+    enumeration order).
     """
     ev = shared_evaluator(config)
-    keys = _family_keys()
-    key_to_family = {}
-    for n, members in keys.items():
-        for key in members:
-            key_to_family[key] = n
-    families = {n: [] for n in keys}
-    others = []
-    for term in enumerate_all():
-        fam = key_to_family.get((term.hclass, term.shape, term.perm,
-                                 term.forms))
-        if fam is None:
-            others.append(term)
-        else:
-            value = ev.eval(term.ast)
-            families[fam].append((term, value, value.entry_order()))
+    members = {key for keys in _family_keys().values() for key in keys}
+    others = [term for term in enumerate_all()
+              if (term.hclass, term.shape, term.perm, term.forms)
+              not in members]
     bounds = [ev.order_bound(term.ast) for term in others]
     outside_max = NEG_INF
     at_top = []
@@ -457,7 +449,6 @@ def classify_rho40_terms(config: NullConfig):
         if order >= 40:
             at_top.append((i, order))
     return {
-        "families": families,
         "outside_max_order": outside_max,
         "outside_at_top": [(others[i], order) for i, order in sorted(at_top)],
     }
@@ -490,30 +481,6 @@ def nested_chain(a: int, b: int, c: int) -> FormNode:
     """The nested-chain term P2(a, Q(P2(b, Q(P2(c, 4)))))."""
     P2 = ("P", 2)
     return _build(_SHAPES[5][0], (a, b, c, 4), (P2, P2, P2))
-
-
-def eval_I_cancellation(config: NullConfig):
-    """The six nested-chain permutation terms and their exact sum.
-
-    Values are the raw (unsigned) term symbols; within the full interaction
-    they enter with an overall minus.  Each term is a multiple of the
-    polarization of wave 4; the per-term coefficients and the cancelling
-    exact sum are returned.
-    """
-    ev = shared_evaluator(config)
-    chains = {key: nested_chain(*key)
-              for key in itertools.permutations((1, 2, 3))}
-    terms = {key: ev.eval(ast) for key, ast in chains.items()}
-    a4 = rank_one(config.zeta(4))
-    total = ev.sum((1, ast) for ast in chains.values())
-    return {
-        "terms": terms,
-        "coefficients": {key: coefficient_of(value.matrix, a4)
-                         for key, value in terms.items()},
-        "sum_matrix": total,
-        "sum_coefficient": coefficient_of(total, a4),
-        "sum_entry_order": mat_max_degree(total),
-    }
 
 
 def coefficient_of(matrix, direction):

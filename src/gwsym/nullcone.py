@@ -164,9 +164,6 @@ class FlatPoint(namedtuple("FlatPoint", "x0 x1 x2 x3")):
     def of(*coords) -> "FlatPoint":
         return FlatPoint(*(Fraction(c) for c in coords))
 
-    def coords(self):
-        return (self.x0, self.x1, self.x2, self.x3)
-
 
 def in_causal_future(p: FlatPoint, q: FlatPoint) -> bool:
     """True iff q lies in the closed causal future of p (Minkowski)."""
@@ -223,9 +220,8 @@ def backtrace_sources(q0: FlatPoint, config: NullConfig, rho_value,
     directions = tuple(future_null_direction(config.zeta(i), rho_value,
                                              config.metric)
                        for i in range(1, 5))
-    q = q0.coords()
     sources = tuple(
-        FlatPoint(*(qc - t * dc for qc, dc in zip(q, d)))
+        FlatPoint(*(qc - t * dc for qc, dc in zip(q0, d)))
         for t, d in zip(times, directions))
     pair_table = {}
     for i in range(4):

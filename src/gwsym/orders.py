@@ -44,10 +44,6 @@ class Trace:
         return result
 
 
-#: The threshold regularity for sources; recorded as an input constant of
-#: the calculus, not derived here.
-SOURCE_ORDER_BOUND = Fraction(-17)
-
 #: Second index of the paired-Lagrangian class produced by the causal
 #: inverse; recorded but never composed.
 PAIRED_SECOND_INDEX = Fraction(-1, 2)

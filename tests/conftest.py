@@ -17,6 +17,16 @@ def evaluator(config):
 
 
 @pytest.fixture(scope="session")
+def chain_terms(config):
+    """The six nested-chain terms' values, keyed by their first three
+    waves: family 4's members, on the shared evaluator."""
+    from gwsym.interaction import item_value, shared_evaluator
+    ev = shared_evaluator(config)
+    return {t.perm[:3]: ev.eval(t.ast)
+            for t in item_value(4, config)["members"]}
+
+
+@pytest.fixture(scope="session")
 def tt_symbols():
     """Transverse-traceless integer wave symbols (symmetric 4x4 lists)."""
     def m(entries):

@@ -1,7 +1,8 @@
-"""No dead helpers: every top-level routine of the package, public or
+"""No dead helpers: every top-level name of the package, public or
 private, is named somewhere in the package or the benchmark outside its own
-definition.  A routine is a ``def``, a ``class`` or a module-level
-``functools`` cache wrapper."""
+definition.  A top-level name is bound by a ``def``, a ``class`` or a
+module-level assignment: a constant, a table or a ``functools`` cache
+wrapper."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -30,38 +31,33 @@ def _references(tree):
     return names
 
 
-def _routine_name(node):
-    """The name a top-level statement binds to a routine, or None: a
-    ``def``, a ``class``, or an assignment of a ``functools`` ``cache`` or
-    ``lru_cache`` wrapper, such as ``f = functools.cache(g)`` or
+def _bound_names(node):
+    """The names a top-level statement binds: a ``def``'s or a ``class``'s,
+    or every name an assignment stores to, such as ``LIMIT = 10`` or
     ``f = functools.lru_cache(maxsize=1)(g)``."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return node.name
-    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Call)):
-        return None
-    wrapper = node.value
-    while isinstance(wrapper, ast.Call):
-        wrapper = wrapper.func
-    name = (wrapper.attr if isinstance(wrapper, ast.Attribute)
-            else getattr(wrapper, "id", None))
-    return node.targets[0].id if name in ("cache", "lru_cache") else None
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
 
 
 def unused_names(private=False):
-    """Public (or, with ``private``, underscore) top-level routines of the
+    """Public (or, with ``private``, underscore) top-level names of the
     package that nothing in the package or the benchmark names outside
     their own definition, so a routine that only calls itself is unused."""
     nodes = [(path, node) for path in PACKAGE + BENCH
              for node in ast.parse(path.read_text()).body]
     refs = [_references(node) for _, node in nodes]
     uses = Counter(name for names in refs for name in names)
-    routines = [(path, _routine_name(node), names)
-                for (path, node), names in zip(nodes, refs)]
-    return sorted(name for path, name, names in routines
-                  if path in PACKAGE and name is not None
-                  and name.startswith("_") == private
+    return sorted(name for (path, node), names in zip(nodes, refs)
+                  if path in PACKAGE for name in _bound_names(node)
+                  if name.startswith("_") == private
                   and uses[name] == (name in names))
 
 

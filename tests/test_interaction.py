@@ -13,10 +13,10 @@ from gwsym.exact import BaseValue, NEG_INF, RhoRational, parse_rho_rational
 from gwsym.forms import SlotValue, matrix_of_outer
 from gwsym.interaction import (CharacteristicDenominatorError, Evaluator,
                                FormNode, Leaf, QNode, classify_rho40_terms,
-                               enumerate_H, enumerate_all,
-                               eval_I_cancellation, item_value, nested_chain,
-                               shared_evaluator, summed_terms, total_symbol,
-                               _SUMMED, coefficient_of, _family_keys, _terms)
+                               enumerate_H, enumerate_all, item_value,
+                               nested_chain, shared_evaluator, summed_terms,
+                               total_symbol, _SUMMED, coefficient_of,
+                               _family_keys, _terms)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.scenario import load_scenario
 from gwsym.tensor import (CoVec4, MINKOWSKI, Sym2T, ZERO_MAT, mat_add,
@@ -197,38 +197,50 @@ CHAIN_PUBLISHED_LEADING = {
 }
 
 
-class TestChainCancellation:
-    def test_exact_coefficients(self, config):
-        res = eval_I_cancellation(config)
-        for key, text in CHAIN_COEFFS.items():
-            assert res["coefficients"][key] == rr(text), key
+def chain_coefficients(config, chain_terms):
+    """Each nested-chain term's coefficient on the fourth polarization."""
+    a4 = rank_one(config.zeta(4))
+    return {key: coefficient_of(v.matrix, a4)
+            for key, v in chain_terms.items()}
 
-    def test_published_leading_parts(self, config):
-        res = eval_I_cancellation(config)
+
+def chain_sum(config):
+    """The unsigned sum of the six nested-chain terms: minus family 4,
+    whose class 5 enters with sign -1."""
+    return mat_scale(item_value(4, config)["matrix"], RhoRational.const(-1))
+
+
+class TestChainCancellation:
+    def test_exact_coefficients(self, config, chain_terms):
+        coefficients = chain_coefficients(config, chain_terms)
+        assert coefficients == {key: rr(text)
+                                for key, text in CHAIN_COEFFS.items()}
+
+    def test_published_leading_parts(self, config, chain_terms):
+        coefficients = chain_coefficients(config, chain_terms)
         for key, text in CHAIN_PUBLISHED_LEADING.items():
-            diff = RhoRational.const(-1) * res["coefficients"][key] - rr(text)
+            diff = RhoRational.const(-1) * coefficients[key] - rr(text)
             assert diff.infinity_degree <= 10, key
 
     def test_sum_cancels_two_levels(self, config):
-        res = eval_I_cancellation(config)
+        total = chain_sum(config)
+        coefficient = coefficient_of(total, rank_one(config.zeta(4)))
         # the rho^30 and rho^20 coefficient levels cancel exactly; the sum
         # is O(1) as a coefficient (entry order 20)
-        assert res["sum_coefficient"] == rr("(-11/8*rho^20 - 3/16)/(rho^20)")
-        assert res["sum_coefficient"].infinity_degree == 0
-        assert res["sum_entry_order"] == 20
+        assert coefficient == rr("(-11/8*rho^20 - 3/16)/(rho^20)")
+        assert coefficient.infinity_degree == 0
+        assert mat_max_degree(total) == 20
 
-    def test_individual_entry_orders(self, config):
-        res = eval_I_cancellation(config)
-        orders = {key: v.entry_order() for key, v in res["terms"].items()}
+    def test_individual_entry_orders(self, chain_terms):
+        orders = {key: v.entry_order() for key, v in chain_terms.items()}
         assert orders[(1, 2, 3)] == 50 and orders[(2, 1, 3)] == 50
         assert orders[(3, 1, 2)] == 50 and orders[(3, 2, 1)] == 50
         assert orders[(1, 3, 2)] == 40 and orders[(2, 3, 1)] == 40
 
-    def test_terms_proportional_to_fourth_polarization(self, config):
-        res = eval_I_cancellation(config)
-        a4 = rank_one(config.zeta(4))
-        for key, v in res["terms"].items():
-            assert coefficient_of(v.matrix, a4) is not None
+    def test_terms_proportional_to_fourth_polarization(self, config,
+                                                       chain_terms):
+        coefficients = chain_coefficients(config, chain_terms)
+        assert None not in coefficients.values()
 
 
 class TestItems:
@@ -296,9 +308,16 @@ class TestItems:
         assert mat_max_degree(total) < 40
 
     def test_item_4_is_minus_chain_sum(self, config):
-        res = eval_I_cancellation(config)
-        minus_sum = mat_scale(res["sum_matrix"], RhoRational.const(-1))
-        assert item_value(4, config)["matrix"] == minus_sum
+        # family 4 is the six nested chains, each with class 5's sign -1
+        members = item_value(4, config)["members"]
+        assert {t.perm[:3]: t.ast for t in members} == {
+            key: nested_chain(*key)
+            for key in itertools.permutations((1, 2, 3))}
+        assert {t.sign for t in members} == {-1}
+        ev = Evaluator(config)
+        want = add_all(ev.eval(nested_chain(*key)).matrix
+                       for key in itertools.permutations((1, 2, 3)))
+        assert chain_sum(config) == want
 
     def test_bad_item_number(self, config):
         with pytest.raises(ValueError):
@@ -306,11 +325,12 @@ class TestItems:
 
 
 class TestClassification:
-    def test_families_attain_top_order(self, config):
-        cls = classify_rho40_terms(config)
-        for n, members in cls["families"].items():
+    def test_families_attain_top_order(self, config, evaluator):
+        for n in range(1, 9):
+            members = item_value(n, config)["members"]
             assert members, f"family {n} empty"
-            for term, value, order in members:
+            for term in members:
+                order = evaluator.eval(term.ast).entry_order()
                 if n == 4:
                     assert order in (40, 50)
                 else:
@@ -335,8 +355,9 @@ class TestClassification:
     @pytest.mark.parametrize("scan", ["evaluator", "dense_evaluator"])
     def test_branch_and_bound_equals_exhaustive_scan(self, scan, request):
         # on a fresh evaluator the classification answers as a scan of all
-        # 1488 terms does; on the dense configuration every term sits far
-        # below order 40, so only the best exact order so far stops the scan
+        # terms outside the families does; on the dense configuration every
+        # term sits far below order 40, so only the best exact order so far
+        # stops the scan.  It evaluates no family member.
         ev = request.getfixturevalue(scan)
         interaction.shared_evaluator.cache_clear()
         cls = classify_rho40_terms(ev.config)
@@ -345,27 +366,18 @@ class TestClassification:
         evaluated = sum(len(v.leaves) == 4 for v in fresh.cache.values())
         if scan == "evaluator":
             assert evaluated <= 100
-        family_of = {key: n for n, keys in _family_keys().items()
-                     for key in keys}
-        families = {n: [] for n in family_of.values()}
+        members = {key for keys in _family_keys().values() for key in keys}
+        assert len(members) == 34
         outside_at_top, outside_max = [], NEG_INF
         for term in enumerate_all():
-            value = ev.eval(term.ast)
-            order = value.entry_order()
-            n = family_of.get((term.hclass, term.shape, term.perm,
-                               term.forms))
-            if n is not None:
-                families[n].append((term, value, order))
+            if (term.hclass, term.shape, term.perm, term.forms) in members:
+                assert term.ast not in fresh.cache
                 continue
+            order = ev.eval(term.ast).entry_order()
             if order >= 40:
                 outside_at_top.append((term, order))
             outside_max = max(outside_max, order)
-        # the values of two evaluators, compared by their fields
-        def fields(found):
-            return {n: [(t, v.covector, v.leaves, v.outer, o)
-                        for t, v, o in members]
-                    for n, members in found.items()}
-        assert fields(cls["families"]) == fields(families)
+        assert sorted(cls) == ["outside_at_top", "outside_max_order"]
         assert cls["outside_at_top"] == outside_at_top
         assert cls["outside_max_order"] == outside_max
 
@@ -401,7 +413,7 @@ class TestSum:
         chains = [nested_chain(*key)
                   for key in itertools.permutations((1, 2, 3))]
         want = add_all(evaluator.eval(ast).matrix for ast in chains)
-        assert eval_I_cancellation(config)["sum_matrix"] == want
+        assert chain_sum(config) == want
 
 
 class TestTotal:
@@ -791,8 +803,7 @@ class TestOrderPrediction:
         assert max(orders) == max(bounds)
 
     def test_family_members_attain_prediction(self, config, evaluator):
-        cls = classify_rho40_terms(config)
-        for n, members in cls["families"].items():
-            for term, value, order in members:
-                assert order == shared_evaluator(config).order_bound(
-                    term.ast)
+        for n in range(1, 9):
+            for term in item_value(n, config)["members"]:
+                assert (evaluator.eval(term.ast).entry_order()
+                        == evaluator.order_bound(term.ast)), (n, term.perm)

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from gwsym import cli, oracle
 from gwsym.exact import BaseValue, RhoPoly, RhoRational, format_poly
 from gwsym.forms import SlotValue
-from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode,
-                               eval_I_cancellation, nested_chain, total_symbol)
+from gwsym.interaction import (Evaluator, FormNode, Leaf, QNode, item_value,
+                               nested_chain, shared_evaluator, total_symbol)
 from gwsym.nullcone import NullConfig, base_directions, standard_config
 from gwsym.oracle import (FLOAT_CONTEXT, FULL, JetContext, OracleUnsupported,
                           _add_into, _disjoint, _float_at, _jet_base,
@@ -418,10 +418,9 @@ class TestFloatOracle:
             assert got == [[Decimal(x.numerator) / x.denominator for x in row]
                            for row in want]
 
-    def test_chain_terms_dual_path(self, config):
-        res = eval_I_cancellation(config)
+    def test_chain_terms_dual_path(self, config, chain_terms):
         for rho in (Fraction(2), Fraction(5, 2)):
-            for (a, b, c), value in res["terms"].items():
+            for (a, b, c), value in chain_terms.items():
                 ast = FormNode(("P", 2), (Leaf(a), QNode(
                     FormNode(("P", 2), (Leaf(b), QNode(
                         FormNode(("P", 2), (Leaf(c), Leaf(4)))))))))
@@ -449,10 +448,9 @@ class TestFloatOracle:
         quadratic semilinear formula through the jet's own contractions,
         never through the derived forms.
         """
-        from gwsym.interaction import classify_rho40_terms
-        cls = classify_rho40_terms(config)
-        members = [(n, term, value) for n, family in cls["families"].items()
-                   for term, value, _ in family]
+        ev = shared_evaluator(config)
+        members = [(n, term, ev.eval(term.ast)) for n in range(1, 9)
+                   for term in item_value(n, config)["members"]]
         assert len(members) == 34
         rho = Fraction(2)
         for n, term, value in members:
@@ -550,12 +548,11 @@ class TestBeyondFloatRange:
         oracle[1][2] = Decimal("NaN")
         assert math.isnan(max_rel_diff(exact, oracle))
 
-    def test_scale_stays_finite(self, config):
+    def test_scale_stays_finite(self, config, chain_terms):
         rho = Fraction(10**7)
         scale = float_oracle(config, rho).scale
         assert scale.is_finite() and scale > sys.float_info.max
-        res = eval_I_cancellation(config)
-        for key, value in res["terms"].items():
+        for key, value in chain_terms.items():
             got = float_walk(nested_chain(*key), config, rho)
             assert max_rel_diff(mat_eval_at(value.matrix, rho), got) <= 1e-9
         # past the oracle's range too, the scale raises, not inf

@@ -6,7 +6,7 @@ import pytest
 from gwsym.orders import (MicroOrder, Trace, distorted_wave_order,
                           geodesic_perturbation_orders, interaction_order,
                           restriction_order, standard_claims,
-                          SOURCE_ORDER_BOUND, PAIRED_SECOND_INDEX)
+                          PAIRED_SECOND_INDEX)
 
 
 def test_distorted_wave_order_boundary_case():
@@ -86,7 +86,6 @@ def test_standard_claims_all_hold():
 
 
 def test_recorded_constants():
-    assert SOURCE_ORDER_BOUND == -17
     assert PAIRED_SECOND_INDEX == Fraction(-1, 2)
 
 

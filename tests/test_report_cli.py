@@ -11,7 +11,7 @@ import pytest
 
 from gwsym import oracle
 from gwsym.cli import run
-from gwsym.report import Report, TraceLine, Verdict, parse_machine
+from gwsym.report import Report, TraceLine, Value, Verdict, parse_machine
 from gwsym.scenario import (RHO_NAME_LIMIT, Scenario, ScenarioError,
                             float_exponent, load_scenario, parse_scenario,
                             rho_name)
@@ -346,6 +346,17 @@ class TestCli:
         assert code == 1
         assert out.count("[FAIL]") == 3
         assert "drops the squared-norm denominator" in out
+
+    def test_cancellation_sum_coefficient(self, capsys):
+        # the six chains' sum is minus family 4; its rho^30 and rho^20
+        # coefficient levels cancel
+        code, out = _run(["--format", "machine", "verify", "cancellation"],
+                         capsys)
+        assert code == 0
+        values = dict(e for s in parse_machine(out).sections
+                      for e in s.entries if isinstance(e, Value))
+        assert (values["sum-coefficient"]
+                == "(-11/8*rho^20 - 3/16)/(rho^20)")
 
     def test_machine_format_deterministic(self, capsys):
         code1, out1 = _run(["--format", "machine", "verify", "orders"], capsys)

@@ -140,6 +140,10 @@ MUTANTS = [
            gap="no report reads a matrix from its input; scenario keys for "
                "the polarizations and the metric (ROADMAP items 4 and 11) "
                "close it"),
+    Mutant("chain-sum-keeps-family-sign", "src/gwsym/cli.py",
+           'return terms, mat_scale(family["matrix"], RhoRational.const(-1))',
+           'return terms, family["matrix"]',
+           ("tests/test_report_cli.py",)),
     Mutant("child-sends-jet-only", "src/gwsym/oracle.py",
            "            for key in (None, *rho_values):\n",
            "            for key in (None,):\n",
